@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench-smoke bench-gate
+.PHONY: build test race vet check bench-smoke bench-gate fuzz-smoke perfbench-vet
 
 build:
 	$(GO) build ./...
@@ -41,5 +41,19 @@ bench-smoke:
 # change that knowingly shifts them.
 bench-gate:
 	$(GO) run ./cmd/faction-bench -gate results
+
+# fuzz-smoke runs each fuzz target for a short burst. The request decoder is
+# held differentially to encoding/json. Inputs that once failed live in the
+# package's testdata/fuzz/ corpus and replay on every plain `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseInstances$$' -fuzztime=10s ./internal/server/
+
+# perfbench-vet vets the benchmark module (perfbench/, its own Go module that
+# builds against this one through a replace directive), so an API change here
+# cannot silently break the benchmark's build. Its smoke tests stay out of
+# `make test`: the traced smoke run asserts how much of the wall clock the
+# stage spans cover, which depends on the machine.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 check: vet build test race

@@ -231,10 +231,7 @@ func main() {
 func runKernelBench(path string, datasets []string, workers int) error {
 	fmt.Printf("=== kernel micro-benchmarks (GOMAXPROCS %d) ===\n", runtime.GOMAXPROCS(0))
 	rep := bench.RunKernels()
-	for _, k := range rep.Kernels {
-		fmt.Printf("%-36s %14.0f ns/op %10d B/op %6d allocs/op\n",
-			k.Name, k.NsPerOp, k.BytesPerOp, k.AllocsPerOp)
-	}
+	printKernels(rep.Kernels)
 	rep.Fig2CISeconds = make(map[string]float64, len(datasets))
 	for _, ds := range datasets {
 		sec, err := bench.Fig2CIWallClock(ds, workers)
@@ -244,20 +241,7 @@ func runKernelBench(path string, datasets []string, workers int) error {
 		rep.Fig2CISeconds[ds] = sec
 		fmt.Printf("%-36s %14.2f s (CI-scale Fig. 2 row)\n", "Fig2/"+ds, sec)
 	}
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", path)
-	return nil
+	return writeReport(path, rep)
 }
 
 // runServeBench runs the serving-layer coalesced-load benchmark (N concurrent
@@ -276,20 +260,7 @@ func runServeBench(path string, clients, requests, replicas int) error {
 		}
 		fmt.Println()
 	}
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", path)
-	return nil
+	return writeReport(path, rep)
 }
 
 // runAllocBench runs the read-path allocation suite, prints the headline
@@ -300,24 +271,8 @@ func runAllocBench(path string) error {
 	if err != nil {
 		return err
 	}
-	for _, k := range rep.Kernels {
-		fmt.Printf("%-36s %14.0f ns/op %10d B/op %6d allocs/op\n",
-			k.Name, k.NsPerOp, k.BytesPerOp, k.AllocsPerOp)
-	}
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", path)
-	return nil
+	printKernels(rep.Kernels)
+	return writeReport(path, rep)
 }
 
 // runWALBench runs the WAL durability benchmark, prints the append-cost
@@ -332,20 +287,7 @@ func runWALBench(path string, records int) error {
 		fmt.Printf("%-36s %12.0f appends/s   mean %8.1f µs   %8d records %8d fsyncs\n",
 			r.Name, r.AppendsPerSec, r.MeanLatencyUs, r.Records, r.Fsyncs)
 	}
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", path)
-	return nil
+	return writeReport(path, rep)
 }
 
 // runObsBench runs the fairness-observability overhead benchmark, prints the
@@ -356,24 +298,8 @@ func runObsBench(path string) error {
 	if err != nil {
 		return err
 	}
-	for _, k := range rep.Kernels {
-		fmt.Printf("%-36s %14.0f ns/op %10d B/op %6d allocs/op\n",
-			k.Name, k.NsPerOp, k.BytesPerOp, k.AllocsPerOp)
-	}
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", path)
-	return nil
+	printKernels(rep.Kernels)
+	return writeReport(path, rep)
 }
 
 // runGate re-runs the kernel, allocation and observability suites and
@@ -393,6 +319,33 @@ func runGate(dir string) error {
 		fmt.Fprintln(os.Stderr, "regression:", v)
 	}
 	return fmt.Errorf("benchmark gate failed: %d regression(s)", len(violations))
+}
+
+// printKernels prints one ns/op, B/op, allocs/op line per benchmark row.
+func printKernels(rows []bench.KernelResult) {
+	for _, k := range rows {
+		fmt.Printf("%-36s %14.0f ns/op %10d B/op %6d allocs/op\n",
+			k.Name, k.NsPerOp, k.BytesPerOp, k.AllocsPerOp)
+	}
+}
+
+// writeReport writes rep as indented JSON with a trailing newline to path,
+// creating the parent directory, and prints where it went.
+func writeReport(path string, rep any) error {
+	if dir := filepath.Dir(path); dir != "." && dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+	}
+	out, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("\nwrote %s\n", path)
+	return nil
 }
 
 // renderer is the common surface of all experiment results.

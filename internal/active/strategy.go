@@ -58,7 +58,7 @@ func (c *Context) PoolFeatures() *mat.Dense {
 }
 
 func (c *Context) ensurePool() {
-	logits, feats := c.Model.LogitsAndFeatures(c.PoolMatrix())
+	logits, feats := c.Model.LogitsAndFeatures(c.PoolMatrix(), nil)
 	probs := mat.NewDense(logits.Rows, logits.Cols)
 	for i := 0; i < logits.Rows; i++ {
 		mat.Softmax(probs.Row(i), logits.Row(i))

@@ -91,25 +91,25 @@ func RunAlloc() (AllocReport, error) {
 		rep.Kernels = append(rep.Kernels, toResult(name, stableBench(fn)))
 	}
 
-	// Forward pass: fresh activation matrices per call vs the pooled arena.
+	// Forward pass: heap activations (nil arena) per call vs the pooled arena.
 	add("LogitsAndFeatures/alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		quiesce(b)
 		for i := 0; i < b.N; i++ {
-			model.LogitsAndFeatures(probe)
+			model.LogitsAndFeatures(probe, nil)
 		}
 	})
 	add("LogitsAndFeatures/scratch", func(b *testing.B) {
 		for i := 0; i < 10; i++ { // warm the arena pools
 			a := mat.GetArena()
-			model.LogitsAndFeaturesScratch(probe, a)
+			model.LogitsAndFeatures(probe, a)
 			a.Release()
 		}
 		b.ReportAllocs()
 		quiesce(b)
 		for i := 0; i < b.N; i++ {
 			a := mat.GetArena()
-			model.LogitsAndFeaturesScratch(probe, a)
+			model.LogitsAndFeatures(probe, a)
 			a.Release()
 		}
 	})

@@ -332,11 +332,6 @@ func getDensScratch(comps int) *densScratch {
 	return ds
 }
 
-// quadsPool recycles the n×NumComponents Mahalanobis buffer of density passes
-// that do not keep it (LogDensityBatchInto); ScoreBatchRaw keeps its own on
-// the pooled RawScores.
-var quadsPool = sync.Pool{New: func() any { return new([]float64) }}
-
 // BatchScores holds the relative densities of a batch on a common scale
 // (every value is multiplied by e^{−M}, where M is the batch-wide maximum
 // log density; the subsequent min–max normalization of Eq. 7 is invariant to
@@ -408,9 +403,11 @@ type RawScores struct {
 	// LogG[i] is log g(z_i) (Eq. 3), identical to LogDensity(z_i).
 	LogG []float64
 
-	// logCond[(i·classes+c)·ns+k] = log g(z_i | c, SensValues[k]); unused
-	// when the estimator has a single sensitive value (no gaps to compute).
+	// logCond[(i·classes+c)·ns+k] = log g(z_i | c, SensValues[k]); filled
+	// only when cond is set, i.e. by ScoreBatchRaw on an estimator with two
+	// or more sensitive values (otherwise there are no gaps to compute).
 	logCond []float64
+	cond    bool
 	// rowMax[i] is the per-row maximum over logG[i] and the row's finite
 	// component log-pdfs — the quantity a range's common scale M reduces over.
 	rowMax []float64
@@ -435,7 +432,7 @@ func (r *RawScores) Release() {
 	rawScoresPool.Put(r)
 }
 
-// scoreJob carries one ScoreBatchRaw pass across the worker pool without
+// scoreJob carries one raw density pass across the worker pool without
 // allocating: pooled jobs pre-bind fn to their run method once (at pool-New
 // time), so the hot path never constructs a closure.
 type scoreJob struct {
@@ -454,31 +451,26 @@ func (j *scoreJob) run(lo, hi int) {
 	e, raw := j.e, j.raw
 	classes, ns := raw.classes, raw.ns
 	nc := len(e.ordered)
-	multiSens := ns >= 2
 	ds := getDensScratch(nc)
 	terms := ds.terms
 	for i := lo; i < hi; i++ {
 		qrow := raw.quads[i*nc : (i+1)*nc]
 		rowMax := math.Inf(-1)
-		if multiSens {
-			row := raw.logCond[i*classes*ns : (i+1)*classes*ns]
+		var row []float64
+		if raw.cond {
+			row = raw.logCond[i*classes*ns : (i+1)*classes*ns]
 			for j := range row {
 				row[j] = math.Inf(-1)
 			}
-			for j, c := range e.ordered {
-				lp := c.logNormBase - 0.5*qrow[j]
-				terms[j] = c.logWeight + lp
+		}
+		for j, c := range e.ordered {
+			lp := c.logNormBase - 0.5*qrow[j]
+			terms[j] = c.logWeight + lp
+			if row != nil {
 				row[c.Y*ns+c.sIdx] = lp
 				if lp > rowMax {
 					rowMax = lp
 				}
-			}
-		} else {
-			// Same expression shape as the multi-sens branch and as
-			// logDensJob.run, so LogG bits agree across every path.
-			for j, c := range e.ordered {
-				lp := c.logNormBase - 0.5*qrow[j]
-				terms[j] = c.logWeight + lp
 			}
 		}
 		raw.LogG[i] = mat.LogSumExp(terms)
@@ -494,36 +486,44 @@ func (j *scoreJob) run(lo, hi int) {
 // raw log-space results without choosing a scale. One pass serves any number
 // of Slice calls; Release the result when done. Storage is pooled, so a
 // steady-state loop of ScoreBatchRaw → SliceInto → Release allocates nothing.
+// It is the only density entry point timed as a score pass
+// (faction_gda_score_batch_seconds).
 func (e *Estimator) ScoreBatchRaw(features *mat.Dense) *RawScores {
 	start := time.Now()
+	raw := e.rawPass(features, len(e.SensValues) >= 2)
+	scoreBatchSeconds.Observe(time.Since(start).Seconds())
+	return raw
+}
+
+// rawPass is the one pooled density pass behind ScoreBatchRaw and
+// LogDensityBatchInto: a whitened kernel pass fills every (row, component)
+// Mahalanobis distance, then a sharded reduction does the O(n·K) log-space
+// arithmetic. cond additionally records the per-group conditional log-pdfs
+// the fairness gaps need. LogG does not depend on cond, so both callers see
+// the same bits.
+func (e *Estimator) rawPass(features *mat.Dense, cond bool) *RawScores {
 	n := features.Rows
 	if n > 0 && features.Cols != e.Dim {
 		panic(fmt.Sprintf("gda: feature dim %d, want %d", features.Cols, e.Dim))
 	}
-	classes, ns := e.Classes, len(e.SensValues)
 	raw := rawScoresPool.Get().(*RawScores)
 	raw.released = false
-	raw.classes, raw.ns = classes, ns
+	raw.classes, raw.ns, raw.cond = e.Classes, len(e.SensValues), cond
 	raw.LogG = growFloats(raw.LogG, n)
 	raw.rowMax = growFloats(raw.rowMax, n)
 	if n == 0 {
-		scoreBatchSeconds.Observe(time.Since(start).Seconds())
 		return raw
 	}
-	if ns >= 2 {
-		raw.logCond = growFloats(raw.logCond, n*classes*ns)
+	if cond {
+		raw.logCond = growFloats(raw.logCond, n*raw.classes*raw.ns)
 	}
-	// One batch kernel pass fills every (row, component) Mahalanobis distance;
-	// the sharded reduction below only does the O(n·K) log-space arithmetic.
-	nc := len(e.ordered)
-	raw.quads = growFloats(raw.quads, n*nc)
+	raw.quads = growFloats(raw.quads, n*len(e.ordered))
 	e.mahalanobisQuads(raw.quads, features)
 	j := scoreJobPool.Get().(*scoreJob)
 	j.e, j.raw = e, raw
 	mat.ParallelFor(n, scoreBatchMinGrain, j.fn)
 	j.e, j.raw = nil, nil
 	scoreJobPool.Put(j)
-	scoreBatchSeconds.Observe(time.Since(start).Seconds())
 	return raw
 }
 
@@ -545,10 +545,9 @@ var sliceJobPool = sync.Pool{New: func() any {
 func (j *sliceJob) run(a, b int) {
 	r, out, lo, m := j.raw, j.dst, j.lo, j.m
 	classes, ns := r.classes, r.ns
-	multiSens := ns >= 2
 	for i := a; i < b; i++ {
 		out.G[i] = math.Exp(r.LogG[lo+i] - m)
-		if multiSens {
+		if r.cond {
 			delta := out.Delta[i]
 			for c := 0; c < classes; c++ {
 				delta[c] = maxPairwiseGap(r.logCond[((lo+i)*classes+c)*ns:((lo+i)*classes+c+1)*ns], m)
@@ -609,36 +608,6 @@ func (r *RawScores) SliceInto(dst *BatchScores, lo, hi int) {
 	sliceJobPool.Put(j)
 }
 
-// logDensJob is scoreJob's twin for LogDensityBatchInto.
-type logDensJob struct {
-	e     *Estimator
-	quads []float64
-	out   []float64
-	fn    func(lo, hi int)
-}
-
-var logDensJobPool = sync.Pool{New: func() any {
-	j := new(logDensJob)
-	j.fn = j.run
-	return j
-}}
-
-func (j *logDensJob) run(lo, hi int) {
-	e := j.e
-	nc := len(e.ordered)
-	ds := getDensScratch(nc)
-	terms := ds.terms
-	for i := lo; i < hi; i++ {
-		qrow := j.quads[i*nc : (i+1)*nc]
-		for k, c := range e.ordered {
-			lp := c.logNormBase - 0.5*qrow[k]
-			terms[k] = c.logWeight + lp
-		}
-		j.out[i] = mat.LogSumExp(terms)
-	}
-	densScratchPool.Put(ds)
-}
-
 // LogDensityBatch returns log g(z_i) for every feature row, sharded across
 // the kernel worker pool. Each value is bit-identical to LogDensity on that
 // row (same deterministic component order, row-independent), so callers can
@@ -650,31 +619,17 @@ func (e *Estimator) LogDensityBatch(features *mat.Dense) []float64 {
 }
 
 // LogDensityBatchInto is LogDensityBatch into caller-owned storage: dst must
-// have length features.Rows. At a fixed batch shape the steady state performs
-// no heap allocation (per-shard scratch is pooled, the shard closure is
-// pre-bound).
+// have length features.Rows. It runs ScoreBatchRaw's pooled pass without the
+// conditional densities, copies LogG out and releases the pass, so at a fixed
+// batch shape the steady state performs no heap allocation. It is not timed
+// as a score pass.
 func (e *Estimator) LogDensityBatchInto(dst []float64, features *mat.Dense) {
-	n := features.Rows
-	if len(dst) != n {
-		panic(fmt.Sprintf("gda: dst length %d, want %d rows", len(dst), n))
+	if len(dst) != features.Rows {
+		panic(fmt.Sprintf("gda: dst length %d, want %d rows", len(dst), features.Rows))
 	}
-	if n > 0 && features.Cols != e.Dim {
-		panic(fmt.Sprintf("gda: feature dim %d, want %d", features.Cols, e.Dim))
-	}
-	if n == 0 {
-		return
-	}
-	nc := len(e.ordered)
-	qp := quadsPool.Get().(*[]float64)
-	quads := growFloats(*qp, n*nc)
-	e.mahalanobisQuads(quads, features)
-	j := logDensJobPool.Get().(*logDensJob)
-	j.e, j.quads, j.out = e, quads, dst
-	mat.ParallelFor(n, scoreBatchMinGrain, j.fn)
-	j.e, j.quads, j.out = nil, nil, nil
-	logDensJobPool.Put(j)
-	*qp = quads
-	quadsPool.Put(qp)
+	raw := e.rawPass(features, false)
+	copy(dst, raw.LogG)
+	raw.Release()
 }
 
 // maxPairwiseGap returns max_{k,k'} |e^{l_k−m} − e^{l_k'−m}| over the finite

@@ -3,7 +3,6 @@ package mat
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // Scheduling properties of the worker pool: at parallelism 1 the "parallel"
@@ -54,47 +53,5 @@ func TestShardCountFlopCap(t *testing.T) {
 	SetParallelism(1)
 	if got := shardCount(1 << 30); got != 1 {
 		t.Fatalf("parallelism 1: shardCount = %d, want 1", got)
-	}
-}
-
-// Benchmark-style assertion that the default ("parallel") path does not lose
-// to the forced-serial path at parallelism 1. Since TestNoPoolDispatch proves
-// the code paths are identical, only measurement noise separates them; the
-// generous factor keeps the assertion robust while still catching a real
-// scheduling regression (which historically showed up as >20% overhead).
-func TestParallelNeverLosesAtOneCPU(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short")
-	}
-	old := Parallelism()
-	defer SetParallelism(old)
-	rng := rand.New(rand.NewSource(71))
-	x := randDense(rng, 256, 256)
-	y := randDense(rng, 256, 256)
-	dst := NewDense(256, 256)
-	measure := func(p, iters int) time.Duration {
-		SetParallelism(p)
-		defer SetParallelism(old)
-		MulInto(dst, x, y) // warm
-		best := time.Duration(1<<62 - 1)
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				MulInto(dst, x, y)
-			}
-			if el := time.Since(start); el < best {
-				best = el
-			}
-		}
-		return best
-	}
-	const iters = 8
-	serial := measure(1, iters)
-	// "Parallel" at width 1: the default path with the knob at 1, i.e. what a
-	// 1-CPU machine runs when nothing forces serial.
-	parallel := measure(1, iters)
-	if parallel > serial*3/2 {
-		t.Fatalf("parallel path %v vs serial %v at parallelism 1: >1.5x, scheduling overhead regressed",
-			parallel, serial)
 	}
 }

@@ -101,7 +101,8 @@ func (c *Classifier) NumParams() int { return c.net.NumParams() }
 
 // Logits runs inference (no power-iteration update) and returns raw scores.
 func (c *Classifier) Logits(x *mat.Dense) *mat.Dense {
-	return c.net.Forward(x, false)
+	logits, _ := c.net.Infer(x, nil)
+	return logits
 }
 
 // Probs returns softmax class probabilities, one row per sample.
@@ -125,28 +126,23 @@ func (c *Classifier) PredictClasses(x *mat.Dense) []int {
 }
 
 // LogitsAndFeatures runs one inference pass returning both the logits and the
-// tapped feature representation (sharing the forward pass).
+// tapped feature representation (sharing the forward pass). Every matrix of
+// the pass is checked out of a, so a steady-state loop at a fixed batch shape
+// allocates nothing (pinned by TestLogitsAndFeaturesScratchSteadyStateAllocs),
+// and both results die when a is released. A nil a allocates them on the
+// heap instead; the bits are identical.
 //
 // Inference methods (Logits, Probs, PredictClasses, LogitsAndFeatures,
-// Features) are read-only and safe for concurrent use; Train and ProbsMC
-// mutate layer state and require external synchronization.
-func (c *Classifier) LogitsAndFeatures(x *mat.Dense) (logits, features *mat.Dense) {
-	return c.net.ForwardTapped(x, false)
-}
-
-// LogitsAndFeaturesScratch is the zero-allocation inference entry point: the
-// same read-only pass as LogitsAndFeatures with every intermediate matrix
-// checked out of the caller-owned arena (0 allocs/op at fixed batch shape,
-// pinned by TestLogitsAndFeaturesScratchSteadyStateAllocs). Results are
-// bit-identical to LogitsAndFeatures; both returned matrices die when the
-// arena is released. Concurrent callers must each hold their own arena.
-func (c *Classifier) LogitsAndFeaturesScratch(x *mat.Dense, a *mat.Arena) (logits, features *mat.Dense) {
-	return c.net.ForwardTappedScratch(x, a)
+// Features) are read-only and safe for concurrent use, as long as concurrent
+// callers each hold their own arena; Train and ProbsMC mutate layer state and
+// require external synchronization.
+func (c *Classifier) LogitsAndFeatures(x *mat.Dense, a *mat.Arena) (logits, features *mat.Dense) {
+	return c.net.Infer(x, a)
 }
 
 // Features returns z = r(x, θ) for each row of x.
 func (c *Classifier) Features(x *mat.Dense) *mat.Dense {
-	_, f := c.LogitsAndFeatures(x)
+	_, f := c.net.Infer(x, nil)
 	return f
 }
 
@@ -247,7 +243,7 @@ func (c *Classifier) Train(x *mat.Dense, y, s []int, opt Optimizer, opts TrainOp
 // synchronization against concurrent inference.
 func (c *Classifier) TrainStep(x *mat.Dense, y, s []int, opt Optimizer, fair FairConfig, maxGradNorm float64) FairLossResult {
 	start := time.Now()
-	logits := c.net.Forward(x, true)
+	logits := c.net.Forward(x)
 	res, grad := c.scratch.fairRegularizedCE(logits, y, s, fair)
 	if fair.IndividualMu > 0 {
 		vInd, gInd := IndividualPenalty(logits, x, fair.IndividualSigma)

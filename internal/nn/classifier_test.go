@@ -49,7 +49,7 @@ func TestClassifierLogisticRegressionConfig(t *testing.T) {
 		t.Fatalf("linear model feature dim = %d, want logits dim 2", c.FeatureDim())
 	}
 	x := mat.NewDense(4, 3)
-	logits, feats := c.LogitsAndFeatures(x)
+	logits, feats := c.LogitsAndFeatures(x, nil)
 	if feats != logits {
 		t.Fatal("linear model features should be the logits themselves")
 	}

@@ -9,14 +9,13 @@ import (
 )
 
 // Dropout is inverted dropout: during training each activation is zeroed
-// with probability Rate and survivors are scaled by 1/(1−Rate), so eval-mode
-// forward passes are the identity. ForceActive keeps the mask on outside
-// training — the Monte-Carlo dropout mode used for Bayesian uncertainty
-// estimates (Gal et al., ICML 2017; the paper's reference [44]).
+// with probability Rate and survivors are scaled by 1/(1−Rate), so inference
+// passes are the identity. ForceActive keeps the mask on during inference —
+// the Monte-Carlo dropout mode used for Bayesian uncertainty estimates (Gal
+// et al., ICML 2017; the paper's reference [44]).
 type Dropout struct {
 	Rate float64
-	// ForceActive applies dropout even when Forward is called with
-	// train=false (MC-dropout inference).
+	// ForceActive applies dropout in Infer too (MC-dropout inference).
 	ForceActive bool
 
 	rng  *rand.Rand
@@ -33,14 +32,8 @@ func NewDropout(rng *rand.Rand, rate float64) *Dropout {
 	return &Dropout{Rate: rate, rng: rng}
 }
 
-// Forward applies the mask in train (or forced) mode; identity otherwise.
-// Pure inference (train=false, ForceActive off) leaves the layer unmodified
-// and is safe for concurrent callers; masked modes record state for Backward
-// and are not.
-func (d *Dropout) Forward(x *mat.Dense, train bool) *mat.Dense {
-	if !train && !d.ForceActive {
-		return x
-	}
+// Forward draws a fresh mask, applies it, and records it for Backward.
+func (d *Dropout) Forward(x *mat.Dense) *mat.Dense {
 	if d.Rate == 0 {
 		d.mask = nil
 		return x
@@ -65,15 +58,15 @@ func (d *Dropout) Forward(x *mat.Dense, train bool) *mat.Dense {
 	return out
 }
 
-// ForwardScratch is the identity in pure inference (dropout off). With
-// ForceActive set (MC-dropout) it delegates to the masked Forward, which
+// Infer is the identity, which is read-only and safe for concurrent callers.
+// With ForceActive set (MC-dropout) it runs the masked Forward instead, which
 // mutates layer state and requires external synchronization anyway — the
 // arena buys nothing there.
-func (d *Dropout) ForwardScratch(x *mat.Dense, _ *mat.Arena) *mat.Dense {
+func (d *Dropout) Infer(x *mat.Dense, _ *mat.Arena) *mat.Dense {
 	if !d.ForceActive {
 		return x
 	}
-	return d.Forward(x, false)
+	return d.Forward(x)
 }
 
 // Backward routes gradients through the surviving units only.
@@ -143,7 +136,7 @@ func (c *Classifier) ProbsMC(x *mat.Dense, samples int) (meanProbs *mat.Dense, b
 	meanEntropy := make([]float64, n)
 	probs := make([]float64, classes)
 	for s := 0; s < samples; s++ {
-		logits := c.net.Forward(x, false)
+		logits, _ := c.net.Infer(x, nil)
 		for i := 0; i < n; i++ {
 			mat.Softmax(probs, logits.Row(i))
 			row := meanProbs.Row(i)

@@ -11,7 +11,7 @@ import (
 func TestDropoutEvalIsIdentity(t *testing.T) {
 	d := NewDropout(rand.New(rand.NewSource(1)), 0.5)
 	x := mat.FromRows([][]float64{{1, 2, 3}})
-	out := d.Forward(x, false)
+	out := d.Infer(x, nil)
 	for i := range x.Data {
 		if out.Data[i] != x.Data[i] {
 			t.Fatal("eval-mode dropout must be identity")
@@ -34,7 +34,7 @@ func TestDropoutTrainMasksAndScales(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = 1
 	}
-	out := d.Forward(x, true)
+	out := d.Forward(x)
 	zeros, twos := 0, 0
 	for _, v := range out.Data {
 		switch v {
@@ -67,7 +67,7 @@ func TestDropoutBackwardMatchesMask(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = 1
 	}
-	out := d.Forward(x, true)
+	out := d.Forward(x)
 	g := mat.NewDense(2, 8)
 	for i := range g.Data {
 		g.Data[i] = 1

@@ -88,11 +88,11 @@ func TestIndividualPenaltyGradientCheck(t *testing.T) {
 		{1.2, -0.3},
 	})
 	lossFn := func() float64 {
-		logits := net.Forward(x, false)
+		logits, _ := net.Infer(x, nil)
 		v, _ := IndividualPenalty(logits, x, 0.8)
 		return v
 	}
-	logits := net.Forward(x, true)
+	logits := net.Forward(x)
 	_, grad := IndividualPenalty(logits, x, 0.8)
 	if grad == nil {
 		t.Fatal("no gradient")

@@ -7,28 +7,37 @@ import (
 	"faction/internal/mat"
 )
 
-// Layer is one differentiable stage of a network. Forward caches whatever it
-// needs for the subsequent Backward; Backward accumulates parameter gradients
-// and returns the gradient with respect to its input.
+// Layer is one differentiable stage of a network. Forward is the training
+// pass: it caches whatever the subsequent Backward needs; Backward
+// accumulates parameter gradients and returns the gradient with respect to
+// its input. Infer is the one inference pass.
 //
-// Scratch-reuse contract: matrices returned by train-mode Forward and by
-// Backward are owned by the layer and are overwritten by its next train-mode
-// call — callers may read them freely within the current training step but
-// must clone anything they retain across steps. Inference-mode Forward
-// (train=false) returns freshly allocated (or input-aliased, for stateless
-// layers) matrices and touches no layer state, so it stays safe for
-// concurrent callers.
-// ForwardScratch is the arena-backed inference pass: output matrices come
-// from the caller-owned arena instead of the heap, so a fixed-shape serving
-// loop runs allocation-free. Like Forward(x, false) it is read-only on layer
-// state (bit-identical results, safe for concurrent callers each holding
-// their own arena); the returned matrix either belongs to the arena or
-// aliases x, and dies when the caller releases the arena.
+// Scratch-reuse contract: matrices returned by Forward and by Backward are
+// owned by the layer and are overwritten by its next training call — callers
+// may read them freely within the current training step but must clone
+// anything they retain across steps.
+//
+// Infer is read-only on layer state, so one layer serves any number of
+// concurrent inference passes. Its output is checked out of the caller's
+// arena, or allocated on the heap when the arena is nil (see get); stateless
+// layers may return x itself. An arena-backed output dies when the caller
+// releases the arena, and both forms carry the same bits.
 type Layer interface {
-	Forward(x *mat.Dense, train bool) *mat.Dense
-	ForwardScratch(x *mat.Dense, a *mat.Arena) *mat.Dense
+	Forward(x *mat.Dense) *mat.Dense
+	Infer(x *mat.Dense, a *mat.Arena) *mat.Dense
 	Backward(gradOut *mat.Dense) *mat.Dense
 	Params() []*Param
+}
+
+// get checks an r×c matrix out of a, or allocates it from the heap when a is
+// nil, so one inference path serves pooled and allocating callers. The check
+// sits here, not in mat.Arena.Get: lengthening Get moved the small-matmul
+// kernel that follows it and slowed serving shapes (DESIGN.md §10).
+func get(a *mat.Arena, r, c int) *mat.Dense {
+	if a == nil {
+		return mat.NewDense(r, c)
+	}
+	return a.Get(r, c)
 }
 
 // ensureScratch returns buf when it already has shape r×c (and is not the
@@ -54,7 +63,7 @@ type Linear struct {
 	lastScale float64    // effective-weight scale used in the last Forward
 
 	// Train-step scratch, reused while the batch shape is unchanged (see the
-	// Layer scratch-reuse contract). Inference never touches these.
+	// Layer scratch-reuse contract). Infer never touches these.
 	out, dx, dw *mat.Dense
 }
 
@@ -79,53 +88,43 @@ func NewLinear(rng *rand.Rand, in, out int, spectralNorm bool, spectralCoeff flo
 }
 
 // Forward computes x·Ŵ + b where Ŵ = scale·W with scale determined by
-// spectral normalization (1 when disabled). In train mode the spectral-norm
-// power iteration is advanced one step and the input is cached for Backward;
-// inference passes (train=false) leave the layer unmodified, so one layer can
-// serve concurrent read-only forward passes.
-func (l *Linear) Forward(x *mat.Dense, train bool) *mat.Dense {
-	if x.Cols != l.In {
-		panic(fmt.Sprintf("nn: linear input %d cols, want %d", x.Cols, l.In))
-	}
+// spectral normalization (1 when disabled). It advances the spectral-norm
+// power iteration one step and caches the input for Backward.
+func (l *Linear) Forward(x *mat.Dense) *mat.Dense {
+	l.checkInput(x)
 	scale := 1.0
 	if l.sn != nil {
-		scale = l.sn.scale(l.W.Value, train)
+		scale = l.sn.scale(l.W.Value, true)
 	}
-	var out *mat.Dense
-	if train {
-		l.lastInput = x
-		l.lastScale = scale
-		l.out = ensureScratch(l.out, x.Rows, l.Out, x)
-		out = l.out
-		mat.MulInto(out, x, l.W.Value)
-	} else {
-		out = mat.Mul(x, l.W.Value)
-	}
-	if scale != 1 {
-		out.Scale(scale)
-	}
-	b := l.B.Value.Row(0)
-	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] += b[j]
-		}
-	}
-	return out
+	l.lastInput = x
+	l.lastScale = scale
+	l.out = ensureScratch(l.out, x.Rows, l.Out, x)
+	l.affineInto(l.out, x, scale)
+	return l.out
 }
 
-// ForwardScratch is the arena-backed inference pass: identical arithmetic to
-// Forward(x, false) — same MulInto kernel, same scale, same bias order — with
-// the output checked out of the caller's arena.
-func (l *Linear) ForwardScratch(x *mat.Dense, a *mat.Arena) *mat.Dense {
-	if x.Cols != l.In {
-		panic(fmt.Sprintf("nn: linear input %d cols, want %d", x.Cols, l.In))
-	}
+// Infer is the read-only inference pass: the spectral scale reuses the last
+// σ estimate without advancing the iteration.
+func (l *Linear) Infer(x *mat.Dense, a *mat.Arena) *mat.Dense {
+	l.checkInput(x)
 	scale := 1.0
 	if l.sn != nil {
 		scale = l.sn.scale(l.W.Value, false)
 	}
-	out := a.Get(x.Rows, l.Out)
+	out := get(a, x.Rows, l.Out)
+	l.affineInto(out, x, scale)
+	return out
+}
+
+func (l *Linear) checkInput(x *mat.Dense) {
+	if x.Cols != l.In {
+		panic(fmt.Sprintf("nn: linear input %d cols, want %d", x.Cols, l.In))
+	}
+}
+
+// affineInto writes scale·(x·W) + b into out — the arithmetic Forward and
+// Infer share, so the two passes cannot disagree by a bit.
+func (l *Linear) affineInto(out, x *mat.Dense, scale float64) {
 	mat.MulInto(out, x, l.W.Value)
 	if scale != 1 {
 		out.Scale(scale)
@@ -137,7 +136,6 @@ func (l *Linear) ForwardScratch(x *mat.Dense, a *mat.Arena) *mat.Dense {
 			row[j] += b[j]
 		}
 	}
-	return out
 }
 
 // Backward accumulates dW = scale·xᵀg and db = Σ_rows g, and returns
@@ -191,18 +189,9 @@ type ReLU struct {
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward applies the rectifier. In train mode the activation mask is
-// recorded for Backward; inference passes keep the layer read-only.
-func (r *ReLU) Forward(x *mat.Dense, train bool) *mat.Dense {
-	if !train {
-		out := x.Clone()
-		for i, v := range out.Data {
-			if v <= 0 {
-				out.Data[i] = 0
-			}
-		}
-		return out
-	}
+// Forward applies the rectifier and records the activation mask for
+// Backward.
+func (r *ReLU) Forward(x *mat.Dense) *mat.Dense {
 	r.out = ensureScratch(r.out, x.Rows, x.Cols, x)
 	out := r.out
 	if cap(r.mask) < len(out.Data) {
@@ -221,11 +210,10 @@ func (r *ReLU) Forward(x *mat.Dense, train bool) *mat.Dense {
 	return out
 }
 
-// ForwardScratch rectifies into an arena matrix with the exact semantics of
-// the inference Forward (clone then zero v ≤ 0, so NaN inputs pass through
-// unchanged either way).
-func (r *ReLU) ForwardScratch(x *mat.Dense, a *mat.Arena) *mat.Dense {
-	out := a.Get(x.Rows, x.Cols)
+// Infer rectifies into a fresh matrix without recording a mask. It zeroes
+// only v ≤ 0, so a NaN input passes through unchanged.
+func (r *ReLU) Infer(x *mat.Dense, a *mat.Arena) *mat.Dense {
+	out := get(a, x.Rows, x.Cols)
 	for i, v := range x.Data {
 		if v <= 0 {
 			out.Data[i] = 0

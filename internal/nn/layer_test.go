@@ -14,7 +14,7 @@ func TestLinearForwardKnown(t *testing.T) {
 	l.W.Value.CopyFrom(mat.FromRows([][]float64{{1, 2}, {3, 4}}))
 	l.B.Value.CopyFrom(mat.FromRows([][]float64{{10, 20}}))
 	x := mat.FromRows([][]float64{{1, 1}, {2, 0}})
-	out := l.Forward(x, false)
+	out := l.Infer(x, nil)
 	want := mat.FromRows([][]float64{{14, 26}, {12, 24}})
 	for i := range want.Data {
 		if math.Abs(out.Data[i]-want.Data[i]) > 1e-12 {
@@ -31,7 +31,7 @@ func TestLinearShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	l.Forward(mat.NewDense(1, 4), false)
+	l.Forward(mat.NewDense(1, 4))
 }
 
 func TestLinearBackwardBeforeForwardPanics(t *testing.T) {
@@ -48,7 +48,7 @@ func TestLinearBackwardBeforeForwardPanics(t *testing.T) {
 func TestReLU(t *testing.T) {
 	r := NewReLU()
 	x := mat.FromRows([][]float64{{-1, 0, 2}})
-	out := r.Forward(x, true)
+	out := r.Forward(x)
 	if out.At(0, 0) != 0 || out.At(0, 1) != 0 || out.At(0, 2) != 2 {
 		t.Fatalf("relu out = %v", out)
 	}
@@ -97,11 +97,11 @@ func TestBackpropGradientCheck(t *testing.T) {
 	})
 	y := []int{0, 1, 1}
 	lossFn := func() float64 {
-		logits := net.Forward(x, false)
+		logits, _ := net.Infer(x, nil)
 		loss, _ := CrossEntropy(logits, y)
 		return loss
 	}
-	logits := net.Forward(x, true)
+	logits := net.Forward(x)
 	_, grad := CrossEntropy(logits, y)
 	net.ZeroGrad()
 	net.Backward(grad)
@@ -137,11 +137,11 @@ func TestBackpropFairGradientCheck(t *testing.T) {
 	s := []int{1, -1, 1, -1}
 	cfg := FairConfig{Mu: 2.0, Eps: 0} // strong μ so the hinge is active
 	lossFn := func() float64 {
-		logits := net.Forward(x, false)
+		logits, _ := net.Infer(x, nil)
 		res, _ := FairRegularizedCE(logits, y, s, cfg)
 		return res.Total
 	}
-	logits := net.Forward(x, true)
+	logits := net.Forward(x)
 	res, grad := FairRegularizedCE(logits, y, s, cfg)
 	if res.Fair == 0 {
 		t.Skip("hinge inactive for this seed; gradient check vacuous")
@@ -168,12 +168,12 @@ func TestNetworkFeatureTap(t *testing.T) {
 		NewLinear(rng, 3, 2, false, 0),
 	}, FeatureTap: 0}
 	x := mat.FromRows([][]float64{{1, 2}})
-	_, f := net.ForwardTapped(x, false)
+	_, f := net.Infer(x, nil)
 	if f.Rows != 1 || f.Cols != 3 {
 		t.Fatalf("feature shape %dx%d", f.Rows, f.Cols)
 	}
 	// Training passes additionally record the tap for LastFeatures.
-	net.Forward(x, true)
+	net.Forward(x)
 	if lf := net.LastFeatures(); lf.Rows != 1 || lf.Cols != 3 {
 		t.Fatalf("last-feature shape %dx%d", lf.Rows, lf.Cols)
 	}
@@ -185,8 +185,8 @@ func TestNetworkCopyParams(t *testing.T) {
 	b := &Network{Layers: []Layer{NewLinear(rng, 2, 2, false, 0)}}
 	b.CopyParamsFrom(a)
 	x := mat.FromRows([][]float64{{1, -1}})
-	oa := a.Forward(x, false)
-	ob := b.Forward(x, false)
+	oa, _ := a.Infer(x, nil)
+	ob, _ := b.Infer(x, nil)
 	for i := range oa.Data {
 		if oa.Data[i] != ob.Data[i] {
 			t.Fatal("copied networks disagree")
@@ -210,7 +210,7 @@ func TestEmptyNetworkPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	net.Forward(mat.NewDense(1, 1), false)
+	net.Forward(mat.NewDense(1, 1))
 }
 
 func TestLastFeaturesBeforeForwardPanics(t *testing.T) {

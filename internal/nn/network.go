@@ -17,51 +17,36 @@ type Network struct {
 	params       []*Param // cached Params() result (layers are fixed after construction)
 }
 
-// Forward runs the full stack and returns the final output (logits). In
-// train mode the feature tap is recorded for LastFeatures; inference passes
-// (train=false) leave the network unmodified, so one network can serve
-// concurrent read-only forward passes (see ForwardTapped to retrieve the
-// features of an inference pass).
-func (n *Network) Forward(x *mat.Dense, train bool) *mat.Dense {
-	out, features := n.ForwardTapped(x, train)
-	if train {
-		n.lastFeatures = features
-	}
-	return out
-}
-
-// ForwardTapped runs the full stack and returns both the final output and
-// the activations at the feature tap without writing any shared caches. It
-// is the inference entry point for concurrent callers.
-func (n *Network) ForwardTapped(x *mat.Dense, train bool) (out, features *mat.Dense) {
+// Forward is the training pass: it runs the full stack, records the feature
+// tap for LastFeatures, and returns the final output (logits).
+func (n *Network) Forward(x *mat.Dense) *mat.Dense {
 	if len(n.Layers) == 0 {
 		panic("nn: empty network")
 	}
 	h := x
 	for i, l := range n.Layers {
-		h = l.Forward(h, train)
+		h = l.Forward(h)
 		if i == n.FeatureTap {
-			features = h
+			n.lastFeatures = h
 		}
 	}
-	return h, features
+	return h
 }
 
-// ForwardTappedScratch is the arena-backed twin of ForwardTapped(x, false):
-// every intermediate activation is checked out of the caller-owned arena, so
-// a fixed-shape inference loop allocates nothing. Results are bit-identical
-// to ForwardTapped (each layer's ForwardScratch runs the same kernels in the
-// same order) and the pass is read-only on network state, so any number of
-// goroutines may call it concurrently as long as each brings its own arena.
-// Both returned matrices belong to the arena (or alias x) and must not be
-// used after the arena is released.
-func (n *Network) ForwardTappedScratch(x *mat.Dense, a *mat.Arena) (out, features *mat.Dense) {
+// Infer is the inference pass: it runs every layer's Infer and returns both
+// the final output and the activations at the feature tap. It writes no
+// shared state, so any number of goroutines may call it concurrently as long
+// as each brings its own arena (or a nil one). With an arena, every
+// intermediate is checked out of it — a fixed-shape inference loop allocates
+// nothing — and both returned matrices die when it is released; with a nil
+// arena they live on the heap. The bits are the same either way.
+func (n *Network) Infer(x *mat.Dense, a *mat.Arena) (out, features *mat.Dense) {
 	if len(n.Layers) == 0 {
 		panic("nn: empty network")
 	}
 	h := x
 	for i, l := range n.Layers {
-		h = l.ForwardScratch(h, a)
+		h = l.Infer(h, a)
 		if i == n.FeatureTap {
 			features = h
 		}
@@ -71,7 +56,7 @@ func (n *Network) ForwardTappedScratch(x *mat.Dense, a *mat.Arena) (out, feature
 
 // LastFeatures returns the feature activations recorded at the tap during the
 // most recent training Forward. The returned matrix is shared with the layer
-// cache. Inference passes do not update it; use ForwardTapped instead.
+// cache. Inference passes do not update it; Infer returns its own features.
 func (n *Network) LastFeatures() *mat.Dense {
 	if n.lastFeatures == nil {
 		panic("nn: LastFeatures before Forward")

@@ -17,9 +17,9 @@ func scratchFixture(batch int) (*Classifier, *mat.Dense) {
 	return c, x
 }
 
-// Property: the arena-backed inference pass is bit-identical to the plain
-// allocating pass across batch shapes, including batch 1 (the serving hot
-// case) and shapes that change between calls on the same arena pools.
+// Property: the pooled-arena inference pass is bit-identical to the
+// nil-arena (heap) pass across batch shapes, including batch 1 (the serving
+// hot case) and shapes that change between calls on the same arena pools.
 func TestLogitsAndFeaturesScratchBitIdentical(t *testing.T) {
 	c, _ := scratchFixture(8)
 	rng := rand.New(rand.NewSource(17))
@@ -28,9 +28,9 @@ func TestLogitsAndFeaturesScratchBitIdentical(t *testing.T) {
 		for i := range x.Data {
 			x.Data[i] = rng.NormFloat64()
 		}
-		wantL, wantF := c.LogitsAndFeatures(x)
+		wantL, wantF := c.LogitsAndFeatures(x, nil)
 		a := mat.GetArena()
-		gotL, gotF := c.LogitsAndFeaturesScratch(x, a)
+		gotL, gotF := c.LogitsAndFeatures(x, a)
 		if wantL.Rows != gotL.Rows || wantL.Cols != gotL.Cols {
 			t.Fatalf("batch %d: logits shape %dx%d vs %dx%d", batch, wantL.Rows, wantL.Cols, gotL.Rows, gotL.Cols)
 		}
@@ -63,7 +63,7 @@ func TestLogitsAndFeaturesScratchSteadyStateAllocs(t *testing.T) {
 	c, x := scratchFixture(32)
 	loop := func() {
 		a := mat.GetArena()
-		logits, features := c.LogitsAndFeaturesScratch(x, a)
+		logits, features := c.LogitsAndFeatures(x, a)
 		_, _ = logits, features
 		a.Release()
 	}
@@ -71,7 +71,7 @@ func TestLogitsAndFeaturesScratchSteadyStateAllocs(t *testing.T) {
 		loop()
 	}
 	if allocs := testing.AllocsPerRun(20, loop); allocs != 0 {
-		t.Fatalf("steady-state LogitsAndFeaturesScratch allocates %.1f allocs/op, want 0", allocs)
+		t.Fatalf("steady-state arena-backed LogitsAndFeatures allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestLogitsAndFeaturesScratchSteadyStateAllocs(t *testing.T) {
 // serving contract.
 func TestLogitsAndFeaturesScratchConcurrent(t *testing.T) {
 	c, x := scratchFixture(16)
-	wantL, wantF := c.LogitsAndFeatures(x)
+	wantL, wantF := c.LogitsAndFeatures(x, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -88,7 +88,7 @@ func TestLogitsAndFeaturesScratchConcurrent(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 50; rep++ {
 				a := mat.GetArena()
-				gotL, gotF := c.LogitsAndFeaturesScratch(x, a)
+				gotL, gotF := c.LogitsAndFeatures(x, a)
 				for i := range wantL.Data {
 					if gotL.Data[i] != wantL.Data[i] {
 						t.Errorf("concurrent logits differ at %d", i)
@@ -110,8 +110,10 @@ func TestLogitsAndFeaturesScratchConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// MC-dropout classifiers must keep working through the scratch path:
-// ForceActive dropout falls back to the layer-owned masked Forward.
+// Dropout classifiers must keep working through the arena path: outside
+// MC-dropout the layer is the identity, so the pooled pass matches the heap
+// pass (ForceActive dropout would fall back to the layer-owned masked
+// Forward).
 func TestForwardScratchWithDropoutIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := NewClassifier(Config{InputDim: 8, NumClasses: 2, Hidden: []int{16}, DropoutRate: 0.5, Seed: 9})
@@ -119,11 +121,11 @@ func TestForwardScratchWithDropoutIdentity(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	// Inference mode: dropout is the identity, scratch path must agree.
-	want, _ := c.LogitsAndFeatures(x)
+	// Inference mode: dropout is the identity, the arena pass must agree.
+	want, _ := c.LogitsAndFeatures(x, nil)
 	a := mat.GetArena()
 	defer a.Release()
-	got, _ := c.LogitsAndFeaturesScratch(x, a)
+	got, _ := c.LogitsAndFeatures(x, a)
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
 			t.Fatalf("dropout-identity scratch pass differs at %d", i)
@@ -136,14 +138,14 @@ func BenchmarkLogitsAndFeatures(b *testing.B) {
 	b.Run("alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = c.LogitsAndFeatures(x)
+			_, _ = c.LogitsAndFeatures(x, nil)
 		}
 	})
 	b.Run("scratch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			a := mat.GetArena()
-			_, _ = c.LogitsAndFeaturesScratch(x, a)
+			_, _ = c.LogitsAndFeatures(x, a)
 			a.Release()
 		}
 	})

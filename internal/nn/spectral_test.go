@@ -113,7 +113,7 @@ func TestFreshLinearSpectralNormalizesAtInference(t *testing.T) {
 	for j := range x.Row(0) {
 		x.Row(0)[j] = rng.NormFloat64()
 	}
-	out := l.Forward(x, false)
+	out := l.Infer(x, nil)
 	raw := mat.Mul(x, l.W.Value)
 	scale := coeff / sigma
 	b := l.B.Value.Row(0)
@@ -134,10 +134,10 @@ func TestSpectralLinearLayerBoundsOutputs(t *testing.T) {
 	x2 := mat.FromRows([][]float64{{0, 2, 3, 4}})
 	// Warm up the power iteration.
 	for i := 0; i < 50; i++ {
-		l.Forward(x1, true)
+		l.Forward(x1)
 	}
-	o1 := l.Forward(x1, false)
-	o2 := l.Forward(x2, false)
+	o1 := l.Infer(x1, nil)
+	o2 := l.Infer(x2, nil)
 	dOut := mat.Norm2(mat.SubVec(o1.Row(0), o2.Row(0)))
 	dIn := mat.Norm2(mat.SubVec(x1.Row(0), x2.Row(0)))
 	if dOut > dIn*1.02 {

@@ -246,7 +246,7 @@ func TestScratchHandlerBitIdenticalToDirectCompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := mat.FromRows(reqBody.Instances)
-	logits, feats := s.cfg.Model.LogitsAndFeatures(x)
+	logits, feats := s.cfg.Model.LogitsAndFeatures(x, nil)
 	logG := s.cfg.Density.LogDensityBatch(feats)
 	for i := 0; i < rows; i++ {
 		probs := make([]float64, logits.Cols)

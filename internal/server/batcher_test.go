@@ -46,7 +46,7 @@ func trainedArtifacts(t testing.TB) (*nn.Classifier, *gda.Estimator) {
 }
 
 // newServerWith builds a server over the shared artifacts with its own
-// metrics registry; batchDelay 0 gives the direct (unbatched) path.
+// metrics registry; batchDelay 0 runs each request's pass inline (unbatched).
 func newServerWith(t testing.TB, model *nn.Classifier, est *gda.Estimator, batchRows int, batchDelay time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(Config{

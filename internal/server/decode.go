@@ -14,7 +14,7 @@ import (
 
 // The read path (/predict, /score) is allocation-free at steady state: every
 // per-request buffer — the body bytes, the decoded instance matrix, the
-// density and response storage, even the micro-batcher envelope — lives in a
+// density and response storage, even the pass envelope — lives in a
 // pooled reqScratch that a handler checks out on entry and returns on exit.
 // Request decoding uses a hand-rolled parser for the one body shape the API
 // accepts ({"instances": [[...], ...]}) because json.Unmarshal allocates per
@@ -49,9 +49,9 @@ type reqScratch struct {
 	predict   predictResponse
 	score     scoreResponse
 
-	// item is the micro-batcher envelope. Its result channel is created once
-	// (at pool-New time) and reused, so a steady-state batched request does
-	// not allocate either; serveBatched drains any stale value before reuse.
+	// item is the pass envelope. Its result channel is created once (at
+	// pool-New time) and reused, so a steady-state request does not allocate
+	// for it either; serveInstances drains any stale value before reuse.
 	item batchItem
 }
 
@@ -65,7 +65,7 @@ var reqScratchPool = sync.Pool{New: func() any {
 func getReqScratch() *reqScratch { return reqScratchPool.Get().(*reqScratch) }
 
 // putReqScratch recycles sc. A scratch whose batch item may still be touched
-// by the flusher must NOT be pooled — serveBatched abandons it instead (the
+// by the flusher must NOT be pooled — serveInstances abandons it instead (the
 // one case where a request leaks its scratch to the garbage collector).
 func putReqScratch(sc *reqScratch) {
 	sc.body.Reset()
@@ -101,12 +101,17 @@ var instancesKey = []byte("instances")
 // without allocating on the happy path. It accepts exactly what the previous
 // json.Decoder + DisallowUnknownFields accepted:
 //
-//   - the body must be one JSON object; bytes after it are ignored (Decode
-//     reads a single value and leaves the rest of the stream untouched)
-//   - "instances" is the only legal key; any other key is an error, duplicate
-//     keys last-win, and a null value (or an absent key) decodes as nil
+//   - the body must be one JSON object, or null (no instances); bytes after
+//     it are ignored (Decode reads a single value and leaves the rest of the
+//     stream untouched)
+//   - "instances" is the only legal key, matched case-insensitively with
+//     Unicode folding (bytes.EqualFold, which is how encoding/json matches
+//     field names, so "INSTANCES" and "inſtances" count); any other key is
+//     an error, duplicate keys last-win (see keepStale for the one wrinkle),
+//     and a null value (or an absent key) decodes as nil
 //   - rows are arrays of JSON numbers; a null row decodes as an empty row and
-//     a null element as 0, matching json.Unmarshal's treatment of null
+//     a null element leaves its float64 untouched, matching json.Unmarshal's
+//     treatment of null (so it is 0 unless a repeated key left a value there)
 //   - number tokens are validated against the JSON grammar before strconv
 //     sees them (so "NaN", hex floats and leading '+' are rejected), and any
 //     ParseFloat failure — i.e. overflow like 1e999 — is an error, exactly as
@@ -118,6 +123,9 @@ func parseInstances(sc *reqScratch) error {
 	if p.pos >= len(p.buf) {
 		return io.EOF // what Decode returns on an empty body
 	}
+	if p.consumeWord("null") {
+		return nil // null into a struct is a no-op → "no instances" downstream
+	}
 	if !p.consume('{') {
 		return p.errf("request body must be a JSON object")
 	}
@@ -125,12 +133,13 @@ func parseInstances(sc *reqScratch) error {
 	if p.consume('}') {
 		return nil
 	}
+	seen := false
 	for {
 		key, err := p.parseKey()
 		if err != nil {
 			return err
 		}
-		if !bytes.Equal(key, instancesKey) {
+		if !bytes.EqualFold(key, instancesKey) {
 			return p.errf("unknown field %q", key)
 		}
 		p.skipWS()
@@ -138,6 +147,10 @@ func parseInstances(sc *reqScratch) error {
 			return p.errf("expected ':' after object key")
 		}
 		// Duplicate "instances" keys: last one wins, like encoding/json.
+		if seen {
+			p.keepStale(sc)
+		}
+		seen = true
 		sc.flat, sc.rowEnds = sc.flat[:0], sc.rowEnds[:0]
 		if err := p.parseRows(sc); err != nil {
 			return err
@@ -156,9 +169,41 @@ func parseInstances(sc *reqScratch) error {
 
 // instParser is the cursor of parseInstances. Errors allocate (fmt.Errorf);
 // they terminate the request, so only the accepting path must be alloc-free.
+// A repeated "instances" key allocates stale too; no real client sends one.
 type instParser struct {
 	buf []byte
 	pos int
+	// stale[i] holds the values earlier "instances" keys left in row i.
+	stale [][]float64
+}
+
+// keepStale records the rows just decoded before a repeated "instances" key
+// overwrites them. encoding/json decodes the repeat into the same slices,
+// and a null element leaves a float64 untouched, so it reads back the last
+// number any earlier key put at that position (0 if none did). A null or
+// empty array is a fresh slice, so it forgets what was there: the whole
+// table for the instances value, one row's values for a row.
+func (p *instParser) keepStale(sc *reqScratch) {
+	if len(sc.rowEnds) == 0 {
+		p.stale = p.stale[:0]
+		return
+	}
+	prev := 0
+	for i, end := range sc.rowEnds {
+		row := sc.flat[prev:end]
+		prev = end
+		if i == len(p.stale) {
+			p.stale = append(p.stale, nil)
+		}
+		if len(row) == 0 {
+			p.stale[i] = nil
+			continue
+		}
+		if n := len(row) - len(p.stale[i]); n > 0 {
+			p.stale[i] = append(p.stale[i], make([]float64, n)...)
+		}
+		copy(p.stale[i], row)
+	}
 }
 
 func (p *instParser) skipWS() {
@@ -323,10 +368,20 @@ func (p *instParser) parseRow(sc *reqScratch) error {
 		sc.rowEnds = append(sc.rowEnds, len(sc.flat))
 		return nil
 	}
+	row, start := len(sc.rowEnds), len(sc.flat)
 	for {
-		v, err := p.parseNumber()
-		if err != nil {
-			return err
+		p.skipWS()
+		var v float64
+		if p.consumeWord("null") {
+			// json.Unmarshal leaves a float64 untouched on null.
+			if col := len(sc.flat) - start; row < len(p.stale) && col < len(p.stale[row]) {
+				v = p.stale[row][col]
+			}
+		} else {
+			var err error
+			if v, err = p.parseNumber(); err != nil {
+				return err
+			}
 		}
 		sc.flat = append(sc.flat, v)
 		p.skipWS()
@@ -344,12 +399,7 @@ func (p *instParser) parseRow(sc *reqScratch) error {
 
 // parseNumber scans one JSON number token and converts it with ParseFloat —
 // the converter encoding/json uses, so the decoded value is bit-identical.
-// null is accepted as 0, matching json.Unmarshal's null-into-float64 no-op.
 func (p *instParser) parseNumber() (float64, error) {
-	p.skipWS()
-	if p.consumeWord("null") {
-		return 0, nil
-	}
 	start := p.pos
 	p.consume('-')
 	switch {

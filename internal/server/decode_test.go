@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,80 +37,123 @@ func handDecode(body []byte) ([][]float64, error) {
 	return rows, nil
 }
 
+// parseInstancesCases is the differential table: bodies the hand parser must
+// accept or reject exactly as encoding/json does. It also seeds
+// FuzzParseInstances.
+var parseInstancesCases = []string{
+	// Accepted shapes.
+	`{"instances": [[1,2],[3,4]]}`,
+	`{"instances":[[1.5e-3,-0.25,2E+5,0,-0.0]]}`,
+	"  {\n\t\"instances\" :\r [ [ 1 , 2 ] ] }  ",
+	`{}`,
+	`{"instances": null}`,
+	`{"instances": []}`,
+	`{"instances": [null]}`,
+	`{"instances": [[]]}`,
+	`{"instances": [[null, 1]]}`,
+	`{"instances": [[1]], "instances": [[2,3]]}`, // duplicate key: last wins
+	`{"\u0069nstances": [[7]]}`,                  // escaped key is still "instances"
+	`{"instances": [[1.7976931348623157e308, 5e-324]]}`,
+	`{"instances": [[3.141592653589793238462643383279]]}`,
+	`{"instances": [[1]]}trailing garbage`, // Decode reads one value, ignores the rest
+	`{"Instances": [[1]]}`,                 // keys match case-insensitively
+	`{"INSTANCES": [[1]]}`,
+	`{"inſtances": [[1]]}`, // ſ (U+017F) folds to s
+	`{"instances": [[1]], "INSTANCES": [[2]]}`,
+	`null`, // top-level null decodes as no instances
+	` null `,
+	// A repeated key decodes into the slices the earlier one filled, where a
+	// null element keeps the stale value; null and [] start afresh.
+	`{"instances": [[1,2]], "instances": [[null]]}`,
+	`{"instances": [[1,2,3]], "instances": [[4]], "instances": [[null,null,null,null]]}`,
+	`{"instances": [[1],[2]], "instances": [[3]], "instances": [[null],[null]]}`,
+	`{"instances": [[1,2]], "instances": [], "instances": [[null]]}`,
+	`{"instances": [[1,2]], "instances": null, "instances": [[null]]}`,
+	`{"instances": [[1,2],[3]], "instances": [null,[]], "instances": [[null],[null]]}`,
+	// Rejected shapes.
+	``,
+	`{`,
+	`[[1,2]]`,
+	`"instances"`,
+	`nul`,
+	`true`,
+	`{"extra": 1}`,
+	`{"instancesx": [[1]]}`,
+	`{"instances": [[1]], "extra": 1}`,
+	`{"instances": 5}`,
+	`{"instances": {"a": 1}}`,
+	`{"instances": [[1,]]}`,
+	`{"instances": [[1],]}`,
+	`{"instances": [[1]],}`,
+	`{"instances": [[0123]]}`,
+	`{"instances": [["x"]]}`,
+	`{"instances": [[true]]}`,
+	`{"instances": [[+1]]}`,
+	`{"instances": [[.5]]}`,
+	`{"instances": [[5.]]}`,
+	`{"instances": [[1e]]}`,
+	`{"instances": [[NaN]]}`,
+	`{"instances": [[Infinity]]}`,
+	`{"instances": [[1e999]]}`,  // overflow: ParseFloat range error
+	`{"instances": [[1e-999]]}`, // underflow: same
+	`{"instances": [[1 2]]}`,
+	`{"instances": [[1]`,  // body ends inside a row
+	`{"instances": [[1]]`, // body ends inside the object
+	`{"instances" [[1]]}`,
+	`{instances: [[1]]}`,
+}
+
+// diffDecode decodes body with both parsers and describes the first
+// disagreement: accept vs reject, row shapes, or value bits. It returns ""
+// when they agree.
+func diffDecode(body []byte) string {
+	want, wantErr := refDecode(body)
+	got, gotErr := handDecode(body)
+	if (wantErr == nil) != (gotErr == nil) {
+		return fmt.Sprintf("%q: encoding/json err=%v, hand parser err=%v", body, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		return ""
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%q: %d rows vs %d", body, len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			return fmt.Sprintf("%q row %d: %d values vs %d", body, i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				return fmt.Sprintf("%q row %d col %d: %v vs %v (bits differ)", body, i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+	return ""
+}
+
 // Differential property: for every body, the hand parser and encoding/json
 // agree on accept vs reject, and accepted bodies decode to bit-identical
 // values (both funnel number tokens through strconv.ParseFloat).
 func TestParseInstancesMatchesEncodingJSON(t *testing.T) {
-	cases := []string{
-		// Accepted shapes.
-		`{"instances": [[1,2],[3,4]]}`,
-		`{"instances":[[1.5e-3,-0.25,2E+5,0,-0.0]]}`,
-		"  {\n\t\"instances\" :\r [ [ 1 , 2 ] ] }  ",
-		`{}`,
-		`{"instances": null}`,
-		`{"instances": []}`,
-		`{"instances": [null]}`,
-		`{"instances": [[]]}`,
-		`{"instances": [[null, 1]]}`,
-		`{"instances": [[1]], "instances": [[2,3]]}`, // duplicate key: last wins
-		`{"\u0069nstances": [[7]]}`,                  // escaped key is still "instances"
-		`{"instances": [[1.7976931348623157e308, 5e-324]]}`,
-		`{"instances": [[3.141592653589793238462643383279]]}`,
-		`{"instances": [[1]]}trailing garbage`, // Decode reads one value, ignores the rest
-		// Rejected shapes.
-		``,
-		`{`,
-		`[[1,2]]`,
-		`"instances"`,
-		`{"extra": 1}`,
-		`{"instances": [[1]], "extra": 1}`,
-		`{"instances": 5}`,
-		`{"instances": {"a": 1}}`,
-		`{"instances": [[1,]]}`,
-		`{"instances": [[1],]}`,
-		`{"instances": [[1]],}`,
-		`{"instances": [[0123]]}`,
-		`{"instances": [["x"]]}`,
-		`{"instances": [[true]]}`,
-		`{"instances": [[+1]]}`,
-		`{"instances": [[.5]]}`,
-		`{"instances": [[5.]]}`,
-		`{"instances": [[1e]]}`,
-		`{"instances": [[NaN]]}`,
-		`{"instances": [[Infinity]]}`,
-		`{"instances": [[1e999]]}`,  // overflow: ParseFloat range error
-		`{"instances": [[1e-999]]}`, // underflow: same
-		`{"instances": [[1 2]]}`,
-		`{"instances": [[1]`,
-		`{"instances" [[1]]}`,
-		`{instances: [[1]]}`,
-	}
-	for _, body := range cases {
-		want, wantErr := refDecode([]byte(body))
-		got, gotErr := handDecode([]byte(body))
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Errorf("%q: encoding/json err=%v, hand parser err=%v", body, wantErr, gotErr)
-			continue
-		}
-		if wantErr != nil {
-			continue
-		}
-		if len(got) != len(want) {
-			t.Errorf("%q: %d rows vs %d", body, len(got), len(want))
-			continue
-		}
-		for i := range want {
-			if len(got[i]) != len(want[i]) {
-				t.Errorf("%q row %d: %d values vs %d", body, i, len(got[i]), len(want[i]))
-				continue
-			}
-			for j := range want[i] {
-				if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
-					t.Errorf("%q row %d col %d: %v vs %v (bits differ)", body, i, j, got[i][j], want[i][j])
-				}
-			}
+	for _, body := range parseInstancesCases {
+		if msg := diffDecode([]byte(body)); msg != "" {
+			t.Error(msg)
 		}
 	}
+}
+
+// FuzzParseInstances is the same differential property over arbitrary
+// bodies. Run it with `make fuzz-smoke`; inputs it once found live in
+// testdata/fuzz/FuzzParseInstances and replay on every plain `go test`.
+func FuzzParseInstances(f *testing.F) {
+	for _, body := range parseInstancesCases {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if msg := diffDecode(body); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }
 
 // Random round-trip: any [][]float64 that json.Marshal can produce decodes

@@ -238,10 +238,10 @@ func (a *auditRing) snapshot(limit int) []auditRec {
 }
 
 // observeDecisions attributes a served request's decisions: one counter and
-// window update per row plus one audit record per row. Called at the end of
-// the direct /predict and /score paths and the batched scatter path, after
-// the response is built in sc (classes and margins filled by
-// buildPredictInto/buildScoreInto). Allocation-free: the request ID string
+// window update per row plus one audit record per row. Called by the shared
+// /predict and /score handler body once the pass has built the response in
+// sc (classes and margins filled by buildPredictInto/buildScoreInto);
+// batched records whether the pass was coalesced. Allocation-free: the request ID string
 // already exists in the context, and everything else lands in pre-allocated
 // storage.
 func (s *Server) observeDecisions(r *http.Request, sc *reqScratch, kind reqKind, batched bool) {

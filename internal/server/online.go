@@ -324,12 +324,7 @@ func (s *Server) runRefit(ctx context.Context) (refitResponse, error) {
 	s.mu.Lock()
 	s.cfg.Model = cand
 	if est != nil {
-		s.cfg.Density = est
-		s.cfg.TrainLogDensities = est.TrainLogDensities
-		if len(est.TrainLogDensities) > 0 {
-			s.oodThreshold = quantile(est.TrainLogDensities, s.cfg.OODQuantile)
-			s.hasOOD = true
-		}
+		s.adoptDensityLocked(est, est.TrainLogDensities)
 	}
 	s.refits++
 	s.lastRefitErr = ""

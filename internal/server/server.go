@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"faction/internal/batching"
 	"faction/internal/data"
 	"faction/internal/drift"
 	"faction/internal/gda"
@@ -79,11 +80,11 @@ type Config struct {
 	// unregistered.
 	SnapshotToken string
 
-	// BatchDelay enables the request-coalescing micro-batcher: concurrent
-	// /predict and /score requests queue up to BatchDelay and are fused into
-	// one model + density pass (see batcher.go and DESIGN.md §9). Responses
-	// are bit-identical to unbatched serving. 0 — the default — disables
-	// batching; requests take the direct per-request path.
+	// BatchDelay enables the request coalescer: concurrent /predict and
+	// /score requests queue up to BatchDelay and are fused into one model +
+	// density pass (see batcher.go and DESIGN.md §9). Responses are
+	// bit-identical to uncoalesced serving. 0 — the default — disables
+	// coalescing; each handler runs the same pass inline over its own rows.
 	BatchDelay time.Duration
 	// BatchRows is the queued row count that triggers an immediate flush
 	// when batching is enabled. Default 64.
@@ -210,9 +211,9 @@ type Server struct {
 	history   *history.Sampler
 	sloEngine *slo.Engine
 
-	// batcher is the request-coalescing micro-batcher; nil when
-	// Config.BatchDelay is 0 and handlers take the direct path.
-	batcher *batcher
+	// coalescer fuses concurrent read requests into shared passes; nil when
+	// Config.BatchDelay is 0 and each handler runs its pass inline.
+	coalescer *batching.Coalescer
 
 	// validateCandidate is the refit acceptance gate; tests override it to
 	// inject validation failures.
@@ -280,13 +281,12 @@ func New(cfg Config) (*Server, error) {
 		// request.
 		cfg.Density.SetPrecision(cfg.ScorePrecision)
 	}
-	if cfg.Density != nil && len(cfg.TrainLogDensities) > 0 {
-		s.oodThreshold = quantile(cfg.TrainLogDensities, cfg.OODQuantile)
-		s.hasOOD = true
-	}
+	s.mu.Lock()
+	s.adoptDensityLocked(cfg.Density, cfg.TrainLogDensities)
+	s.mu.Unlock()
 	s.buffer = data.NewDataset("feedback", cfg.Model.Config().InputDim, cfg.Model.Config().NumClasses)
 	if cfg.BatchDelay > 0 {
-		s.batcher = newBatcher(s)
+		s.coalescer = s.newCoalescer()
 	}
 	if cfg.Online.Enabled && cfg.Online.AsyncRefit {
 		s.refitKick = make(chan struct{}, 1)
@@ -328,8 +328,8 @@ func (s *Server) refitConsumer() {
 }
 
 // Close releases the server's background resources: the async refit
-// consumer (waiting out any refit in flight), the micro-batcher flusher
-// after a final drain flush, and a drain-flush of the write-ahead log so
+// consumer (waiting out any refit in flight), the coalescer's flusher after
+// a final drain flush, and a drain-flush of the write-ahead log so
 // every acknowledged feedback record is on disk before the process exits.
 // Safe to call multiple times; call it after HTTP traffic has drained.
 func (s *Server) Close() {
@@ -341,8 +341,8 @@ func (s *Server) Close() {
 		}
 		<-s.consumerDone
 	}
-	if s.batcher != nil {
-		s.batcher.close()
+	if s.coalescer != nil {
+		s.coalescer.Close()
 	}
 	if s.history != nil {
 		s.history.Stop()
@@ -576,44 +576,12 @@ type predictResponse struct {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	sc := getReqScratch()
-	if !s.decodeInstances(w, r, sc) {
-		putReqScratch(sc)
-		return
-	}
-	if s.batcher != nil {
-		s.serveBatched(w, r, reqPredict, sc)
-		return
-	}
-	// Every intermediate of the forward and density passes comes out of a
-	// pooled arena or the request scratch; at a fixed batch shape the whole
-	// handler body performs zero heap allocations (pinned by
-	// TestPredictHandlerSteadyStateAllocs).
-	a := mat.GetArena()
-	s.mu.RLock()
-	logits, feats := s.cfg.Model.LogitsAndFeaturesScratch(&sc.x, a)
-	var logG []float64
-	if s.cfg.Density != nil {
-		// One sharded density pass over the whole request instead of a
-		// serial per-row LogDensity loop (bit-identical values).
-		sc.logG = growFloats(sc.logG, feats.Rows)
-		s.cfg.Density.LogDensityBatchInto(sc.logG, feats)
-		logG = sc.logG
-	}
-	buildPredictInto(sc, logits, 0, logits.Rows, logG, s.hasOOD, s.oodThreshold)
-	s.mu.RUnlock()
-	a.Release()
-	s.feedDrift(sc.predict.LogDensities)
-	s.observeDecisions(r, sc, reqPredict, false)
-	writeJSON(w, r, &sc.predict)
-	putReqScratch(sc)
+	s.serveInstances(w, r, reqPredict)
 }
 
 // buildPredictInto assembles the /predict response for logits rows [lo, hi)
 // into sc.predict, reusing sc's storage. logG, when non-nil, holds the rows'
-// log densities, already sliced to the range. Both the direct path and the
-// batcher's scatter use this one function, so the two paths cannot drift
-// apart.
+// log densities, already sliced to the range.
 func buildPredictInto(sc *reqScratch, logits *mat.Dense, lo, hi int, logG []float64, hasOOD bool, oodThreshold float64) {
 	n := hi - lo
 	sc.classes = growInts(sc.classes, n)
@@ -651,37 +619,11 @@ type scoreResponse struct {
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	sc := getReqScratch()
-	if !s.decodeInstances(w, r, sc) {
-		putReqScratch(sc)
-		return
-	}
-	if s.batcher != nil {
-		s.serveBatched(w, r, reqScore, sc)
-		return
-	}
-	a := mat.GetArena()
-	s.mu.RLock()
-	logits, feats := s.cfg.Model.LogitsAndFeaturesScratch(&sc.x, a)
-	// Exactly one GDA pass per request: the raw pass carries LogG, so drift
-	// feeding no longer pays a second serial per-row LogDensity loop.
-	// ScoreBatchRaw → SliceInto → Release is ScoreBatch with pooled storage
-	// (bit-identical values, zero steady-state allocations).
-	raw := s.cfg.Density.ScoreBatchRaw(feats)
-	raw.SliceInto(&sc.batch, 0, feats.Rows)
-	raw.Release()
-	buildScoreInto(sc, logits, 0, logits.Rows, &sc.batch, s.cfg.Lambda)
-	s.mu.RUnlock()
-	a.Release()
-	s.feedDrift(sc.batch.LogG)
-	s.observeDecisions(r, sc, reqScore, false)
-	writeJSON(w, r, &sc.score)
-	putReqScratch(sc)
+	s.serveInstances(w, r, reqScore)
 }
 
 // buildScoreInto assembles the /score response (Eqs. 6–7) for logits rows
-// [lo, hi) and their BatchScores into sc.score, reusing sc's storage. Shared
-// by the direct path and the batcher's scatter.
+// [lo, hi) and their BatchScores into sc.score, reusing sc's storage.
 func buildScoreInto(sc *reqScratch, logits *mat.Dense, lo, hi int, batch *gda.BatchScores, lambda float64) {
 	sc.u = growFloats(sc.u, len(batch.G))
 	sc.probs = growFloats(sc.probs, logits.Cols)
@@ -819,6 +761,21 @@ func (s *Server) feedDrift(logDensities []float64) {
 	s.cfg.Drift.Observe(mean)
 	s.updateDriftMetricsLocked()
 	s.driftMu.Unlock()
+}
+
+// adoptDensityLocked makes est the serving density and recalibrates the OOD
+// threshold from trainLogDens. A density without training log-densities
+// clears the threshold, so /predict omits the ood flags instead of judging
+// the new density against the old one's quantile. Every density swap — New,
+// refit, snapshot install — goes through here with s.mu held for writing.
+func (s *Server) adoptDensityLocked(est *gda.Estimator, trainLogDens []float64) {
+	s.cfg.Density = est
+	s.cfg.TrainLogDensities = trainLogDens
+	s.hasOOD = est != nil && len(trainLogDens) > 0
+	s.oodThreshold = 0
+	if s.hasOOD {
+		s.oodThreshold = quantile(trainLogDens, s.cfg.OODQuantile)
+	}
 }
 
 // topMargin returns the top-1 minus top-2 probability — the decision margin

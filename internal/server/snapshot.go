@@ -216,12 +216,7 @@ func (s *Server) handleSnapshotInstall(w http.ResponseWriter, r *http.Request) {
 		// Density installs only onto replicas serving a density: a replica
 		// deployed without /score must not suddenly grow it mid-flight (its
 		// routes were fixed at Handler time).
-		s.cfg.Density = est
-		s.cfg.TrainLogDensities = est.TrainLogDensities
-		if len(est.TrainLogDensities) > 0 {
-			s.oodThreshold = quantile(est.TrainLogDensities, s.cfg.OODQuantile)
-			s.hasOOD = true
-		}
+		s.adoptDensityLocked(est, est.TrainLogDensities)
 	}
 	s.generation.Store(snap.Generation)
 	s.mu.Unlock()

@@ -237,3 +237,43 @@ func TestSnapshotInstallRejectsShapeMismatch(t *testing.T) {
 		t.Fatalf("laggard generation %d after rejected install, want 0", got)
 	}
 }
+
+// A density installed without training log-densities carries no OOD
+// calibration, so the replica must drop the previous density's threshold and
+// omit the ood flags (the Config.TrainLogDensities contract) instead of
+// judging the new density against the old one's quantile.
+func TestSnapshotInstallWithoutTrainDensitiesDropsOOD(t *testing.T) {
+	donor, donorTS, stream := snapshotFixture(t, testSnapToken)
+	_, lagTS, _ := snapshotFixture(t, testSnapToken)
+	refitOnce(t, donorTS, stream)
+	donor.mu.Lock()
+	donor.cfg.Density.TrainLogDensities = nil // exported snapshot carries none
+	donor.mu.Unlock()
+
+	probe := instancesRequest{Instances: [][]float64{stream.Tasks[0].Pool.Samples[0].X}}
+	predictOOD := func() []bool {
+		t.Helper()
+		resp, body := postJSON(t, lagTS.URL+"/predict", probe)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("predict: %d %s", resp.StatusCode, body)
+		}
+		var pr predictResponse
+		if err := json.Unmarshal(body, &pr); err != nil {
+			t.Fatal(err)
+		}
+		if len(pr.LogDensities) != 1 {
+			t.Fatalf("%d log densities, want 1", len(pr.LogDensities))
+		}
+		return pr.OOD
+	}
+	if got := predictOOD(); len(got) != 1 {
+		t.Fatalf("before install: ood flags %v, want one per row", got)
+	}
+	envelope, _ := fetchSnapshot(t, donorTS.URL, testSnapToken)
+	if resp, body := installSnapshot(t, lagTS.URL, testSnapToken, envelope); resp.StatusCode != http.StatusOK {
+		t.Fatalf("install: %d %s", resp.StatusCode, body)
+	}
+	if got := predictOOD(); got != nil {
+		t.Fatalf("after installing an uncalibrated density: ood flags %v, want none", got)
+	}
+}
