@@ -122,10 +122,10 @@ func RunKernels() Report {
 		toResult("GDAScoreBatch/512x64/f32", benchGDAScoreBatch(gda.PrecisionF32)),
 		toResult("GDAScoreBatchRaw/512x64", benchGDAScoreBatchRaw(gda.PrecisionF64)),
 		toResult("GDAScoreBatchRaw/512x64/f32", benchGDAScoreBatchRaw(gda.PrecisionF32)),
-		toResult("WhitenMahalanobis/512x64x4/serial", benchWhitenKernel(1)),
-		toResult("WhitenMahalanobis/512x64x4/parallel", benchWhitenKernel(0)),
-		toResult("WhitenMahalanobis32/512x64x4/serial", benchWhitenKernel32(1)),
-		toResult("WhitenMahalanobis32/512x64x4/parallel", benchWhitenKernel32(0)),
+		toResult("WhitenMahalanobis/512x64x4/serial", benchWhitenKernel[float64](1)),
+		toResult("WhitenMahalanobis/512x64x4/parallel", benchWhitenKernel[float64](0)),
+		toResult("WhitenMahalanobis32/512x64x4/serial", benchWhitenKernel[float32](1)),
+		toResult("WhitenMahalanobis32/512x64x4/parallel", benchWhitenKernel[float32](0)),
 		toResult("ObsCounterInc", benchCounterInc()),
 		toResult("ObsHistogramObserve", benchHistogramObserve()))
 	return rep
@@ -305,11 +305,13 @@ func benchGDAScoreBatchRaw(prec gda.Precision) testing.BenchmarkResult {
 }
 
 // benchWhitenKernel measures the whitened batch Mahalanobis kernel in
-// isolation — 512×64 rows against a 4-factor stack, the quadratic-form pass
-// under GDAScoreBatch — at worker-pool width p (1 forces the serial path;
-// 0 uses the pool default, which `faction-bench -kernel -parallelism N`
-// overrides). Steady state is allocation-free at any width.
-func benchWhitenKernel(p int) testing.BenchmarkResult {
+// isolation — 512×64 rows against a 4-factor stack stored at width T, the
+// quadratic-form pass under GDAScoreBatch — at worker-pool width p (1 forces
+// the serial path; 0 uses the pool default, which `faction-bench -kernel
+// -parallelism N` overrides). Both widths share the fixture seed, so the
+// f64/f32 row pair isolates the bandwidth win of the halved element width.
+// Steady state is allocation-free at any pool width.
+func benchWhitenKernel[T float32 | float64](p int) testing.BenchmarkResult {
 	return stableBench(func(b *testing.B) {
 		old := mat.Parallelism()
 		if p > 0 {
@@ -318,45 +320,7 @@ func benchWhitenKernel(p int) testing.BenchmarkResult {
 		defer mat.SetParallelism(old)
 		const n, dim, comps = 512, 64, 4
 		rng := rand.New(rand.NewSource(31))
-		stack := mat.NewWhitenedStack(dim)
-		for k := 0; k < comps; k++ {
-			sample := randDense(rng, dim+8, dim)
-			cov := mat.Covariance(sample, mat.MeanCols(sample), 1e-6)
-			ch, err := mat.NewCholesky(cov)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mean := make([]float64, dim)
-			for j := range mean {
-				mean[j] = rng.NormFloat64()
-			}
-			stack.AddFactor(ch, mean)
-		}
-		probe := randDense(rng, n, dim)
-		dst := make([]float64, n*comps)
-		stack.MahalanobisInto(dst, probe) // warm the tile/job pools
-		b.ReportAllocs()
-		quiesce(b)
-		for i := 0; i < b.N; i++ {
-			stack.MahalanobisInto(dst, probe)
-		}
-	})
-}
-
-// benchWhitenKernel32 is benchWhitenKernel on the float32 stack — same
-// 512×64×4 shape, same fixture seed, so the f64/f32 row pair isolates the
-// bandwidth win of the halved element width. Steady state is allocation-free
-// at any width, exactly like the f64 kernel.
-func benchWhitenKernel32(p int) testing.BenchmarkResult {
-	return stableBench(func(b *testing.B) {
-		old := mat.Parallelism()
-		if p > 0 {
-			mat.SetParallelism(p)
-		}
-		defer mat.SetParallelism(old)
-		const n, dim, comps = 512, 64, 4
-		rng := rand.New(rand.NewSource(31))
-		stack := mat.NewWhitenedStack32(dim)
+		stack := mat.NewWhitenedStack[T](dim)
 		for k := 0; k < comps; k++ {
 			sample := randDense(rng, dim+8, dim)
 			cov := mat.Covariance(sample, mat.MeanCols(sample), 1e-6)

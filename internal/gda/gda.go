@@ -74,14 +74,6 @@ type Component struct {
 	ordIdx      int     // index in the estimator's ordered list / whitened stack
 }
 
-// logPDFSolve is log N(z; mean, Σ) via the per-row triangular solve. The hot
-// paths all use the whitened kernel (mat.WhitenedStack); this is kept as the
-// independent reference the differential tests compare against. scratch must
-// have length Dim.
-func (c *Component) logPDFSolve(z, scratch []float64) float64 {
-	return c.logNormBase - 0.5*c.chol.MahalanobisScratch(z, c.Mean, scratch)
-}
-
 // Estimator is the fitted density model G(z).
 type Estimator struct {
 	Dim        int
@@ -100,23 +92,23 @@ type Estimator struct {
 	// property the parallel-equals-serial ScoreBatch guarantee rests on.
 	ordered []*Component
 	// wstack holds the precomputed whitening (W_k = L_k⁻¹, m̃_k = W_k·μ_k) of
-	// every ordered component, the operand of the batch Mahalanobis kernel.
-	// Derived from the Cholesky factor bits in finalize, so Fit and a Load of
-	// its snapshot build bit-identical stacks.
-	wstack *mat.WhitenedStack
-	// wstack32 is the float32 twin, built lazily by SetPrecision(PrecisionF32)
-	// or eagerly by finalize when the precision is already f32 (Load of an f32
-	// snapshot). nil while the estimator scores in f64.
-	wstack32 *mat.WhitenedStack32
-	// precision selects which stack mahalanobisQuads streams (precision.go).
+	// every ordered component at the active precision: a
+	// *mat.WhitenedStack[float64] or *mat.WhitenedStack[float32], the operand
+	// of every density entry point's batch Mahalanobis pass. Derived from the
+	// Cholesky factor bits by buildStack, so Fit and a Load of its snapshot
+	// build bit-identical stacks.
+	wstack interface {
+		MahalanobisInto(dst []float64, z *mat.Dense)
+	}
+	// precision is the storage width of wstack (precision.go).
 	precision Precision
 }
 
 // finalize (re)builds the deterministic component ordering, the cached
 // per-component terms, and the whitened scoring stack. Called at the end of
 // Fit and Load — the snapshot persists only the Cholesky factors, and because
-// mat.(*Cholesky).InvLower is deterministic in the factor bits, the
-// Load-derived whitening matches the Fit-derived one exactly.
+// the whitening is deterministic in the factor bits, the Load-derived stack
+// matches the Fit-derived one exactly.
 func (e *Estimator) finalize() {
 	sensIdx := make(map[int]int, len(e.SensValues))
 	for k, v := range e.SensValues {
@@ -134,20 +126,11 @@ func (e *Estimator) finalize() {
 		}
 		return e.ordered[a].S < e.ordered[b].S
 	})
-	e.wstack = mat.NewWhitenedStack(e.Dim)
 	for j, c := range e.ordered {
 		c.ordIdx = j
-		e.wstack.AddFactor(c.chol, c.Mean)
 	}
-	e.wstack32 = nil
-	if e.precision == PrecisionF32 {
-		e.buildStack32()
-	}
+	e.buildStack()
 }
-
-// WhitenedStack exposes the precomputed whitening stack (component order
-// matches the (Y, S)-sorted iteration). For persistence round-trip tests.
-func (e *Estimator) WhitenedStack() *mat.WhitenedStack { return e.wstack }
 
 // Fit builds the (class × sensitive) mixture of Section IV-B from feature
 // vectors (one row per sample), labels y ∈ [0, classes) and sensitive values
@@ -274,18 +257,6 @@ func (e *Estimator) LogDensity(z []float64) float64 {
 	return out[0]
 }
 
-// logDensitySolve is LogDensity via per-component triangular solves, on
-// caller-owned scratch (terms length NumComponents, scratch length Dim).
-// Retained as the reference the whitened path is differentially tested
-// against; not bit-identical to LogDensity (different accumulation order of
-// the same products).
-func (e *Estimator) logDensitySolve(z, terms, scratch []float64) float64 {
-	for j, c := range e.ordered {
-		terms[j] = c.logWeight + c.logPDFSolve(z, scratch)
-	}
-	return mat.LogSumExp(terms)
-}
-
 // LogCondDensity returns log g(z|y,s), or −Inf when the component is absent.
 // Evaluated through the whitened kernel, so it bit-matches the conditional
 // log-pdfs inside ScoreBatchRaw.
@@ -296,7 +267,7 @@ func (e *Estimator) LogCondDensity(z []float64, y, s int) float64 {
 		return math.Inf(-1)
 	}
 	quads := make([]float64, len(e.ordered))
-	e.mahalanobisQuads(quads, mat.NewDenseData(1, e.Dim, z))
+	e.wstack.MahalanobisInto(quads, mat.NewDenseData(1, e.Dim, z))
 	return c.logNormBase - 0.5*quads[c.ordIdx]
 }
 
@@ -518,7 +489,7 @@ func (e *Estimator) rawPass(features *mat.Dense, cond bool) *RawScores {
 		raw.logCond = growFloats(raw.logCond, n*raw.classes*raw.ns)
 	}
 	raw.quads = growFloats(raw.quads, n*len(e.ordered))
-	e.mahalanobisQuads(raw.quads, features)
+	e.wstack.MahalanobisInto(raw.quads, features)
 	j := scoreJobPool.Get().(*scoreJob)
 	j.e, j.raw = e, raw
 	mat.ParallelFor(n, scoreBatchMinGrain, j.fn)

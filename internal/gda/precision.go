@@ -8,14 +8,14 @@ import (
 
 // Precision selects the storage width of the whitened scoring kernel. Every
 // density entry point (LogDensity, LogCondDensity, ScoreBatchRaw,
-// LogDensityBatchInto) routes its quadratic forms through one
-// precision-parameterised pass — mahalanobisQuads — so the two paths cannot
-// drift apart structurally: the only difference is which stack the kernel
-// streams. PrecisionF64 is the default and the differential reference;
-// PrecisionF32 stores whitening matrices and packed means as float32 while
-// accumulating the subtract-square reduction in float64 (DESIGN.md §15),
-// halving kernel bandwidth and snapshot density bytes at a bounded,
-// property-tested relative error.
+// LogDensityBatchInto) streams the estimator's one whitened stack, built at
+// the active precision, so the two widths cannot drift apart structurally:
+// they share mat.WhitenedStack and differ only in its element type.
+// PrecisionF64 is the default and the differential reference; PrecisionF32
+// stores whitening matrices and packed means as float32 while accumulating
+// the subtract-square reduction in float64 (DESIGN.md §15), halving kernel
+// bandwidth and snapshot density bytes at a bounded, property-tested
+// relative error.
 type Precision uint8
 
 const (
@@ -50,41 +50,35 @@ func ParsePrecision(s string) (Precision, error) {
 // Precision returns the estimator's active scoring precision.
 func (e *Estimator) Precision() Precision { return e.precision }
 
-// SetPrecision switches the scoring path. Building the float32 stack from the
-// component factors is a one-time conversion (the same derivation Load of an
-// f32 snapshot performs); switching back to f64 is free. Not safe concurrently
-// with scoring — set it at construction, load, or install time, before the
-// estimator is published.
+// SetPrecision switches the scoring path by rebuilding the whitened stack
+// at width p from the component factors — the same derivation Load of a
+// snapshot at that precision performs. Setting the current precision is
+// free. Not safe concurrently with scoring — set it at construction, load,
+// or install time, before the estimator is published.
 func (e *Estimator) SetPrecision(p Precision) {
-	e.precision = p
-	if p == PrecisionF32 && e.wstack32 == nil {
-		e.buildStack32()
-	}
-}
-
-// WhitenedStack32 exposes the float32 whitening stack (nil until PrecisionF32
-// has been set). For persistence round-trip tests.
-func (e *Estimator) WhitenedStack32() *mat.WhitenedStack32 { return e.wstack32 }
-
-// buildStack32 derives the float32 whitening stack from the ordered
-// components. mat.(*WhitenedStack32).AddFactor rounds the factor and mean to
-// float32 before deriving W and m̃, so a stack built here at fit time is
-// bit-identical to one rebuilt from an f32-persisted snapshot.
-func (e *Estimator) buildStack32() {
-	e.wstack32 = mat.NewWhitenedStack32(e.Dim)
-	for _, c := range e.ordered {
-		e.wstack32.AddFactor(c.chol, c.Mean)
-	}
-}
-
-// mahalanobisQuads fills dst[i·K+j] with the Mahalanobis distance of every
-// feature row to every ordered component through the stack selected by the
-// active precision — the single kernel dispatch point shared by all density
-// entry points.
-func (e *Estimator) mahalanobisQuads(dst []float64, features *mat.Dense) {
-	if e.precision == PrecisionF32 {
-		e.wstack32.MahalanobisInto(dst, features)
+	if p == e.precision {
 		return
 	}
-	e.wstack.MahalanobisInto(dst, features)
+	e.precision = p
+	e.buildStack()
+}
+
+// buildStack derives the whitened stack at the active precision from the
+// ordered components. mat.WhitenedStack.AddFactor rounds each factor and mean
+// to the stack's width before deriving W and m̃, so a stack built here at fit
+// time is bit-identical to one rebuilt from a snapshot of that precision.
+func (e *Estimator) buildStack() {
+	if e.precision == PrecisionF32 {
+		e.wstack = newStack[float32](e.Dim, e.ordered)
+		return
+	}
+	e.wstack = newStack[float64](e.Dim, e.ordered)
+}
+
+func newStack[T float32 | float64](d int, comps []*Component) *mat.WhitenedStack[T] {
+	s := mat.NewWhitenedStack[T](d)
+	for _, c := range comps {
+		s.AddFactor(c.chol, c.Mean)
+	}
+	return s
 }

@@ -204,8 +204,9 @@ func TestPersistRoundTripF32Bits(t *testing.T) {
 	if loaded.Precision() != PrecisionF32 {
 		t.Fatalf("loaded precision = %v, want f32", loaded.Precision())
 	}
-	a, b := e.WhitenedStack32(), loaded.WhitenedStack32()
-	if a == nil || b == nil || a.Components() != b.Components() || a.Dim() != b.Dim() {
+	a, aok := e.wstack.(*mat.WhitenedStack[float32])
+	b, bok := loaded.wstack.(*mat.WhitenedStack[float32])
+	if !aok || !bok || a.Components() != b.Components() || a.Dim() != b.Dim() {
 		t.Fatalf("f32 stack shape differs after round trip")
 	}
 	for k := 0; k < a.Components(); k++ {

@@ -9,10 +9,26 @@ import (
 	"faction/internal/mat"
 )
 
-// Differential test of the whitened scoring path against the retained
-// triangular-solve reference: every density entry point must agree with
-// logDensitySolve under relative tolerance (bit-equality is deliberately NOT
-// the contract — the two paths order the same products differently; see
+// logPDFSolve is log N(z; μ_c, Σ_c) with the Mahalanobis term computed by
+// forward substitution on the component's Cholesky factor, one row at a
+// time: the package's reference for the whitened scoring path.
+func logPDFSolve(c *Component, z []float64) float64 {
+	d, l := len(z), c.chol.L().Data
+	y := make([]float64, d)
+	for i := 0; i < d; i++ {
+		sum := z[i] - c.Mean[i]
+		for k, v := range l[i*d : i*d+i] {
+			sum -= v * y[k]
+		}
+		y[i] = sum / l[i*d+i]
+	}
+	return c.logNormBase - 0.5*mat.Dot(y, y)
+}
+
+// Differential test of the whitened scoring path against the triangular-solve
+// reference: every density entry point must agree with the log-sum-exp of
+// logPDFSolve terms under relative tolerance (bit-equality is deliberately
+// NOT the contract — the two paths order the same products differently; see
 // DESIGN.md §12).
 func TestWhitenedDensityMatchesSolveReference(t *testing.T) {
 	for _, tc := range []struct {
@@ -29,9 +45,11 @@ func TestWhitenedDensityMatchesSolveReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e, f := fitFixture(t, tc.n, tc.d, tc.classes, tc.sens)
 			terms := make([]float64, len(e.ordered))
-			scratch := make([]float64, e.Dim)
 			for i := 0; i < f.Rows; i++ {
-				want := e.logDensitySolve(f.Row(i), terms, scratch)
+				for j, c := range e.ordered {
+					terms[j] = c.logWeight + logPDFSolve(c, f.Row(i))
+				}
+				want := mat.LogSumExp(terms)
 				got := e.LogDensity(f.Row(i))
 				if rel := math.Abs(got-want) / (1 + math.Abs(want)); rel > 1e-9 {
 					t.Fatalf("row %d: whitened %v vs solve %v (rel %g)", i, got, want, rel)
@@ -40,7 +58,7 @@ func TestWhitenedDensityMatchesSolveReference(t *testing.T) {
 			// Conditional densities against the per-component solve.
 			for _, c := range e.ordered {
 				for i := 0; i < 5; i++ {
-					want := c.logPDFSolve(f.Row(i), scratch)
+					want := logPDFSolve(c, f.Row(i))
 					got := e.LogCondDensity(f.Row(i), c.Y, c.S)
 					if rel := math.Abs(got-want) / (1 + math.Abs(want)); rel > 1e-9 {
 						t.Fatalf("row %d comp (%d,%d): whitened %v vs solve %v (rel %g)",
@@ -110,8 +128,8 @@ func TestScoreBatchNonFinitePropagation(t *testing.T) {
 }
 
 // The snapshot stores Cholesky factors, not the whitening; Load re-derives
-// W and m̃ through the same deterministic InvLower as Fit, so the stacks must
-// match bit for bit — the foundation of the persisted-model scoring
+// W and m̃ through the same deterministic inversion as Fit, so the stacks
+// must match bit for bit — the foundation of the persisted-model scoring
 // guarantees.
 func TestPersistRoundTripWhiteningBits(t *testing.T) {
 	e, _ := fitFixture(t, 130, 11, 3, []int{-1, 1})
@@ -123,7 +141,7 @@ func TestPersistRoundTripWhiteningBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := e.WhitenedStack(), loaded.WhitenedStack()
+	a, b := e.wstack.(*mat.WhitenedStack[float64]), loaded.wstack.(*mat.WhitenedStack[float64])
 	if a.Components() != b.Components() || a.Dim() != b.Dim() {
 		t.Fatalf("stack shape differs: fit %dx%d comps, load %dx%d",
 			a.Dim(), a.Components(), b.Dim(), b.Components())

@@ -107,72 +107,3 @@ func (c *Cholesky) LogDet() float64 {
 	}
 	return 2 * s
 }
-
-// SolveVec solves A·x = b and returns x.
-func (c *Cholesky) SolveVec(b []float64) []float64 {
-	dst := make([]float64, c.n)
-	c.SolveVecInto(dst, b)
-	return dst
-}
-
-// SolveVecInto solves A·x = b, writing x into dst without allocating. dst may
-// alias b (the solve is in place: the forward substitution consumes b[i]
-// exactly when it writes position i, and the backward substitution only reads
-// positions it has not yet overwritten).
-func (c *Cholesky) SolveVecInto(dst, b []float64) {
-	if len(b) != c.n || len(dst) != c.n {
-		panic(fmt.Sprintf("mat: solve length %d/%d != %d", len(dst), len(b), c.n))
-	}
-	// Forward substitution: L·y = b, y stored in dst.
-	for i := 0; i < c.n; i++ {
-		sum := b[i]
-		lrow := c.l.Data[i*c.n : i*c.n+i]
-		for k, v := range lrow {
-			sum -= v * dst[k]
-		}
-		dst[i] = sum / c.l.Data[i*c.n+i]
-	}
-	// Backward substitution: Lᵀ·x = y, in place (x[i] depends on y[i] and
-	// x[k] for k > i only, all of which are already final).
-	for i := c.n - 1; i >= 0; i-- {
-		sum := dst[i]
-		for k := i + 1; k < c.n; k++ {
-			sum -= c.l.Data[k*c.n+i] * dst[k]
-		}
-		dst[i] = sum / c.l.Data[i*c.n+i]
-	}
-}
-
-// Mahalanobis returns (x−mean)ᵀ A⁻¹ (x−mean) using the factorization of A.
-// It is computed as ‖L⁻¹(x−mean)‖² via a single forward substitution.
-func (c *Cholesky) Mahalanobis(x, mean []float64) float64 {
-	return c.MahalanobisScratch(x, mean, make([]float64, c.n))
-}
-
-// MahalanobisScratch is Mahalanobis with a caller-provided length-n scratch
-// buffer, so batch scoring loops (gda.ScoreBatch) run allocation-free. The
-// scratch contents are overwritten; it must not alias x or mean.
-func (c *Cholesky) MahalanobisScratch(x, mean, scratch []float64) float64 {
-	if len(x) != c.n || len(mean) != c.n {
-		panic(fmt.Sprintf("mat: mahalanobis length %d/%d != %d", len(x), len(mean), c.n))
-	}
-	if len(scratch) != c.n {
-		panic(fmt.Sprintf("mat: mahalanobis scratch length %d != %d", len(scratch), c.n))
-	}
-	y := scratch
-	for i := 0; i < c.n; i++ {
-		sum := x[i] - mean[i]
-		lrow := c.l.Data[i*c.n : i*c.n+i]
-		for k, v := range lrow {
-			sum -= v * y[k]
-		}
-		y[i] = sum / c.l.Data[i*c.n+i]
-	}
-	return Dot(y, y)
-}
-
-// Reconstruct returns L·Lᵀ, the matrix that was factorized (up to roundoff
-// and any ridge added). Useful for testing.
-func (c *Cholesky) Reconstruct() *Dense {
-	return MulTB(c.l, c.l)
-}

@@ -18,6 +18,22 @@ func randomSPD(rng *rand.Rand, n int) *Dense {
 	return a
 }
 
+// mahalanobisSolve is (x−mean)ᵀ A⁻¹ (x−mean) = ‖L⁻¹(x−mean)‖² by forward
+// substitution on the factor, one row at a time: the package's reference for
+// the whitened batch kernel.
+func mahalanobisSolve(c *Cholesky, x, mean []float64) float64 {
+	n, l := c.Size(), c.L().Data
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		sum := x[i] - mean[i]
+		for k, v := range l[i*n : i*n+i] {
+			sum -= v * y[k]
+		}
+		y[i] = sum / l[i*n+i]
+	}
+	return Dot(y, y)
+}
+
 func TestCholeskyReconstruct(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randomSPD(rng, 6)
@@ -25,7 +41,7 @@ func TestCholeskyReconstruct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matricesEqual(t, ch.Reconstruct(), a, 1e-9)
+	matricesEqual(t, MulTB(ch.L(), ch.L()), a, 1e-9)
 }
 
 func TestCholeskyKnown(t *testing.T) {
@@ -92,59 +108,22 @@ func TestCholeskyRidgeGivesUp(t *testing.T) {
 	}
 }
 
-func TestSolveVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randomSPD(rng, 5)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, -2, 3, -4, 5}
-	b := make([]float64, 5)
-	for i := 0; i < 5; i++ {
-		b[i] = Dot(a.Row(i), want)
-	}
-	got := ch.SolveVec(b)
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-9) {
-			t.Fatalf("x[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
 func TestMahalanobisIdentity(t *testing.T) {
 	ch, err := NewCholesky(Identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ch.Mahalanobis([]float64{1, 2, 2}, []float64{0, 0, 0})
+	d := mahalanobisSolve(ch, []float64{1, 2, 2}, []float64{0, 0, 0})
 	if !almostEqual(d, 9, 1e-12) { // ‖(1,2,2)‖² = 9
 		t.Fatalf("mahalanobis = %g", d)
 	}
-	if ch.Mahalanobis([]float64{5, 5, 5}, []float64{5, 5, 5}) != 0 {
+	if mahalanobisSolve(ch, []float64{5, 5, 5}, []float64{5, 5, 5}) != 0 {
 		t.Fatal("distance to mean should be 0")
 	}
 }
 
-func TestMahalanobisMatchesSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randomSPD(rng, 4)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{1, 2, -1, 0.5}
-	mean := []float64{0.1, -0.2, 0.3, 0}
-	diff := SubVec(x, mean)
-	want := Dot(diff, ch.SolveVec(diff))
-	got := ch.Mahalanobis(x, mean)
-	if !almostEqual(got, want, 1e-9) {
-		t.Fatalf("mahalanobis = %g, want %g", got, want)
-	}
-}
-
-// Property: Cholesky solve inverts multiplication, and Mahalanobis is
-// nonnegative, zero exactly at the mean.
+// Property: the factor's solve inverts multiplication — for b = A·x,
+// bᵀA⁻¹b = xᵀAx — and Mahalanobis is nonnegative, zero exactly at the mean.
 func TestCholeskyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -162,17 +141,14 @@ func TestCholeskyProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			b[i] = Dot(a.Row(i), x)
 		}
-		got := ch.SolveVec(b)
-		for i := range x {
-			if !almostEqual(got[i], x[i], 1e-7) {
-				return false
-			}
-		}
 		mean := make([]float64, n)
-		if ch.Mahalanobis(x, x) != 0 {
+		if !almostEqual(mahalanobisSolve(ch, b, mean), Dot(x, b), 1e-7) {
 			return false
 		}
-		return ch.Mahalanobis(x, mean) >= 0
+		if mahalanobisSolve(ch, x, x) != 0 {
+			return false
+		}
+		return mahalanobisSolve(ch, x, mean) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -203,25 +179,6 @@ func BenchmarkCholesky64(b *testing.B) {
 	}
 }
 
-func BenchmarkMahalanobis64(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	a := randomSPD(rng, 64)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, 64)
-	mean := make([]float64, 64)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ch.Mahalanobis(x, mean)
-	}
-}
-
 func TestCholeskyFromFactorRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randomSPD(rng, 5)
@@ -238,7 +195,7 @@ func TestCholeskyFromFactorRoundTrip(t *testing.T) {
 	}
 	x := []float64{1, -1, 2, -2, 0.5}
 	mean := make([]float64, 5)
-	if re.Mahalanobis(x, mean) != ch.Mahalanobis(x, mean) {
+	if mahalanobisSolve(re, x, mean) != mahalanobisSolve(ch, x, mean) {
 		t.Fatal("mahalanobis mismatch")
 	}
 	// The reconstruction clones: mutating the source factor must not affect it.

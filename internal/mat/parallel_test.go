@@ -215,71 +215,6 @@ func TestMulTBIntoPanics(t *testing.T) {
 	})
 }
 
-func TestSolveVecIntoMatchesSolveVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{1, 2, 5, 16, 33} {
-		spd := randomSPDFor(rng, n)
-		ch, err := NewCholesky(spd)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		want := ch.SolveVec(b)
-		got := make([]float64, n)
-		ch.SolveVecInto(got, b)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("n=%d: SolveVecInto differs at %d", n, i)
-			}
-		}
-		// In-place: dst aliasing b.
-		inPlace := append([]float64(nil), b...)
-		ch.SolveVecInto(inPlace, inPlace)
-		for i := range want {
-			if want[i] != inPlace[i] {
-				t.Fatalf("n=%d: in-place solve differs at %d", n, i)
-			}
-		}
-	}
-}
-
-func TestMahalanobisScratchMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 12
-	spd := randomSPDFor(rng, n)
-	ch, err := NewCholesky(spd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, n)
-	mean := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		mean[i] = rng.NormFloat64()
-	}
-	scratch := make([]float64, n)
-	if want, got := ch.Mahalanobis(x, mean), ch.MahalanobisScratch(x, mean, scratch); want != got {
-		t.Fatalf("MahalanobisScratch = %v, want %v", got, want)
-	}
-	mustPanic(t, "bad scratch length", func() { ch.MahalanobisScratch(x, mean, make([]float64, n-1)) })
-}
-
-// randomSPDFor builds a well-conditioned SPD matrix M·Mᵀ + n·I.
-func randomSPDFor(rng *rand.Rand, n int) *Dense {
-	m := NewDense(n, n)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	spd := MulTB(m, m)
-	for i := 0; i < n; i++ {
-		spd.Data[i*n+i] += float64(n)
-	}
-	return spd
-}
-
 func benchmarkMulInto(b *testing.B, size, par int) {
 	old := Parallelism()
 	SetParallelism(par)

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// func whitenQuadAVX32(q *float64, tile, w, mtil *float32, d int)
+// func whitenQuadAVX32(q *[16]float64, tile, w, mtil []float32, d int)
 //
 // Float32 twin of whitenQuadAVX at twice the lane width: for the 16
 // interleaved float32 lanes of tile (tile[r*16+lane] = z_lane[r]):
@@ -19,13 +19,13 @@
 // depends only on its own tile column. One tile row is 64 bytes either way
 // (8×f64 or 16×f32), so the stride logic matches the f64 kernel.
 //
-// Caller guarantees d >= 1.
-TEXT ·whitenQuadAVX32(SB), NOSPLIT, $0-40
+// Caller guarantees d >= 1 and slices of d*16, d*d and d elements.
+TEXT ·whitenQuadAVX32(SB), NOSPLIT, $0-88
 	MOVQ q+0(FP), R10
-	MOVQ tile+8(FP), SI
-	MOVQ w+16(FP), DI
-	MOVQ mtil+24(FP), R8
-	MOVQ d+32(FP), R9
+	MOVQ tile_base+8(FP), SI
+	MOVQ w_base+32(FP), DI
+	MOVQ mtil_base+56(FP), R8
+	MOVQ d+80(FP), R9
 
 	VXORPD Y4, Y4, Y4        // q, lanes 0-3   (float64)
 	VXORPD Y5, Y5, Y5        // q, lanes 4-7
@@ -39,6 +39,10 @@ loopj:
 	VXORPS Y1, Y1, Y1        // u, lanes 8-15
 	MOVQ   SI, R13           // &tile[r*16]
 	XORQ   R14, R14          // r
+
+	// 64-byte loop alignment, as in whitenQuadAVX: the inner loop's speed
+	// must not depend on where the linker happens to place this function.
+	PCALIGN $64
 
 loopr:
 	VBROADCASTSS (R12)(R14*4), Y2

@@ -2,30 +2,34 @@
 
 package mat
 
-// AVX2+FMA fast path for the whitened Mahalanobis kernel. The microkernel in
-// whiten_amd64.s processes all 8 tile lanes as two 4-wide vectors: one
-// VBROADCASTSD per W element feeds two fused multiply-adds, so the triangular
-// matvec and the squared-distance reduction run entirely on vertical vector
-// ops — no horizontal sums, and lane independence is structural.
+// AVX2+FMA fast path for the whitened Mahalanobis kernel. Each microkernel
+// processes a tile's lanes as two vectors — 2×4 float64 lanes in
+// whiten_amd64.s, 2×8 float32 lanes in whiten32_amd64.s — so one broadcast
+// per W element feeds two fused multiply-adds, and the triangular matvec and
+// the squared-distance reduction run entirely on vertical vector ops — no
+// horizontal sums, and lane independence is structural.
 //
 // The fast path is gated at startup by CPUID/XGETBV feature detection (AVX2,
-// FMA, and OS ymm-state support). Whichever kernel is selected is used for
-// every call in the process, so outputs are bit-deterministic across runs,
+// FMA, and OS ymm-state support). Whichever kernel is selected is used by
+// every stack in the process, so outputs are bit-deterministic across runs,
 // shard counts and batch compositions on a given machine. FMA contraction
-// means the AVX2 kernel's bits differ from the pure-Go kernel's — the
+// means the AVX2 kernels' bits differ from the pure-Go kernels' — the
 // differential tests compare them under relative tolerance, never equality.
 
-// whitenUseAVX selects the assembly kernel. A variable (not const) so tests
-// can force the portable kernel and differentially compare the two.
+// whitenUseAVX selects the assembly kernels for stacks built from now on. A
+// variable (not const) so tests can build stacks on the portable kernels and
+// differentially compare the two.
 var whitenUseAVX = detectAVX2FMA()
 
 // cpuidex and xgetbv0 are implemented in whiten_amd64.s.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
-func whitenQuadAVX(q, tile, w, mtil *float64, d int)
+// whitenQuadAVX (whiten_amd64.s) and whitenQuadAVX32 (whiten32_amd64.s) are
+// the assembly kernels. Both need d ≥ 1.
+func whitenQuadAVX(q *[maxWhitenLanes]float64, tile, w, mtil []float64, d int)
 
-func whitenQuadAVX32(q *float64, tile, w, mtil *float32, d int)
+func whitenQuadAVX32(q *[maxWhitenLanes]float64, tile, w, mtil []float32, d int)
 
 // detectAVX2FMA reports whether the CPU and OS support the AVX2+FMA kernel:
 // CPUID.1:ECX advertises FMA, AVX and OSXSAVE; XCR0 confirms the OS saves
@@ -47,30 +51,21 @@ func detectAVX2FMA() bool {
 	return b7&(1<<5) != 0 // AVX2
 }
 
-// whitenQuadTile dispatches one 8-lane tile against one factor.
-func whitenQuadTile(q *[whitenLanes]float64, tile, w, mtil []float64, d int) {
-	if d == 0 {
-		*q = [whitenLanes]float64{}
-		return
+// whitenKernel64 picks the float64 kernel for a dimension-d stack: the
+// assembly kernel when the CPU has AVX2+FMA and d ≥ 1, the portable one
+// otherwise (a d = 0 stack scores every row 0).
+func whitenKernel64(d int) whitenKernel[float64] {
+	if whitenUseAVX && d > 0 {
+		return whitenQuadAVX
 	}
-	if whitenUseAVX {
-		whitenQuadAVX(&q[0], &tile[0], &w[0], &mtil[0], d)
-		return
-	}
-	whitenQuadTileGo(q, tile, w, mtil, d)
+	return whitenQuadTileGo
 }
 
-// whitenQuadTile32 dispatches one 16-lane float32 tile against one factor.
-// Gated by the same whitenUseAVX selection: the f32 kernel needs exactly the
-// AVX2+FMA feature set the f64 kernel does.
-func whitenQuadTile32(q *[whitenLanes32]float64, tile, w, mtil []float32, d int) {
-	if d == 0 {
-		*q = [whitenLanes32]float64{}
-		return
+// whitenKernel32 is whitenKernel64 for float32 stacks; the float32 kernel
+// needs exactly the feature set the float64 one does.
+func whitenKernel32(d int) whitenKernel[float32] {
+	if whitenUseAVX && d > 0 {
+		return whitenQuadAVX32
 	}
-	if whitenUseAVX {
-		whitenQuadAVX32(&q[0], &tile[0], &w[0], &mtil[0], d)
-		return
-	}
-	whitenQuadTile32Go(q, tile, w, mtil, d)
+	return whitenQuadTile32Go
 }

@@ -2,23 +2,10 @@
 
 package mat
 
-// whitenQuadTile on non-amd64 platforms (or under -tags noasm, the CI leg
-// that keeps the fallbacks differentially tested on AVX2 runners) always runs
-// the portable lane-unrolled kernel.
-func whitenQuadTile(q *[whitenLanes]float64, tile, w, mtil []float64, d int) {
-	if d == 0 {
-		*q = [whitenLanes]float64{}
-		return
-	}
-	whitenQuadTileGo(q, tile, w, mtil, d)
-}
+// On non-amd64 platforms (or under -tags noasm, the CI leg that keeps the
+// fallbacks differentially tested on AVX2 runners) every stack runs the
+// portable kernel of its width.
 
-// whitenQuadTile32 likewise always runs the portable float32 kernel with
-// float64 accumulation.
-func whitenQuadTile32(q *[whitenLanes32]float64, tile, w, mtil []float32, d int) {
-	if d == 0 {
-		*q = [whitenLanes32]float64{}
-		return
-	}
-	whitenQuadTile32Go(q, tile, w, mtil, d)
-}
+func whitenKernel64(int) whitenKernel[float64] { return whitenQuadTileGo }
+
+func whitenKernel32(int) whitenKernel[float32] { return whitenQuadTile32Go }

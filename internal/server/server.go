@@ -248,6 +248,9 @@ func New(cfg Config) (*Server, error) {
 		}
 		cfg.FairObs = &fo
 	}
+	if err := checkDensityFits(cfg.Model, cfg.Density); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	s := &Server{cfg: cfg, inputDim: cfg.Model.Config().InputDim, numClasses: cfg.Model.Config().NumClasses}
 	s.metrics = newServerMetrics(cfg.Metrics)
 	s.validateCandidate = s.defaultValidateCandidate
@@ -776,6 +779,21 @@ func (s *Server) adoptDensityLocked(est *gda.Estimator, trainLogDens []float64) 
 	if s.hasOOD {
 		s.oodThreshold = quantile(trainLogDens, s.cfg.OODQuantile)
 	}
+}
+
+// checkDensityFits rejects a density that cannot score model's features: one
+// fitted on another feature width or class count fails every /predict and
+// /score, and the score pass sizes its buffers from the class count. A nil
+// density fits any model.
+func checkDensityFits(model *nn.Classifier, est *gda.Estimator) error {
+	if est == nil {
+		return nil
+	}
+	if dim, classes := model.FeatureDim(), model.Config().NumClasses; est.Dim != dim || est.Classes != classes {
+		return fmt.Errorf("density is %d-dim over %d classes, model features are %d-dim over %d classes",
+			est.Dim, est.Classes, dim, classes)
+	}
+	return nil
 }
 
 // topMargin returns the top-1 minus top-2 probability — the decision margin

@@ -13,6 +13,7 @@ import (
 	"faction/internal/data"
 	"faction/internal/drift"
 	"faction/internal/gda"
+	"faction/internal/mat"
 	"faction/internal/nn"
 )
 
@@ -225,6 +226,50 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("nil model must be rejected")
 	}
+}
+
+// A density that does not fit the model's features is refused at boot: one
+// fitted on 8-wide features under a Hidden [16] model would fail every
+// /predict and /score, and a class count other than the model's would size
+// the score pass's buffers from a number the model never produces.
+func TestNewRejectsDensityThatDoesNotFitModel(t *testing.T) {
+	model := nn.NewClassifier(nn.Config{InputDim: 5, NumClasses: 2, Hidden: []int{16}, Seed: 1})
+	fit := func(dim, classes int) *gda.Estimator {
+		t.Helper()
+		rng := rand.New(rand.NewSource(2))
+		feats := mat.NewDense(60, dim)
+		for i := range feats.Data {
+			feats.Data[i] = rng.NormFloat64()
+		}
+		y, sens := make([]int, feats.Rows), make([]int, feats.Rows)
+		for i := range y {
+			y[i], sens[i] = i%classes, 2*(i/classes%2)-1
+		}
+		est, err := gda.Fit(feats, y, sens, classes, []int{-1, 1}, gda.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	for _, tc := range []struct {
+		name         string
+		dim, classes int
+	}{
+		{"feature dim", 8, 2},
+		{"classes", 16, 3},
+	} {
+		est := fit(tc.dim, tc.classes)
+		if s, err := New(Config{Model: model, Density: est, TrainLogDensities: est.TrainLogDensities}); err == nil {
+			s.Close()
+			t.Fatalf("%s: New accepted a %d-dim, %d-class density for a 16-dim, 2-class model", tc.name, tc.dim, tc.classes)
+		}
+	}
+	est := fit(16, 2)
+	s, err := New(Config{Model: model, Density: est, TrainLogDensities: est.TrainLogDensities})
+	if err != nil {
+		t.Fatalf("New rejected a density that fits: %v", err)
+	}
+	s.Close()
 }
 
 func TestQuantile(t *testing.T) {

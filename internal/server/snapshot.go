@@ -119,10 +119,11 @@ type installResponse struct {
 // handleSnapshotInstall validates a peer's enveloped snapshot and hot-swaps
 // it in through the same gate refit candidates pass: the envelope checksum
 // must verify, the decoded classifier must match the serving shape, the
-// candidate must clear validateCandidate, and only then does the write lock
-// swap model, density and generation together. A snapshot that is not
-// strictly newer than the local generation is refused with 409, so a stale
-// push (or a router race) can never roll a replica backwards.
+// candidate must clear validateCandidate and fit the density it will serve
+// with, and only then does the write lock swap model, density and generation
+// together. A snapshot that is not strictly newer than the local generation
+// is refused with 409, so a stale push (or a router race) can never roll a
+// replica backwards.
 func (s *Server) handleSnapshotInstall(w http.ResponseWriter, r *http.Request) {
 	if !s.authorizeSnapshot(w, r) {
 		return
@@ -201,6 +202,18 @@ func (s *Server) handleSnapshotInstall(w http.ResponseWriter, r *http.Request) {
 				"snapshot density payload is %s, envelope declared %s", est.Precision(), snap.DensityPrecision)
 			return
 		}
+	}
+	// The model must fit the density that serves after the swap: the
+	// snapshot's where this replica serves one, the live one otherwise.
+	// Reading s.cfg.Density without s.mu is safe: refitMu, held here,
+	// serializes every density swap.
+	serving := s.cfg.Density
+	if serving != nil && est != nil {
+		serving = est
+	}
+	if err := checkDensityFits(cand, serving); err != nil {
+		httpError(w, r, http.StatusUnprocessableEntity, "snapshot rejected: %v", err)
+		return
 	}
 
 	s.mu.Lock()

@@ -238,6 +238,65 @@ func TestSnapshotInstallRejectsShapeMismatch(t *testing.T) {
 	}
 }
 
+// A model that does not fit the density the replica keeps serving is refused
+// with 422 before any state changes. The donor matches the replica's input
+// and class counts but extracts 8-wide features and exports no density, so
+// the replica's live density (fitted on 16-wide features) would stay — and
+// fail every /predict after the swap.
+func TestSnapshotInstallRejectsModelThatDoesNotFitLiveDensity(t *testing.T) {
+	lag, lagTS, stream := snapshotFixture(t, testSnapToken)
+
+	other := nn.NewClassifier(nn.Config{InputDim: stream.Dim, NumClasses: 2, Hidden: []int{8}, Seed: 1})
+	donor, err := New(Config{Model: other, SnapshotToken: testSnapToken, Online: OnlineConfig{Enabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(donor.Close)
+	donorTS := httptest.NewServer(donor.Handler())
+	t.Cleanup(donorTS.Close)
+	donor.generation.Store(5) // clear the strictly-newer gate
+
+	envelope, _ := fetchSnapshot(t, donorTS.URL, testSnapToken)
+	resp, body := installSnapshot(t, lagTS.URL, testSnapToken, envelope)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("install of a model that does not fit the live density: %d %s, want 422", resp.StatusCode, body)
+	}
+	if got := lag.Generation(); got != 0 {
+		t.Fatalf("laggard generation %d after rejected install, want 0", got)
+	}
+	probe := instancesRequest{Instances: [][]float64{stream.Tasks[0].Pool.Samples[0].X}}
+	if resp, body := postJSON(t, lagTS.URL+"/predict", probe); resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict after rejected install: %d %s", resp.StatusCode, body)
+	}
+}
+
+// A density snapshot whose class count does not match the model is refused
+// with 422 before any state changes. Installed, a Classes of 1<<40 would let
+// /predict keep answering while the first /score sized its conditional
+// log-density buffer from it and ran the process out of memory, so this test
+// never calls /score.
+func TestSnapshotInstallRejectsDensityClassMismatch(t *testing.T) {
+	donor, donorTS, stream := snapshotFixture(t, testSnapToken)
+	lag, lagTS, _ := snapshotFixture(t, testSnapToken)
+	donor.mu.Lock()
+	donor.cfg.Density.Classes = 1 << 40 // exported in the density snapshot
+	donor.mu.Unlock()
+	donor.generation.Store(5) // clear the strictly-newer gate
+
+	envelope, _ := fetchSnapshot(t, donorTS.URL, testSnapToken)
+	resp, body := installSnapshot(t, lagTS.URL, testSnapToken, envelope)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("install of a 1<<40-class density: %d %s, want 422", resp.StatusCode, body)
+	}
+	if got := lag.Generation(); got != 0 {
+		t.Fatalf("laggard generation %d after rejected install, want 0", got)
+	}
+	probe := instancesRequest{Instances: [][]float64{stream.Tasks[0].Pool.Samples[0].X}}
+	if resp, body := postJSON(t, lagTS.URL+"/predict", probe); resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict after rejected install: %d %s", resp.StatusCode, body)
+	}
+}
+
 // A density installed without training log-densities carries no OOD
 // calibration, so the replica must drop the previous density's threshold and
 // omit the ood flags (the Config.TrainLogDensities contract) instead of
