@@ -43,10 +43,13 @@ bench-gate:
 	$(GO) run ./cmd/faction-bench -gate results
 
 # fuzz-smoke runs each fuzz target for a short burst. The request decoder is
-# held differentially to encoding/json. Inputs that once failed live in the
-# package's testdata/fuzz/ corpus and replay on every plain `go test`.
+# held differentially to encoding/json; the density snapshot loader must
+# return an error or an estimator that scores without panicking. Inputs that
+# once failed live in the package's testdata/fuzz/ corpus and replay on every
+# plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInstances$$' -fuzztime=10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzEstimatorLoad$$' -fuzztime=10s ./internal/gda/
 
 # perfbench-vet vets the benchmark module (perfbench/, its own Go module that
 # builds against this one through a replace directive), so an API change here

@@ -170,13 +170,34 @@ func Fit(features *mat.Dense, y, s []int, classes int, sensValues []int, cfg Con
 		k := [2]int{y[i], s[i]}
 		groups[k] = append(groups[k], i)
 	}
+	// Fit components in (Y, S) order, so a failing fit names the same
+	// component on every run.
+	keys := make([][2]int, 0, len(groups))
+	usePooled := cfg.Shrinkage != 0
+	for k, idx := range groups {
+		keys = append(keys, k)
+		usePooled = usePooled || len(idx) < cfg.MinComponentSamples
+	}
+	sort.Slice(keys, func(a, b int) bool {
+		if keys[a][0] != keys[b][0] {
+			return keys[a][0] < keys[b][0]
+		}
+		return keys[a][1] < keys[b][1]
+	})
 
-	globalMean := mat.MeanCols(features)
-	pooled := mat.Covariance(features, globalMean, cfg.Ridge)
+	// The pooled statistics are read only by shrinkage and by components too
+	// sparse for their own.
+	var globalMean []float64
+	var pooled *mat.Dense
+	if usePooled {
+		globalMean = mat.MeanCols(features)
+		pooled = mat.Covariance(features, globalMean, cfg.Ridge)
+	}
 
 	e := &Estimator{Dim: d, Classes: classes, SensValues: append([]int(nil), sensValues...), comps: map[[2]int]*Component{}}
 	logTwoPi := float64(d) * math.Log(2*math.Pi)
-	for key, idx := range groups {
+	for _, key := range keys {
+		idx := groups[key]
 		comp := &Component{Y: key[0], S: key[1], N: len(idx), Weight: float64(len(idx)) / float64(n)}
 		sub := mat.NewDense(len(idx), d)
 		for r, i := range idx {

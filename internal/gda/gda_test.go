@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -243,6 +244,27 @@ func TestFitErrors(t *testing.T) {
 	mustPanic("zero classes", func() { Fit(f, []int{0}, []int{1}, 0, []int{1}, Config{}) })           //nolint:errcheck
 }
 
+// TestFitErrorNamesFirstFailingComponent: with NaN rows in (0,−1) and
+// (1,−1), both components fail to factorize, and Fit reports the first in
+// (Y, S) order on every run.
+func TestFitErrorNamesFirstFailingComponent(t *testing.T) {
+	nan := math.NaN()
+	f := mat.FromRows([][]float64{
+		{nan, 0}, {0, 1}, {1, 0}, // (0, −1)
+		{0, 0}, {0, 1}, {1, 0}, // (0, +1)
+		{nan, 0}, {2, 1}, {3, 0}, // (1, −1)
+		{2, 0}, {2, 1}, {3, 0}, // (1, +1)
+	})
+	y := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
+	s := []int{-1, -1, -1, 1, 1, 1, -1, -1, -1, 1, 1, 1}
+	for run := 0; run < 20; run++ {
+		_, err := Fit(f, y, s, 2, []int{-1, 1}, Config{})
+		if err == nil || !strings.Contains(err.Error(), "component (y=0,s=-1)") {
+			t.Fatalf("run %d: err = %v, want it to name component (y=0,s=-1)", run, err)
+		}
+	}
+}
+
 func simpleEstimator(t *testing.T) (*Estimator, error) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(8))
@@ -322,9 +344,15 @@ func TestScoreBatchOrderConsistencyProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkFit4Comp64d(b *testing.B) {
+func BenchmarkFit4Comp64d(b *testing.B) { benchmarkFit4Comp(b, 500, 64) }
+
+// BenchmarkFit4Comp512d fits at the paper's hidden width with protocol-paper's
+// middle labelled count: about 75 rows per component, so every component
+// covariance is rank-deficient and leans on the ridge.
+func BenchmarkFit4Comp512d(b *testing.B) { benchmarkFit4Comp(b, 300, 512) }
+
+func benchmarkFit4Comp(b *testing.B, n, d int) {
 	rng := rand.New(rand.NewSource(10))
-	n, d := 500, 64
 	f := mat.NewDense(n, d)
 	for i := range f.Data {
 		f.Data[i] = rng.NormFloat64()

@@ -50,6 +50,12 @@ const (
 	snapshotVersionF32 = 2
 )
 
+// maxSnapshotCells bounds Classes × len(SensValues) in a loaded snapshot.
+// Scoring allocates one log-density per (class, sensitive value) cell for
+// every row, so without a bound a few header bytes could demand any amount
+// of memory from the first scored batch.
+const maxSnapshotCells = 1 << 16
+
 // Save serializes the fitted estimator to w. An estimator scoring at
 // PrecisionF32 persists float32 component payloads: what is saved is exactly
 // what the f32 kernel streams (the stack is derived from f32-rounded factor
@@ -175,6 +181,10 @@ func Load(r io.Reader) (*Estimator, error) {
 	if snap.Dim <= 0 || snap.Classes <= 0 || len(snap.SensValues) == 0 {
 		return nil, fmt.Errorf("gda: invalid snapshot header (dim %d, classes %d, %d sensitive values)",
 			snap.Dim, snap.Classes, len(snap.SensValues))
+	}
+	if snap.Classes > maxSnapshotCells/len(snap.SensValues) {
+		return nil, fmt.Errorf("gda: snapshot has %d classes × %d sensitive values, more than %d cells",
+			snap.Classes, len(snap.SensValues), maxSnapshotCells)
 	}
 	e := &Estimator{
 		Dim:               snap.Dim,

@@ -68,27 +68,24 @@ func TestEstimatorLoadGarbage(t *testing.T) {
 	}
 }
 
-func TestEstimatorLoadBadSnapshots(t *testing.T) {
-	encode := func(snap estimatorSnapshot) *bytes.Buffer {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-			t.Fatal(err)
-		}
-		return &buf
+// goodSnapshot is a valid one-component snapshot at Dim 2.
+func goodSnapshot() estimatorSnapshot {
+	return estimatorSnapshot{
+		Version: snapshotVersion, Dim: 2, Classes: 2, SensValues: []int{-1, 1},
+		Comps: []componentSnapshot{{
+			Y: 0, S: 1, N: 3, Mean: []float64{0, 0}, Weight: 1,
+			Factor: []float64{1, 0, 0, 1}, LogNormBase: -1,
+		}},
 	}
-	good := func() estimatorSnapshot {
-		return estimatorSnapshot{
-			Version: snapshotVersion, Dim: 2, Classes: 2, SensValues: []int{-1, 1},
-			Comps: []componentSnapshot{{
-				Y: 0, S: 1, N: 3, Mean: []float64{0, 0}, Weight: 1,
-				Factor: []float64{1, 0, 0, 1}, LogNormBase: -1,
-			}},
-		}
-	}
+}
+
+// badSnapshots returns corruptions of goodSnapshot that Load must reject.
+func badSnapshots() map[string]estimatorSnapshot {
 	cases := map[string]func(*estimatorSnapshot){
 		"bad version":    func(s *estimatorSnapshot) { s.Version = 9 },
 		"bad dim":        func(s *estimatorSnapshot) { s.Dim = 0 },
 		"no sens":        func(s *estimatorSnapshot) { s.SensValues = nil },
+		"huge classes":   func(s *estimatorSnapshot) { s.Classes = 1 << 40 },
 		"short mean":     func(s *estimatorSnapshot) { s.Comps[0].Mean = []float64{1} },
 		"short factor":   func(s *estimatorSnapshot) { s.Comps[0].Factor = []float64{1} },
 		"not triangular": func(s *estimatorSnapshot) { s.Comps[0].Factor = []float64{1, 5, 0, 1} },
@@ -97,17 +94,62 @@ func TestEstimatorLoadBadSnapshots(t *testing.T) {
 			s.Comps = append(s.Comps, s.Comps[0])
 		},
 	}
+	out := make(map[string]estimatorSnapshot, len(cases))
 	for name, corrupt := range cases {
-		snap := good()
+		snap := goodSnapshot()
 		corrupt(&snap)
-		if _, err := Load(encode(snap)); err == nil {
+		out[name] = snap
+	}
+	return out
+}
+
+func encodeSnapshot(t testing.TB, snap estimatorSnapshot) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+func TestEstimatorLoadBadSnapshots(t *testing.T) {
+	for name, snap := range badSnapshots() {
+		if _, err := Load(encodeSnapshot(t, snap)); err == nil {
 			t.Fatalf("%s: expected error", name)
 		}
 	}
 	// The uncorrupted snapshot loads fine.
-	if _, err := Load(encode(good())); err != nil {
+	if _, err := Load(encodeSnapshot(t, goodSnapshot())); err != nil {
 		t.Fatalf("control snapshot failed: %v", err)
 	}
+}
+
+// FuzzEstimatorLoad: Load of arbitrary bytes either fails or returns an
+// estimator that scores a batch of all-zero rows without panicking. Load feeds
+// factor bits from outside the program through CholeskyFromFactor and the
+// whitening inverse. Seeds: Save output at both precisions and the snapshots
+// of TestEstimatorLoadBadSnapshots.
+func FuzzEstimatorLoad(f *testing.F) {
+	e, _ := fitFixture(f, 40, 3, 2, []int{-1, 1})
+	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
+		e.SetPrecision(p)
+		var buf bytes.Buffer
+		if err := e.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(encodeSnapshot(f, goodSnapshot()).Bytes())
+	for _, snap := range badSnapshots() {
+		f.Add(encodeSnapshot(f, snap).Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := Load(bytes.NewReader(data))
+		if err != nil || e.Dim > 64 {
+			return
+		}
+		e.ScoreBatch(mat.NewDense(2, e.Dim))
+	})
 }
 
 func TestEstimatorFileSnapshotRoundTrip(t *testing.T) {

@@ -16,29 +16,58 @@ type Cholesky struct {
 	l *Dense // lower triangular, upper part zero
 }
 
-// NewCholesky factorizes the SPD matrix a. The input is not modified.
+// NewCholesky factorizes the SPD matrix a, reading only its lower triangle.
+// The input is not modified.
+//
+// The factor is built one column at a time (left-looking): pivot j first,
+// then the entries below it four rows per pass, so four independent
+// accumulator chains share each read of row j. Every entry is
+// A[i,j] − Σ_{k<j} L[i,k]·L[j,k] with k ascending, whatever the loop order,
+// and the pivots are checked in ascending order, so the factor bits and the
+// first failing pivot do not depend on the traversal.
 func NewCholesky(a *Dense) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("mat: cholesky of non-square %dx%d", a.Rows, a.Cols))
 	}
 	n := a.Rows
 	l := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			lrow := l.Data[i*n : i*n+j]
-			jrow := l.Data[j*n : j*n+j]
-			for k, v := range lrow {
-				sum -= v * jrow[k]
+	ad, ld := a.Data, l.Data
+	for j := 0; j < n; j++ {
+		lj := ld[j*n : j*n+j]
+		sum := ad[j*n+j]
+		for _, v := range lj {
+			sum -= v * v
+		}
+		if sum <= 0 || math.IsNaN(sum) {
+			return nil, fmt.Errorf("%w: pivot %d = %g", ErrNotSPD, j, sum)
+		}
+		piv := math.Sqrt(sum)
+		ld[j*n+j] = piv
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			r0 := ld[i*n:][:len(lj)]
+			r1 := ld[(i+1)*n:][:len(lj)]
+			r2 := ld[(i+2)*n:][:len(lj)]
+			r3 := ld[(i+3)*n:][:len(lj)]
+			s0, s1, s2, s3 := ad[i*n+j], ad[(i+1)*n+j], ad[(i+2)*n+j], ad[(i+3)*n+j]
+			for k, v := range lj {
+				s0 -= r0[k] * v
+				s1 -= r1[k] * v
+				s2 -= r2[k] * v
+				s3 -= r3[k] * v
 			}
-			if i == j {
-				if sum <= 0 || math.IsNaN(sum) {
-					return nil, fmt.Errorf("%w: pivot %d = %g", ErrNotSPD, i, sum)
-				}
-				l.Data[i*n+i] = math.Sqrt(sum)
-			} else {
-				l.Data[i*n+j] = sum / l.Data[j*n+j]
+			ld[i*n+j] = s0 / piv
+			ld[(i+1)*n+j] = s1 / piv
+			ld[(i+2)*n+j] = s2 / piv
+			ld[(i+3)*n+j] = s3 / piv
+		}
+		for ; i < n; i++ {
+			ri := ld[i*n:][:len(lj)]
+			s := ad[i*n+j]
+			for k, v := range lj {
+				s -= ri[k] * v
 			}
+			ld[i*n+j] = s / piv
 		}
 	}
 	return &Cholesky{n: n, l: l}, nil

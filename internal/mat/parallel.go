@@ -56,7 +56,8 @@ var parallelFlopThreshold = 1 << 16
 // below the handoff break-even just moves work behind channel sends. At
 // parallelism 1 the result is always 1, so the "parallel" entry points run
 // the very same inline code path as the serial ones — parallel can never
-// lose to serial there (asserted by TestParallelNeverLosesAtOneCPU).
+// lose to serial there (TestNoPoolDispatchAtParallelism1 asserts that no
+// shard reaches the pool).
 func shardCount(flops int) int {
 	p := Parallelism()
 	if maxShards := flops / parallelFlopThreshold; p > maxShards {

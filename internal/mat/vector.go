@@ -183,11 +183,19 @@ func MeanCols(m *Dense) []float64 {
 	return mean
 }
 
+// covBlock is how many samples Covariance centres and transposes per pass:
+// its scratch holds d·covBlock values whatever the sample count, and every
+// element's running sum carries from one block into the next.
+const covBlock = 64
+
 // Covariance returns the (biased, 1/n) covariance matrix of the rows of m
 // around the supplied mean, plus ridge·I on the diagonal for conditioning.
-// Only the lower triangle is accumulated (the outer product is symmetric)
-// and mirrored afterwards — this accumulation dominates the density
-// estimator's cost at paper scale (n·d² with d = 512), so the 2× matters.
+// Only the lower triangle is computed, then mirrored. Element (a, b) adds the
+// products of centred columns a and b to 0 in ascending sample order, every
+// product included, so a 0 × ±Inf or 0 × NaN term makes it NaN, as MulTA of
+// the centred rows does. The centred rows are transposed a block at a time,
+// so each element is a dot product over memory read in sequence, and four
+// output rows share each read of column b.
 func Covariance(m *Dense, mean []float64, ridge float64) *Dense {
 	d := m.Cols
 	if len(mean) != d {
@@ -200,20 +208,41 @@ func Covariance(m *Dense, mean []float64, ridge float64) *Dense {
 		}
 		return cov
 	}
-	diff := make([]float64, d)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range diff {
-			diff[j] = row[j] - mean[j]
-		}
-		for a := 0; a < d; a++ {
-			da := diff[a]
-			if da == 0 {
-				continue
+	c := cov.Data
+	bs := min(covBlock, m.Rows)
+	ct := make([]float64, d*bs) // ct[a·bs+i] = centred column a of the block's sample i
+	for lo := 0; lo < m.Rows; lo += bs {
+		nb := min(bs, m.Rows-lo)
+		for i := 0; i < nb; i++ {
+			for a, v := range m.Row(lo + i) {
+				ct[a*bs+i] = v - mean[a]
 			}
-			crow := cov.Data[a*d : a*d+a+1]
-			for b, db := range diff[:a+1] {
-				crow[b] += da * db
+		}
+		a := 0
+		for ; a+4 <= d; a += 4 {
+			x0 := ct[a*bs:][:nb]
+			x1 := ct[(a+1)*bs:][:nb]
+			x2 := ct[(a+2)*bs:][:nb]
+			x3 := ct[(a+3)*bs:][:nb]
+			for b := 0; b <= a; b++ {
+				s0, s1, s2, s3 := c[a*d+b], c[(a+1)*d+b], c[(a+2)*d+b], c[(a+3)*d+b]
+				for i, v := range ct[b*bs:][:nb] {
+					s0 += x0[i] * v
+					s1 += x1[i] * v
+					s2 += x2[i] * v
+					s3 += x3[i] * v
+				}
+				c[a*d+b], c[(a+1)*d+b], c[(a+2)*d+b], c[(a+3)*d+b] = s0, s1, s2, s3
+			}
+			for r := a + 1; r < a+4; r++ {
+				for b := a + 1; b <= r; b++ {
+					c[r*d+b] = dotFrom(c[r*d+b], ct[r*bs:][:nb], ct[b*bs:][:nb])
+				}
+			}
+		}
+		for ; a < d; a++ {
+			for b := 0; b <= a; b++ {
+				c[a*d+b] = dotFrom(c[a*d+b], ct[a*bs:][:nb], ct[b*bs:][:nb])
 			}
 		}
 	}
@@ -229,4 +258,13 @@ func Covariance(m *Dense, mean []float64, ridge float64) *Dense {
 		cov.Data[i*d+i] += ridge
 	}
 	return cov
+}
+
+// dotFrom returns s + Σ x[i]·y[i], adding in ascending i.
+func dotFrom(s float64, x, y []float64) float64 {
+	y = y[:len(x)]
+	for i, v := range x {
+		s += v * y[i]
+	}
+	return s
 }

@@ -236,6 +236,29 @@ func TestCovarianceMatchesNaive(t *testing.T) {
 	matricesEqual(t, got, want, 1e-12)
 }
 
+// TestCovarianceNonFiniteIsNaN: every product reaches the sum, so a column
+// holding +Inf makes its covariance with a constant column NaN (0 × ∓Inf and
+// 0 × NaN terms), as MulTA of the centred rows does.
+func TestCovarianceNonFiniteIsNaN(t *testing.T) {
+	m := FromRows([][]float64{{math.Inf(1), 1}, {0, 1}, {2, 1}})
+	mean := MeanCols(m)
+	centred := m.Clone()
+	for i := 0; i < centred.Rows; i++ {
+		for j, v := range centred.Row(i) {
+			centred.Set(i, j, v-mean[j])
+		}
+	}
+	cov, prod := Covariance(m, mean, 0), MulTA(centred, centred)
+	for _, ij := range [][2]int{{0, 1}, {1, 0}} {
+		if got, want := cov.At(ij[0], ij[1]), prod.At(ij[0], ij[1]); !math.IsNaN(got) || !math.IsNaN(want) {
+			t.Fatalf("cov%v = %v, MulTA of the centred rows = %v, want NaN for both", ij, got, want)
+		}
+	}
+	if got := cov.At(1, 1); got != 0 {
+		t.Fatalf("cov(1,1) = %v, want 0 for a constant column", got)
+	}
+}
+
 func BenchmarkCovariance512(b *testing.B) {
 	rng := rand.New(rand.NewSource(78))
 	m := randomDense(rng, 500, 512)

@@ -56,23 +56,56 @@ const maxWhitenLanes = whitenTileBytes / 4
 type whitenKernel[T float32 | float64] func(q *[maxWhitenLanes]float64, tile, w, mtil []T, d int)
 
 // invLowerInto fills w (n×n row major) with the inverse of the
-// lower-triangular factor l by deterministic column-wise forward
-// substitution: the same factor bits always produce the same inverse bits, so
-// whitening derived from a persisted factor matches the one derived at fit
-// time exactly.
+// lower-triangular factor l, one row at a time:
+// W[i,:] = (e_i − Σ_{k<i} L[i,k]·W[k,:]) / L[i,i], k ascending. Each W[i,j]
+// subtracts L[i,k]·W[k,j] over j ≤ k < i in ascending k, the order of
+// column-wise forward substitution, while the pass streams rows of W in
+// sequence; four rows share each pass over W[k] for the k below all of them.
+// The inverse is deterministic in the factor bits, so whitening derived from
+// a persisted factor matches the one derived at fit time exactly.
 func invLowerInto(w, l []float64, n int) {
-	for col := 0; col < n; col++ {
-		// Solve L·x = e_col; x fills W[col:, col].
-		for i := col; i < n; i++ {
-			sum := 0.0
-			if i == col {
-				sum = 1.0
+	for i := 0; i < n; i++ {
+		clear(w[i*n : (i+1)*n])
+		w[i*n+i] = 1
+	}
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		w0, w1, w2, w3 := w[i*n:], w[(i+1)*n:], w[(i+2)*n:], w[(i+3)*n:]
+		for k := 0; k < i; k++ {
+			wk := w[k*n:][:k+1]
+			a0, a1, a2, a3 := w0[:len(wk)], w1[:len(wk)], w2[:len(wk)], w3[:len(wk)]
+			l0, l1, l2, l3 := l[i*n+k], l[(i+1)*n+k], l[(i+2)*n+k], l[(i+3)*n+k]
+			for j, v := range wk {
+				a0[j] -= l0 * v
+				a1[j] -= l1 * v
+				a2[j] -= l2 * v
+				a3[j] -= l3 * v
 			}
-			for k := col; k < i; k++ {
-				sum -= l[i*n+k] * w[k*n+col]
-			}
-			w[i*n+col] = sum / l[i*n+i]
 		}
+		for r := i; r < i+4; r++ {
+			invLowerRow(w, l, n, i, r)
+		}
+	}
+	for ; i < n; i++ {
+		invLowerRow(w, l, n, 0, i)
+	}
+}
+
+// invLowerRow finishes row r of invLowerInto: it subtracts L[r,k]·W[k,:] for
+// k in [from, r), ascending, and divides by L[r,r].
+func invLowerRow(w, l []float64, n, from, r int) {
+	wr := w[r*n:][:r+1]
+	for k := from; k < r; k++ {
+		lrk := l[r*n+k]
+		wk := w[k*n:][:k+1]
+		acc := wr[:len(wk)]
+		for j, v := range wk {
+			acc[j] -= lrk * v
+		}
+	}
+	d := l[r*n+r]
+	for j := range wr {
+		wr[j] /= d
 	}
 }
 
