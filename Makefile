@@ -27,29 +27,29 @@ vet:
 
 # bench-smoke runs every benchmark for exactly one iteration: a cheap guard
 # that the benchmark harness never rots (this includes the observability
-# benchmarks: history SampleNow, SLO Evaluate, histogram quantile). Record
-# real numbers with `faction-bench -kernel results/BENCH_kernel.json` /
-# `-alloc` / `-serve` / `-wal` / `-obs`.
+# benchmarks: history SampleNow, SLO Evaluate, histogram quantile).
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x ./...
 
-# bench-gate re-runs the kernel, read-path allocation and observability
-# suites and compares them against the committed baselines in results/. It fails only on a >2x
-# ns/op regression (machine variance headroom) or on ANY allocation appearing
-# on a path whose baseline is pinned at zero allocs/op. Refresh the baselines
-# with `faction-bench -kernel ...` / `-alloc ...` / `-obs ...` in the same
-# change that knowingly shifts them.
+# bench-gate runs the gated package benchmarks (listed in
+# cmd/faction-bench/gate.go) at commit BASE and in the working tree, built
+# on this host and run alternately, and compares them row by row. It fails
+# only on a >2x median ns/op ratio or on an allocation appearing on a path
+# the base holds at zero allocs/op. CI sets BASE to the commit the change
+# builds on.
+BASE ?= HEAD
 bench-gate:
-	$(GO) run ./cmd/faction-bench -gate results
+	$(GO) run ./cmd/faction-bench -gate $(BASE)
 
 # fuzz-smoke runs each fuzz target for a short burst. The request decoder is
-# held differentially to encoding/json; the density snapshot loader must
-# return an error or an estimator that scores without panicking. Inputs that
-# once failed live in the package's testdata/fuzz/ corpus and replay on every
-# plain `go test`.
+# held differentially to encoding/json; the density and classifier snapshot
+# loaders must return an error or a model that scores without panicking.
+# Inputs that once failed live in the package's testdata/fuzz/ corpus and
+# replay on every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInstances$$' -fuzztime=10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimatorLoad$$' -fuzztime=10s ./internal/gda/
+	$(GO) test -run '^$$' -fuzz '^FuzzClassifierLoad$$' -fuzztime=10s ./internal/nn/
 
 # perfbench-vet vets the benchmark module (perfbench/, its own Go module that
 # builds against this one through a replace directive), so an API change here

@@ -372,30 +372,6 @@ func benchmarkFit4Comp(b *testing.B, n, d int) {
 	}
 }
 
-func BenchmarkScoreBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	n, d := 500, 64
-	f := mat.NewDense(n, d)
-	for i := range f.Data {
-		f.Data[i] = rng.NormFloat64()
-	}
-	y := make([]int, n)
-	s := make([]int, n)
-	for i := range y {
-		y[i] = rng.Intn(2)
-		s[i] = 2*rng.Intn(2) - 1
-	}
-	e, err := Fit(f, y, s, 2, []int{-1, 1}, Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ScoreBatch(f)
-	}
-}
-
 // TestMultiGroupDelta exercises the multi-valued sensitive extension: with
 // three groups, Δg must be the worst-case pairwise gap and must vanish where
 // all group components agree.

@@ -105,18 +105,82 @@ func TestFinalizeOrdering(t *testing.T) {
 	}
 }
 
-// BenchmarkGDAScoreBatch is the per-task density-scoring hot path at pool
-// scale: 512 samples, 64-dim features, 2 classes × 2 groups.
-func BenchmarkGDAScoreBatch(b *testing.B) {
+// scoreBenchFixture is a 2-class × 2-group estimator fitted on 256 samples
+// and a 512×64 probe batch: density scoring at pool scale.
+func scoreBenchFixture(b *testing.B) (*Estimator, *mat.Dense) {
 	e, _ := fitFixture(b, 256, 64, 2, []int{-1, 1})
 	rng := rand.New(rand.NewSource(23))
 	probe := mat.NewDense(512, 64)
 	for i := range probe.Data {
 		probe.Data[i] = rng.NormFloat64()
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ScoreBatch(probe)
+	return e, probe
+}
+
+// benchScoring runs body on scoreBenchFixture once per scoring precision, as
+// sub-benchmarks f64 and f32.
+func benchScoring(b *testing.B, body func(b *testing.B, e *Estimator, probe *mat.Dense)) {
+	e, probe := scoreBenchFixture(b)
+	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
+		b.Run(p.String(), func(b *testing.B) {
+			e.SetPrecision(p)
+			body(b, e, probe)
+		})
+	}
+}
+
+// BenchmarkGDAScoreBatch is ScoreBatch (Eqs. 3–5), which returns fresh
+// BatchScores per call.
+func BenchmarkGDAScoreBatch(b *testing.B) {
+	benchScoring(b, func(b *testing.B, e *Estimator, probe *mat.Dense) {
+		e.ScoreBatch(probe) // refill the pools the pre-run GC emptied
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.ScoreBatch(probe)
+		}
+	})
+}
+
+// BenchmarkGDAScoreBatchRaw is the pooled loop the serving layer runs
+// (ScoreBatchRaw → SliceInto → Release). Its steady state allocates nothing
+// (pinned by TestScoreBatchRawSteadyStateAllocs).
+func BenchmarkGDAScoreBatchRaw(b *testing.B) {
+	benchScoring(b, func(b *testing.B, e *Estimator, probe *mat.Dense) {
+		var batch BatchScores
+		loop := func() {
+			raw := e.ScoreBatchRaw(probe)
+			raw.SliceInto(&batch, 0, probe.Rows)
+			raw.Release()
+		}
+		loop()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			loop()
+		}
+	})
+}
+
+// BenchmarkLogDensityBatch is Eq. 3 over the same batch at f64: a fresh
+// slice per call (alloc) against a caller-owned dst (into, the serving path).
+func BenchmarkLogDensityBatch(b *testing.B) {
+	e, probe := scoreBenchFixture(b)
+	dst := make([]float64, probe.Rows)
+	for _, m := range []struct {
+		name string
+		call func()
+	}{
+		{"alloc", func() { e.LogDensityBatch(probe) }},
+		{"into", func() { e.LogDensityBatchInto(dst, probe) }},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			m.call()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.call()
+			}
+		})
 	}
 }

@@ -298,28 +298,3 @@ func TestLoadRejectsMalformedPrecision(t *testing.T) {
 		t.Fatalf("base snapshot rejected: %v", err)
 	}
 }
-
-// BenchmarkGDAScoreBatchRaw32 is the pooled serving loop on the f32 path at
-// the same shape as BenchmarkGDAScoreBatchRaw.
-func BenchmarkGDAScoreBatchRaw32(b *testing.B) {
-	e, _ := fitFixture(b, 256, 64, 2, []int{-1, 1})
-	e.SetPrecision(PrecisionF32)
-	rng := rand.New(rand.NewSource(23))
-	probe := mat.NewDense(512, 64)
-	for i := range probe.Data {
-		probe.Data[i] = rng.NormFloat64()
-	}
-	var batch BatchScores
-	for i := 0; i < 10; i++ {
-		raw := e.ScoreBatchRaw(probe)
-		raw.SliceInto(&batch, 0, probe.Rows)
-		raw.Release()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw := e.ScoreBatchRaw(probe)
-		raw.SliceInto(&batch, 0, probe.Rows)
-		raw.Release()
-	}
-}

@@ -174,29 +174,3 @@ func TestPersistRoundTripWhiteningBits(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkGDAScoreBatchRaw is the pooled serving-layer scoring loop
-// (ScoreBatchRaw → SliceInto → Release) at pool scale; steady state must be
-// allocation-free (pinned by TestScoreBatchRawSteadyStateAllocs and the
-// committed BENCH_kernel.json baseline).
-func BenchmarkGDAScoreBatchRaw(b *testing.B) {
-	e, _ := fitFixture(b, 256, 64, 2, []int{-1, 1})
-	rng := rand.New(rand.NewSource(23))
-	probe := mat.NewDense(512, 64)
-	for i := range probe.Data {
-		probe.Data[i] = rng.NormFloat64()
-	}
-	var batch BatchScores
-	for i := 0; i < 10; i++ {
-		raw := e.ScoreBatchRaw(probe)
-		raw.SliceInto(&batch, 0, probe.Rows)
-		raw.Release()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw := e.ScoreBatchRaw(probe)
-		raw.SliceInto(&batch, 0, probe.Rows)
-		raw.Release()
-	}
-}

@@ -3,8 +3,11 @@ package mat
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"testing"
+
+	"faction/internal/testutil"
 )
 
 // withParallelism runs f with the knob (and optionally the shard threshold)
@@ -215,6 +218,13 @@ func TestMulTBIntoPanics(t *testing.T) {
 	})
 }
 
+// benchModes are the worker-pool widths a kernel benchmark runs at: 1 forces
+// the serial path, 0 the GOMAXPROCS default.
+var benchModes = []struct {
+	name string
+	par  int
+}{{"serial", 1}, {"parallel", 0}}
+
 func benchmarkMulInto(b *testing.B, size, par int) {
 	old := Parallelism()
 	SetParallelism(par)
@@ -223,6 +233,10 @@ func benchmarkMulInto(b *testing.B, size, par int) {
 	x := randDense(rng, size, size)
 	y := randDense(rng, size, size)
 	dst := NewDense(size, size)
+	// testing collects garbage before each run, which empties the pooled
+	// WaitGroups; refill them outside the timer, or a run of a few
+	// iterations reports the refill as allocs/op.
+	MulInto(dst, x, y)
 	b.ReportAllocs()
 	b.SetBytes(int64(size * size * size * 8))
 	b.ResetTimer()
@@ -233,13 +247,32 @@ func benchmarkMulInto(b *testing.B, size, par int) {
 
 func BenchmarkMulInto(b *testing.B) {
 	for _, size := range []int{64, 256, 1024} {
-		for _, mode := range []struct {
-			name string
-			par  int
-		}{{"serial", 1}, {"parallel", 0}} {
+		for _, mode := range benchModes {
 			b.Run(fmt.Sprintf("%d/%s", size, mode.name), func(b *testing.B) {
 				benchmarkMulInto(b, size, mode.par)
 			})
+		}
+	}
+}
+
+// The parallel handoff allocates nothing at steady state: shard descriptors
+// travel by value and WaitGroups are pooled. Width 2 shards both sizes over
+// the worker pool. GC is paused because a cycle empties the WaitGroup pool,
+// and its refill would be charged to the product.
+func TestMulIntoParallelSteadyStateAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
+	}
+	old := Parallelism()
+	SetParallelism(2)
+	defer SetParallelism(old)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{64, 256} {
+		x, y, dst := randDense(rng, n, n), randDense(rng, n, n), NewDense(n, n)
+		MulInto(dst, x, y)
+		if a := testing.AllocsPerRun(10, func() { MulInto(dst, x, y) }); a != 0 {
+			t.Fatalf("steady-state parallel MulInto at %d allocates %.1f allocs/op, want 0", n, a)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"faction/internal/testutil"
@@ -387,8 +388,12 @@ func mustPanicWhiten(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-// The whitened pass is allocation-free at steady state at either width — the
-// property the pooled gda scoring paths (and their bench-gate pins) inherit.
+// The whitened pass is allocation-free at steady state at either element
+// width and at either pool width — the property the pooled gda scoring paths
+// (and their gated benchmarks) inherit. At pool width 2 the 40-row batch is
+// sharded, so the pin covers the parallel handoff. GC is paused because a
+// cycle empties the job, tile and WaitGroup pools, and their refill would be
+// charged to the pass.
 func TestMahalanobisIntoSteadyStateAllocs(t *testing.T) { testWhitenSteadyStateAllocs[float64](t) }
 
 func TestWhitenedStack32SteadyStateAllocs(t *testing.T) { testWhitenSteadyStateAllocs[float32](t) }
@@ -398,8 +403,8 @@ func testWhitenSteadyStateAllocs[T float32 | float64](t *testing.T) {
 		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
 	}
 	old := Parallelism()
-	SetParallelism(1)
 	defer SetParallelism(old)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	stack, _, _ := whitenFixtureStack[T](t, 32, 4, 8, 29)
 	rng := rand.New(rand.NewSource(31))
 	z := NewDense(40, 32)
@@ -408,16 +413,18 @@ func testWhitenSteadyStateAllocs[T float32 | float64](t *testing.T) {
 	}
 	dst := make([]float64, 40*4)
 	loop := func() { stack.MahalanobisInto(dst, z) }
-	for i := 0; i < 10; i++ {
+	for _, width := range []int{1, 2} {
+		SetParallelism(width)
 		loop()
-	}
-	if n := testing.AllocsPerRun(50, loop); n != 0 {
-		t.Fatalf("steady-state %T MahalanobisInto allocates %.1f allocs/op, want 0", stack, n)
+		if n := testing.AllocsPerRun(50, loop); n != 0 {
+			t.Fatalf("steady-state %T MahalanobisInto at pool width %d allocates %.1f allocs/op, want 0", stack, width, n)
+		}
 	}
 }
 
 // BenchmarkWhitenMahalanobis is the quadratic-form pass under GDA batch
-// scoring: 512 rows × 64 dims against a 4-factor stack.
+// scoring: 512 rows × 64 dims against a 4-factor stack, serial and on the
+// worker pool.
 func BenchmarkWhitenMahalanobis(b *testing.B) { benchWhitenMahalanobis[float64](b) }
 
 // BenchmarkWhitenMahalanobis32 is the same pass on the float32 stack.
@@ -431,9 +438,17 @@ func benchWhitenMahalanobis[T float32 | float64](b *testing.B) {
 		z.Data[i] = rng.NormFloat64()
 	}
 	dst := make([]float64, 512*4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stack.MahalanobisInto(dst, z)
+	for _, mode := range benchModes {
+		b.Run(mode.name, func(b *testing.B) {
+			old := Parallelism()
+			SetParallelism(mode.par)
+			defer SetParallelism(old)
+			stack.MahalanobisInto(dst, z) // refill the pools the pre-run GC emptied
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				stack.MahalanobisInto(dst, z)
+			}
+		})
 	}
 }

@@ -31,6 +31,50 @@ type paramSnapshot struct {
 
 const snapshotVersion = 1
 
+// maxSnapshotParams and maxSnapshotHidden bound the architecture of a loaded
+// classifier. LoadClassifier allocates every layer's weights and gradients
+// before it reads a tensor, so without a bound a few config bytes could
+// demand any amount of memory. The largest model the repo builds, Fig. 6's
+// wide backbone (three hidden layers of 1024), has about 2.1M parameters;
+// the parameter cap leaves room for wider inputs. The depth cap covers what
+// the parameter cap cannot see: each layer's own bookkeeping, which a long
+// list of one-wide layers would multiply.
+const (
+	maxSnapshotParams = 1 << 24
+	maxSnapshotHidden = 1 << 10
+)
+
+// checkSnapshotConfig rejects a snapshot architecture that NewClassifier
+// would panic on, or that exceeds the caps above.
+func checkSnapshotConfig(cfg Config) error {
+	if cfg.InputDim < 1 || cfg.NumClasses < 2 {
+		return fmt.Errorf("nn: snapshot config has %d inputs and %d classes", cfg.InputDim, cfg.NumClasses)
+	}
+	if !(cfg.DropoutRate < 1) {
+		return fmt.Errorf("nn: snapshot dropout rate %g, want below 1", cfg.DropoutRate)
+	}
+	if len(cfg.Hidden) > maxSnapshotHidden {
+		return fmt.Errorf("nn: snapshot has %d hidden layers, more than %d", len(cfg.Hidden), maxSnapshotHidden)
+	}
+	in := cfg.InputDim
+	if in > maxSnapshotParams {
+		return fmt.Errorf("nn: snapshot input width %d exceeds %d parameters", in, maxSnapshotParams)
+	}
+	params := 0
+	for _, out := range append(append([]int(nil), cfg.Hidden...), cfg.NumClasses) {
+		if out < 1 {
+			return fmt.Errorf("nn: snapshot hidden width %d", out)
+		}
+		// A linear layer holds an in×out weight and an out-wide bias.
+		if out > (maxSnapshotParams-params)/(in+1) {
+			return fmt.Errorf("nn: snapshot architecture exceeds %d parameters", maxSnapshotParams)
+		}
+		params += (in + 1) * out
+		in = out
+	}
+	return nil
+}
+
 // Save serializes the classifier — architecture, weights and spectral-norm
 // power-iteration state — to w.
 func (c *Classifier) Save(w io.Writer) error {
@@ -89,6 +133,9 @@ func LoadClassifier(r io.Reader) (*Classifier, error) {
 	}
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("nn: unsupported snapshot version %d", snap.Version)
+	}
+	if err := checkSnapshotConfig(snap.Cfg); err != nil {
+		return nil, err
 	}
 	c := NewClassifier(snap.Cfg)
 	params := c.net.Params()

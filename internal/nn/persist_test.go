@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"faction/internal/mat"
 	"faction/internal/resilience"
 )
 
@@ -110,6 +111,93 @@ func TestLoadClassifierBadVersion(t *testing.T) {
 
 func encodeSnap(buf *bytes.Buffer, snap classifierSnapshot) error {
 	return gob.NewEncoder(buf).Encode(snap)
+}
+
+// badConfigs are snapshot architectures LoadClassifier must reject before it
+// builds anything; NewClassifier panics on each.
+func badConfigs() map[string]Config {
+	return map[string]Config{
+		"no inputs":       {InputDim: 0, NumClasses: 2},
+		"one class":       {InputDim: 2, NumClasses: 1},
+		"negative hidden": {InputDim: 2, NumClasses: 2, Hidden: []int{-1}},
+		"dropout 1":       {InputDim: 2, NumClasses: 2, Hidden: []int{4}, DropoutRate: 1},
+	}
+}
+
+func TestLoadClassifierBadConfig(t *testing.T) {
+	for name, cfg := range badConfigs() {
+		var buf bytes.Buffer
+		if err := encodeSnap(&buf, classifierSnapshot{Version: snapshotVersion, Cfg: cfg}); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: LoadClassifier panicked: %v", name, r)
+				}
+			}()
+			if _, err := LoadClassifier(&buf); err == nil {
+				t.Errorf("%s: expected an error", name)
+			}
+		}()
+	}
+}
+
+// The caps hold at their boundaries; checked on the config alone, since a
+// model at the cap is too large to build in a test.
+func TestCheckSnapshotConfigCaps(t *testing.T) {
+	deep := make([]int, maxSnapshotHidden+1)
+	for i := range deep {
+		deep[i] = 1
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"wide backbone", Config{InputDim: 40, NumClasses: 2, Hidden: WideHidden()}, true},
+		// (in+1)·2 weights and biases in one layer.
+		{"at the parameter cap", Config{InputDim: maxSnapshotParams/2 - 1, NumClasses: 2}, true},
+		{"over the parameter cap", Config{InputDim: maxSnapshotParams / 2, NumClasses: 2}, false},
+		{"over the cap in a later layer", Config{InputDim: 2, NumClasses: 2, Hidden: []int{1 << 12, 1 << 12}}, false},
+		{"overflowing input width", Config{InputDim: 1 << 62, NumClasses: 2}, false},
+		{"overflowing hidden width", Config{InputDim: 2, NumClasses: 2, Hidden: []int{1 << 62}}, false},
+		{"at the depth cap", Config{InputDim: 2, NumClasses: 2, Hidden: deep[1:]}, true},
+		{"too deep", Config{InputDim: 2, NumClasses: 2, Hidden: deep}, false},
+	} {
+		if err := checkSnapshotConfig(tc.cfg); (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok %v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// FuzzClassifierLoad: LoadClassifier of arbitrary bytes either fails or
+// returns a classifier that computes logits for an all-zero row without
+// panicking. Seeds: Save output with and without spectral normalization, and
+// the snapshots of TestLoadClassifierBadConfig.
+func FuzzClassifierLoad(f *testing.F) {
+	for _, sn := range []bool{false, true} {
+		c := NewClassifier(Config{InputDim: 3, NumClasses: 2, Hidden: []int{4}, SpectralNorm: sn, Seed: 7})
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, cfg := range badConfigs() {
+		var buf bytes.Buffer
+		if err := encodeSnap(&buf, classifierSnapshot{Version: snapshotVersion, Cfg: cfg}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := LoadClassifier(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		c.Logits(mat.NewDense(1, c.Config().InputDim))
+	})
 }
 
 func TestMatrixAliasSafetyOnLoad(t *testing.T) {

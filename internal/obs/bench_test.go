@@ -32,6 +32,7 @@ func TestCounterIncZeroAllocs(t *testing.T) {
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench_total", "")
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
 	}
@@ -50,6 +51,7 @@ func BenchmarkCounterIncParallel(b *testing.B) {
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewRegistry().Histogram("bench_hist", "", nil)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i%100) * 0.01)
 	}
@@ -61,6 +63,7 @@ func BenchmarkHistogramQuantile(b *testing.B) {
 		h.Observe(float64(i%700) * 0.001)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Quantile(0.99)
 	}

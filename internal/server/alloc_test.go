@@ -26,14 +26,14 @@ import (
 // performs zero steady-state allocations", exclusive of net/http's connection
 // machinery.
 //
-// The FULL observability layer is enabled: per-group decision attribution
-// (the request rows carry ±1 in the sensitive column, so the window/gap path
-// runs, not just the "other" counter), the metric-history sampler and the
-// SLO engine. The background timers use an hour-long interval because
-// testing.AllocsPerRun counts process-wide mallocs — a tick firing
-// mid-measurement would be charged to the handler; SampleNow and Evaluate
-// carry their own zero-alloc pins in their packages.
-func allocFixture(t testing.TB, rows int) (*Server, []byte) {
+// With fair set, the FULL observability layer is enabled: per-group decision
+// attribution (the request rows carry ±1 in the sensitive column, so the
+// window/gap path runs, not just the "other" counter), the audit ring, the
+// metric-history sampler and the SLO engine. The background timers use an
+// hour-long interval because testing.AllocsPerRun counts process-wide mallocs
+// — a tick firing mid-measurement would be charged to the handler; SampleNow
+// and Evaluate carry their own zero-alloc pins in their packages.
+func allocFixture(t testing.TB, rows int, fair bool) (*Server, []byte) {
 	t.Helper()
 	stream := data.NYSF(data.StreamConfig{Seed: 7, SamplesPerTask: 200})
 	train := stream.Tasks[0].Pool
@@ -61,14 +61,15 @@ func allocFixture(t testing.TB, rows int) (*Server, []byte) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { wlog.Close() })
-	sloSpec := slo.DefaultSpec()
-	sloSpec.Interval = slo.Duration(time.Hour)
-	s, err := New(Config{
-		Model: model, Density: est, TrainLogDensities: lds, Lambda: 0.5, WAL: wlog,
-		FairObs:         &FairObsConfig{SensitiveCol: 0, GroupValues: []int{-1, 1}, PositiveClass: 1},
-		HistoryInterval: time.Hour,
-		SLO:             &sloSpec,
-	})
+	cfg := Config{Model: model, Density: est, TrainLogDensities: lds, Lambda: 0.5, WAL: wlog, Logger: discardLogger()}
+	if fair {
+		sloSpec := slo.DefaultSpec()
+		sloSpec.Interval = slo.Duration(time.Hour)
+		cfg.FairObs = &FairObsConfig{SensitiveCol: 0, GroupValues: []int{-1, 1}, PositiveClass: 1}
+		cfg.HistoryInterval = time.Hour
+		cfg.SLO = &sloSpec
+	}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,6 +138,27 @@ func (w *scratchResponseWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// warmRequests is how many requests a measurement through the full
+// Handler() stack serves first. The request-ID middleware formats a
+// process-wide counter, and fmt boxes values below 256 without allocating, so
+// a count taken before the counter passes 256 reads one allocation low.
+const warmRequests = 300
+
+// replay returns a call that serves one reused request, carrying body,
+// through h into w, resetting both first: a measured loop of calls allocates
+// nothing of its own.
+func replay(h http.Handler, method, target string, body []byte) (call func(), w *scratchResponseWriter) {
+	req := httptest.NewRequest(method, target, nil)
+	rb := &replayBody{}
+	req.Body = rb
+	w = &scratchResponseWriter{h: http.Header{}}
+	return func() {
+		rb.r.Reset(body)
+		w.body, w.code = w.body[:0], 0
+		h.ServeHTTP(w, req)
+	}, w
+}
+
 // The tentpole pin: the FULL /predict handler body — body read, hand-parsed
 // decode, arena forward pass, batched density pass, response build, JSON
 // encode — performs zero heap allocations at steady state for a fixed request
@@ -156,16 +178,8 @@ func TestPredictHandlerSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	const rows = 8
-	s, body := allocFixture(t, rows)
-	req := httptest.NewRequest("POST", "/predict", nil)
-	rb := &replayBody{}
-	req.Body = rb
-	w := &scratchResponseWriter{h: http.Header{}}
-	loop := func() {
-		rb.r.Reset(body)
-		w.body, w.code = w.body[:0], 0
-		s.handlePredict(w, req)
-	}
+	s, body := allocFixture(t, rows, true)
+	loop, w := replay(http.HandlerFunc(s.handlePredict), "POST", "/predict", body)
 	for i := 0; i < 10; i++ {
 		loop()
 	}
@@ -197,16 +211,8 @@ func TestScoreHandlerSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	const rows = 8
-	s, body := allocFixture(t, rows)
-	req := httptest.NewRequest("POST", "/score", nil)
-	rb := &replayBody{}
-	req.Body = rb
-	w := &scratchResponseWriter{h: http.Header{}}
-	loop := func() {
-		rb.r.Reset(body)
-		w.body, w.code = w.body[:0], 0
-		s.handleScore(w, req)
-	}
+	s, body := allocFixture(t, rows, true)
+	loop, w := replay(http.HandlerFunc(s.handleScore), "POST", "/score", body)
 	for i := 0; i < 10; i++ {
 		loop()
 	}
@@ -228,7 +234,7 @@ func TestScoreHandlerSteadyStateAllocs(t *testing.T) {
 // is exactly what the old handler did.
 func TestScratchHandlerBitIdenticalToDirectCompute(t *testing.T) {
 	const rows = 6
-	s, body := allocFixture(t, rows)
+	s, body := allocFixture(t, rows, true)
 
 	req := httptest.NewRequest("POST", "/predict", bytes.NewReader(body))
 	w := httptest.NewRecorder()
@@ -265,5 +271,84 @@ func TestScratchHandlerBitIdenticalToDirectCompute(t *testing.T) {
 		if pr.OOD[i] != (logG[i] < s.oodThreshold) {
 			t.Fatalf("ood flag %d differs", i)
 		}
+	}
+}
+
+// The fairness observability layer (attribution, audit ring, history, SLO)
+// adds no allocation to the full /predict stack, middleware included: the
+// same request through Handler() allocates no more with the layer on than
+// off.
+func TestFairObsAddsNoAllocsToPredictStack(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
+	}
+	old := mat.Parallelism()
+	mat.SetParallelism(1)
+	defer mat.SetParallelism(old)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	var allocs [2]float64
+	for i, fair := range []bool{false, true} {
+		s, body := allocFixture(t, 8, fair)
+		serve, w := replay(s.Handler(), "POST", "/predict", body)
+		for j := 0; j < warmRequests; j++ {
+			serve()
+		}
+		if w.code != http.StatusOK {
+			t.Fatalf("fair=%v: status %d: %s", fair, w.code, w.body)
+		}
+		allocs[i] = measureAllocs(50, serve)
+	}
+	if allocs[1] > allocs[0] {
+		t.Fatalf("fairness layer adds allocations to /predict: %.1f allocs/op with it, %.1f without", allocs[1], allocs[0])
+	}
+}
+
+// BenchmarkPredictHTTP serves an 8-row /predict through the full Handler()
+// stack, middleware included, with the fairness observability layer off
+// (baseline) and on (fairobs): the difference is the layer's per-request
+// cost.
+func BenchmarkPredictHTTP(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		fair bool
+	}{{"baseline", false}, {"fairobs", true}} {
+		s, body := allocFixture(b, 8, m.fair)
+		serve, w := replay(s.Handler(), "POST", "/predict", body)
+		for i := 0; i < warmRequests; i++ {
+			serve()
+		}
+		b.Run(m.name, func(b *testing.B) {
+			serve() // refill the pools the pre-run GC emptied
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+			if w.code != http.StatusOK {
+				b.Fatalf("status %d: %s", w.code, w.body)
+			}
+		})
+	}
+}
+
+// BenchmarkAuditSnapshot serves GET /debug/decisions?n=512 over a full audit
+// ring: what an operator pays per hit. A debug endpoint, so it may allocate.
+func BenchmarkAuditSnapshot(b *testing.B) {
+	s, body := allocFixture(b, 8, true)
+	h := s.Handler()
+	fill, _ := replay(h, "POST", "/predict", body)
+	for i := 0; i < 200; i++ { // 1,600 decisions overflow the 256-entry ring
+		fill()
+	}
+	get, w := replay(h, "GET", "/debug/decisions?n=512", nil)
+	get()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get()
+	}
+	if w.code != http.StatusOK {
+		b.Fatalf("status %d: %s", w.code, w.body)
 	}
 }

@@ -454,12 +454,11 @@ func TestBatcherRefitRaceHammer(t *testing.T) {
 }
 
 // BenchmarkCoalescedPredict drives parallel single-instance /predict load
-// through the micro-batcher; bench-smoke runs it for one iteration so the
-// coalescing path stays covered by the benchmark harness. Real numbers are
-// recorded with `faction-bench -serve results/BENCH_serve.json`.
+// through the micro-batcher and reports the mean rows per flushed batch
+// (faction_batch_rows): above 1 means concurrent requests shared passes.
 func BenchmarkCoalescedPredict(b *testing.B) {
 	model, est := trainedArtifacts(b)
-	_, ts := newServerWith(b, model, est, 64, time.Millisecond)
+	s, ts := newServerWith(b, model, est, 64, time.Millisecond)
 	body, _ := json.Marshal(instancesRequest{Instances: [][]float64{{0.1, 0.2, 0.3, 0.4}}})
 	b.SetParallelism(8)
 	b.ResetTimer()
@@ -478,4 +477,7 @@ func BenchmarkCoalescedPredict(b *testing.B) {
 			}
 		}
 	})
+	if rows := s.metrics.batchRows; rows.Count() > 0 {
+		b.ReportMetric(rows.Sum()/float64(rows.Count()), "rows/flush")
+	}
 }
