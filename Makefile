@@ -9,18 +9,17 @@ test:
 	$(GO) test ./...
 
 # Race-check the packages with real concurrency: the HTTP serving layer, the
-# request-coalescing micro-batcher, the online protocol runner, the
-# snapshot/drain helpers, the write-ahead log (group-commit appenders racing
-# rotation, replay and pruning), the network whose inference path must stay
-# read-only, the sharded compute kernels in mat/gda (worker pool + parallel
-# ScoreBatch), and the metrics registry whose hot paths are lock-free atomics
-# scraped concurrently — ./internal/obs/... recursively includes the
-# metric-history sampler and SLO burn-rate engine (tickers racing manual
-# SampleNow/Evaluate and the HTTP snapshots). ./internal/fleet/... is the
-# multi-replica router: the proxy hot path, probe loop and reconciler all
-# share per-replica atomics.
+# online protocol runner, the snapshot/drain helpers, the write-ahead log
+# (group-commit appenders racing rotation, replay and pruning), the network
+# whose inference path must stay read-only, the sharded compute kernels in
+# mat/gda (worker pool + parallel ScoreBatch), and the metrics registry whose
+# hot paths are lock-free atomics scraped concurrently — ./internal/obs/...
+# recursively includes the metric-history sampler and SLO burn-rate engine
+# (tickers racing manual SampleNow/Evaluate and the HTTP snapshots).
+# ./internal/fleet/... is the multi-replica router: the proxy hot path, probe
+# loop and reconciler all share per-replica atomics.
 race:
-	$(GO) test -race ./internal/server/... ./internal/batching/... ./internal/online/... ./internal/resilience/... ./internal/wal/... ./internal/nn/... ./internal/mat/... ./internal/gda/... ./internal/obs/... ./internal/fleet/...
+	$(GO) test -race ./internal/server/... ./internal/online/... ./internal/resilience/... ./internal/wal/... ./internal/nn/... ./internal/mat/... ./internal/gda/... ./internal/obs/... ./internal/fleet/...
 
 vet:
 	$(GO) vet ./...
@@ -43,13 +42,16 @@ bench-gate:
 
 # fuzz-smoke runs each fuzz target for a short burst. The request decoder is
 # held differentially to encoding/json; the density and classifier snapshot
-# loaders must return an error or a model that scores without panicking.
+# loaders must return an error or a model that scores without panicking; the
+# snapshot envelope decoder must fail as corruption or re-encode to exactly
+# the bytes it read.
 # Inputs that once failed live in the package's testdata/fuzz/ corpus and
 # replay on every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInstances$$' -fuzztime=10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimatorLoad$$' -fuzztime=10s ./internal/gda/
 	$(GO) test -run '^$$' -fuzz '^FuzzClassifierLoad$$' -fuzztime=10s ./internal/nn/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime=10s ./internal/resilience/
 
 # perfbench-vet vets the benchmark module (perfbench/, its own Go module that
 # builds against this one through a replace directive), so an API change here

@@ -21,10 +21,9 @@
 // POST /refit.
 //
 // The process runs production-shaped: SIGINT/SIGTERM drain in-flight
-// requests (bounded by -shutdown-timeout) and exit 0; with -batch-delay
-// concurrent /predict and /score requests are coalesced into fused
-// model/density batches (responses stay bit-identical to unbatched
-// serving); panics, oversized bodies and overload are absorbed by the
+// requests (bounded by -shutdown-timeout) and exit 0; each /predict and
+// /score request runs its own model and density pass on its handler
+// goroutine; panics, oversized bodies and overload are absorbed by the
 // server's middleware stack; with
 // -checkpoint the live model is periodically snapshotted crash-safely
 // (temp file + rename, checksummed, rotated) after refits change it; and
@@ -82,9 +81,6 @@ func main() {
 		onlineFlag = flag.Bool("online", false, "enable POST /feedback and POST /refit (serving-time adaptation)")
 		snapToken  = flag.String("snapshot-token", "", "bearer token enabling GET /snapshot and POST /snapshot/install for fleet model distribution (empty disables)")
 
-		batchRows  = flag.Int("batch-rows", 64, "queued instance rows that trigger an immediate coalesced flush (with -batch-delay > 0)")
-		batchDelay = flag.Duration("batch-delay", 0, "max time a /predict or /score request waits to be coalesced into a batch (0 disables batching)")
-
 		shutdownTimeout = flag.Duration("shutdown-timeout", 10*time.Second, "max wait for in-flight requests on SIGINT/SIGTERM")
 		requestTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-request deadline (503 beyond it)")
 		maxInflight     = flag.Int("max-inflight", 64, "concurrent requests before shedding with 429")
@@ -93,7 +89,7 @@ func main() {
 		checkpointKeep  = flag.Int("checkpoint-keep", 2, "rotated checkpoint generations to keep alongside each snapshot")
 
 		walDir     = flag.String("wal-dir", "", "write-ahead-log directory: /feedback appends here before acknowledging, and boot replays it into the buffer (empty disables)")
-		walFsync   = flag.String("wal-fsync", "group", "WAL durability mode: group (batched fsync, the default), always (fsync per record) or never (ack after the write syscall)")
+		walFsync   = flag.String("wal-fsync", "group", "WAL durability mode: group (ack after an fsync that concurrent appends share, the default) or never (ack after the write syscall)")
 		asyncRefit = flag.Bool("async-refit", false, "answer POST /refit with 202 and run training on a background consumer instead of the request")
 
 		sensitiveCol  = flag.Int("sensitive-col", -1, "feature column carrying the sensitive attribute: enables per-group decision metrics, the fairness-gap gauge and the /debug/decisions audit trail (-1 disables)")
@@ -181,8 +177,6 @@ func main() {
 			Seed:       *seed,
 			AsyncRefit: *asyncRefit,
 		},
-		BatchRows:      *batchRows,
-		BatchDelay:     *batchDelay,
 		MaxInflight:    *maxInflight,
 		RequestTimeout: *requestTimeout,
 		MaxBodyBytes:   *maxBody,
@@ -286,8 +280,8 @@ func main() {
 		s.SetReady(false)
 		logger.Info("faction-serve draining", slog.Duration("timeout", *shutdownTimeout))
 	})
-	// HTTP traffic has drained (or the deadline passed); flush and stop the
-	// micro-batcher so any still-queued request gets a real response.
+	// HTTP traffic has drained (or the deadline passed); stop the background
+	// work and flush the write-ahead log.
 	s.Close()
 	if err != nil {
 		fatal(err)

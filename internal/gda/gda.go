@@ -370,11 +370,10 @@ const scoreBatchMinGrain = 8
 // density and the conditional gaps, and all per-sample storage views
 // flattened backing slices.
 //
-// ScoreBatch is SliceInto(0, n) over one raw log-space pass; a request
-// coalescer that concatenates several callers' rows into one ScoreBatchRaw
-// can hand each caller its own slice and the caller observes bit-identical
-// results to scoring its rows alone. The returned BatchScores owns its
-// storage (the raw pass is released back to the pool before returning).
+// ScoreBatch is SliceInto(0, n) over one raw log-space pass; slicing any
+// sub-range of a pass gives the bits scoring those rows alone would. The
+// returned BatchScores owns its storage (the raw pass is released back to
+// the pool before returning).
 func (e *Estimator) ScoreBatch(features *mat.Dense) BatchScores {
 	raw := e.ScoreBatchRaw(features)
 	var out BatchScores

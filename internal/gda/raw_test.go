@@ -46,8 +46,7 @@ func TestLogDensityBatchMatchesSerial(t *testing.T) {
 }
 
 // Property: slicing one raw pass over a concatenated batch is bit-identical
-// to scoring each sub-range alone — the guarantee the serving-layer request
-// coalescer rests on.
+// to scoring each sub-range alone.
 func TestRawSliceBitIdenticalToSubsetScoreBatch(t *testing.T) {
 	old := mat.Parallelism()
 	defer mat.SetParallelism(old)

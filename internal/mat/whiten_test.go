@@ -243,9 +243,9 @@ func testWhitenDeterministic[T float32 | float64](t *testing.T) {
 }
 
 // Property: a row's result does not depend on which rows share its batch —
-// scoring each row alone gives the same bits as scoring them all together
-// (the batching bit-identity the serving layer's request coalescer relies
-// on). Exercises rows landing in every lane position of their block, at the
+// scoring each row alone gives the same bits as scoring them all together,
+// so a served row's density does not depend on the rows sent with it.
+// Exercises rows landing in every lane position of their block, at the
 // 8-lane and the 16-lane block width.
 func TestMahalanobisIntoBatchComposition(t *testing.T) { testWhitenBatchComposition[float64](t, 29) }
 

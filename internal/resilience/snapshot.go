@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -172,9 +173,11 @@ func EncodeEnvelope(w io.Writer, lsn uint64, payload []byte) error {
 
 // DecodeEnvelope reads one v2 envelope from r and returns the covered LSN and
 // the validated payload. maxBytes, when positive, bounds the declared payload
-// length before any allocation, so a hostile length field cannot balloon
-// memory. Truncation, a bad magic, or a checksum mismatch return an error
-// wrapping ErrCorrupt.
+// length before anything is read. The payload buffer grows with the bytes
+// actually received, never with the declared length, so a hostile length
+// field cannot balloon memory even without a cap. Truncation, a bad magic, a
+// declared length above the cap or above math.MaxInt64, or a checksum
+// mismatch return an error wrapping ErrCorrupt.
 func DecodeEnvelope(r io.Reader, maxBytes int64) (lsn uint64, payload []byte, err error) {
 	header := make([]byte, len(snapshotMagicV2)+20)
 	if _, err := io.ReadFull(r, header); err != nil {
@@ -186,11 +189,17 @@ func DecodeEnvelope(r io.Reader, maxBytes int64) (lsn uint64, payload []byte, er
 	lsn = binary.BigEndian.Uint64(header[8:])
 	length := binary.BigEndian.Uint64(header[16:])
 	wantCRC := binary.BigEndian.Uint32(header[24:])
+	if length > math.MaxInt64 {
+		return 0, nil, fmt.Errorf("resilience: envelope declares %d payload bytes: %w", length, ErrCorrupt)
+	}
 	if maxBytes > 0 && length > uint64(maxBytes) {
 		return 0, nil, fmt.Errorf("resilience: envelope declares %d payload bytes, cap %d: %w", length, maxBytes, ErrCorrupt)
 	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err = io.ReadAll(io.LimitReader(r, int64(length)))
+	if err == nil && uint64(len(payload)) < length {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return 0, nil, fmt.Errorf("resilience: envelope payload truncated: %w: %v", ErrCorrupt, err)
 	}
 	if got := crc32.Checksum(payload, crcTable); got != wantCRC {

@@ -14,8 +14,8 @@ import (
 
 // The read path (/predict, /score) is allocation-free at steady state: every
 // per-request buffer — the body bytes, the decoded instance matrix, the
-// density and response storage, even the pass envelope — lives in a
-// pooled reqScratch that a handler checks out on entry and returns on exit.
+// density and response storage — lives in a pooled reqScratch that a
+// handler checks out on entry and returns on exit.
 // Request decoding uses a hand-rolled parser for the one body shape the API
 // accepts ({"instances": [[...], ...]}) because json.Unmarshal allocates per
 // call; the parser enforces the same strictness as the json.Decoder +
@@ -48,25 +48,12 @@ type reqScratch struct {
 	probs     []float64
 	predict   predictResponse
 	score     scoreResponse
-
-	// item is the pass envelope. Its result channel is created once (at
-	// pool-New time) and reused, so a steady-state request does not allocate
-	// for it either; serveInstances drains any stale value before reuse.
-	item batchItem
 }
 
-var reqScratchPool = sync.Pool{New: func() any {
-	sc := new(reqScratch)
-	sc.item.res = make(chan flushResult, 1)
-	sc.item.sc = sc
-	return sc
-}}
+var reqScratchPool = sync.Pool{New: func() any { return new(reqScratch) }}
 
 func getReqScratch() *reqScratch { return reqScratchPool.Get().(*reqScratch) }
 
-// putReqScratch recycles sc. A scratch whose batch item may still be touched
-// by the flusher must NOT be pooled — serveInstances abandons it instead (the
-// one case where a request leaks its scratch to the garbage collector).
 func putReqScratch(sc *reqScratch) {
 	sc.body.Reset()
 	reqScratchPool.Put(sc)

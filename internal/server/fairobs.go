@@ -174,17 +174,16 @@ func (t *groupTracker) observe(group, class int) {
 
 // auditRec is one retained decision.
 type auditRec struct {
-	seq     uint64
-	t       int64 // unix ms
-	reqID   string
-	kind    reqKind
-	batched bool
-	s       float64 // raw sensitive value (NaN-free by decode validation)
-	group   int     // groupIndex result
-	class   int
-	margin  float64 // top-1 minus top-2 probability
-	gen     uint64
-	drift   int64 // drift shifts at decision time
+	seq    uint64
+	t      int64 // unix ms
+	reqID  string
+	kind   reqKind
+	s      float64 // raw sensitive value (NaN-free by decode validation)
+	group  int     // groupIndex result
+	class  int
+	margin float64 // top-1 minus top-2 probability
+	gen    uint64
+	drift  int64 // drift shifts at decision time
 }
 
 // auditRing is a bounded ring of recent decisions. Writers claim a slot with
@@ -240,11 +239,10 @@ func (a *auditRing) snapshot(limit int) []auditRec {
 // observeDecisions attributes a served request's decisions: one counter and
 // window update per row plus one audit record per row. Called by the shared
 // /predict and /score handler body once the pass has built the response in
-// sc (classes and margins filled by buildPredictInto/buildScoreInto);
-// batched records whether the pass was coalesced. Allocation-free: the request ID string
-// already exists in the context, and everything else lands in pre-allocated
-// storage.
-func (s *Server) observeDecisions(r *http.Request, sc *reqScratch, kind reqKind, batched bool) {
+// sc (classes and margins filled by buildPredictInto/buildScoreInto).
+// Allocation-free: the request ID string already exists in the context, and
+// everything else lands in pre-allocated storage.
+func (s *Server) observeDecisions(r *http.Request, sc *reqScratch, kind reqKind) {
 	t := s.fairobs
 	if t == nil {
 		return
@@ -261,16 +259,15 @@ func (s *Server) observeDecisions(r *http.Request, sc *reqScratch, kind reqKind,
 		class := sc.classes[i]
 		t.observe(group, class)
 		s.audit.add(auditRec{
-			t:       now,
-			reqID:   reqID,
-			kind:    kind,
-			batched: batched,
-			s:       sv,
-			group:   group,
-			class:   class,
-			margin:  sc.margins[i],
-			gen:     gen,
-			drift:   drift,
+			t:      now,
+			reqID:  reqID,
+			kind:   kind,
+			s:      sv,
+			group:  group,
+			class:  class,
+			margin: sc.margins[i],
+			gen:    gen,
+			drift:  drift,
 		})
 	}
 }
@@ -281,7 +278,6 @@ type decisionJSON struct {
 	T           int64   `json:"t"`
 	RequestID   string  `json:"requestId"`
 	Route       string  `json:"route"`
-	Batched     bool    `json:"batched,omitempty"`
 	S           float64 `json:"s"`
 	Group       string  `json:"group"`
 	Class       int     `json:"class"`
@@ -326,7 +322,6 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 			T:           rec.t,
 			RequestID:   rec.reqID,
 			Route:       route,
-			Batched:     rec.batched,
 			S:           rec.s,
 			Group:       s.groupLabel(rec.group),
 			Class:       rec.class,

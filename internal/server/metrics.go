@@ -62,13 +62,6 @@ type serverMetrics struct {
 	driftObserved *obs.Gauge // faction_drift_observations
 	driftMean     *obs.Gauge // faction_drift_baseline_mean
 	driftStd      *obs.Gauge // faction_drift_baseline_std
-
-	// Micro-batcher instruments (batcher.go): registered unconditionally so
-	// /metrics exposes a stable family set, zero-valued when batching is off.
-	batchRows         *obs.Histogram  // faction_batch_rows
-	batchQueueSeconds *obs.Histogram  // faction_batch_queue_seconds
-	batchFlushes      *obs.CounterVec // faction_batch_flushes_total{reason}
-	batchDepth        *obs.Gauge      // faction_batch_queued_rows
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
@@ -125,14 +118,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Drift-detector baseline mean log-density."),
 		driftStd: reg.Gauge("faction_drift_baseline_std",
 			"Drift-detector baseline log-density standard deviation."),
-		batchRows: reg.Histogram("faction_batch_rows",
-			"Instance rows per flushed coalesced batch.", obs.ExpBuckets(1, 2, 10)),
-		batchQueueSeconds: reg.Histogram("faction_batch_queue_seconds",
-			"Time each request spent queued before its batch flushed.", obs.ExpBuckets(1e-5, 4, 8)),
-		batchFlushes: reg.CounterVec("faction_batch_flushes_total",
-			"Micro-batcher flushes by trigger reason (size, deadline or drain).", "reason"),
-		batchDepth: reg.Gauge("faction_batch_queued_rows",
-			"Instance rows currently queued in the micro-batcher."),
 	}
 }
 

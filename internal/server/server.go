@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"faction/internal/batching"
 	"faction/internal/data"
 	"faction/internal/drift"
 	"faction/internal/gda"
@@ -80,14 +79,10 @@ type Config struct {
 	// unregistered.
 	SnapshotToken string
 
-	// BatchDelay enables the request coalescer: concurrent /predict and
-	// /score requests queue up to BatchDelay and are fused into one model +
-	// density pass (see batcher.go and DESIGN.md §9). Responses are
-	// bit-identical to uncoalesced serving. 0 — the default — disables
-	// coalescing; each handler runs the same pass inline over its own rows.
-	BatchDelay time.Duration
-	// BatchRows is the queued row count that triggers an immediate flush
-	// when batching is enabled. Default 64.
+	// BatchRows is ignored: every /predict and /score runs its pass inline
+	// over its own rows (DESIGN.md §9).
+	//
+	// Deprecated: it sized the request coalescer, which has been removed.
 	BatchRows int
 
 	// MaxInflight bounds concurrent requests; excess load is shed with
@@ -144,9 +139,6 @@ func (c *Config) setResilienceDefaults() {
 	}
 	if c.RefitUnreadyAfter == 0 {
 		c.RefitUnreadyAfter = 2 * time.Second
-	}
-	if c.BatchDelay > 0 && c.BatchRows <= 0 {
-		c.BatchRows = 64
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -210,10 +202,6 @@ type Server struct {
 	// (slohistory.go), nil unless configured.
 	history   *history.Sampler
 	sloEngine *slo.Engine
-
-	// coalescer fuses concurrent read requests into shared passes; nil when
-	// Config.BatchDelay is 0 and each handler runs its pass inline.
-	coalescer *batching.Coalescer
 
 	// validateCandidate is the refit acceptance gate; tests override it to
 	// inject validation failures.
@@ -288,9 +276,6 @@ func New(cfg Config) (*Server, error) {
 	s.adoptDensityLocked(cfg.Density, cfg.TrainLogDensities)
 	s.mu.Unlock()
 	s.buffer = data.NewDataset("feedback", cfg.Model.Config().InputDim, cfg.Model.Config().NumClasses)
-	if cfg.BatchDelay > 0 {
-		s.coalescer = s.newCoalescer()
-	}
 	if cfg.Online.Enabled && cfg.Online.AsyncRefit {
 		s.refitKick = make(chan struct{}, 1)
 		s.stopRefit = make(chan struct{})
@@ -331,9 +316,9 @@ func (s *Server) refitConsumer() {
 }
 
 // Close releases the server's background resources: the async refit
-// consumer (waiting out any refit in flight), the coalescer's flusher after
-// a final drain flush, and a drain-flush of the write-ahead log so
-// every acknowledged feedback record is on disk before the process exits.
+// consumer (waiting out any refit in flight), the metric-history sampler and
+// SLO engine, and a drain-flush of the write-ahead log so every acknowledged
+// feedback record is on disk before the process exits.
 // Safe to call multiple times; call it after HTTP traffic has drained.
 func (s *Server) Close() {
 	if s.stopRefit != nil {
@@ -343,9 +328,6 @@ func (s *Server) Close() {
 			close(s.stopRefit)
 		}
 		<-s.consumerDone
-	}
-	if s.coalescer != nil {
-		s.coalescer.Close()
 	}
 	if s.history != nil {
 		s.history.Stop()
@@ -582,11 +564,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.serveInstances(w, r, reqPredict)
 }
 
-// buildPredictInto assembles the /predict response for logits rows [lo, hi)
-// into sc.predict, reusing sc's storage. logG, when non-nil, holds the rows'
-// log densities, already sliced to the range.
-func buildPredictInto(sc *reqScratch, logits *mat.Dense, lo, hi int, logG []float64, hasOOD bool, oodThreshold float64) {
-	n := hi - lo
+// buildPredictInto assembles the /predict response for the logits rows into
+// sc.predict, reusing sc's storage. logG, when non-nil, holds the rows' log
+// densities.
+func buildPredictInto(sc *reqScratch, logits *mat.Dense, logG []float64, hasOOD bool, oodThreshold float64) {
+	n := logits.Rows
 	sc.classes = growInts(sc.classes, n)
 	sc.margins = growFloats(sc.margins, n)
 	sc.probsFlat = growFloats(sc.probsFlat, n*logits.Cols)
@@ -596,7 +578,7 @@ func buildPredictInto(sc *reqScratch, logits *mat.Dense, lo, hi int, logG []floa
 	sc.probsRows = sc.probsRows[:n]
 	for i := 0; i < n; i++ {
 		probs := sc.probsFlat[i*logits.Cols : (i+1)*logits.Cols]
-		mat.Softmax(probs, logits.Row(lo+i))
+		mat.Softmax(probs, logits.Row(i))
 		sc.probsRows[i] = probs
 		sc.classes[i] = mat.ArgMax(probs)
 		sc.margins[i] = topMargin(probs, sc.classes[i])
@@ -625,9 +607,9 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	s.serveInstances(w, r, reqScore)
 }
 
-// buildScoreInto assembles the /score response (Eqs. 6–7) for logits rows
-// [lo, hi) and their BatchScores into sc.score, reusing sc's storage.
-func buildScoreInto(sc *reqScratch, logits *mat.Dense, lo, hi int, batch *gda.BatchScores, lambda float64) {
+// buildScoreInto assembles the /score response (Eqs. 6–7) for the logits
+// rows and their BatchScores into sc.score, reusing sc's storage.
+func buildScoreInto(sc *reqScratch, logits *mat.Dense, batch *gda.BatchScores, lambda float64) {
 	sc.u = growFloats(sc.u, len(batch.G))
 	sc.probs = growFloats(sc.probs, logits.Cols)
 	// /score responses carry no classes, but the decision audit trail and the
@@ -637,7 +619,7 @@ func buildScoreInto(sc *reqScratch, logits *mat.Dense, lo, hi int, batch *gda.Ba
 	sc.margins = growFloats(sc.margins, len(batch.G))
 	u, probs := sc.u, sc.probs
 	for i := range u {
-		mat.Softmax(probs, logits.Row(lo+i))
+		mat.Softmax(probs, logits.Row(i))
 		top := mat.ArgMax(probs)
 		sc.classes[i] = top
 		sc.margins[i] = topMargin(probs, top)

@@ -8,10 +8,10 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"faction/internal/nn"
 	"faction/internal/obs"
@@ -204,18 +204,19 @@ func TestRefitAdvancesConsumedLSN(t *testing.T) {
 // TestAsyncRefit: /refit answers 202 immediately and the consumer goroutine
 // performs the generation swap off the request path.
 func TestAsyncRefit(t *testing.T) {
-	s, ts, _ := walFixture(t, func(cfg *Config) { cfg.Online.AsyncRefit = true })
+	logBuf := newSyncBuffer()
+	s, ts, _ := walFixture(t, func(cfg *Config) {
+		cfg.Online.AsyncRefit = true
+		cfg.Logger = slog.New(slog.NewTextHandler(logBuf, nil))
+	})
 	feedSamples(t, ts, 8)
 	resp, body := postJSON(t, ts.URL+"/refit", map[string]any{})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async refit: %d %s, want 202", resp.StatusCode, body)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Generation() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("async refit never advanced the generation")
-		}
-		time.Sleep(10 * time.Millisecond)
+	logBuf.waitFor("async refit accepted") // logged after the swap
+	if s.Generation() == 0 {
+		t.Fatal("async refit never advanced the generation")
 	}
 	if got := s.ConsumedLSN(); got != 1 {
 		t.Fatalf("consumed LSN after async refit = %d, want 1", got)
@@ -228,7 +229,11 @@ func TestAsyncRefit(t *testing.T) {
 // TestAsyncRefitValidationFailureSurfaces: a rejected candidate in async
 // mode is recorded on /info exactly like the synchronous path.
 func TestAsyncRefitValidationFailureSurfaces(t *testing.T) {
-	s, ts, _ := walFixture(t, func(cfg *Config) { cfg.Online.AsyncRefit = true })
+	logBuf := newSyncBuffer()
+	s, ts, _ := walFixture(t, func(cfg *Config) {
+		cfg.Online.AsyncRefit = true
+		cfg.Logger = slog.New(slog.NewTextHandler(logBuf, nil))
+	})
 	s.validateCandidate = func(*nn.Classifier, nn.TrainStats) error {
 		return errors.New("injected validation failure")
 	}
@@ -237,19 +242,9 @@ func TestAsyncRefitValidationFailureSurfaces(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async refit: %d, want 202", resp.StatusCode)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		info := getInfo(t, ts)
-		if info.FailedRefits >= 1 {
-			if info.Generation != 0 {
-				t.Fatalf("generation advanced despite validation failure: %+v", info)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("async refit failure never surfaced on /info")
-		}
-		time.Sleep(10 * time.Millisecond)
+	logBuf.waitFor("refit rejected") // logged after the failure is recorded
+	if info := getInfo(t, ts); info.FailedRefits < 1 || info.Generation != 0 {
+		t.Fatalf("async refit failure not surfaced on /info: %+v", info)
 	}
 	s.Close()
 }

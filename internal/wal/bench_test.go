@@ -9,7 +9,7 @@ import (
 // group-commit batching effect itself needs parallel appenders; see
 // BenchmarkAppendParallel.
 func BenchmarkAppend(b *testing.B) {
-	for _, mode := range []FsyncMode{FsyncNever, FsyncGroup, FsyncAlways} {
+	for _, mode := range []FsyncMode{FsyncNever, FsyncGroup} {
 		b.Run(fmt.Sprintf("fsync=%s", mode), func(b *testing.B) {
 			w, err := Open(b.TempDir(), Options{Fsync: mode})
 			if err != nil {

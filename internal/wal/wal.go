@@ -15,12 +15,13 @@
 // of the log they cover.
 //
 // Durability. Append acknowledges according to the configured fsync mode:
-// FsyncAlways syncs every record, FsyncGroup batches concurrent appenders
-// behind one fsync (group commit: while the leader syncs, followers queue on
-// the sync mutex and usually find their LSN already covered when they get
-// it), and FsyncNever acknowledges after the write syscall (process-crash
-// safe, OS-crash lossy). Sealed segments are always fsynced at rotation, so
-// the group-commit fast path only ever needs to sync the active file.
+// FsyncGroup acknowledges a record once an fsync covers it, batching
+// concurrent appenders behind one fsync (group commit: while the leader
+// syncs, followers queue on the sync mutex and usually find their LSN
+// already covered when they get it), and FsyncNever acknowledges after the
+// write syscall (process-crash safe, OS-crash lossy). Sealed segments are
+// always fsynced at rotation, so the group-commit fast path only ever needs
+// to sync the active file.
 //
 // Recovery. Open scans every segment, verifying frame CRCs and LSN
 // continuity. A torn tail — an incomplete final frame, the footprint of a
@@ -80,11 +81,10 @@ var ErrFailed = errors.New("wal failed: partial frame could not be rolled back")
 type FsyncMode int
 
 const (
-	// FsyncGroup (the default) batches concurrent appenders behind a single
-	// fsync — the group-commit fast path.
+	// FsyncGroup (the default) acknowledges a record once an fsync covers
+	// it, batching concurrent appenders behind a single fsync — the
+	// group-commit fast path.
 	FsyncGroup FsyncMode = iota
-	// FsyncAlways syncs after every record before acknowledging.
-	FsyncAlways
 	// FsyncNever acknowledges after the write syscall: the record survives a
 	// process crash (it is in the page cache) but not an OS crash.
 	FsyncNever
@@ -95,24 +95,18 @@ func ParseFsyncMode(s string) (FsyncMode, error) {
 	switch s {
 	case "", "group":
 		return FsyncGroup, nil
-	case "always":
-		return FsyncAlways, nil
 	case "never", "off":
 		return FsyncNever, nil
 	default:
-		return 0, fmt.Errorf("wal: unknown fsync mode %q (want group, always or never)", s)
+		return 0, fmt.Errorf("wal: unknown fsync mode %q (want group or never)", s)
 	}
 }
 
 func (m FsyncMode) String() string {
-	switch m {
-	case FsyncAlways:
-		return "always"
-	case FsyncNever:
+	if m == FsyncNever {
 		return "never"
-	default:
-		return "group"
 	}
+	return "group"
 }
 
 // Options configures a log. Zero values take the documented defaults.
@@ -635,15 +629,13 @@ func (w *WAL) append(payload []byte) (uint64, error) {
 	if rotateErr != nil {
 		return 0, rotateErr
 	}
-	switch w.opt.Fsync {
-	case FsyncNever:
-		return lsn, nil
-	default:
-		if err := w.syncTo(lsn); err != nil {
-			return 0, err
-		}
+	if w.opt.Fsync == FsyncNever {
 		return lsn, nil
 	}
+	if err := w.syncTo(lsn); err != nil {
+		return 0, err
+	}
+	return lsn, nil
 }
 
 // rotateLocked seals the active segment — fsyncing it so the group-commit
@@ -726,8 +718,8 @@ func (w *WAL) Sync() error {
 func (w *WAL) LastLSN() uint64 { return w.written.Load() }
 
 // AckedLSN returns the highest LSN whose Append has been acknowledged
-// durable under the configured mode: the fsync horizon for FsyncAlways and
-// FsyncGroup, the write horizon for FsyncNever.
+// durable under the configured mode: the fsync horizon for FsyncGroup, the
+// write horizon for FsyncNever.
 func (w *WAL) AckedLSN() uint64 {
 	if w.opt.Fsync == FsyncNever {
 		return w.written.Load()

@@ -296,7 +296,7 @@ func TestAppendWriteFailureDoesNotCorrupt(t *testing.T) {
 }
 
 func TestFsyncModes(t *testing.T) {
-	for _, mode := range []FsyncMode{FsyncGroup, FsyncAlways, FsyncNever} {
+	for _, mode := range []FsyncMode{FsyncGroup, FsyncNever} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			w, err := Open(dir, Options{Fsync: mode})
@@ -322,15 +322,17 @@ func TestFsyncModes(t *testing.T) {
 
 func TestParseFsyncMode(t *testing.T) {
 	for in, want := range map[string]FsyncMode{
-		"": FsyncGroup, "group": FsyncGroup, "always": FsyncAlways, "never": FsyncNever, "off": FsyncNever,
+		"": FsyncGroup, "group": FsyncGroup, "never": FsyncNever, "off": FsyncNever,
 	} {
 		got, err := ParseFsyncMode(in)
 		if err != nil || got != want {
 			t.Fatalf("ParseFsyncMode(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := ParseFsyncMode("bogus"); err == nil {
-		t.Fatal("bogus mode accepted")
+	for _, in := range []string{"bogus", "always"} {
+		if _, err := ParseFsyncMode(in); err == nil {
+			t.Fatalf("unknown mode %q accepted", in)
+		}
 	}
 }
 
