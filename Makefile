@@ -44,7 +44,8 @@ bench-gate:
 # held differentially to encoding/json; the density and classifier snapshot
 # loaders must return an error or a model that scores without panicking; the
 # snapshot envelope decoder must fail as corruption or re-encode to exactly
-# the bytes it read.
+# the bytes it read; an SLO spec that parses must build an engine that
+# evaluates without panicking.
 # Inputs that once failed live in the package's testdata/fuzz/ corpus and
 # replay on every plain `go test`.
 fuzz-smoke:
@@ -52,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEstimatorLoad$$' -fuzztime=10s ./internal/gda/
 	$(GO) test -run '^$$' -fuzz '^FuzzClassifierLoad$$' -fuzztime=10s ./internal/nn/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime=10s ./internal/resilience/
+	$(GO) test -run '^$$' -fuzz '^FuzzSLOSpec$$' -fuzztime=10s ./internal/obs/slo/
 
 # perfbench-vet vets the benchmark module (perfbench/, its own Go module that
 # builds against this one through a replace directive), so an API change here

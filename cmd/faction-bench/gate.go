@@ -52,7 +52,7 @@ const (
 var gated = []struct{ pkg, bench string }{
 	{"internal/mat", "^Benchmark(MulInto|WhitenMahalanobis|WhitenMahalanobis32)$"},
 	{"internal/nn", "^Benchmark(LinearTrainStep|LogitsAndFeatures)$"},
-	{"internal/gda", "^Benchmark(GDAScoreBatch|GDAScoreBatchRaw|LogDensityBatch)$"},
+	{"internal/gda", "^Benchmark(GDAScoreBatch|GDAScoreBatchRaw|GDAScoreBatchRaw512d|LogDensityBatch|Fit4Comp64d|Fit4Comp512d)$"},
 	{"internal/obs", "^Benchmark(CounterInc|HistogramObserve|HistogramQuantile)$"},
 	{"internal/obs/history", "^BenchmarkSampleNow$"},
 	{"internal/obs/slo", "^BenchmarkEvaluate$"},

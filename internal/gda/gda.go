@@ -67,7 +67,11 @@ type Component struct {
 	Weight     float64 // prior p(y,s)
 	Degenerate bool    // true when the component fell back to pooled stats
 
+	// A component's covariance is held in one of two forms: chol, the
+	// Cholesky factor of the d×d covariance, or lowRank, its exact low-rank
+	// form (mat.LowRank), for components cheaper that way (lowRankCheaper).
 	chol        *mat.Cholesky
+	lowRank     *mat.LowRank
 	logNormBase float64 // −(d/2)·log(2π) − ½·log|Σ|
 	logWeight   float64 // log(Weight), precomputed by finalize
 	sIdx        int     // index of S in the estimator's SensValues
@@ -91,12 +95,14 @@ type Estimator struct {
 	// order would otherwise perturb the floating-point sum run to run) — the
 	// property the parallel-equals-serial ScoreBatch guarantee rests on.
 	ordered []*Component
-	// wstack holds the precomputed whitening (W_k = L_k⁻¹, m̃_k = W_k·μ_k) of
-	// every ordered component at the active precision: a
-	// *mat.WhitenedStack[float64] or *mat.WhitenedStack[float32], the operand
-	// of every density entry point's batch Mahalanobis pass. Derived from the
-	// Cholesky factor bits by buildStack, so Fit and a Load of its snapshot
-	// build bit-identical stacks.
+	// wstack holds the precomputed scoring operand of every ordered
+	// component at the active precision (the whitening W_k = L_k⁻¹,
+	// m̃_k = W_k·μ_k of a dense component, the basis, whitening and residual
+	// of a low-rank one): a *mat.WhitenedStack[float64] or
+	// *mat.WhitenedStack[float32], the operand of every density entry
+	// point's batch Mahalanobis pass. Derived from the factor bits by
+	// buildStack, so Fit and a Load of its snapshot build bit-identical
+	// stacks.
 	wstack interface {
 		MahalanobisInto(dst []float64, z *mat.Dense)
 	}
@@ -106,8 +112,8 @@ type Estimator struct {
 
 // finalize (re)builds the deterministic component ordering, the cached
 // per-component terms, and the whitened scoring stack. Called at the end of
-// Fit and Load — the snapshot persists only the Cholesky factors, and because
-// the whitening is deterministic in the factor bits, the Load-derived stack
+// Fit and Load — the snapshot persists only the factors, and because the
+// whitening is deterministic in the factor bits, the Load-derived stack
 // matches the Fit-derived one exactly.
 func (e *Estimator) finalize() {
 	sensIdx := make(map[int]int, len(e.SensValues))
@@ -210,12 +216,24 @@ func Fit(features *mat.Dense, y, s []int, classes int, sensValues []int, cfg Con
 			comp.Degenerate = true
 		} else {
 			comp.Mean = mat.MeanCols(sub)
-			cov = mat.Covariance(sub, comp.Mean, cfg.Ridge)
 			alpha := cfg.Shrinkage
 			if alpha < 0 {
 				// Automatic: few samples relative to d ⇒ lean on the pool.
 				alpha = math.Min(1, float64(d)/float64(len(idx)+1))
 			}
+			// An unshrunk covariance is a sample covariance plus the ridge,
+			// which the low-rank form holds exactly. Non-finite rows or a
+			// failed factorization fall through to the dense fit, which
+			// reports them.
+			if alpha == 0 && lowRankCheaper(len(idx), d) {
+				if lr, err := mat.NewLowRank(sub, comp.Mean, cfg.Ridge); err == nil {
+					comp.lowRank = lr
+					comp.logNormBase = -0.5*logTwoPi - 0.5*lr.LogDet()
+					e.comps[key] = comp
+					continue
+				}
+			}
+			cov = mat.Covariance(sub, comp.Mean, cfg.Ridge)
 			if alpha > 0 {
 				cov.Scale(1 - alpha)
 				mat.AddScaled(cov, alpha, pooled)
@@ -233,6 +251,28 @@ func Fit(features *mat.Dense, y, s []int, classes int, sensValues []int, cfg Con
 	e.TrainLogDensities = make([]float64, n)
 	e.LogDensityBatchInto(e.TrainLogDensities, features)
 	return e, nil
+}
+
+// lowRankCheaper reports whether a component of n rows at dimension d takes
+// the low-rank form. It compares the multiply-adds of the fit's own work on
+// the component, forming its factor and scoring its n rows, in the two
+// forms (r = min(n−1, d)):
+//
+//	dense     d³/3 + n·d²/2 + n·d²/2      Cholesky and inverse, covariance, rows
+//	low rank  2n·r·d + n·r²/2 + r³/3      Gram–Schmidt twice, S, its factor and inverse
+//	          + n·(2r·d + r²/2 + d)       rows: projection, triangle, residual
+//
+// With r ≈ n this picks low rank below r ≈ 0.4·d: at d = 512 every
+// component of at most 206 rows, at d = 64 of at most 26. Scoring alone
+// breaks even near r ≈ d/4, so a component between the two scores later
+// batches a little slower than dense would, and the fit more than pays for
+// that (DESIGN.md §16).
+func lowRankCheaper(n, d int) bool {
+	nf, df := float64(n), float64(d)
+	r := float64(min(n-1, d))
+	dense := df*df*df/3 + nf*df*df
+	low := 2*nf*r*df + nf*r*r/2 + r*r*r/3 + nf*(2*r*df+r*r/2+df)
+	return low < dense
 }
 
 // FitClassOnly builds the class-conditional mixture of the DDU baseline:

@@ -9,6 +9,17 @@ import (
 
 func fitFixture(t testing.TB, n, d, classes int, sens []int) (*Estimator, *mat.Dense) {
 	t.Helper()
+	f, y, s := fixtureData(n, d, classes, sens)
+	e, err := Fit(f, y, s, classes, sens, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, f
+}
+
+// fixtureData is fitFixture's input: n Gaussian rows at dimension d with
+// random labels and sensitive values.
+func fixtureData(n, d, classes int, sens []int) (*mat.Dense, []int, []int) {
 	rng := rand.New(rand.NewSource(17))
 	f := mat.NewDense(n, d)
 	for i := range f.Data {
@@ -20,32 +31,29 @@ func fitFixture(t testing.TB, n, d, classes int, sens []int) (*Estimator, *mat.D
 		y[i] = rng.Intn(classes)
 		s[i] = sens[rng.Intn(len(sens))]
 	}
-	e, err := Fit(f, y, s, classes, sens, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, f
+	return f, y, s
 }
 
 // Property: ScoreBatch sharded across the worker pool is bit-identical to the
-// serial evaluation, for both the two-group and the multi-valued estimator
-// and for batches smaller than the shard grain.
+// serial evaluation, for both the two-group and the multi-valued estimator,
+// for batches smaller than the shard grain and for low-rank components.
 func TestScoreBatchParallelBitIdentical(t *testing.T) {
 	old := mat.Parallelism()
 	defer mat.SetParallelism(old)
 	for _, tc := range []struct {
 		name    string
-		n       int
+		n, d    int
 		classes int
 		sens    []int
 	}{
-		{"two-group", 100, 2, []int{-1, 1}},
-		{"multi-valued", 90, 3, []int{0, 1, 2}},
-		{"class-only", 60, 2, []int{0}},
-		{"below-grain", scoreBatchMinGrain - 1, 2, []int{-1, 1}},
+		{"two-group", 100, 6, 2, []int{-1, 1}},
+		{"multi-valued", 90, 6, 3, []int{0, 1, 2}},
+		{"class-only", 60, 6, 2, []int{0}},
+		{"below-grain", scoreBatchMinGrain - 1, 6, 2, []int{-1, 1}},
+		{"low-rank", 60, 48, 2, []int{-1, 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, f := fitFixture(t, tc.n, 6, tc.classes, tc.sens)
+			e, f := fitFixture(t, tc.n, tc.d, tc.classes, tc.sens)
 			mat.SetParallelism(1)
 			serial := e.ScoreBatch(f)
 			mat.SetParallelism(4)

@@ -2,8 +2,10 @@ package gda
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"faction/internal/mat"
 	"faction/internal/resilience"
@@ -42,12 +44,51 @@ type componentSnapshot struct {
 	LogNormBase float64
 }
 
+// lowRankSnapshot is the version-3 wire format, written when the estimator
+// has a low-rank component: estimatorSnapshot's fields, with components that
+// may carry a basis. An all-dense estimator keeps writing estimatorSnapshot,
+// so its bytes do not change. Load decodes every version into this type
+// (gob matches fields by name, so a v1 or v2 stream fills the fields it
+// has).
+type lowRankSnapshot struct {
+	Version    int
+	Dim        int
+	Classes    int
+	SensValues []int
+	TrainLDs   []float64
+	Precision  string
+	Comps      []lowRankComponentSnapshot
+}
+
+// lowRankComponentSnapshot is componentSnapshot plus the low-rank form. For
+// a LowRank component Factor (Factor32 at f32, packed) is the Rank×Rank
+// factor L_S of S + ρI, Basis (Basis32) the Rank×Dim basis Q row major, and
+// Ridge ρ; for a dense one the low-rank fields are empty.
+type lowRankComponentSnapshot struct {
+	Y, S        int
+	N           int
+	Mean        []float64
+	Weight      float64
+	Degenerate  bool
+	Factor      []float64
+	Mean32      []float32
+	Factor32    []float32
+	LogNormBase float64
+	LowRank     bool
+	Rank        int
+	Basis       []float64
+	Basis32     []float32
+	Ridge       float64
+}
+
 // snapshotVersion is written for float64 payloads (byte-compatible with every
-// previously persisted snapshot); snapshotVersionF32 for float32 payloads.
-// Load accepts both.
+// previously persisted snapshot); snapshotVersionF32 for float32 payloads;
+// snapshotVersionLowRank, at either precision, when a component is low rank.
+// Load accepts all three.
 const (
-	snapshotVersion    = 1
-	snapshotVersionF32 = 2
+	snapshotVersion        = 1
+	snapshotVersionF32     = 2
+	snapshotVersionLowRank = 3
 )
 
 // maxSnapshotCells bounds Classes × len(SensValues) in a loaded snapshot.
@@ -56,14 +97,16 @@ const (
 // of memory from the first scored batch.
 const maxSnapshotCells = 1 << 16
 
-// Save serializes the fitted estimator to w. An estimator scoring at
-// PrecisionF32 persists float32 component payloads: what is saved is exactly
-// what the f32 kernel streams (the stack is derived from f32-rounded factor
-// and mean bits), so Load rebuilds a bit-identical f32 whitening stack and
-// identical log densities.
+// Save serializes the fitted estimator to w, components in (Y, S) order. An
+// estimator scoring at PrecisionF32 persists float32 component payloads:
+// what is saved is exactly what the f32 kernel streams (the stack is
+// derived from f32-rounded factor, basis and mean bits), so Load rebuilds a
+// bit-identical f32 whitening stack and identical log densities. An
+// all-dense estimator writes version 1 or 2, byte for byte as before low-rank
+// components existed; one with a low-rank component writes version 3.
 func (e *Estimator) Save(w io.Writer) error {
 	f32 := e.precision == PrecisionF32
-	snap := estimatorSnapshot{
+	snap := lowRankSnapshot{
 		Version:    snapshotVersion,
 		Dim:        e.Dim,
 		Classes:    e.Classes,
@@ -74,23 +117,50 @@ func (e *Estimator) Save(w io.Writer) error {
 	if f32 {
 		snap.Version = snapshotVersionF32
 	}
-	for _, c := range e.comps {
-		cs := componentSnapshot{
+	for _, c := range e.ordered {
+		cs := lowRankComponentSnapshot{
 			Y: c.Y, S: c.S, N: c.N,
 			Weight:      c.Weight,
 			Degenerate:  c.Degenerate,
 			LogNormBase: c.logNormBase,
 		}
+		var factor []float64
+		n := e.Dim
+		if c.lowRank != nil {
+			snap.Version = snapshotVersionLowRank
+			cs.LowRank, cs.Rank, cs.Ridge = true, c.lowRank.Rank(), c.lowRank.Ridge()
+			if f32 {
+				cs.Basis32 = roundSlice32(c.lowRank.Basis().Data)
+			} else {
+				cs.Basis = append([]float64(nil), c.lowRank.Basis().Data...)
+			}
+			factor, n = c.lowRank.L().Data, cs.Rank
+		} else {
+			factor = c.chol.L().Data
+		}
 		if f32 {
 			cs.Mean32 = roundSlice32(c.Mean)
-			cs.Factor32 = packLowerTri32(c.chol.L().Data, e.Dim)
+			cs.Factor32 = packLowerTri32(factor, n)
 		} else {
 			cs.Mean = append([]float64(nil), c.Mean...)
-			cs.Factor = append([]float64(nil), c.chol.L().Data...)
+			cs.Factor = append([]float64(nil), factor...)
 		}
 		snap.Comps = append(snap.Comps, cs)
 	}
-	return gob.NewEncoder(w).Encode(snap)
+	if snap.Version == snapshotVersionLowRank {
+		return gob.NewEncoder(w).Encode(snap)
+	}
+	dense := estimatorSnapshot{
+		Version: snap.Version, Dim: snap.Dim, Classes: snap.Classes, SensValues: snap.SensValues,
+		TrainLDs: snap.TrainLDs, Precision: snap.Precision,
+	}
+	for _, cs := range snap.Comps {
+		dense.Comps = append(dense.Comps, componentSnapshot{
+			Y: cs.Y, S: cs.S, N: cs.N, Mean: cs.Mean, Weight: cs.Weight, Degenerate: cs.Degenerate,
+			Factor: cs.Factor, Mean32: cs.Mean32, Factor32: cs.Factor32, LogNormBase: cs.LogNormBase,
+		})
+	}
+	return gob.NewEncoder(w).Encode(dense)
 }
 
 func roundSlice32(v []float64) []float32 {
@@ -160,15 +230,19 @@ func LoadFile(path string) (*Estimator, error) {
 
 // Load reconstructs an estimator saved with Save. Densities match the saved
 // model exactly: an f64 snapshot rebuilds the f64 whitening stack bit for
-// bit, and an f32 snapshot rebuilds the f32 stack bit for bit (the factor and
-// mean widen from float32 exactly, and the stack derivation rounds them right
-// back). The loaded estimator's scoring precision matches the payload.
+// bit, and an f32 snapshot rebuilds the f32 stack bit for bit (the factor,
+// basis and mean widen from float32 exactly, and the stack derivation rounds
+// them right back). The loaded estimator's scoring precision matches the
+// payload. Load rejects, naming the component, a weight outside (0, 1], a
+// non-finite log-normaliser, mean, factor or basis entry, a low-rank basis
+// with more rows than Dim or not orthonormal within mat.LowRankOrthoTol, and
+// NaN training log-densities.
 func Load(r io.Reader) (*Estimator, error) {
-	var snap estimatorSnapshot
+	var snap lowRankSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("gda: decoding estimator: %w", err)
 	}
-	if snap.Version != snapshotVersion && snap.Version != snapshotVersionF32 {
+	if snap.Version < snapshotVersion || snap.Version > snapshotVersionLowRank {
 		return nil, fmt.Errorf("gda: unsupported snapshot version %d", snap.Version)
 	}
 	prec, err := ParsePrecision(snap.Precision)
@@ -185,6 +259,11 @@ func Load(r io.Reader) (*Estimator, error) {
 	if snap.Classes > maxSnapshotCells/len(snap.SensValues) {
 		return nil, fmt.Errorf("gda: snapshot has %d classes × %d sensitive values, more than %d cells",
 			snap.Classes, len(snap.SensValues), maxSnapshotCells)
+	}
+	for i, v := range snap.TrainLDs {
+		if math.IsNaN(v) {
+			return nil, fmt.Errorf("gda: training log-density %d is NaN", i)
+		}
 	}
 	e := &Estimator{
 		Dim:               snap.Dim,
@@ -205,41 +284,89 @@ func Load(r io.Reader) (*Estimator, error) {
 		if !sensIdx[cs.S] {
 			return nil, fmt.Errorf("gda: component %d sensitive value %d not in %v", i, cs.S, snap.SensValues)
 		}
-		mean, factor := cs.Mean, cs.Factor
-		if prec == PrecisionF32 {
-			if len(cs.Mean) != 0 || len(cs.Factor) != 0 {
-				return nil, fmt.Errorf("gda: component %d carries float64 fields in an f32 snapshot", i)
-			}
-			if want := snap.Dim * (snap.Dim + 1) / 2; len(cs.Factor32) != want {
-				return nil, fmt.Errorf("gda: component %d packed factor has %d values, want %d", i, len(cs.Factor32), want)
-			}
-			mean, factor = widenSlice64(cs.Mean32), unpackLowerTri64(cs.Factor32, snap.Dim)
-		} else if len(cs.Mean32) != 0 || len(cs.Factor32) != 0 {
-			return nil, fmt.Errorf("gda: component %d carries float32 fields in an f64 snapshot", i)
-		}
-		if len(mean) != snap.Dim {
-			return nil, fmt.Errorf("gda: component %d mean has %d values, want %d", i, len(mean), snap.Dim)
-		}
-		if len(factor) != snap.Dim*snap.Dim {
-			return nil, fmt.Errorf("gda: component %d factor has %d values, want %d", i, len(factor), snap.Dim*snap.Dim)
-		}
-		ch, err := mat.CholeskyFromFactor(mat.NewDenseData(snap.Dim, snap.Dim, factor))
+		c, err := loadComponent(&cs, snap.Dim, prec)
 		if err != nil {
-			return nil, fmt.Errorf("gda: component %d: %w", i, err)
+			return nil, fmt.Errorf("gda: component %d (y=%d,s=%d): %w", i, cs.Y, cs.S, err)
 		}
 		key := [2]int{cs.Y, cs.S}
 		if _, dup := e.comps[key]; dup {
 			return nil, fmt.Errorf("gda: duplicate component (y=%d,s=%d)", cs.Y, cs.S)
 		}
-		e.comps[key] = &Component{
-			Y: cs.Y, S: cs.S, N: cs.N,
-			Mean:        mean,
-			Weight:      cs.Weight,
-			Degenerate:  cs.Degenerate,
-			chol:        ch,
-			logNormBase: cs.LogNormBase,
-		}
+		e.comps[key] = c
 	}
 	e.finalize()
 	return e, nil
+}
+
+// loadComponent validates one component's payload and rebuilds it.
+func loadComponent(cs *lowRankComponentSnapshot, d int, prec Precision) (*Component, error) {
+	if !(cs.Weight > 0 && cs.Weight <= 1) {
+		return nil, fmt.Errorf("weight %g outside (0, 1]", cs.Weight)
+	}
+	if math.IsNaN(cs.LogNormBase) || math.IsInf(cs.LogNormBase, 0) {
+		return nil, fmt.Errorf("log-normaliser %g", cs.LogNormBase)
+	}
+	if !cs.LowRank && (cs.Rank != 0 || cs.Ridge != 0 || len(cs.Basis) != 0 || len(cs.Basis32) != 0) {
+		return nil, errors.New("dense component carries low-rank fields")
+	}
+	// n is the factor's order: Dim for a dense component, the rank for a
+	// low-rank one.
+	n := d
+	if cs.LowRank {
+		if cs.Rank < 0 || cs.Rank > d {
+			return nil, fmt.Errorf("rank %d outside [0, %d]", cs.Rank, d)
+		}
+		n = cs.Rank
+	}
+	mean, factor, basis := cs.Mean, cs.Factor, cs.Basis
+	if prec == PrecisionF32 {
+		if len(cs.Mean) != 0 || len(cs.Factor) != 0 || len(cs.Basis) != 0 {
+			return nil, errors.New("float64 fields in an f32 snapshot")
+		}
+		if len(cs.Mean32) != d {
+			return nil, fmt.Errorf("mean has %d values, want %d", len(cs.Mean32), d)
+		}
+		if want := n * (n + 1) / 2; len(cs.Factor32) != want {
+			return nil, fmt.Errorf("packed factor has %d values, want %d", len(cs.Factor32), want)
+		}
+		mean, factor, basis = widenSlice64(cs.Mean32), unpackLowerTri64(cs.Factor32, n), widenSlice64(cs.Basis32)
+	} else if len(cs.Mean32) != 0 || len(cs.Factor32) != 0 || len(cs.Basis32) != 0 {
+		return nil, errors.New("float32 fields in an f64 snapshot")
+	}
+	if len(mean) != d {
+		return nil, fmt.Errorf("mean has %d values, want %d", len(mean), d)
+	}
+	for j, v := range mean {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("mean entry %d = %g", j, v)
+		}
+	}
+	if len(factor) != n*n {
+		return nil, fmt.Errorf("factor has %d values, want %d", len(factor), n*n)
+	}
+	for j, v := range factor {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("factor entry (%d,%d) = %g", j/n, j%n, v)
+		}
+	}
+	c := &Component{
+		Y: cs.Y, S: cs.S, N: cs.N,
+		Mean:        mean,
+		Weight:      cs.Weight,
+		Degenerate:  cs.Degenerate,
+		logNormBase: cs.LogNormBase,
+	}
+	var err error
+	if cs.LowRank {
+		if len(basis) != n*d {
+			return nil, fmt.Errorf("basis has %d values, want %d×%d", len(basis), n, d)
+		}
+		c.lowRank, err = mat.LowRankFromFactors(mat.NewDenseData(n, d, basis), mat.NewDenseData(n, n, factor), cs.Ridge)
+	} else {
+		c.chol, err = mat.CholeskyFromFactor(mat.NewDenseData(n, n, factor))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -79,8 +80,22 @@ func goodSnapshot() estimatorSnapshot {
 	}
 }
 
-// badSnapshots returns corruptions of goodSnapshot that Load must reject.
-func badSnapshots() map[string]estimatorSnapshot {
+// goodLowRankSnapshot is a valid version-3 snapshot at Dim 2 with one
+// low-rank component of rank 1.
+func goodLowRankSnapshot() lowRankSnapshot {
+	return lowRankSnapshot{
+		Version: snapshotVersionLowRank, Dim: 2, Classes: 2, SensValues: []int{-1, 1},
+		Comps: []lowRankComponentSnapshot{{
+			Y: 0, S: 1, N: 2, Mean: []float64{0, 0}, Weight: 1,
+			Factor: []float64{1}, LogNormBase: -1,
+			LowRank: true, Rank: 1, Basis: []float64{1, 0}, Ridge: 1e-6,
+		}},
+	}
+}
+
+// badSnapshots returns corruptions of goodSnapshot and goodLowRankSnapshot
+// that Load must reject.
+func badSnapshots() map[string]any {
 	cases := map[string]func(*estimatorSnapshot){
 		"bad version":    func(s *estimatorSnapshot) { s.Version = 9 },
 		"bad dim":        func(s *estimatorSnapshot) { s.Dim = 0 },
@@ -93,17 +108,45 @@ func badSnapshots() map[string]estimatorSnapshot {
 		"dup component": func(s *estimatorSnapshot) {
 			s.Comps = append(s.Comps, s.Comps[0])
 		},
+		"nan weight":           func(s *estimatorSnapshot) { s.Comps[0].Weight = math.NaN() },
+		"negative weight":      func(s *estimatorSnapshot) { s.Comps[0].Weight = -1 },
+		"weight above one":     func(s *estimatorSnapshot) { s.Comps[0].Weight = 1.5 },
+		"inf log-normaliser":   func(s *estimatorSnapshot) { s.Comps[0].LogNormBase = math.Inf(1) },
+		"nan mean":             func(s *estimatorSnapshot) { s.Comps[0].Mean = []float64{math.NaN(), 0} },
+		"inf factor entry":     func(s *estimatorSnapshot) { s.Comps[0].Factor = []float64{1, 0, math.Inf(1), 1} },
+		"nan training density": func(s *estimatorSnapshot) { s.TrainLDs = []float64{-1, math.NaN()} },
 	}
-	out := make(map[string]estimatorSnapshot, len(cases))
+	lowRank := map[string]func(*lowRankSnapshot){
+		"v3 rank above dim": func(s *lowRankSnapshot) {
+			c := &s.Comps[0]
+			c.Rank, c.Basis, c.Factor = 3, make([]float64, 6), []float64{1, 0, 0, 0, 1, 0, 0, 0, 1}
+		},
+		"v3 basis not orthonormal": func(s *lowRankSnapshot) { s.Comps[0].Basis = []float64{1, 0.1} },
+		"v3 nan basis":             func(s *lowRankSnapshot) { s.Comps[0].Basis = []float64{math.NaN(), 0} },
+		"v3 short basis":           func(s *lowRankSnapshot) { s.Comps[0].Basis = []float64{1} },
+		"v3 zero ridge":            func(s *lowRankSnapshot) { s.Comps[0].Ridge = 0 },
+		"v3 inf factor":            func(s *lowRankSnapshot) { s.Comps[0].Factor = []float64{math.Inf(1)} },
+		"v3 nan mean":              func(s *lowRankSnapshot) { s.Comps[0].Mean = []float64{0, math.NaN()} },
+		"v3 nan weight":            func(s *lowRankSnapshot) { s.Comps[0].Weight = math.NaN() },
+		"v3 dense with basis": func(s *lowRankSnapshot) {
+			s.Comps[0].LowRank, s.Comps[0].Factor = false, []float64{1, 0, 0, 1}
+		},
+	}
+	out := make(map[string]any, len(cases)+len(lowRank))
 	for name, corrupt := range cases {
 		snap := goodSnapshot()
+		corrupt(&snap)
+		out[name] = snap
+	}
+	for name, corrupt := range lowRank {
+		snap := goodLowRankSnapshot()
 		corrupt(&snap)
 		out[name] = snap
 	}
 	return out
 }
 
-func encodeSnapshot(t testing.TB, snap estimatorSnapshot) *bytes.Buffer {
+func encodeSnapshot(t testing.TB, snap any) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
@@ -118,28 +161,36 @@ func TestEstimatorLoadBadSnapshots(t *testing.T) {
 			t.Fatalf("%s: expected error", name)
 		}
 	}
-	// The uncorrupted snapshot loads fine.
+	// The uncorrupted snapshots load fine.
 	if _, err := Load(encodeSnapshot(t, goodSnapshot())); err != nil {
 		t.Fatalf("control snapshot failed: %v", err)
+	}
+	if _, err := Load(encodeSnapshot(t, goodLowRankSnapshot())); err != nil {
+		t.Fatalf("control v3 snapshot failed: %v", err)
 	}
 }
 
 // FuzzEstimatorLoad: Load of arbitrary bytes either fails or returns an
 // estimator that scores a batch of all-zero rows without panicking. Load feeds
-// factor bits from outside the program through CholeskyFromFactor and the
-// whitening inverse. Seeds: Save output at both precisions and the snapshots
-// of TestEstimatorLoadBadSnapshots.
+// factor and basis bits from outside the program through CholeskyFromFactor,
+// LowRankFromFactors and the whitening inverse. Seeds: Save output at both
+// precisions of a dense (versions 1 and 2) and a low-rank (version 3)
+// estimator, and the snapshots of TestEstimatorLoadBadSnapshots.
 func FuzzEstimatorLoad(f *testing.F) {
-	e, _ := fitFixture(f, 40, 3, 2, []int{-1, 1})
-	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
-		e.SetPrecision(p)
-		var buf bytes.Buffer
-		if err := e.Save(&buf); err != nil {
-			f.Fatal(err)
+	dense, _ := fitFixture(f, 40, 3, 2, []int{-1, 1})
+	lowRank, _ := fitFixture(f, 16, 16, 2, []int{-1, 1})
+	for _, e := range []*Estimator{dense, lowRank} {
+		for _, p := range []Precision{PrecisionF64, PrecisionF32} {
+			e.SetPrecision(p)
+			var buf bytes.Buffer
+			if err := e.Save(&buf); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
 		}
-		f.Add(buf.Bytes())
 	}
 	f.Add(encodeSnapshot(f, goodSnapshot()).Bytes())
+	f.Add(encodeSnapshot(f, goodLowRankSnapshot()).Bytes())
 	for _, snap := range badSnapshots() {
 		f.Add(encodeSnapshot(f, snap).Bytes())
 	}

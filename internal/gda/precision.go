@@ -64,9 +64,10 @@ func (e *Estimator) SetPrecision(p Precision) {
 }
 
 // buildStack derives the whitened stack at the active precision from the
-// ordered components. mat.WhitenedStack.AddFactor rounds each factor and mean
-// to the stack's width before deriving W and m̃, so a stack built here at fit
-// time is bit-identical to one rebuilt from a snapshot of that precision.
+// ordered components. mat.WhitenedStack.AddFactor and AddLowRank round each
+// factor, basis and mean to the stack's width before deriving the operand,
+// so a stack built here at fit time is bit-identical to one rebuilt from a
+// snapshot of that precision.
 func (e *Estimator) buildStack() {
 	if e.precision == PrecisionF32 {
 		e.wstack = newStack[float32](e.Dim, e.ordered)
@@ -78,7 +79,11 @@ func (e *Estimator) buildStack() {
 func newStack[T float32 | float64](d int, comps []*Component) *mat.WhitenedStack[T] {
 	s := mat.NewWhitenedStack[T](d)
 	for _, c := range comps {
-		s.AddFactor(c.chol, c.Mean)
+		if c.lowRank != nil {
+			s.AddLowRank(c.lowRank, c.Mean)
+		} else {
+			s.AddFactor(c.chol, c.Mean)
+		}
 	}
 	return s
 }

@@ -52,6 +52,7 @@ func TestF32DensityMatchesF64NoArgmaxFlips(t *testing.T) {
 		{"multi-valued", 120, 7, 3, []int{0, 1, 2}, 1e-3},
 		{"class-only", 90, 16, 2, []int{0}, 1e-3},
 		{"near-singular", 20, 16, 2, []int{-1, 1}, 5e-2}, // n ≈ d: shrinkage + ridge rescue
+		{"low-rank", 60, 48, 2, []int{-1, 1}, 1e-3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, f := fitFixture(t, tc.n, tc.d, tc.classes, tc.sens)

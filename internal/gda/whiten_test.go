@@ -10,8 +10,8 @@ import (
 )
 
 // logPDFSolve is log N(z; μ_c, Σ_c) with the Mahalanobis term computed by
-// forward substitution on the component's Cholesky factor, one row at a
-// time: the package's reference for the whitened scoring path.
+// forward substitution on a dense Cholesky factor, one row at a time: the
+// package's reference for the whitened scoring path.
 func logPDFSolve(c *Component, z []float64) float64 {
 	d, l := len(z), c.chol.L().Data
 	y := make([]float64, d)
@@ -25,29 +25,76 @@ func logPDFSolve(c *Component, z []float64) float64 {
 	return c.logNormBase - 0.5*mat.Dot(y, y)
 }
 
+// denseReference returns, for every component of e, its dense form: the
+// component itself when it is dense, and for a low-rank one the dense fit of
+// the same rows (covariance, ridge, Cholesky factor and log-normaliser, as
+// Fit computes them for a dense component) — the reference the low-rank
+// form must match.
+func denseReference(t *testing.T, e *Estimator, f *mat.Dense, y, s []int) map[*Component]*Component {
+	t.Helper()
+	ref := map[*Component]*Component{}
+	for _, c := range e.ordered {
+		if c.lowRank == nil {
+			ref[c] = c
+			continue
+		}
+		var rows [][]float64
+		for i := range y {
+			if y[i] == c.Y && s[i] == c.S {
+				rows = append(rows, f.Row(i))
+			}
+		}
+		ch, err := mat.NewCholesky(mat.Covariance(mat.FromRows(rows), c.Mean, c.lowRank.Ridge()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[c] = &Component{Mean: c.Mean, chol: ch,
+			logNormBase: -0.5*float64(e.Dim)*math.Log(2*math.Pi) - 0.5*ch.LogDet()}
+	}
+	return ref
+}
+
 // Differential test of the whitened scoring path against the triangular-solve
-// reference: every density entry point must agree with the log-sum-exp of
-// logPDFSolve terms under relative tolerance (bit-equality is deliberately
-// NOT the contract — the two paths order the same products differently; see
-// DESIGN.md §12).
+// reference on dense factors: every density entry point must agree with the
+// log-sum-exp of logPDFSolve terms under relative tolerance (bit-equality is
+// deliberately NOT the contract — the two paths order the same products
+// differently; see DESIGN.md §12). Low-rank components (some of
+// near-singular's, all of paper-width's) are held to the dense fit of their
+// rows under the same tolerance.
 func TestWhitenedDensityMatchesSolveReference(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		n, d    int
 		classes int
 		sens    []int
+		lowRank bool
 	}{
-		{"two-group", 140, 12, 2, []int{-1, 1}},
-		{"multi-valued", 120, 7, 3, []int{0, 1, 2}},
-		{"class-only", 90, 16, 2, []int{0}},
-		{"near-singular", 20, 16, 2, []int{-1, 1}}, // n ≈ d: shrinkage + ridge rescue
+		{"two-group", 140, 12, 2, []int{-1, 1}, false},
+		{"multi-valued", 120, 7, 3, []int{0, 1, 2}, false},
+		{"class-only", 90, 16, 2, []int{0}, false},
+		{"near-singular", 20, 16, 2, []int{-1, 1}, true}, // n ≈ d: 3–8 rows per component
+		{"paper-width", 120, 512, 2, []int{-1, 1}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, f := fitFixture(t, tc.n, tc.d, tc.classes, tc.sens)
+			f, y, s := fixtureData(tc.n, tc.d, tc.classes, tc.sens)
+			e, err := Fit(f, y, s, tc.classes, tc.sens, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lowRank := 0
+			for _, c := range e.ordered {
+				if c.lowRank != nil {
+					lowRank++
+				}
+			}
+			if (lowRank > 0) != tc.lowRank {
+				t.Fatalf("%d of %d components low rank, want some: %v", lowRank, len(e.ordered), tc.lowRank)
+			}
+			ref := denseReference(t, e, f, y, s)
 			terms := make([]float64, len(e.ordered))
 			for i := 0; i < f.Rows; i++ {
 				for j, c := range e.ordered {
-					terms[j] = c.logWeight + logPDFSolve(c, f.Row(i))
+					terms[j] = c.logWeight + logPDFSolve(ref[c], f.Row(i))
 				}
 				want := mat.LogSumExp(terms)
 				got := e.LogDensity(f.Row(i))
@@ -58,7 +105,7 @@ func TestWhitenedDensityMatchesSolveReference(t *testing.T) {
 			// Conditional densities against the per-component solve.
 			for _, c := range e.ordered {
 				for i := 0; i < 5; i++ {
-					want := logPDFSolve(c, f.Row(i))
+					want := logPDFSolve(ref[c], f.Row(i))
 					got := e.LogCondDensity(f.Row(i), c.Y, c.S)
 					if rel := math.Abs(got-want) / (1 + math.Abs(want)); rel > 1e-9 {
 						t.Fatalf("row %d comp (%d,%d): whitened %v vs solve %v (rel %g)",

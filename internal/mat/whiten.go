@@ -3,6 +3,7 @@ package mat
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 )
 
 // Whitened batch Mahalanobis scoring.
@@ -17,7 +18,10 @@ import (
 // factors becomes K packed triangular matmuls fused with a per-row
 // squared-distance reduction — the shape the packed kernel eats. A
 // WhitenedStack holds those precomputed factors; MahalanobisInto evaluates a
-// whole batch against all of them.
+// whole batch against all of them. A factor held in low-rank form (LowRank:
+// a basis of the component's rows plus the ridge) runs the same kernel
+// three times: project on the basis, whiten the projection, and add the
+// residual off the basis.
 //
 // The stack stores W and m̃ at width T, float64 or float32. Halving the width
 // halves the bytes a pass streams, and the kernel is memory-bandwidth bound
@@ -30,8 +34,8 @@ import (
 // row (8 float64 or 16 float32 lanes) are transposed into a column-major tile
 // (tile[r·lanes+lane] = z_lane[r]) so the inner kernel reads one W element and
 // feeds all lanes — on amd64 with AVX2+FMA a single broadcast and two fused
-// multiply-adds per W element (whiten*_amd64.s), and a lane-unrolled pure-Go
-// kernel everywhere else. Lanes are fully independent: a row's result depends
+// multiply-adds per W element, four output rows sharing each tile load at
+// float64 (whiten*_amd64.s), and a portable Go kernel everywhere else. Lanes are fully independent: a row's result depends
 // only on its own tile column, never on which rows share the block (padding
 // lanes are zero-filled), so per-row outputs are bit-identical whatever the
 // batch composition, block grouping, or shard layout — the property the
@@ -49,11 +53,20 @@ const whitenTileBytes = 64
 // output buffer at either width.
 const maxWhitenLanes = whitenTileBytes / 4
 
-// whitenKernel scores one lane tile against one factor: q[lane] is
-// Σ_j (u_j − m̃_j)² with u_j = Σ_{r≤j} W[j,r]·tile[r·lanes+lane], for every lane
-// of the tile. Each width has a portable Go kernel and, on amd64, an
-// assembly one; NewWhitenedStack picks one per stack.
-type whitenKernel[T float32 | float64] func(q *[maxWhitenLanes]float64, tile, w, mtil []T, d int)
+// whitenKernel is the one lane kernel every pass runs: for each of rows
+// output rows j of the operand a (row stride cols) and every lane of the
+// tile,
+//
+//	u_j = init[j·lanes+lane] + Σ_{c<ext_j} a[j·cols+c]·tile[c·lanes+lane]
+//	t_j = u_j − m[j],  q[lane] = Σ_j t_j²,  out[j·lanes+lane] = t_j,
+//
+// where ext_j is j+1 when tri (a lower triangle, rows = cols) and cols
+// otherwise, init counts as 0 when empty, and out is written only when
+// non-empty. Each u_j adds its products in ascending c and q its squares in
+// ascending j. The matvec runs at width T and the reduction in float64. Each
+// width has a portable Go kernel and, on amd64, an assembly one; the stack
+// picks one when it is made.
+type whitenKernel[T float32 | float64] func(q *[maxWhitenLanes]float64, tile, a, m, init, out []T, rows, cols int, tri bool)
 
 // invLowerInto fills w (n×n row major) with the inverse of the
 // lower-triangular factor l, one row at a time:
@@ -109,19 +122,38 @@ func invLowerRow(w, l []float64, n, from, r int) {
 	}
 }
 
-// WhitenedStack is a packed stack of K whitening factors (W_k = L_k⁻¹, row
-// major, lower triangular) and whitened means m̃_k = W_k·μ_k stored at width
-// T, ready for batch Mahalanobis evaluation against every factor at once.
-// Build it once per fit (or snapshot load) with AddFactor; it is immutable
+// WhitenedStack is a stack of K factors stored at width T, ready for batch
+// Mahalanobis evaluation against every factor at once. Each factor is a
+// whitenOperand: a dense factor (AddFactor) is the d×d triangle W = L⁻¹, a
+// low-rank one (AddLowRank) an r×d basis projection, an r×r triangle and a
+// residual term. Build it once per fit (or snapshot load); it is immutable
 // afterwards and safe for concurrent MahalanobisInto calls.
 type WhitenedStack[T float32 | float64] struct {
-	d, k   int
-	lanes  int             // rows per lane block: one 64-byte tile row of T
-	kernel whitenKernel[T] // chosen once, by NewWhitenedStack
-	w      []T             // k panels of d×d row-major W
-	mtil   []T             // k rows of m̃
-	jobs   sync.Pool       // *whitenJob[T]
-	tiles  sync.Pool       // *tileScratch[T] sized for this stack
+	d, k    int
+	lanes   int             // rows per lane block: one 64-byte tile row of T
+	kernel  whitenKernel[T] // chosen once, by NewWhitenedStack
+	ops     []whitenOperand[T]
+	maxRank int       // widest low-rank basis: the projection tile's rows
+	jobs    sync.Pool // *whitenJob[T]
+	tiles   sync.Pool // *tileScratch[T] sized for this stack
+}
+
+// whitenOperand is one stacked factor: an r-row lower-triangular whitening
+// W with whitened mean m̃, scored as ‖W·x − m̃‖². For a dense factor r = d,
+// x = z and the basis is the identity, so no projection runs and there is
+// no residual term. For a low-rank factor x = Q(z − μ), the projection of
+// the centred row on the basis Q, so m̃ = 0, and the distance adds the
+// residual ‖(z − μ) − Qᵀx‖² / ρ.
+type whitenOperand[T float32 | float64] struct {
+	r    int
+	w    []T // r×r row-major W (lower triangular)
+	mtil []T // m̃, r values
+	// Low-rank factors only (basis != nil).
+	basis []T // Q, r×d row major
+	qmu   []T // Q·μ, r values
+	negQt []T // −Qᵀ, d×r row major
+	mean  []T // μ, d values
+	ridge float64
 }
 
 // NewWhitenedStack creates an empty stack for dimension-d factors stored at
@@ -134,9 +166,9 @@ func NewWhitenedStack[T float32 | float64](d int) *WhitenedStack[T] {
 	var kernel any
 	switch any(T(0)).(type) {
 	case float64:
-		s.lanes, kernel = whitenTileBytes/8, whitenKernel64(d)
+		s.lanes, kernel = whitenTileBytes/8, whitenKernel64()
 	case float32:
-		s.lanes, kernel = whitenTileBytes/4, whitenKernel32(d)
+		s.lanes, kernel = whitenTileBytes/4, whitenKernel32()
 	}
 	s.kernel = kernel.(whitenKernel[T])
 	s.jobs.New = func() any {
@@ -144,7 +176,9 @@ func NewWhitenedStack[T float32 | float64](d int) *WhitenedStack[T] {
 		j.fn = j.run
 		return j
 	}
-	s.tiles.New = func() any { return &tileScratch[T]{tile: make([]T, d*s.lanes)} }
+	s.tiles.New = func() any {
+		return &tileScratch[T]{tile: make([]T, d*s.lanes), proj: make([]T, s.maxRank*s.lanes)}
+	}
 	return s
 }
 
@@ -153,6 +187,41 @@ func (s *WhitenedStack[T]) Dim() int { return s.d }
 
 // Components returns the number of stacked factors.
 func (s *WhitenedStack[T]) Components() int { return s.k }
+
+// roundTo returns v rounded to T and widened back: the float64 values a
+// width-T stack derives its operands from.
+func roundTo[T float32 | float64](v []float64) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		out[i] = float64(T(x))
+	}
+	return out
+}
+
+func narrow[T float32 | float64](v []float64) []T {
+	out := make([]T, len(v))
+	for i, x := range v {
+		out[i] = T(x)
+	}
+	return out
+}
+
+// whiten returns W = L⁻¹ of the n×n factor l (already rounded to T) and
+// m̃ = W·x, both derived in float64 and stored at T.
+func whiten[T float32 | float64](l, x []float64, n int) (w, mtil []T) {
+	wf := make([]float64, n*n)
+	invLowerInto(wf, l, n)
+	mtil = make([]T, n)
+	// m̃_j = Σ_{r≤j} W[j,r]·x_r (W is lower triangular).
+	for j := 0; j < n; j++ {
+		sum := 0.0
+		for r, wv := range wf[j*n : j*n+j+1] {
+			sum += wv * x[r]
+		}
+		mtil[j] = T(sum)
+	}
+	return narrow[T](wf), mtil
+}
 
 // AddFactor appends the whitening of one Cholesky factor and mean, returning
 // its index in the stack. The factor and mean are rounded to T first and W
@@ -165,46 +234,67 @@ func (s *WhitenedStack[T]) AddFactor(c *Cholesky, mean []float64) int {
 	if c.Size() != d || len(mean) != d {
 		panic(fmt.Sprintf("mat: whitened factor dim %d / mean %d, want %d", c.Size(), len(mean), d))
 	}
-	l := make([]float64, d*d)
-	for i, v := range c.l.Data {
-		l[i] = float64(T(v))
-	}
-	w := make([]float64, d*d)
-	invLowerInto(w, l, d)
-	for _, v := range w {
-		s.w = append(s.w, T(v))
-	}
-	// m̃_j = Σ_{r≤j} W[j,r]·μ_r (W is lower triangular).
-	for j := 0; j < d; j++ {
-		sum := 0.0
-		for r, wv := range w[j*d : j*d+j+1] {
-			sum += wv * float64(T(mean[r]))
-		}
-		s.mtil = append(s.mtil, T(sum))
-	}
-	k := s.k
+	w, mtil := whiten[T](roundTo[T](c.l.Data), roundTo[T](mean), d)
+	s.ops = append(s.ops, whitenOperand[T]{r: d, w: w, mtil: mtil})
 	s.k++
-	return k
+	return s.k - 1
+}
+
+// AddLowRank appends a low-rank factor and its mean, returning its index in
+// the stack. As in AddFactor, the basis, the factor of S + ρI and the mean
+// are rounded to T first, and W, Q·μ and −Qᵀ derived from the rounded values
+// in float64, so a stack rebuilt from a snapshot's bits reproduces these.
+func (s *WhitenedStack[T]) AddLowRank(f *LowRank, mean []float64) int {
+	d, r := s.d, f.Rank()
+	if f.Dim() != d || len(mean) != d {
+		panic(fmt.Sprintf("mat: low-rank factor dim %d / mean %d, want %d", f.Dim(), len(mean), d))
+	}
+	q, mu := roundTo[T](f.basis.Data), roundTo[T](mean)
+	w, mtil := whiten[T](roundTo[T](f.chol.l.Data), make([]float64, r), r) // m̃ = 0: P is centred
+	qmu := make([]T, r)
+	for j := range qmu {
+		sum := 0.0
+		for c, v := range q[j*d : (j+1)*d] {
+			sum += v * mu[c]
+		}
+		qmu[j] = T(sum)
+	}
+	negQt := make([]T, d*r)
+	for j := 0; j < r; j++ {
+		for c, v := range q[j*d : (j+1)*d] {
+			negQt[c*r+j] = T(-v)
+		}
+	}
+	s.ops = append(s.ops, whitenOperand[T]{
+		r: r, w: w, mtil: mtil,
+		basis: narrow[T](q), qmu: qmu, negQt: negQt, mean: narrow[T](mu), ridge: f.ridge,
+	})
+	s.maxRank = max(s.maxRank, r)
+	s.k++
+	return s.k - 1
 }
 
 // WhitenedMean returns a view of m̃_k (do not modify). Exposed for the
 // persistence round-trip tests proving Load-derived whitening matches
 // Fit-derived bits.
-func (s *WhitenedStack[T]) WhitenedMean(k int) []T {
-	return s.mtil[k*s.d : (k+1)*s.d]
-}
+func (s *WhitenedStack[T]) WhitenedMean(k int) []T { return s.ops[k].mtil }
 
-// Factor returns a view of W_k's row-major data (do not modify).
-func (s *WhitenedStack[T]) Factor(k int) []T {
-	return s.w[k*s.d*s.d : (k+1)*s.d*s.d]
-}
+// Factor returns a view of W_k's row-major data, r×r (do not modify).
+func (s *WhitenedStack[T]) Factor(k int) []T { return s.ops[k].w }
+
+// Basis returns a view of factor k's basis Q, r×d row major, or nil for a
+// dense factor (do not modify).
+func (s *WhitenedStack[T]) Basis(k int) []T { return s.ops[k].basis }
 
 // tileScratch is the per-shard scratch of a whitened pass: one column-major
-// lane tile plus the per-kernel-call output. Pooled so concurrent shards and
-// concurrent callers run allocation-free at steady state.
+// lane tile, the projection tile of a low-rank factor, and the per-kernel-call
+// outputs. Pooled so concurrent shards and concurrent callers run
+// allocation-free at steady state.
 type tileScratch[T float32 | float64] struct {
 	tile []T
+	proj []T
 	q    [maxWhitenLanes]float64
+	qw   [maxWhitenLanes]float64
 }
 
 // whitenJob carries one MahalanobisInto pass across the worker pool without
@@ -218,20 +308,38 @@ type whitenJob[T float32 | float64] struct {
 }
 
 // run processes lane blocks [lob, hib): packs each block's rows into the
-// column-major tile and scores it against every stacked factor.
+// column-major tile and scores it against every stacked factor. A dense
+// factor is one triangular pass over the tile. A low-rank factor is three:
+// the projection P = Q(z − μ) into the projection tile, the triangle ‖W·P‖²,
+// and the residual ‖z − μ − Qᵀ·P‖², which starts each row's sum from the
+// tile and subtracts μ at the end.
 func (j *whitenJob[T]) run(lob, hib int) {
 	s, z, dst := j.s, j.z, j.dst
 	d, k, n, lanes := s.d, s.k, z.Rows, s.lanes
 	ts := s.tiles.Get().(*tileScratch[T])
+	if need := s.maxRank * lanes; len(ts.proj) < need {
+		ts.proj = make([]T, need)
+	}
 	tile := ts.tile
 	for b := lob; b < hib; b++ {
 		lo := b * lanes
 		rows := min(lanes, n-lo)
 		packTile(tile, z, lo, rows, lanes)
-		for f := 0; f < k; f++ {
-			s.kernel(&ts.q, tile, s.w[f*d*d:(f+1)*d*d], s.mtil[f*d:(f+1)*d], d)
+		for f := range s.ops {
+			op := &s.ops[f]
+			if op.basis == nil {
+				s.kernel(&ts.q, tile, op.w, op.mtil, nil, nil, d, d, true)
+				for lane := 0; lane < rows; lane++ {
+					dst[(lo+lane)*k+f] = ts.q[lane]
+				}
+				continue
+			}
+			p := ts.proj[:op.r*lanes]
+			s.kernel(&ts.q, tile, op.basis, op.qmu, nil, p, op.r, d, false)
+			s.kernel(&ts.qw, p, op.w, op.mtil, nil, nil, op.r, op.r, true)
+			s.kernel(&ts.q, p, op.negQt, op.mean, tile, nil, d, op.r, false)
 			for lane := 0; lane < rows; lane++ {
-				dst[(lo+lane)*k+f] = ts.q[lane]
+				dst[(lo+lane)*k+f] = ts.qw[lane] + ts.q[lane]/op.ridge
 			}
 		}
 	}
@@ -261,8 +369,9 @@ func packTile[T float32 | float64](tile []T, z *Dense, lo, rows, lanes int) {
 	}
 }
 
-// MahalanobisInto computes dst[i·K+f] = ‖W_f·z_i − m̃_f‖², the Mahalanobis
-// distance of every row i to every stacked factor f, sharding lane blocks
+// MahalanobisInto computes dst[i·K+f], the Mahalanobis distance of every row
+// i to every stacked factor f (‖W_f·z_i − m̃_f‖² for a dense factor, the
+// low-rank form's two terms for a low-rank one), sharding lane blocks
 // across the kernel worker pool. dst must have length z.Rows·Components().
 // Per-row results are bit-identical across batch compositions, shard counts
 // and repeated runs (see the package comment above); a steady-state loop at
@@ -286,73 +395,39 @@ func (s *WhitenedStack[T]) MahalanobisInto(dst []float64, z *Dense) {
 	s.jobs.Put(j)
 }
 
-// whitenQuadTileGo is the portable float64 kernel over the 8 lanes of a tile.
-// Eight independent accumulator chains keep the scalar FMA pipeline full; the
-// 4-wide halves mirror the two vector registers of the AVX2 kernel. Per-lane
-// accumulation order is fixed (ascending r inside ascending j), so results
-// are deterministic and independent of which rows share the tile.
-func whitenQuadTileGo(q *[maxWhitenLanes]float64, tile, w, mtil []float64, d int) {
-	const lanes = whitenTileBytes / 8
-	var q0, q1, q2, q3, q4, q5, q6, q7 float64
-	for j := 0; j < d; j++ {
-		wrow := w[j*d : j*d+j+1]
-		var u0, u1, u2, u3, u4, u5, u6, u7 float64
-		for r, wv := range wrow {
-			t := tile[r*lanes : r*lanes+lanes : r*lanes+lanes]
-			u0 += wv * t[0]
-			u1 += wv * t[1]
-			u2 += wv * t[2]
-			u3 += wv * t[3]
-			u4 += wv * t[4]
-			u5 += wv * t[5]
-			u6 += wv * t[6]
-			u7 += wv * t[7]
+// whitenRowsGo is the portable kernel at either width: the matvec
+// accumulates at width T, one chain per lane in ascending c, and the
+// subtraction and squared sum run in float64 (exact for the subtraction at
+// float32: both operands are float32 values widened). The per-lane
+// accumulation order is whitenKernel's, so results are deterministic and
+// independent of which rows share the tile.
+func whitenRowsGo[T float32 | float64](q *[maxWhitenLanes]float64, tile, a, m, init, out []T, rows, cols int, tri bool) {
+	lanes := whitenTileBytes / int(unsafe.Sizeof(T(0)))
+	var qa [maxWhitenLanes]float64
+	var u [maxWhitenLanes]T
+	for j := 0; j < rows; j++ {
+		ext := cols
+		if tri {
+			ext = j + 1
 		}
-		m := mtil[j]
-		u0 -= m
-		u1 -= m
-		u2 -= m
-		u3 -= m
-		u4 -= m
-		u5 -= m
-		u6 -= m
-		u7 -= m
-		q0 += u0 * u0
-		q1 += u1 * u1
-		q2 += u2 * u2
-		q3 += u3 * u3
-		q4 += u4 * u4
-		q5 += u5 * u5
-		q6 += u6 * u6
-		q7 += u7 * u7
-	}
-	q[0], q[1], q[2], q[3] = q0, q1, q2, q3
-	q[4], q[5], q[6], q[7] = q4, q5, q6, q7
-}
-
-// whitenQuadTile32Go is the portable float32 kernel over the 16 lanes of a
-// tile. The matvec accumulates in float32 (matching the two 8-wide vector
-// registers of the AVX2 kernel); the subtraction and squared-sum run in
-// float64. Per-lane accumulation order is fixed (ascending r inside ascending
-// j), so results are deterministic and independent of which rows share the
-// tile.
-func whitenQuadTile32Go(q *[maxWhitenLanes]float64, tile, w, mtil []float32, d int) {
-	const lanes = whitenTileBytes / 4
-	var qa [lanes]float64
-	for j := 0; j < d; j++ {
-		wrow := w[j*d : j*d+j+1]
-		var u [lanes]float32
-		for r, wv := range wrow {
-			t := tile[r*lanes : r*lanes+lanes : r*lanes+lanes]
-			for lane := range u {
-				u[lane] += wv * t[lane]
+		if len(init) > 0 {
+			copy(u[:lanes], init[j*lanes:])
+		} else {
+			clear(u[:lanes])
+		}
+		for c, av := range a[j*cols : j*cols+ext] {
+			t := tile[c*lanes : c*lanes+lanes]
+			for lane, v := range t {
+				u[lane] += av * v
 			}
 		}
-		m := float64(mtil[j])
-		for lane := range u {
-			// Exact subtraction: both operands are float32 values in float64.
-			t := float64(u[lane]) - m
+		mj := float64(m[j])
+		for lane := 0; lane < lanes; lane++ {
+			t := float64(u[lane]) - mj
 			qa[lane] += t * t
+			if len(out) > 0 {
+				out[j*lanes+lane] = T(t)
+			}
 		}
 	}
 	*q = qa

@@ -5,9 +5,12 @@ package mat
 // AVX2+FMA fast path for the whitened Mahalanobis kernel. Each microkernel
 // processes a tile's lanes as two vectors — 2×4 float64 lanes in
 // whiten_amd64.s, 2×8 float32 lanes in whiten32_amd64.s — so one broadcast
-// per W element feeds two fused multiply-adds, and the triangular matvec and
-// the squared-distance reduction run entirely on vertical vector ops — no
-// horizontal sums, and lane independence is structural.
+// per operand element feeds two fused multiply-adds, and the matvec and the
+// squared-distance reduction run entirely on vertical vector ops — no
+// horizontal sums, and lane independence is structural. The float64 kernel
+// runs four output rows per pass over the tile, on either operand shape; the
+// float32 one runs the triangular shape one row at a time, and a float32
+// stack hands every other pass to the portable kernel.
 //
 // The fast path is gated at startup by CPUID/XGETBV feature detection (AVX2,
 // FMA, and OS ymm-state support). Whichever kernel is selected is used by
@@ -25,9 +28,10 @@ var whitenUseAVX = detectAVX2FMA()
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
-// whitenQuadAVX (whiten_amd64.s) and whitenQuadAVX32 (whiten32_amd64.s) are
-// the assembly kernels. Both need d ≥ 1.
-func whitenQuadAVX(q *[maxWhitenLanes]float64, tile, w, mtil []float64, d int)
+// whitenRowsAVX (whiten_amd64.s) is the float64 assembly kernel, a
+// whitenKernel[float64]; whitenQuadAVX32 (whiten32_amd64.s) scores a float32
+// tile against a d×d triangle, d ≥ 1.
+func whitenRowsAVX(q *[maxWhitenLanes]float64, tile, a, m, init, out []float64, rows, cols int, tri bool)
 
 func whitenQuadAVX32(q *[maxWhitenLanes]float64, tile, w, mtil []float32, d int)
 
@@ -51,21 +55,31 @@ func detectAVX2FMA() bool {
 	return b7&(1<<5) != 0 // AVX2
 }
 
-// whitenKernel64 picks the float64 kernel for a dimension-d stack: the
-// assembly kernel when the CPU has AVX2+FMA and d ≥ 1, the portable one
-// otherwise (a d = 0 stack scores every row 0).
-func whitenKernel64(d int) whitenKernel[float64] {
-	if whitenUseAVX && d > 0 {
-		return whitenQuadAVX
+// whitenKernel64 picks the float64 kernel: the assembly kernel when the CPU
+// has AVX2+FMA, the portable one otherwise.
+func whitenKernel64() whitenKernel[float64] {
+	if whitenUseAVX {
+		return whitenRowsAVX
 	}
-	return whitenQuadTileGo
+	return whitenRowsGo[float64]
 }
 
 // whitenKernel32 is whitenKernel64 for float32 stacks; the float32 kernel
 // needs exactly the feature set the float64 one does.
-func whitenKernel32(d int) whitenKernel[float32] {
-	if whitenUseAVX && d > 0 {
-		return whitenQuadAVX32
+func whitenKernel32() whitenKernel[float32] {
+	if whitenUseAVX {
+		return whitenRowsAVX32
 	}
-	return whitenQuadTile32Go
+	return whitenRowsGo[float32]
+}
+
+// whitenRowsAVX32 runs a plain triangular pass, the whole of a dense
+// factor's scoring, on the float32 assembly and every other pass on the
+// portable kernel.
+func whitenRowsAVX32(q *[maxWhitenLanes]float64, tile, a, m, init, out []float32, rows, cols int, tri bool) {
+	if tri && rows > 0 && len(init) == 0 && len(out) == 0 {
+		whitenQuadAVX32(q, tile, a, m, rows)
+		return
+	}
+	whitenRowsGo(q, tile, a, m, init, out, rows, cols, tri)
 }

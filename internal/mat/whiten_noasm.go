@@ -6,6 +6,6 @@ package mat
 // fallbacks differentially tested on AVX2 runners) every stack runs the
 // portable kernel of its width.
 
-func whitenKernel64(int) whitenKernel[float64] { return whitenQuadTileGo }
+func whitenKernel64() whitenKernel[float64] { return whitenRowsGo[float64] }
 
-func whitenKernel32(int) whitenKernel[float32] { return whitenQuadTile32Go }
+func whitenKernel32() whitenKernel[float32] { return whitenRowsGo[float32] }

@@ -207,7 +207,8 @@ func TestWhitenedStack32RoundTripBits(t *testing.T) {
 // Property: repeated evaluations and every worker-pool width produce the
 // same bits at either width — lane blocks are row-independent and each is
 // computed by exactly one shard in a fixed accumulation order. Uses an odd
-// batch size so the tail block (padded lanes) is exercised.
+// batch size so the tail block (padded lanes) is exercised. The stacks of
+// this and the next three properties mix dense and low-rank factors.
 func TestMahalanobisIntoDeterministic(t *testing.T) { testWhitenDeterministic[float64](t) }
 
 func TestWhitenedStack32Deterministic(t *testing.T) { testWhitenDeterministic[float32](t) }
@@ -215,8 +216,9 @@ func TestWhitenedStack32Deterministic(t *testing.T) { testWhitenDeterministic[fl
 func testWhitenDeterministic[T float32 | float64](t *testing.T) {
 	old := Parallelism()
 	defer SetParallelism(old)
-	const d, k, n = 24, 3, 61
-	stack, _, _ := whitenFixtureStack[T](t, d, k, 8, 3)
+	const d, n = 24, 61
+	stack, _, _ := whitenFixtureStack[T](t, d, 3, 8, 3)
+	k := addLowRankFactors(t, stack, 2, 4)
 	rng := rand.New(rand.NewSource(9))
 	z := NewDense(n, d)
 	for i := range z.Data {
@@ -252,8 +254,9 @@ func TestMahalanobisIntoBatchComposition(t *testing.T) { testWhitenBatchComposit
 func TestWhitenedStack32BatchComposition(t *testing.T) { testWhitenBatchComposition[float32](t, 37) }
 
 func testWhitenBatchComposition[T float32 | float64](t *testing.T, n int) {
-	const d, k = 18, 2
-	stack, _, _ := whitenFixtureStack[T](t, d, k, 6, 11)
+	const d = 18
+	stack, _, _ := whitenFixtureStack[T](t, d, 2, 6, 11)
+	k := addLowRankFactors(t, stack, 2, 12)
 	rng := rand.New(rand.NewSource(13))
 	z := NewDense(n, d)
 	for i := range z.Data {
@@ -294,8 +297,9 @@ func TestWhitenedStack32NonFinite(t *testing.T) { testWhitenNonFinite[float32](t
 // testWhitenNonFinite poisons rows 4 (NaN) and 13 (+Inf) of an n-row batch,
 // and row overflowRow with 1e300 unless it is negative.
 func testWhitenNonFinite[T float32 | float64](t *testing.T, n, overflowRow int) {
-	const d, k = 16, 3
-	stack, _, _ := whitenFixtureStack[T](t, d, k, 6, 17)
+	const d = 16
+	stack, _, _ := whitenFixtureStack[T](t, d, 3, 6, 17)
+	k := addLowRankFactors(t, stack, 2, 18)
 	rng := rand.New(rand.NewSource(19))
 	clean := NewDense(n, d)
 	for i := range clean.Data {
@@ -406,12 +410,13 @@ func testWhitenSteadyStateAllocs[T float32 | float64](t *testing.T) {
 	defer SetParallelism(old)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	stack, _, _ := whitenFixtureStack[T](t, 32, 4, 8, 29)
+	k := addLowRankFactors(t, stack, 2, 30)
 	rng := rand.New(rand.NewSource(31))
 	z := NewDense(40, 32)
 	for i := range z.Data {
 		z.Data[i] = rng.NormFloat64()
 	}
-	dst := make([]float64, 40*4)
+	dst := make([]float64, 40*k)
 	loop := func() { stack.MahalanobisInto(dst, z) }
 	for _, width := range []int{1, 2} {
 		SetParallelism(width)

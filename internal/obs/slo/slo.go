@@ -105,6 +105,14 @@ func ParseSpec(b []byte) (Spec, error) {
 	return s, nil
 }
 
+// maxWindowTicks bounds an objective's window in evaluation ticks. The
+// engine allocates one ring byte per tick up front and scans the fast window
+// on every evaluation, so without a bound a few bytes of spec could demand
+// any amount of memory: a 1 ns interval over a 1 h window asks for 3.6 TB.
+// 65,536 ticks keeps a ring at 64 KiB and admits a week at the default 10 s
+// interval (60,480 ticks); the default spec uses 360.
+const maxWindowTicks = 1 << 16
+
 // normalize applies defaults and validates in place.
 func (s *Spec) normalize() error {
 	if s.Interval <= 0 {
@@ -137,6 +145,10 @@ func (s *Spec) normalize() error {
 		}
 		if o.Window <= 0 {
 			o.Window = Duration(time.Hour)
+		}
+		if ticks := o.Window / s.Interval; ticks > maxWindowTicks {
+			return fmt.Errorf("slo: objective %q window %v is %d intervals of %v, more than %d",
+				o.Name, time.Duration(o.Window), ticks, time.Duration(s.Interval), maxWindowTicks)
 		}
 		if o.FastWindow <= 0 {
 			o.FastWindow = o.Window / 12

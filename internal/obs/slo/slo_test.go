@@ -57,11 +57,59 @@ func TestParseSpecDurationsAndErrors(t *testing.T) {
 		`{"objectives":[{"name":"a","max":1,"burnFactor":0.5}]}`,
 		`{"objectives":[{"name":"a","max":1,"window":5}]}`,
 		`not json`,
+		// A window of 2^63 − 1 ns at a 1 ns interval: NewEngine once panicked
+		// allocating its ring.
+		`{"interval":"1ns","objectives":[{"name":"a","max":1,"window":"2562047h"}]}`,
+		`{"interval":"1ms","objectives":[{"name":"a","max":1,"window":"1h"}]}`,
 	} {
 		if _, err := ParseSpec([]byte(bad)); err == nil {
 			t.Errorf("ParseSpec(%s) should fail", bad)
 		}
 	}
+}
+
+// The window cap admits exactly maxWindowTicks intervals.
+func TestParseSpecWindowCap(t *testing.T) {
+	ok := `{"interval":"1s","objectives":[{"name":"a","max":1,"window":"18h12m16s"}]}` // 65,536 s
+	if _, err := ParseSpec([]byte(ok)); err != nil {
+		t.Fatalf("window of %d ticks rejected: %v", maxWindowTicks, err)
+	}
+	over := `{"interval":"1s","objectives":[{"name":"a","max":1,"window":"18h12m17s"}]}`
+	if _, err := ParseSpec([]byte(over)); err == nil {
+		t.Fatalf("window of %d ticks accepted", maxWindowTicks+1)
+	}
+}
+
+// FuzzSLOSpec: ParseSpec never panics, and a spec it accepts always builds
+// an engine on a fresh registry that evaluates once without panicking.
+// Seeds: the ParseSpec table above and the default spec. Run it with
+// `make fuzz-smoke`.
+func FuzzSLOSpec(f *testing.F) {
+	def, err := json.Marshal(DefaultSpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(def),
+		`{"objectives":[{"name":"fairness_gap","max":0.2}]}`,
+		`{"interval":"1s","objectives":[{"name":"a","max":1,"window":"2m","fastWindow":"30s","budget":0.1,"burnFactor":3}]}`,
+		`{"interval":"1ns","objectives":[{"name":"a","max":1,"window":"2562047h"}]}`,
+		`{"objectives":[{"name":"a","max":1,"window":"1m","fastWindow":"2m"}]}`,
+		`{"objectives":[{"name":"a","target":"b","max":-1e308,"budget":1e-300}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		spec, err := ParseSpec(b)
+		if err != nil {
+			return
+		}
+		e, err := NewEngine(obs.NewRegistry(), spec, nil, quietLogger())
+		if err != nil {
+			t.Fatalf("ParseSpec accepted %q, NewEngine rejected it: %v", b, err)
+		}
+		e.Evaluate(time.Now())
+	})
 }
 
 func TestDefaultSpecValid(t *testing.T) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"net/http"
 
 	"faction/internal/mat"
@@ -25,7 +26,10 @@ const (
 )
 
 // serveInstances is the one body of /predict and /score: decode, pass,
-// respond.
+// respond. An answer that would carry a NaN or ±Inf (finite features so
+// large the network or the density overflows) is refused with a 422 naming
+// the instance: JSON cannot encode the value, and the status line would
+// already be on the wire when the encoder found out.
 func (s *Server) serveInstances(w http.ResponseWriter, r *http.Request, kind reqKind) {
 	sc := getReqScratch()
 	defer putReqScratch(sc)
@@ -33,6 +37,10 @@ func (s *Server) serveInstances(w http.ResponseWriter, r *http.Request, kind req
 		return
 	}
 	s.pass(sc, kind)
+	if i, what := nonFiniteInstance(sc, kind); i >= 0 {
+		httpError(w, r, http.StatusUnprocessableEntity, "instance %d: %s is not finite", i, what)
+		return
+	}
 	if kind == reqScore {
 		s.feedDrift(sc.batch.LogG)
 	} else {
@@ -77,4 +85,35 @@ func (s *Server) pass(sc *reqScratch, kind reqKind) {
 		buildPredictInto(sc, logits, nil, false, 0)
 	}
 	arena.Release()
+}
+
+// nonFiniteInstance returns the first row whose answer carries a NaN or
+// ±Inf, and which value it is; −1 when every value is finite. A /score row
+// is checked on its own score first: one non-finite score makes every
+// row's query probability NaN through the shared normalisation.
+func nonFiniteInstance(sc *reqScratch, kind reqKind) (int, string) {
+	if kind == reqScore {
+		for i, u := range sc.score.U {
+			if math.IsNaN(u) || math.IsInf(u, 0) {
+				return i, "score"
+			}
+		}
+		for i, q := range sc.score.QueryProb {
+			if math.IsNaN(q) || math.IsInf(q, 0) {
+				return i, "query probability"
+			}
+		}
+		return -1, ""
+	}
+	for i, probs := range sc.predict.Probs {
+		for _, p := range probs {
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				return i, "class probability"
+			}
+		}
+		if lds := sc.predict.LogDensities; lds != nil && (math.IsNaN(lds[i]) || math.IsInf(lds[i], 0)) {
+			return i, "log-density"
+		}
+	}
+	return -1, ""
 }

@@ -732,7 +732,10 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, r, resp)
 }
 
-// feedDrift folds a batch's mean log-density into the drift detector.
+// feedDrift folds a batch's mean log-density into the drift detector. A
+// non-finite mean (the detector panics on one) is not an observation and is
+// dropped; the unlock is deferred so that nothing the detector does can
+// leave every later request waiting on driftMu.
 func (s *Server) feedDrift(logDensities []float64) {
 	if s.cfg.Drift == nil || len(logDensities) == 0 {
 		return
@@ -742,10 +745,13 @@ func (s *Server) feedDrift(logDensities []float64) {
 		mean += v
 	}
 	mean /= float64(len(logDensities))
+	if math.IsNaN(mean) || math.IsInf(mean, 0) {
+		return
+	}
 	s.driftMu.Lock()
+	defer s.driftMu.Unlock()
 	s.cfg.Drift.Observe(mean)
 	s.updateDriftMetricsLocked()
-	s.driftMu.Unlock()
 }
 
 // adoptDensityLocked makes est the serving density and recalibrates the OOD

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"faction/internal/data"
@@ -20,6 +21,13 @@ import (
 // fixture builds a trained model + density estimator on the NYSF analog and
 // returns a test server plus one in-distribution and one OOD instance.
 func fixture(t *testing.T, withDensity bool) (*httptest.Server, []float64, []float64) {
+	t.Helper()
+	_, ts, inDist, ood := fixtureServer(t, withDensity)
+	return ts, inDist, ood
+}
+
+// fixtureServer is fixture with the *Server behind the test server.
+func fixtureServer(t *testing.T, withDensity bool) (*Server, *httptest.Server, []float64, []float64) {
 	t.Helper()
 	stream := data.NYSF(data.StreamConfig{Seed: 3, SamplesPerTask: 250})
 	train := stream.Tasks[0].Pool
@@ -60,7 +68,47 @@ func fixture(t *testing.T, withDensity bool) (*httptest.Server, []float64, []flo
 	for i := range ood {
 		ood[i] = 50
 	}
-	return ts, inDist, ood
+	return s, ts, inDist, ood
+}
+
+// Features of 1e300 are finite, so decoding accepts them, but their
+// log-density overflows to −Inf. /predict, whose answer would carry it,
+// answers 422 naming the instance, never a 2xx with an empty body (JSON
+// cannot carry −Inf); /score scales the row's density to 0 and answers in
+// full. Either way the batch's −Inf mean log-density must not reach the
+// drift detector, whose panic on it left driftMu held: the lock is free
+// afterwards and the next request is served, with or without a detector.
+func TestNonFiniteAnswerIsRefusedAndReleasesDriftLock(t *testing.T) {
+	s, ts, inDist, _ := fixtureServer(t, true)
+	huge := make([]float64, len(inDist))
+	for i := range huge {
+		huge[i] = 1e300
+	}
+	for _, detector := range []bool{true, false} {
+		if !detector {
+			s.cfg.Drift = nil
+		}
+		for _, route := range []string{"/predict", "/score"} {
+			resp, body := postJSON(t, ts.URL+route, map[string]any{"instances": [][]float64{inDist, huge}})
+			if resp.StatusCode/100 == 2 && len(body) == 0 {
+				t.Fatalf("detector %v %s: status %d with an empty body", detector, route, resp.StatusCode)
+			}
+			if route == "/predict" && (resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "instance 1")) {
+				t.Fatalf("detector %v %s: %d %s, want 422 naming instance 1", detector, route, resp.StatusCode, body)
+			}
+			var sr scoreResponse
+			if route == "/score" && (resp.StatusCode != http.StatusOK || json.Unmarshal(body, &sr) != nil || len(sr.U) != 2) {
+				t.Fatalf("detector %v %s: %d %s, want two scores", detector, route, resp.StatusCode, body)
+			}
+			if !s.driftMu.TryLock() {
+				t.Fatalf("detector %v %s: driftMu still held after the request", detector, route)
+			}
+			s.driftMu.Unlock()
+			if resp, body := postJSON(t, ts.URL+route, map[string]any{"instances": [][]float64{inDist}}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("detector %v %s: next request %d %s", detector, route, resp.StatusCode, body)
+			}
+		}
+	}
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
