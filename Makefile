@@ -45,7 +45,8 @@ bench-gate:
 # loaders must return an error or a model that scores without panicking; the
 # snapshot envelope decoder must fail as corruption or re-encode to exactly
 # the bytes it read; an SLO spec that parses must build an engine that
-# evaluates without panicking.
+# evaluates without panicking; a WAL feedback or acquisition record that
+# decodes must re-encode to exactly its own bytes.
 # Inputs that once failed live in the package's testdata/fuzz/ corpus and
 # replay on every plain `go test`.
 fuzz-smoke:
@@ -54,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzClassifierLoad$$' -fuzztime=10s ./internal/nn/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime=10s ./internal/resilience/
 	$(GO) test -run '^$$' -fuzz '^FuzzSLOSpec$$' -fuzztime=10s ./internal/obs/slo/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime=10s ./internal/wal/
 
 # perfbench-vet vets the benchmark module (perfbench/, its own Go module that
 # builds against this one through a replace directive), so an API change here

@@ -50,7 +50,7 @@ const (
 // pattern matches top-level benchmark names; their sub-benchmarks run with
 // them.
 var gated = []struct{ pkg, bench string }{
-	{"internal/mat", "^Benchmark(MulInto|WhitenMahalanobis|WhitenMahalanobis32)$"},
+	{"internal/mat", "^Benchmark(MulInto|WhitenMahalanobis)$"},
 	{"internal/nn", "^Benchmark(LinearTrainStep|LogitsAndFeatures)$"},
 	{"internal/gda", "^Benchmark(GDAScoreBatch|GDAScoreBatchRaw|GDAScoreBatchRaw512d|LogDensityBatch|Fit4Comp64d|Fit4Comp512d)$"},
 	{"internal/obs", "^Benchmark(CounterInc|HistogramObserve|HistogramQuantile)$"},

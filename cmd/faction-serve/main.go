@@ -72,7 +72,6 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		modelPath  = flag.String("model", "model.gob", "classifier snapshot path")
 		densPath   = flag.String("density", "", "density-estimator snapshot path (optional)")
-		scorePrec  = flag.String("score-precision", "f64", "density scoring kernel width: f64 (reference) or f32 (float32 whitening with float64 accumulation — halves kernel bandwidth and snapshot density bytes)")
 		train      = flag.String("train", "", "train on this benchmark stream first and save the artifacts")
 		seed       = flag.Int64("seed", 1, "training seed")
 		samples    = flag.Int("samples", 800, "training samples when -train is set")
@@ -183,11 +182,6 @@ func main() {
 		SnapshotToken:  *snapToken,
 		Logger:         logger,
 	}
-	prec, err := gda.ParsePrecision(*scorePrec)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.ScorePrecision = prec
 	if *densPath != "" {
 		est, err := gda.LoadFile(*densPath)
 		if err != nil {

@@ -96,18 +96,12 @@ type Estimator struct {
 	// property the parallel-equals-serial ScoreBatch guarantee rests on.
 	ordered []*Component
 	// wstack holds the precomputed scoring operand of every ordered
-	// component at the active precision (the whitening W_k = L_k⁻¹,
-	// m̃_k = W_k·μ_k of a dense component, the basis, whitening and residual
-	// of a low-rank one): a *mat.WhitenedStack[float64] or
-	// *mat.WhitenedStack[float32], the operand of every density entry
-	// point's batch Mahalanobis pass. Derived from the factor bits by
-	// buildStack, so Fit and a Load of its snapshot build bit-identical
-	// stacks.
-	wstack interface {
-		MahalanobisInto(dst []float64, z *mat.Dense)
-	}
-	// precision is the storage width of wstack (precision.go).
-	precision Precision
+	// component (the whitening W_k = L_k⁻¹, m̃_k = W_k·μ_k of a dense
+	// component, the basis, whitening and residual of a low-rank one), the
+	// operand of every density entry point's batch Mahalanobis pass. Derived
+	// from the factor bits by buildStack, so Fit and a Load of its snapshot
+	// build bit-identical stacks.
+	wstack *mat.WhitenedStack
 }
 
 // finalize (re)builds the deterministic component ordering, the cached
@@ -136,6 +130,18 @@ func (e *Estimator) finalize() {
 		c.ordIdx = j
 	}
 	e.buildStack()
+}
+
+// buildStack derives the whitened stack from the ordered components.
+func (e *Estimator) buildStack() {
+	e.wstack = mat.NewWhitenedStack(e.Dim)
+	for _, c := range e.ordered {
+		if c.lowRank != nil {
+			e.wstack.AddLowRank(c.lowRank, c.Mean)
+		} else {
+			e.wstack.AddFactor(c.chol, c.Mean)
+		}
+	}
 }
 
 // Fit builds the (class × sensitive) mixture of Section IV-B from feature

@@ -60,9 +60,11 @@ func TestFitLowRankEligibility(t *testing.T) {
 	}
 }
 
-// Fit = Load for low-rank components at both precisions: the snapshot is
-// version 3, and the loaded stack's basis, whitening and whitened means, and
-// therefore every scored bit, equal the fitted ones.
+// Fit = Load for low-rank components: the snapshot is version 3, and the
+// loaded stack's basis, whitening and whitened means, and therefore every
+// scored bit, equal the fitted ones. The f32 case starts from a legacy
+// float32 snapshot of the same fit, widened on load, and re-saves it at
+// float64.
 func TestPersistRoundTripLowRankBits(t *testing.T) {
 	f, y, s := lowRankData()
 	e, err := Fit(f, y, s, 2, []int{-1, 1}, Config{})
@@ -74,12 +76,11 @@ func TestPersistRoundTripLowRankBits(t *testing.T) {
 	for i := range probe.Data {
 		probe.Data[i] = 2 * rng.NormFloat64()
 	}
-	t.Run("f64", func(t *testing.T) { testLowRankRoundTrip[float64](t, e, probe) })
-	e.SetPrecision(PrecisionF32)
-	t.Run("f32", func(t *testing.T) { testLowRankRoundTrip[float32](t, e, probe) })
+	t.Run("f64", func(t *testing.T) { testLowRankRoundTrip(t, e, probe) })
+	t.Run("f32", func(t *testing.T) { testLowRankRoundTrip(t, loadLegacy(t, "testdata/lowrank_v3_f32.gob"), probe) })
 }
 
-func testLowRankRoundTrip[T float32 | float64](t *testing.T, e *Estimator, probe *mat.Dense) {
+func testLowRankRoundTrip(t *testing.T, e *Estimator, probe *mat.Dense) {
 	var buf bytes.Buffer
 	if err := e.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -92,12 +93,12 @@ func testLowRankRoundTrip[T float32 | float64](t *testing.T, e *Estimator, probe
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := e.wstack.(*mat.WhitenedStack[T]), loaded.wstack.(*mat.WhitenedStack[T])
+	a, b := e.wstack, loaded.wstack
 	for k := 0; k < a.Components(); k++ {
 		if a.Basis(k) == nil {
 			t.Fatalf("component %d is dense", k)
 		}
-		for name, pair := range map[string][2][]T{
+		for name, pair := range map[string][2][]float64{
 			"basis": {a.Basis(k), b.Basis(k)},
 			"W":     {a.Factor(k), b.Factor(k)},
 			"m̃":    {a.WhitenedMean(k), b.WhitenedMean(k)},
@@ -121,12 +122,12 @@ func testLowRankRoundTrip[T float32 | float64](t *testing.T, e *Estimator, probe
 }
 
 // An all-dense estimator saves exactly the bytes it saved before low-rank
-// components existed: testdata/dense_v{1,2}.gob were written by that Save,
-// in a fresh process, from this fixture at f64 and f32. gob numbers the
-// types a process encodes in order of first use and writes the numbers into
-// every stream, so the check runs in a child process whose first gob use is
-// a Load of each file, through the version-3 type: that must not renumber
-// what a later Save writes. Both files still load and score alike.
+// components existed: testdata/dense_v1.gob was written by that Save, in a
+// fresh process, from this fixture. gob numbers the types a process encodes
+// in order of first use and writes the numbers into every stream, so the
+// check runs in a child process whose first gob use is a Load of the file,
+// through the version-3 type: that must not renumber what a later Save
+// writes. The file still loads and scores alike.
 func TestSaveAllDenseBytesUnchanged(t *testing.T) {
 	if os.Getenv("GDA_SAVE_BYTES_CHILD") == "" {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestSaveAllDenseBytesUnchanged$", "-test.count=1")
@@ -136,47 +137,47 @@ func TestSaveAllDenseBytesUnchanged(t *testing.T) {
 		}
 		return
 	}
+	f := denseSnapshotData()
+	want, err := os.ReadFile("testdata/dense_v1.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := FitClassOnly(f, make([]int, f.Rows), 1, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fit's factor and mean come from the plain Go fit loops; its
+	// training log-densities come from the scoring kernel, whose bits
+	// differ between the assembly and the portable kernel. The recorded
+	// ones stand in for them.
+	e.TrainLogDensities = loaded.TrainLogDensities
+	for name, est := range map[string]*Estimator{"fitted": e, "loaded": loaded} {
+		var buf bytes.Buffer
+		if err := est.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("f64 %s: Save wrote %d bytes that differ from the recorded %d", name, buf.Len(), len(want))
+		}
+	}
+	if got, want := loaded.LogDensityBatch(f), e.LogDensityBatch(f); !equalBits(got, want) {
+		t.Fatal("f64: loaded densities differ")
+	}
+}
+
+// denseSnapshotData is the fixture testdata/dense_v{1,2}.gob were fitted on,
+// class-only: 24 Gaussian rows at d = 3.
+func denseSnapshotData() *mat.Dense {
 	rng := rand.New(rand.NewSource(5))
-	const n, d = 24, 3
-	f := mat.NewDense(n, d)
+	f := mat.NewDense(24, 3)
 	for i := range f.Data {
 		f.Data[i] = rng.NormFloat64()
 	}
-	for _, tc := range []struct {
-		p    Precision
-		file string
-	}{{PrecisionF64, "testdata/dense_v1.gob"}, {PrecisionF32, "testdata/dense_v2.gob"}} {
-		want, err := os.ReadFile(tc.file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(bytes.NewReader(want))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.p, err)
-		}
-		e, err := FitClassOnly(f, make([]int, n), 1, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetPrecision(tc.p)
-		// The fit's factor and mean come from the plain Go fit loops; its
-		// training log-densities come from the scoring kernel, whose bits
-		// differ between the assembly and the portable kernel. The recorded
-		// ones stand in for them.
-		e.TrainLogDensities = loaded.TrainLogDensities
-		for name, est := range map[string]*Estimator{"fitted": e, "loaded": loaded} {
-			var buf bytes.Buffer
-			if err := est.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("%s %s: Save wrote %d bytes that differ from the recorded %d", tc.p, name, buf.Len(), len(want))
-			}
-		}
-		if got, want := loaded.LogDensityBatch(f), e.LogDensityBatch(f); !equalBits(got, want) {
-			t.Fatalf("%s: loaded densities differ", tc.p)
-		}
-	}
+	return f
 }
 
 func equalBits(a, b []float64) bool {

@@ -18,10 +18,11 @@ type estimatorSnapshot struct {
 	Classes    int
 	SensValues []int
 	TrainLDs   []float64
-	// Precision is the wire precision of the component payloads: "" or "f64"
-	// means float64 Mean/Factor fields, "f32" means float32 Mean32/Factor32
-	// fields (version ≥ 2). Loading restores the estimator's scoring
-	// precision to match.
+	// Precision is the wire width of the component payloads: "" or "f64"
+	// means float64 Mean/Factor fields; "f32" means float32 Mean32/Factor32
+	// fields, which only earlier releases wrote (version 2, or 3 with a
+	// low-rank component). Save always writes "f64"; Load widens an f32
+	// payload to float64 exactly.
 	Precision string
 	Comps     []componentSnapshot
 }
@@ -33,12 +34,9 @@ type componentSnapshot struct {
 	Weight     float64
 	Degenerate bool
 	Factor     []float64 // lower-triangular Cholesky factor, row-major Dim×Dim
-	// Mean32/Factor32 replace Mean/Factor in f32-precision snapshots,
-	// halving the dominant K·Dim² payload bytes. Factor32 packs only the
-	// lower triangle (row-major, length Dim·(Dim+1)/2) — the f64 field leans
-	// on gob's trailing-zero compression for the upper half instead.
-	// LogNormBase and Weight stay float64 either way, so log-density bits
-	// round-trip exactly on the f32 scoring path.
+	// Mean32/Factor32 replace Mean/Factor in legacy f32 snapshots. Factor32
+	// packs only the lower triangle (row-major, length Dim·(Dim+1)/2).
+	// LogNormBase and Weight are float64 at either width.
 	Mean32      []float32
 	Factor32    []float32
 	LogNormBase float64
@@ -81,10 +79,10 @@ type lowRankComponentSnapshot struct {
 	Ridge       float64
 }
 
-// snapshotVersion is written for float64 payloads (byte-compatible with every
-// previously persisted snapshot); snapshotVersionF32 for float32 payloads;
-// snapshotVersionLowRank, at either precision, when a component is low rank.
-// Load accepts all three.
+// snapshotVersion is written for an all-dense estimator (byte-compatible
+// with every previously persisted f64 snapshot), snapshotVersionLowRank when
+// a component is low rank. snapshotVersionF32 marks the float32 payloads
+// earlier releases wrote; Load accepts all three.
 const (
 	snapshotVersion        = 1
 	snapshotVersionF32     = 2
@@ -97,53 +95,33 @@ const (
 // of memory from the first scored batch.
 const maxSnapshotCells = 1 << 16
 
-// Save serializes the fitted estimator to w, components in (Y, S) order. An
-// estimator scoring at PrecisionF32 persists float32 component payloads:
-// what is saved is exactly what the f32 kernel streams (the stack is
-// derived from f32-rounded factor, basis and mean bits), so Load rebuilds a
-// bit-identical f32 whitening stack and identical log densities. An
-// all-dense estimator writes version 1 or 2, byte for byte as before low-rank
-// components existed; one with a low-rank component writes version 3.
+// Save serializes the fitted estimator to w, components in (Y, S) order, at
+// float64. An all-dense estimator writes version 1, byte for byte as before
+// low-rank components existed; one with a low-rank component writes version
+// 3.
 func (e *Estimator) Save(w io.Writer) error {
-	f32 := e.precision == PrecisionF32
 	snap := lowRankSnapshot{
 		Version:    snapshotVersion,
 		Dim:        e.Dim,
 		Classes:    e.Classes,
-		SensValues: append([]int(nil), e.SensValues...),
-		TrainLDs:   append([]float64(nil), e.TrainLogDensities...),
-		Precision:  e.precision.String(),
-	}
-	if f32 {
-		snap.Version = snapshotVersionF32
+		SensValues: e.SensValues,
+		TrainLDs:   e.TrainLogDensities,
+		Precision:  "f64",
 	}
 	for _, c := range e.ordered {
 		cs := lowRankComponentSnapshot{
 			Y: c.Y, S: c.S, N: c.N,
+			Mean:        c.Mean,
 			Weight:      c.Weight,
 			Degenerate:  c.Degenerate,
 			LogNormBase: c.logNormBase,
 		}
-		var factor []float64
-		n := e.Dim
 		if c.lowRank != nil {
 			snap.Version = snapshotVersionLowRank
 			cs.LowRank, cs.Rank, cs.Ridge = true, c.lowRank.Rank(), c.lowRank.Ridge()
-			if f32 {
-				cs.Basis32 = roundSlice32(c.lowRank.Basis().Data)
-			} else {
-				cs.Basis = append([]float64(nil), c.lowRank.Basis().Data...)
-			}
-			factor, n = c.lowRank.L().Data, cs.Rank
+			cs.Basis, cs.Factor = c.lowRank.Basis().Data, c.lowRank.L().Data
 		} else {
-			factor = c.chol.L().Data
-		}
-		if f32 {
-			cs.Mean32 = roundSlice32(c.Mean)
-			cs.Factor32 = packLowerTri32(factor, n)
-		} else {
-			cs.Mean = append([]float64(nil), c.Mean...)
-			cs.Factor = append([]float64(nil), factor...)
+			cs.Factor = c.chol.L().Data
 		}
 		snap.Comps = append(snap.Comps, cs)
 	}
@@ -157,36 +135,16 @@ func (e *Estimator) Save(w io.Writer) error {
 	for _, cs := range snap.Comps {
 		dense.Comps = append(dense.Comps, componentSnapshot{
 			Y: cs.Y, S: cs.S, N: cs.N, Mean: cs.Mean, Weight: cs.Weight, Degenerate: cs.Degenerate,
-			Factor: cs.Factor, Mean32: cs.Mean32, Factor32: cs.Factor32, LogNormBase: cs.LogNormBase,
+			Factor: cs.Factor, LogNormBase: cs.LogNormBase,
 		})
 	}
 	return gob.NewEncoder(w).Encode(dense)
-}
-
-func roundSlice32(v []float64) []float32 {
-	out := make([]float32, len(v))
-	for i, x := range v {
-		out[i] = float32(x)
-	}
-	return out
 }
 
 func widenSlice64(v []float32) []float64 {
 	out := make([]float64, len(v))
 	for i, x := range v {
 		out[i] = float64(x)
-	}
-	return out
-}
-
-// packLowerTri32 rounds the lower triangle of the row-major d×d factor to
-// float32, row-major, length d·(d+1)/2.
-func packLowerTri32(l []float64, d int) []float32 {
-	out := make([]float32, 0, d*(d+1)/2)
-	for j := 0; j < d; j++ {
-		for r := 0; r <= j; r++ {
-			out = append(out, float32(l[j*d+r]))
-		}
 	}
 	return out
 }
@@ -229,11 +187,9 @@ func LoadFile(path string) (*Estimator, error) {
 }
 
 // Load reconstructs an estimator saved with Save. Densities match the saved
-// model exactly: an f64 snapshot rebuilds the f64 whitening stack bit for
-// bit, and an f32 snapshot rebuilds the f32 stack bit for bit (the factor,
-// basis and mean widen from float32 exactly, and the stack derivation rounds
-// them right back). The loaded estimator's scoring precision matches the
-// payload. Load rejects, naming the component, a weight outside (0, 1], a
+// model exactly: the snapshot's factors rebuild its whitening stack bit for
+// bit. A legacy f32 snapshot's factor, basis and mean widen to float64
+// exactly and score at float64. Load rejects, naming the component, a weight outside (0, 1], a
 // non-finite log-normaliser, mean, factor or basis entry, a low-rank basis
 // with more rows than Dim or not orthonormal within mat.LowRankOrthoTol, and
 // NaN training log-densities.
@@ -245,12 +201,16 @@ func Load(r io.Reader) (*Estimator, error) {
 	if snap.Version < snapshotVersion || snap.Version > snapshotVersionLowRank {
 		return nil, fmt.Errorf("gda: unsupported snapshot version %d", snap.Version)
 	}
-	prec, err := ParsePrecision(snap.Precision)
-	if err != nil {
-		return nil, fmt.Errorf("gda: snapshot %w", err)
-	}
-	if prec == PrecisionF32 && snap.Version < snapshotVersionF32 {
-		return nil, fmt.Errorf("gda: f32 payload in version-%d snapshot", snap.Version)
+	var f32 bool
+	switch snap.Precision {
+	case "", "f64":
+	case "f32":
+		if snap.Version < snapshotVersionF32 {
+			return nil, fmt.Errorf("gda: f32 payload in version-%d snapshot", snap.Version)
+		}
+		f32 = true
+	default:
+		return nil, fmt.Errorf("gda: snapshot has unknown precision %q (want f64 or f32)", snap.Precision)
 	}
 	if snap.Dim <= 0 || snap.Classes <= 0 || len(snap.SensValues) == 0 {
 		return nil, fmt.Errorf("gda: invalid snapshot header (dim %d, classes %d, %d sensitive values)",
@@ -271,7 +231,6 @@ func Load(r io.Reader) (*Estimator, error) {
 		SensValues:        append([]int(nil), snap.SensValues...),
 		TrainLogDensities: append([]float64(nil), snap.TrainLDs...),
 		comps:             map[[2]int]*Component{},
-		precision:         prec,
 	}
 	sensIdx := make(map[int]bool, len(snap.SensValues))
 	for _, v := range snap.SensValues {
@@ -284,7 +243,7 @@ func Load(r io.Reader) (*Estimator, error) {
 		if !sensIdx[cs.S] {
 			return nil, fmt.Errorf("gda: component %d sensitive value %d not in %v", i, cs.S, snap.SensValues)
 		}
-		c, err := loadComponent(&cs, snap.Dim, prec)
+		c, err := loadComponent(&cs, snap.Dim, f32)
 		if err != nil {
 			return nil, fmt.Errorf("gda: component %d (y=%d,s=%d): %w", i, cs.Y, cs.S, err)
 		}
@@ -298,8 +257,9 @@ func Load(r io.Reader) (*Estimator, error) {
 	return e, nil
 }
 
-// loadComponent validates one component's payload and rebuilds it.
-func loadComponent(cs *lowRankComponentSnapshot, d int, prec Precision) (*Component, error) {
+// loadComponent validates one component's payload, at float32 when f32,
+// and rebuilds it.
+func loadComponent(cs *lowRankComponentSnapshot, d int, f32 bool) (*Component, error) {
 	if !(cs.Weight > 0 && cs.Weight <= 1) {
 		return nil, fmt.Errorf("weight %g outside (0, 1]", cs.Weight)
 	}
@@ -319,7 +279,7 @@ func loadComponent(cs *lowRankComponentSnapshot, d int, prec Precision) (*Compon
 		n = cs.Rank
 	}
 	mean, factor, basis := cs.Mean, cs.Factor, cs.Basis
-	if prec == PrecisionF32 {
+	if f32 {
 		if len(cs.Mean) != 0 || len(cs.Factor) != 0 || len(cs.Basis) != 0 {
 			return nil, errors.New("float64 fields in an f32 snapshot")
 		}

@@ -173,21 +173,27 @@ func TestEstimatorLoadBadSnapshots(t *testing.T) {
 // FuzzEstimatorLoad: Load of arbitrary bytes either fails or returns an
 // estimator that scores a batch of all-zero rows without panicking. Load feeds
 // factor and basis bits from outside the program through CholeskyFromFactor,
-// LowRankFromFactors and the whitening inverse. Seeds: Save output at both
-// precisions of a dense (versions 1 and 2) and a low-rank (version 3)
-// estimator, and the snapshots of TestEstimatorLoadBadSnapshots.
+// LowRankFromFactors and the whitening inverse. Seeds: Save output of a
+// dense (version 1) and a low-rank (version 3) estimator, each followed by a
+// recorded legacy float32 snapshot of that kind (versions 2 and 3), and the
+// snapshots of TestEstimatorLoadBadSnapshots.
 func FuzzEstimatorLoad(f *testing.F) {
 	dense, _ := fitFixture(f, 40, 3, 2, []int{-1, 1})
 	lowRank, _ := fitFixture(f, 16, 16, 2, []int{-1, 1})
-	for _, e := range []*Estimator{dense, lowRank} {
-		for _, p := range []Precision{PrecisionF64, PrecisionF32} {
-			e.SetPrecision(p)
-			var buf bytes.Buffer
-			if err := e.Save(&buf); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(buf.Bytes())
+	for _, seed := range []struct {
+		e      *Estimator
+		legacy string
+	}{{dense, "testdata/dense_v2.gob"}, {lowRank, "testdata/lowrank_v3_f32.gob"}} {
+		var buf bytes.Buffer
+		if err := seed.e.Save(&buf); err != nil {
+			f.Fatal(err)
 		}
+		f.Add(buf.Bytes())
+		raw, err := os.ReadFile(seed.legacy)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
 	}
 	f.Add(encodeSnapshot(f, goodSnapshot()).Bytes())
 	f.Add(encodeSnapshot(f, goodLowRankSnapshot()).Bytes())

@@ -188,7 +188,7 @@ func TestPersistRoundTripWhiteningBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := e.wstack.(*mat.WhitenedStack[float64]), loaded.wstack.(*mat.WhitenedStack[float64])
+	a, b := e.wstack, loaded.wstack
 	if a.Components() != b.Components() || a.Dim() != b.Dim() {
 		t.Fatalf("stack shape differs: fit %dx%d comps, load %dx%d",
 			a.Dim(), a.Components(), b.Dim(), b.Components())

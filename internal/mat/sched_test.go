@@ -26,7 +26,7 @@ func TestNoPoolDispatchAtParallelism1(t *testing.T) {
 	MulTAInto(dst, x, y)
 	MulTBInto(dst, x, y)
 	ParallelFor(1024, 1, func(lo, hi int) {})
-	stack, _, _ := whitenFixtureStack[float64](t, 16, 2, 8, 67)
+	stack, _, _ := whitenFixtureStack(t, 16, 2, 8, 67)
 	z := randDense(rng, 40, 16)
 	stack.MahalanobisInto(make([]float64, 40*2), z)
 	if got := PoolDispatches(); got != base {

@@ -3,7 +3,6 @@ package mat
 import (
 	"fmt"
 	"sync"
-	"unsafe"
 )
 
 // Whitened batch Mahalanobis scoring.
@@ -23,35 +22,25 @@ import (
 // three times: project on the basis, whiten the projection, and add the
 // residual off the basis.
 //
-// The stack stores W and m̃ at width T, float64 or float32. Halving the width
-// halves the bytes a pass streams, and the kernel is memory-bandwidth bound
-// (DESIGN.md §15). Either way the subtract-square reduction q += (u − m̃)²
-// accumulates in float64: at float32 only the triangular matvec u = W·z runs
-// narrow, and the subtraction is exact because both operands are float32
-// values widened to float64.
-//
 // The batch is processed in lane blocks: as many rows as fill one 64-byte tile
-// row (8 float64 or 16 float32 lanes) are transposed into a column-major tile
+// row (8 float64 lanes) are transposed into a column-major tile
 // (tile[r·lanes+lane] = z_lane[r]) so the inner kernel reads one W element and
 // feeds all lanes — on amd64 with AVX2+FMA a single broadcast and two fused
-// multiply-adds per W element, four output rows sharing each tile load at
-// float64 (whiten*_amd64.s), and a portable Go kernel everywhere else. Lanes are fully independent: a row's result depends
-// only on its own tile column, never on which rows share the block (padding
-// lanes are zero-filled), so per-row outputs are bit-identical whatever the
-// batch composition, block grouping, or shard layout — the property the
-// serving layer's batching bit-identity and the determinism pins rest on.
-// Results are NOT bit-identical to a per-row solve (different accumulation
-// order of the same products). Feature values outside float32 range overflow
-// to ±Inf when a float32 tile is packed and poison only their own row, the
-// same NaN/Inf propagation contract as at float64.
+// multiply-adds per W element, four output rows sharing each tile load
+// (whiten_amd64.s), and a portable Go kernel everywhere else. Lanes are fully
+// independent: a row's result depends only on its own tile column, never on
+// which rows share the block (padding lanes are zero-filled), so per-row
+// outputs are bit-identical whatever the batch composition, block grouping,
+// or shard layout — the property the serving layer's bit-identity and the
+// determinism pins rest on. Results are NOT bit-identical to a per-row solve
+// (different accumulation order of the same products).
 
-// whitenTileBytes is the width of one tile row: the lane count of a stack is
-// whitenTileBytes over its element size, two AVX2 vectors at either width.
+// whitenTileBytes is the width of one tile row, two AVX2 vectors.
 const whitenTileBytes = 64
 
-// maxWhitenLanes is the widest lane block, float32's: the size of a kernel's
-// output buffer at either width.
-const maxWhitenLanes = whitenTileBytes / 4
+// whitenLanes is the number of rows in one lane block: one tile row of
+// float64, and the size of a kernel's output buffer.
+const whitenLanes = whitenTileBytes / 8
 
 // whitenKernel is the one lane kernel every pass runs: for each of rows
 // output rows j of the operand a (row stride cols) and every lane of the
@@ -63,10 +52,9 @@ const maxWhitenLanes = whitenTileBytes / 4
 // where ext_j is j+1 when tri (a lower triangle, rows = cols) and cols
 // otherwise, init counts as 0 when empty, and out is written only when
 // non-empty. Each u_j adds its products in ascending c and q its squares in
-// ascending j. The matvec runs at width T and the reduction in float64. Each
-// width has a portable Go kernel and, on amd64, an assembly one; the stack
-// picks one when it is made.
-type whitenKernel[T float32 | float64] func(q *[maxWhitenLanes]float64, tile, a, m, init, out []T, rows, cols int, tri bool)
+// ascending j. There is a portable Go kernel and, on amd64, an assembly one;
+// the stack picks one when it is made.
+type whitenKernel func(q *[whitenLanes]float64, tile, a, m, init, out []float64, rows, cols int, tri bool)
 
 // invLowerInto fills w (n×n row major) with the inverse of the
 // lower-triangular factor l, one row at a time:
@@ -122,20 +110,19 @@ func invLowerRow(w, l []float64, n, from, r int) {
 	}
 }
 
-// WhitenedStack is a stack of K factors stored at width T, ready for batch
-// Mahalanobis evaluation against every factor at once. Each factor is a
-// whitenOperand: a dense factor (AddFactor) is the d×d triangle W = L⁻¹, a
-// low-rank one (AddLowRank) an r×d basis projection, an r×r triangle and a
-// residual term. Build it once per fit (or snapshot load); it is immutable
-// afterwards and safe for concurrent MahalanobisInto calls.
-type WhitenedStack[T float32 | float64] struct {
+// WhitenedStack is a stack of K factors, ready for batch Mahalanobis
+// evaluation against every factor at once. Each factor is a whitenOperand: a
+// dense factor (AddFactor) is the d×d triangle W = L⁻¹, a low-rank one
+// (AddLowRank) an r×d basis projection, an r×r triangle and a residual
+// term. Build it once per fit (or snapshot load); it is immutable afterwards
+// and safe for concurrent MahalanobisInto calls.
+type WhitenedStack struct {
 	d, k    int
-	lanes   int             // rows per lane block: one 64-byte tile row of T
-	kernel  whitenKernel[T] // chosen once, by NewWhitenedStack
-	ops     []whitenOperand[T]
+	kernel  whitenKernel // chosen once, by NewWhitenedStack
+	ops     []whitenOperand
 	maxRank int       // widest low-rank basis: the projection tile's rows
-	jobs    sync.Pool // *whitenJob[T]
-	tiles   sync.Pool // *tileScratch[T] sized for this stack
+	jobs    sync.Pool // *whitenJob
+	tiles   sync.Pool // *tileScratch sized for this stack
 }
 
 // whitenOperand is one stacked factor: an r-row lower-triangular whitening
@@ -144,130 +131,99 @@ type WhitenedStack[T float32 | float64] struct {
 // no residual term. For a low-rank factor x = Q(z − μ), the projection of
 // the centred row on the basis Q, so m̃ = 0, and the distance adds the
 // residual ‖(z − μ) − Qᵀx‖² / ρ.
-type whitenOperand[T float32 | float64] struct {
+type whitenOperand struct {
 	r    int
-	w    []T // r×r row-major W (lower triangular)
-	mtil []T // m̃, r values
+	w    []float64 // r×r row-major W (lower triangular)
+	mtil []float64 // m̃, r values
 	// Low-rank factors only (basis != nil).
-	basis []T // Q, r×d row major
-	qmu   []T // Q·μ, r values
-	negQt []T // −Qᵀ, d×r row major
-	mean  []T // μ, d values
+	basis []float64 // Q, r×d row major
+	qmu   []float64 // Q·μ, r values
+	negQt []float64 // −Qᵀ, d×r row major
+	mean  []float64 // μ, d values
 	ridge float64
 }
 
-// NewWhitenedStack creates an empty stack for dimension-d factors stored at
-// width T.
-func NewWhitenedStack[T float32 | float64](d int) *WhitenedStack[T] {
+// NewWhitenedStack creates an empty stack for dimension-d factors.
+func NewWhitenedStack(d int) *WhitenedStack {
 	if d < 0 {
 		panic(fmt.Sprintf("mat: negative whitened dimension %d", d))
 	}
-	s := &WhitenedStack[T]{d: d}
-	var kernel any
-	switch any(T(0)).(type) {
-	case float64:
-		s.lanes, kernel = whitenTileBytes/8, whitenKernel64()
-	case float32:
-		s.lanes, kernel = whitenTileBytes/4, whitenKernel32()
-	}
-	s.kernel = kernel.(whitenKernel[T])
+	s := &WhitenedStack{d: d, kernel: selectWhitenKernel()}
 	s.jobs.New = func() any {
-		j := &whitenJob[T]{s: s}
+		j := &whitenJob{s: s}
 		j.fn = j.run
 		return j
 	}
 	s.tiles.New = func() any {
-		return &tileScratch[T]{tile: make([]T, d*s.lanes), proj: make([]T, s.maxRank*s.lanes)}
+		return &tileScratch{tile: make([]float64, d*whitenLanes), proj: make([]float64, s.maxRank*whitenLanes)}
 	}
 	return s
 }
 
 // Dim returns the feature dimension d.
-func (s *WhitenedStack[T]) Dim() int { return s.d }
+func (s *WhitenedStack) Dim() int { return s.d }
 
 // Components returns the number of stacked factors.
-func (s *WhitenedStack[T]) Components() int { return s.k }
+func (s *WhitenedStack) Components() int { return s.k }
 
-// roundTo returns v rounded to T and widened back: the float64 values a
-// width-T stack derives its operands from.
-func roundTo[T float32 | float64](v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(T(x))
-	}
-	return out
-}
-
-func narrow[T float32 | float64](v []float64) []T {
-	out := make([]T, len(v))
-	for i, x := range v {
-		out[i] = T(x)
-	}
-	return out
-}
-
-// whiten returns W = L⁻¹ of the n×n factor l (already rounded to T) and
-// m̃ = W·x, both derived in float64 and stored at T.
-func whiten[T float32 | float64](l, x []float64, n int) (w, mtil []T) {
-	wf := make([]float64, n*n)
-	invLowerInto(wf, l, n)
-	mtil = make([]T, n)
+// whiten returns W = L⁻¹ of the n×n factor l and m̃ = W·x.
+func whiten(l, x []float64, n int) (w, mtil []float64) {
+	w = make([]float64, n*n)
+	invLowerInto(w, l, n)
+	mtil = make([]float64, n)
 	// m̃_j = Σ_{r≤j} W[j,r]·x_r (W is lower triangular).
 	for j := 0; j < n; j++ {
 		sum := 0.0
-		for r, wv := range wf[j*n : j*n+j+1] {
+		for r, wv := range w[j*n : j*n+j+1] {
 			sum += wv * x[r]
 		}
-		mtil[j] = T(sum)
+		mtil[j] = sum
 	}
-	return narrow[T](wf), mtil
+	return w, mtil
 }
 
 // AddFactor appends the whitening of one Cholesky factor and mean, returning
-// its index in the stack. The factor and mean are rounded to T first and W
-// and m̃ derived from the rounded values in float64, then stored at T. At
-// float64 the rounding is exact; at float32 it makes the stack a function of
-// the float32 bits a snapshot persists, so a stack rebuilt from them
-// reproduces these exact bits.
-func (s *WhitenedStack[T]) AddFactor(c *Cholesky, mean []float64) int {
+// its index in the stack. W and m̃ are deterministic in the factor and mean
+// bits, so a stack rebuilt from a snapshot's factors reproduces these.
+func (s *WhitenedStack) AddFactor(c *Cholesky, mean []float64) int {
 	d := s.d
 	if c.Size() != d || len(mean) != d {
 		panic(fmt.Sprintf("mat: whitened factor dim %d / mean %d, want %d", c.Size(), len(mean), d))
 	}
-	w, mtil := whiten[T](roundTo[T](c.l.Data), roundTo[T](mean), d)
-	s.ops = append(s.ops, whitenOperand[T]{r: d, w: w, mtil: mtil})
+	w, mtil := whiten(c.l.Data, mean, d)
+	s.ops = append(s.ops, whitenOperand{r: d, w: w, mtil: mtil})
 	s.k++
 	return s.k - 1
 }
 
 // AddLowRank appends a low-rank factor and its mean, returning its index in
-// the stack. As in AddFactor, the basis, the factor of S + ρI and the mean
-// are rounded to T first, and W, Q·μ and −Qᵀ derived from the rounded values
-// in float64, so a stack rebuilt from a snapshot's bits reproduces these.
-func (s *WhitenedStack[T]) AddLowRank(f *LowRank, mean []float64) int {
+// the stack. As in AddFactor, W, Q·μ and −Qᵀ are deterministic in the basis,
+// factor and mean bits. The operand keeps views of the basis and the mean,
+// so neither may change while the stack is in use.
+func (s *WhitenedStack) AddLowRank(f *LowRank, mean []float64) int {
 	d, r := s.d, f.Rank()
 	if f.Dim() != d || len(mean) != d {
 		panic(fmt.Sprintf("mat: low-rank factor dim %d / mean %d, want %d", f.Dim(), len(mean), d))
 	}
-	q, mu := roundTo[T](f.basis.Data), roundTo[T](mean)
-	w, mtil := whiten[T](roundTo[T](f.chol.l.Data), make([]float64, r), r) // m̃ = 0: P is centred
-	qmu := make([]T, r)
+	q := f.basis.Data
+	w, mtil := whiten(f.chol.l.Data, make([]float64, r), r) // m̃ = 0: P is centred
+	qmu := make([]float64, r)
 	for j := range qmu {
 		sum := 0.0
 		for c, v := range q[j*d : (j+1)*d] {
-			sum += v * mu[c]
+			sum += v * mean[c]
 		}
-		qmu[j] = T(sum)
+		qmu[j] = sum
 	}
-	negQt := make([]T, d*r)
+	negQt := make([]float64, d*r)
 	for j := 0; j < r; j++ {
 		for c, v := range q[j*d : (j+1)*d] {
-			negQt[c*r+j] = T(-v)
+			negQt[c*r+j] = -v
 		}
 	}
-	s.ops = append(s.ops, whitenOperand[T]{
+	s.ops = append(s.ops, whitenOperand{
 		r: r, w: w, mtil: mtil,
-		basis: narrow[T](q), qmu: qmu, negQt: negQt, mean: narrow[T](mu), ridge: f.ridge,
+		basis: q, qmu: qmu, negQt: negQt, mean: mean, ridge: f.ridge,
 	})
 	s.maxRank = max(s.maxRank, r)
 	s.k++
@@ -277,31 +233,31 @@ func (s *WhitenedStack[T]) AddLowRank(f *LowRank, mean []float64) int {
 // WhitenedMean returns a view of m̃_k (do not modify). Exposed for the
 // persistence round-trip tests proving Load-derived whitening matches
 // Fit-derived bits.
-func (s *WhitenedStack[T]) WhitenedMean(k int) []T { return s.ops[k].mtil }
+func (s *WhitenedStack) WhitenedMean(k int) []float64 { return s.ops[k].mtil }
 
 // Factor returns a view of W_k's row-major data, r×r (do not modify).
-func (s *WhitenedStack[T]) Factor(k int) []T { return s.ops[k].w }
+func (s *WhitenedStack) Factor(k int) []float64 { return s.ops[k].w }
 
 // Basis returns a view of factor k's basis Q, r×d row major, or nil for a
 // dense factor (do not modify).
-func (s *WhitenedStack[T]) Basis(k int) []T { return s.ops[k].basis }
+func (s *WhitenedStack) Basis(k int) []float64 { return s.ops[k].basis }
 
 // tileScratch is the per-shard scratch of a whitened pass: one column-major
 // lane tile, the projection tile of a low-rank factor, and the per-kernel-call
 // outputs. Pooled so concurrent shards and concurrent callers run
 // allocation-free at steady state.
-type tileScratch[T float32 | float64] struct {
-	tile []T
-	proj []T
-	q    [maxWhitenLanes]float64
-	qw   [maxWhitenLanes]float64
+type tileScratch struct {
+	tile []float64
+	proj []float64
+	q    [whitenLanes]float64
+	qw   [whitenLanes]float64
 }
 
 // whitenJob carries one MahalanobisInto pass across the worker pool without
 // allocating (fn pre-bound when the pool makes the job, like gda's score
 // jobs).
-type whitenJob[T float32 | float64] struct {
-	s   *WhitenedStack[T]
+type whitenJob struct {
+	s   *WhitenedStack
 	z   *Dense
 	dst []float64
 	fn  func(lo, hi int)
@@ -313,18 +269,18 @@ type whitenJob[T float32 | float64] struct {
 // the projection P = Q(z − μ) into the projection tile, the triangle ‖W·P‖²,
 // and the residual ‖z − μ − Qᵀ·P‖², which starts each row's sum from the
 // tile and subtracts μ at the end.
-func (j *whitenJob[T]) run(lob, hib int) {
+func (j *whitenJob) run(lob, hib int) {
 	s, z, dst := j.s, j.z, j.dst
-	d, k, n, lanes := s.d, s.k, z.Rows, s.lanes
-	ts := s.tiles.Get().(*tileScratch[T])
-	if need := s.maxRank * lanes; len(ts.proj) < need {
-		ts.proj = make([]T, need)
+	d, k, n := s.d, s.k, z.Rows
+	ts := s.tiles.Get().(*tileScratch)
+	if need := s.maxRank * whitenLanes; len(ts.proj) < need {
+		ts.proj = make([]float64, need)
 	}
 	tile := ts.tile
 	for b := lob; b < hib; b++ {
-		lo := b * lanes
-		rows := min(lanes, n-lo)
-		packTile(tile, z, lo, rows, lanes)
+		lo := b * whitenLanes
+		rows := min(whitenLanes, n-lo)
+		packTile(tile, z, lo, rows)
 		for f := range s.ops {
 			op := &s.ops[f]
 			if op.basis == nil {
@@ -334,7 +290,7 @@ func (j *whitenJob[T]) run(lob, hib int) {
 				}
 				continue
 			}
-			p := ts.proj[:op.r*lanes]
+			p := ts.proj[:op.r*whitenLanes]
 			s.kernel(&ts.q, tile, op.basis, op.qmu, nil, p, op.r, d, false)
 			s.kernel(&ts.qw, p, op.w, op.mtil, nil, nil, op.r, op.r, true)
 			s.kernel(&ts.q, p, op.negQt, op.mean, tile, nil, d, op.r, false)
@@ -349,21 +305,21 @@ func (j *whitenJob[T]) run(lob, hib int) {
 // packTile transposes rows [lo, lo+rows) of z into the column-major tile
 // (tile[r·lanes+lane] = z_lane[r]) and zero-fills the remaining lanes. A
 // function of its own so the copy loop keeps its counters in registers.
-func packTile[T float32 | float64](tile []T, z *Dense, lo, rows, lanes int) {
+func packTile(tile []float64, z *Dense, lo, rows int) {
 	d := z.Cols
 	for lane := 0; lane < rows; lane++ {
 		i := lane
 		for _, v := range z.Data[(lo+lane)*d : (lo+lane+1)*d] {
-			tile[i] = T(v)
-			i += lanes
+			tile[i] = v
+			i += whitenLanes
 		}
 	}
 	// Zero padding lanes: garbage from a previous block must not feed the
 	// kernel (lane independence keeps it out of real rows' results, but
 	// Inf/NaN garbage could fault-free still produce spurious FP flags and
 	// the zero fill is what makes block grouping provably irrelevant).
-	for lane := rows; lane < lanes; lane++ {
-		for i := lane; i < len(tile); i += lanes {
+	for lane := rows; lane < whitenLanes; lane++ {
+		for i := lane; i < len(tile); i += whitenLanes {
 			tile[i] = 0
 		}
 	}
@@ -376,7 +332,7 @@ func packTile[T float32 | float64](tile []T, z *Dense, lo, rows, lanes int) {
 // Per-row results are bit-identical across batch compositions, shard counts
 // and repeated runs (see the package comment above); a steady-state loop at
 // fixed shape performs no heap allocation.
-func (s *WhitenedStack[T]) MahalanobisInto(dst []float64, z *Dense) {
+func (s *WhitenedStack) MahalanobisInto(dst []float64, z *Dense) {
 	n := z.Rows
 	if n > 0 && z.Cols != s.d {
 		panic(fmt.Sprintf("mat: whitened batch dim %d, want %d", z.Cols, s.d))
@@ -387,46 +343,42 @@ func (s *WhitenedStack[T]) MahalanobisInto(dst []float64, z *Dense) {
 	if n == 0 || s.k == 0 {
 		return
 	}
-	nb := (n + s.lanes - 1) / s.lanes
-	j := s.jobs.Get().(*whitenJob[T])
+	nb := (n + whitenLanes - 1) / whitenLanes
+	j := s.jobs.Get().(*whitenJob)
 	j.z, j.dst = z, dst
 	ParallelFor(nb, 1, j.fn)
 	j.z, j.dst = nil, nil
 	s.jobs.Put(j)
 }
 
-// whitenRowsGo is the portable kernel at either width: the matvec
-// accumulates at width T, one chain per lane in ascending c, and the
-// subtraction and squared sum run in float64 (exact for the subtraction at
-// float32: both operands are float32 values widened). The per-lane
+// whitenRowsGo is the portable kernel: one accumulation chain per lane in
+// ascending c, then the subtraction and squared sum. The per-lane
 // accumulation order is whitenKernel's, so results are deterministic and
 // independent of which rows share the tile.
-func whitenRowsGo[T float32 | float64](q *[maxWhitenLanes]float64, tile, a, m, init, out []T, rows, cols int, tri bool) {
-	lanes := whitenTileBytes / int(unsafe.Sizeof(T(0)))
-	var qa [maxWhitenLanes]float64
-	var u [maxWhitenLanes]T
+func whitenRowsGo(q *[whitenLanes]float64, tile, a, m, init, out []float64, rows, cols int, tri bool) {
+	var qa, u [whitenLanes]float64
 	for j := 0; j < rows; j++ {
 		ext := cols
 		if tri {
 			ext = j + 1
 		}
 		if len(init) > 0 {
-			copy(u[:lanes], init[j*lanes:])
+			copy(u[:], init[j*whitenLanes:])
 		} else {
-			clear(u[:lanes])
+			clear(u[:])
 		}
 		for c, av := range a[j*cols : j*cols+ext] {
-			t := tile[c*lanes : c*lanes+lanes]
+			t := tile[c*whitenLanes : c*whitenLanes+whitenLanes]
 			for lane, v := range t {
 				u[lane] += av * v
 			}
 		}
-		mj := float64(m[j])
-		for lane := 0; lane < lanes; lane++ {
-			t := float64(u[lane]) - mj
+		mj := m[j]
+		for lane := 0; lane < whitenLanes; lane++ {
+			t := u[lane] - mj
 			qa[lane] += t * t
 			if len(out) > 0 {
-				out[j*lanes+lane] = T(t)
+				out[j*whitenLanes+lane] = t
 			}
 		}
 	}

@@ -14,8 +14,8 @@ import (
 // (or 0), t_j = u_j − m[j], and q one fused chain of t_j² in ascending j.
 // FMA rounds once, so it reproduces the assembly's bits whether the
 // assembly runs a row alone or four rows at a time.
-func whitenRowsFMARef(q *[maxWhitenLanes]float64, tile, a, m, init, out []float64, rows, cols int, tri bool) {
-	const lanes = whitenTileBytes / 8
+func whitenRowsFMARef(q *[whitenLanes]float64, tile, a, m, init, out []float64, rows, cols int, tri bool) {
+	const lanes = whitenLanes
 	var qa [lanes]float64
 	for j := 0; j < rows; j++ {
 		ext := cols
@@ -39,30 +39,29 @@ func whitenRowsFMARef(q *[maxWhitenLanes]float64, tile, a, m, init, out []float6
 			}
 		}
 	}
-	*q = [maxWhitenLanes]float64{}
-	copy(q[:], qa[:])
+	*q = qa
 }
 
 // whitenCase is one kernel call's operands: a triangle (rows = cols) or a
 // full rows×cols block, with or without a starting tile and an output tile.
-type whitenCase[T float32 | float64] struct {
-	tile, a, m, init []T
+type whitenCase struct {
+	tile, a, m, init []float64
 	rows, cols       int
 	tri, out         bool
 }
 
-func randomWhitenCase[T float32 | float64](rng *rand.Rand, rows, cols, lanes int, tri, withInit, out bool) whitenCase[T] {
+func randomWhitenCase(rng *rand.Rand, rows, cols, lanes int, tri, withInit, out bool) whitenCase {
 	if tri {
 		cols = rows
 	}
-	fill := func(n int, scale float64) []T {
-		v := make([]T, n)
+	fill := func(n int, scale float64) []float64 {
+		v := make([]float64, n)
 		for i := range v {
-			v[i] = T(scale * rng.NormFloat64())
+			v[i] = scale * rng.NormFloat64()
 		}
 		return v
 	}
-	c := whitenCase[T]{tile: fill(cols*lanes, 2), a: fill(rows*cols, 1), m: fill(rows, 1), rows: rows, cols: cols, tri: tri, out: out}
+	c := whitenCase{tile: fill(cols*lanes, 2), a: fill(rows*cols, 1), m: fill(rows, 1), rows: rows, cols: cols, tri: tri, out: out}
 	if tri {
 		for j := 0; j < rows; j++ {
 			clear(c.a[j*cols+j+1 : (j+1)*cols])
@@ -74,11 +73,11 @@ func randomWhitenCase[T float32 | float64](rng *rand.Rand, rows, cols, lanes int
 	return c
 }
 
-func (c whitenCase[T]) run(k whitenKernel[T], lanes int) ([maxWhitenLanes]float64, []T) {
-	var q [maxWhitenLanes]float64
-	var out []T
+func (c whitenCase) run(k whitenKernel, lanes int) ([whitenLanes]float64, []float64) {
+	var q [whitenLanes]float64
+	var out []float64
 	if c.out {
-		out = make([]T, c.rows*lanes)
+		out = make([]float64, c.rows*lanes)
 	}
 	k(&q, c.tile, c.a, c.m, c.init, out, c.rows, c.cols, c.tri)
 	return q, out
@@ -102,7 +101,7 @@ func TestWhitenRowsAVXMatchesFMAReference(t *testing.T) {
 		sizes = append(sizes, d)
 	}
 	sizes = append(sizes, 512, 513, 514, 515)
-	check := func(name string, c whitenCase[float64]) {
+	check := func(name string, c whitenCase) {
 		t.Helper()
 		q, out := c.run(whitenRowsAVX, lanes)
 		wq, wout := c.run(whitenRowsFMARef, lanes)
@@ -114,47 +113,37 @@ func TestWhitenRowsAVXMatchesFMAReference(t *testing.T) {
 		}
 	}
 	for _, d := range sizes {
-		check(fmt.Sprintf("triangle d=%d", d), randomWhitenCase[float64](rng, d, d, lanes, true, false, false))
+		check(fmt.Sprintf("triangle d=%d", d), randomWhitenCase(rng, d, d, lanes, true, false, false))
 		cols := rng.Intn(80)
 		if d >= 512 {
 			cols = 1 + rng.Intn(200)
 		}
 		for _, flags := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
 			check(fmt.Sprintf("full %dx%d init=%v out=%v", d, cols, flags[0], flags[1]),
-				randomWhitenCase[float64](rng, d, cols, lanes, false, flags[0], flags[1]))
+				randomWhitenCase(rng, d, cols, lanes, false, flags[0], flags[1]))
 		}
 	}
-	check("triangle with output", randomWhitenCase[float64](rng, 13, 13, lanes, true, true, true))
-	check("no rows", randomWhitenCase[float64](rng, 0, 5, lanes, false, false, true))
+	check("triangle with output", randomWhitenCase(rng, 13, 13, lanes, true, true, true))
+	check("no rows", randomWhitenCase(rng, 0, 5, lanes, false, false, true))
 }
 
-// Differential test of the AVX2+FMA microkernels against the portable Go
-// kernels on the same tiles. FMA contracts the multiply-add, so bits differ;
-// agreement is asserted under relative tolerance. Both float32 kernels
-// accumulate the matvec in float32 and the reduction in float64, so their
-// tolerance is sized to the f32 accumulation error (~√d·ε₃₂), far looser
-// than the f64 kernels' 1e-12. Skipped (vacuous) on machines without
-// AVX2+FMA, where every stack runs the Go kernels.
+// Differential test of the AVX2+FMA microkernel against the portable Go
+// kernel on the same tiles. FMA contracts the multiply-add, so bits differ;
+// agreement is asserted under relative tolerance. Skipped (vacuous) on
+// machines without AVX2+FMA, where every stack runs the Go kernel.
 func TestWhitenQuadAVXMatchesGo(t *testing.T) {
-	testWhitenQuadAVXMatchesGo(t, whitenRowsAVX, whitenRowsGo[float64], whitenTileBytes/8, 1e-12)
-}
-
-func TestWhitenQuadAVX32MatchesGo(t *testing.T) {
-	testWhitenQuadAVXMatchesGo(t, whitenRowsAVX32, whitenRowsGo[float32], whitenTileBytes/4, 1e-4)
-}
-
-func testWhitenQuadAVXMatchesGo[T float32 | float64](t *testing.T, asm, pure whitenKernel[T], lanes int, tol float64) {
 	if !whitenUseAVX {
 		t.Skip("no AVX2+FMA on this machine")
 	}
+	const lanes, tol = whitenLanes, 1e-12
 	rng := rand.New(rand.NewSource(43))
 	for _, d := range []int{1, 2, 3, 7, 8, 15, 24, 64, 65} {
-		for _, c := range []whitenCase[T]{
-			randomWhitenCase[T](rng, d, d, lanes, true, false, false),
-			randomWhitenCase[T](rng, d, 1+rng.Intn(70), lanes, false, true, true),
+		for _, c := range []whitenCase{
+			randomWhitenCase(rng, d, d, lanes, true, false, false),
+			randomWhitenCase(rng, d, 1+rng.Intn(70), lanes, false, true, true),
 		} {
-			qAsm, outAsm := c.run(asm, lanes)
-			qGo, outGo := c.run(pure, lanes)
+			qAsm, outAsm := c.run(whitenRowsAVX, lanes)
+			qGo, outGo := c.run(whitenRowsGo, lanes)
 			for lane := 0; lane < lanes; lane++ {
 				rel := math.Abs(qAsm[lane]-qGo[lane]) / (1 + math.Abs(qGo[lane]))
 				if rel > tol || math.IsNaN(qAsm[lane]) != math.IsNaN(qGo[lane]) {
@@ -162,44 +151,40 @@ func testWhitenQuadAVXMatchesGo[T float32 | float64](t *testing.T, asm, pure whi
 				}
 			}
 			for i := range outAsm {
-				a, g := float64(outAsm[i]), float64(outGo[i])
+				a, g := outAsm[i], outGo[i]
 				if rel := math.Abs(a-g) / (1 + math.Abs(g)); rel > tol {
 					t.Fatalf("d=%d out[%d]: asm %v vs go %v (rel %g)", d, i, a, g, rel)
 				}
 			}
 			// The assembly kernel must be deterministic call to call.
-			if again, _ := c.run(asm, lanes); again != qAsm {
+			if again, _ := c.run(whitenRowsAVX, lanes); again != qAsm {
 				t.Fatalf("d=%d: asm kernel not deterministic across calls", d)
 			}
 		}
 	}
 }
 
-// A stack built with the assembly kernels switched off must keep
-// MahalanobisInto within tolerance of one built with them on, over a full
+// A stack built with the assembly kernel switched off must keep
+// MahalanobisInto within tolerance of one built with it on, over a full
 // batch — the whole-pipeline version of the per-tile differential above.
-func TestMahalanobisIntoAVXvsGo(t *testing.T) { testMahalanobisIntoAVXvsGo[float64](t, 1e-10) }
-
-func TestMahalanobisInto32AVXvsGo(t *testing.T) { testMahalanobisIntoAVXvsGo[float32](t, 1e-4) }
-
-func testMahalanobisIntoAVXvsGo[T float32 | float64](t *testing.T, tol float64) {
+func TestMahalanobisIntoAVXvsGo(t *testing.T) {
 	if !whitenUseAVX {
 		t.Skip("no AVX2+FMA on this machine")
 	}
-	const d, k, n = 40, 3, 53
+	const d, k, n, tol = 40, 3, 53, 1e-10
 	rng := rand.New(rand.NewSource(53))
 	z := NewDense(n, d)
 	for i := range z.Data {
 		z.Data[i] = rng.NormFloat64()
 	}
-	stack, _, _ := whitenFixtureStack[T](t, d, k, 10, 47)
+	stack, _, _ := whitenFixtureStack(t, d, k, 10, 47)
 	avx := make([]float64, n*k)
 	stack.MahalanobisInto(avx, z)
 	// The kernel is picked when a stack is built: rebuild the same stack with
-	// the assembly kernels switched off.
+	// the assembly kernel switched off.
 	whitenUseAVX = false
 	defer func() { whitenUseAVX = true }()
-	goStack, _, _ := whitenFixtureStack[T](t, d, k, 10, 47)
+	goStack, _, _ := whitenFixtureStack(t, d, k, 10, 47)
 	pure := make([]float64, n*k)
 	goStack.MahalanobisInto(pure, z)
 	for i := range avx {

@@ -3,9 +3,7 @@
 package mat
 
 // On non-amd64 platforms (or under -tags noasm, the CI leg that keeps the
-// fallbacks differentially tested on AVX2 runners) every stack runs the
-// portable kernel of its width.
+// fallback differentially tested on AVX2 runners) every stack runs the
+// portable kernel.
 
-func whitenKernel64() whitenKernel[float64] { return whitenRowsGo[float64] }
-
-func whitenKernel32() whitenKernel[float32] { return whitenRowsGo[float32] }
+func selectWhitenKernel() whitenKernel { return whitenRowsGo }

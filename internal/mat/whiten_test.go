@@ -10,17 +10,16 @@ import (
 	"faction/internal/testutil"
 )
 
-// whitenFixtureStack builds a K-factor whitened stack at width T from random
-// SPD covariances (sampled with d+extra rows; extra < 0 yields a
-// rank-deficient sample covariance that only a ridge rescue makes
-// factorizable — the near-singular regime). Returns the stack plus the raw
-// factors and means for solve-path reference evaluation. The factors and
-// means depend only on the seed, so stacks of both widths built from one seed
-// whiten identical inputs.
-func whitenFixtureStack[T float32 | float64](t testing.TB, d, k int, extra int, seed int64) (*WhitenedStack[T], []*Cholesky, [][]float64) {
+// whitenFixtureStack builds a K-factor whitened stack from random SPD
+// covariances (sampled with d+extra rows; extra < 0 yields a rank-deficient
+// sample covariance that only a ridge rescue makes factorizable — the
+// near-singular regime). Returns the stack plus the raw factors and means
+// for solve-path reference evaluation. The factors and means depend only on
+// the seed, so stacks built from one seed whiten identical inputs.
+func whitenFixtureStack(t testing.TB, d, k int, extra int, seed int64) (*WhitenedStack, []*Cholesky, [][]float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	stack := NewWhitenedStack[T](d)
+	stack := NewWhitenedStack(d)
 	chols := make([]*Cholesky, k)
 	means := make([][]float64, k)
 	for f := 0; f < k; f++ {
@@ -52,7 +51,7 @@ func whitenFixtureStack[T float32 | float64](t testing.TB, d, k int, extra int, 
 // triangular with exact zeros above the diagonal.
 func TestInvLowerIsInverse(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 5, 8, 17, 64} {
-		stack, chols, _ := whitenFixtureStack[float64](t, d, 1, 5, int64(d))
+		stack, chols, _ := whitenFixtureStack(t, d, 1, 5, int64(d))
 		w := NewDenseData(d, d, append([]float64(nil), stack.Factor(0)...))
 		prod := Mul(w, chols[0].L())
 		for i := 0; i < d; i++ {
@@ -96,7 +95,7 @@ func TestMahalanobisIntoMatchesSolve(t *testing.T) {
 		{32, 3, 25, -20},
 	} {
 		t.Run(fmt.Sprintf("d%d_k%d_n%d_extra%d", tc.d, tc.k, tc.n, tc.extra), func(t *testing.T) {
-			stack, chols, means := whitenFixtureStack[float64](t, tc.d, tc.k, tc.extra, int64(tc.d*100+tc.n))
+			stack, chols, means := whitenFixtureStack(t, tc.d, tc.k, tc.extra, int64(tc.d*100+tc.n))
 			rng := rand.New(rand.NewSource(int64(tc.n)))
 			z := NewDense(tc.n, tc.d)
 			for i := range z.Data {
@@ -117,12 +116,13 @@ func TestMahalanobisIntoMatchesSolve(t *testing.T) {
 	}
 }
 
-// Property: the float32 stack tracks the float64 stack within the error
-// model of DESIGN.md §15 — the f32 matvec contributes ~√d·ε₃₂ relative
-// error, amplified by the factor's conditioning (rounding L to f32 perturbs W
-// by ~κ(L)·ε₃₂). Well-conditioned fixtures sit orders of magnitude inside the
-// tight bound; ridge-rescued near-singular fixtures get the κ-scaled loose
-// bound. NaN classification must agree exactly.
+// Property: a stack built from factors and means rounded to float32 — what
+// a float32 snapshot of an earlier release loads as, widened back to
+// float64 — tracks the stack of the exact operands within the error model
+// of the float32 path that wrote it. Rounding L perturbs W by ~κ(L)·ε₃₂
+// through the inverse, so well-conditioned fixtures sit orders of
+// magnitude inside the tight bound and ridge-rescued near-singular ones get
+// the κ-scaled loose bound. NaN classification must agree exactly.
 func TestWhitenedStack32MatchesF64(t *testing.T) {
 	for _, tc := range []struct {
 		d, k, n, extra int
@@ -135,18 +135,23 @@ func TestWhitenedStack32MatchesF64(t *testing.T) {
 		{8, 4, 16, 8, 2e-3},
 		{9, 3, 33, 8, 2e-3},
 		{16, 2, 40, 8, 2e-3},
-		{17, 2, 31, 8, 2e-3}, // d and n both off the 16-lane grid
+		{17, 2, 31, 8, 2e-3},
 		{33, 3, 21, 8, 2e-3},
 		{64, 4, 37, 16, 2e-3},
-		// Near-singular: rank-deficient sample covariance, ridge-rescued. The
-		// f32 rounding of L is magnified by κ(L) ≈ √κ(Σ) through the inverse.
+		// Near-singular: rank-deficient sample covariance, ridge-rescued.
 		{12, 2, 19, -5, 5e-2},
 		{32, 3, 25, -20, 5e-2},
 	} {
 		t.Run(fmt.Sprintf("d%d_k%d_n%d_extra%d", tc.d, tc.k, tc.n, tc.extra), func(t *testing.T) {
-			seed := int64(tc.d*100 + tc.n)
-			stack, _, _ := whitenFixtureStack[float64](t, tc.d, tc.k, tc.extra, seed)
-			stack32, _, _ := whitenFixtureStack[float32](t, tc.d, tc.k, tc.extra, seed)
+			stack, chols, means := whitenFixtureStack(t, tc.d, tc.k, tc.extra, int64(tc.d*100+tc.n))
+			stack32 := NewWhitenedStack(tc.d)
+			for f, ch := range chols {
+				ch32, err := CholeskyFromFactor(NewDenseData(tc.d, tc.d, roundTo32(ch.L().Data)))
+				if err != nil {
+					t.Fatalf("factor %d: rounded factor rejected: %v", f, err)
+				}
+				stack32.AddFactor(ch32, roundTo32(means[f]))
+			}
 			rng := rand.New(rand.NewSource(int64(tc.n)))
 			z := NewDense(tc.n, tc.d)
 			for i := range z.Data {
@@ -158,66 +163,33 @@ func TestWhitenedStack32MatchesF64(t *testing.T) {
 			stack32.MahalanobisInto(q32, z)
 			for i := range q64 {
 				if rel := math.Abs(q32[i]-q64[i]) / (1 + math.Abs(q64[i])); rel > tc.tol || math.IsNaN(q32[i]) != math.IsNaN(q64[i]) {
-					t.Fatalf("dst[%d]: f32 %v vs f64 %v (rel %g > %g)", i, q32[i], q64[i], rel, tc.tol)
+					t.Fatalf("dst[%d]: f32-rounded %v vs f64 %v (rel %g > %g)", i, q32[i], q64[i], rel, tc.tol)
 				}
 			}
 		})
 	}
 }
 
-// Property: the float32 whitening is a deterministic function of the
-// float32-rounded factor and mean bits. Rebuilding the stack from factors and
-// means that went through a float32 round trip — exactly what loading an f32
-// snapshot payload does — reproduces W and m̃ bit for bit, because AddFactor
-// rounds its inputs to the stack's width before deriving anything.
-func TestWhitenedStack32RoundTripBits(t *testing.T) {
-	for _, d := range []int{1, 3, 8, 17, 32} {
-		stack32, chols, means := whitenFixtureStack[float32](t, d, 2, 6, int64(d*7+1))
-		reload := NewWhitenedStack[float32](d)
-		for f := 0; f < 2; f++ {
-			lw := make([]float64, d*d)
-			for i, v := range chols[f].L().Data {
-				lw[i] = float64(float32(v))
-			}
-			ch, err := CholeskyFromFactor(NewDenseData(d, d, lw))
-			if err != nil {
-				t.Fatalf("d=%d factor %d: rounded factor rejected: %v", d, f, err)
-			}
-			mw := make([]float64, d)
-			for i, v := range means[f] {
-				mw[i] = float64(float32(v))
-			}
-			reload.AddFactor(ch, mw)
-		}
-		for f := 0; f < 2; f++ {
-			for i, v := range stack32.Factor(f) {
-				if reload.Factor(f)[i] != v {
-					t.Fatalf("d=%d factor %d: W32[%d] differs after f32 round trip", d, f, i)
-				}
-			}
-			for i, v := range stack32.WhitenedMean(f) {
-				if reload.WhitenedMean(f)[i] != v {
-					t.Fatalf("d=%d factor %d: m̃32[%d] differs after f32 round trip", d, f, i)
-				}
-			}
-		}
+// roundTo32 returns v rounded to float32 and widened back, as gda.Load
+// widens a float32 snapshot.
+func roundTo32(v []float64) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		out[i] = float64(float32(x))
 	}
+	return out
 }
 
 // Property: repeated evaluations and every worker-pool width produce the
-// same bits at either width — lane blocks are row-independent and each is
-// computed by exactly one shard in a fixed accumulation order. Uses an odd
-// batch size so the tail block (padded lanes) is exercised. The stacks of
-// this and the next three properties mix dense and low-rank factors.
-func TestMahalanobisIntoDeterministic(t *testing.T) { testWhitenDeterministic[float64](t) }
-
-func TestWhitenedStack32Deterministic(t *testing.T) { testWhitenDeterministic[float32](t) }
-
-func testWhitenDeterministic[T float32 | float64](t *testing.T) {
+// same bits — lane blocks are row-independent and each is computed by
+// exactly one shard in a fixed accumulation order. Uses an odd batch size so
+// the tail block (padded lanes) is exercised. The stacks of this and the
+// next three properties mix dense and low-rank factors.
+func TestMahalanobisIntoDeterministic(t *testing.T) {
 	old := Parallelism()
 	defer SetParallelism(old)
 	const d, n = 24, 61
-	stack, _, _ := whitenFixtureStack[T](t, d, 3, 8, 3)
+	stack, _, _ := whitenFixtureStack(t, d, 3, 8, 3)
 	k := addLowRankFactors(t, stack, 2, 4)
 	rng := rand.New(rand.NewSource(9))
 	z := NewDense(n, d)
@@ -247,15 +219,10 @@ func testWhitenDeterministic[T float32 | float64](t *testing.T) {
 // Property: a row's result does not depend on which rows share its batch —
 // scoring each row alone gives the same bits as scoring them all together,
 // so a served row's density does not depend on the rows sent with it.
-// Exercises rows landing in every lane position of their block, at the
-// 8-lane and the 16-lane block width.
-func TestMahalanobisIntoBatchComposition(t *testing.T) { testWhitenBatchComposition[float64](t, 29) }
-
-func TestWhitenedStack32BatchComposition(t *testing.T) { testWhitenBatchComposition[float32](t, 37) }
-
-func testWhitenBatchComposition[T float32 | float64](t *testing.T, n int) {
-	const d = 18
-	stack, _, _ := whitenFixtureStack[T](t, d, 2, 6, 11)
+// Exercises rows landing in every lane position of their block.
+func TestMahalanobisIntoBatchComposition(t *testing.T) {
+	const d, n = 18, 29
+	stack, _, _ := whitenFixtureStack(t, d, 2, 6, 11)
 	k := addLowRankFactors(t, stack, 2, 12)
 	rng := rand.New(rand.NewSource(13))
 	z := NewDense(n, d)
@@ -287,18 +254,9 @@ func testWhitenBatchComposition[T float32 | float64](t *testing.T, n int) {
 // Property: non-finite inputs poison exactly the rows that carry them. A NaN
 // anywhere in a row makes that row's distances NaN; an Inf makes them
 // non-finite; every clean row keeps bits identical to an all-clean batch.
-func TestMahalanobisIntoNonFinite(t *testing.T) { testWhitenNonFinite[float64](t, 21, -1) }
-
-// At float32 the suite adds a value finite in float64 but beyond float32
-// range: tile packing overflows it to ±Inf, which must stay confined to its
-// row.
-func TestWhitenedStack32NonFinite(t *testing.T) { testWhitenNonFinite[float32](t, 39, 22) }
-
-// testWhitenNonFinite poisons rows 4 (NaN) and 13 (+Inf) of an n-row batch,
-// and row overflowRow with 1e300 unless it is negative.
-func testWhitenNonFinite[T float32 | float64](t *testing.T, n, overflowRow int) {
-	const d = 16
-	stack, _, _ := whitenFixtureStack[T](t, d, 3, 6, 17)
+func TestMahalanobisIntoNonFinite(t *testing.T) {
+	const d, n = 16, 21
+	stack, _, _ := whitenFixtureStack(t, d, 3, 6, 17)
 	k := addLowRankFactors(t, stack, 2, 18)
 	rng := rand.New(rand.NewSource(19))
 	clean := NewDense(n, d)
@@ -312,9 +270,6 @@ func testWhitenNonFinite[T float32 | float64](t *testing.T, n, overflowRow int) 
 	const nanRow, infRow = 4, 13
 	dirty.Row(nanRow)[d/2] = math.NaN()
 	dirty.Row(infRow)[0] = math.Inf(1)
-	if overflowRow >= 0 {
-		dirty.Row(overflowRow)[d-1] = 1e300 // finite in f64, Inf in f32
-	}
 	got := make([]float64, n*k)
 	stack.MahalanobisInto(got, dirty)
 	for i := 0; i < n; i++ {
@@ -325,7 +280,7 @@ func testWhitenNonFinite[T float32 | float64](t *testing.T, n, overflowRow int) 
 				if !math.IsNaN(v) {
 					t.Fatalf("NaN row factor %d: got %v, want NaN", f, v)
 				}
-			case infRow, overflowRow:
+			case infRow:
 				if !math.IsNaN(v) && !math.IsInf(v, 0) {
 					t.Fatalf("row %d factor %d: got finite %v, want non-finite", i, f, v)
 				}
@@ -340,20 +295,15 @@ func testWhitenNonFinite[T float32 | float64](t *testing.T, n, overflowRow int) 
 }
 
 // Degenerate shapes: empty batches, empty stacks and zero-dimensional
-// factors must be well-defined no-ops (or all-zero distances for d=0), at
-// either width.
-func TestMahalanobisIntoEdges(t *testing.T) { testWhitenEdges[float64](t) }
-
-func TestWhitenedStack32Edges(t *testing.T) { testWhitenEdges[float32](t) }
-
-func testWhitenEdges[T float32 | float64](t *testing.T) {
-	stack, _, _ := whitenFixtureStack[T](t, 6, 2, 4, 23)
+// factors must be well-defined no-ops (or all-zero distances for d=0).
+func TestMahalanobisIntoEdges(t *testing.T) {
+	stack, _, _ := whitenFixtureStack(t, 6, 2, 4, 23)
 	stack.MahalanobisInto(nil, NewDense(0, 6)) // n == 0: no-op
 
-	empty := NewWhitenedStack[T](6) // k == 0
+	empty := NewWhitenedStack(6) // k == 0
 	empty.MahalanobisInto(nil, NewDense(4, 6))
 
-	zero := NewWhitenedStack[T](0) // d == 0: every distance is an empty sum
+	zero := NewWhitenedStack(0) // d == 0: every distance is an empty sum
 	ch, err := NewCholesky(NewDense(0, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -392,24 +342,19 @@ func mustPanicWhiten(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-// The whitened pass is allocation-free at steady state at either element
-// width and at either pool width — the property the pooled gda scoring paths
-// (and their gated benchmarks) inherit. At pool width 2 the 40-row batch is
-// sharded, so the pin covers the parallel handoff. GC is paused because a
-// cycle empties the job, tile and WaitGroup pools, and their refill would be
-// charged to the pass.
-func TestMahalanobisIntoSteadyStateAllocs(t *testing.T) { testWhitenSteadyStateAllocs[float64](t) }
-
-func TestWhitenedStack32SteadyStateAllocs(t *testing.T) { testWhitenSteadyStateAllocs[float32](t) }
-
-func testWhitenSteadyStateAllocs[T float32 | float64](t *testing.T) {
+// The whitened pass is allocation-free at steady state at either pool width
+// — the property the pooled gda scoring paths (and their gated benchmarks)
+// inherit. At pool width 2 the 40-row batch is sharded, so the pin covers
+// the parallel handoff. GC is paused because a cycle empties the job, tile
+// and WaitGroup pools, and their refill would be charged to the pass.
+func TestMahalanobisIntoSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
 	}
 	old := Parallelism()
 	defer SetParallelism(old)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	stack, _, _ := whitenFixtureStack[T](t, 32, 4, 8, 29)
+	stack, _, _ := whitenFixtureStack(t, 32, 4, 8, 29)
 	k := addLowRankFactors(t, stack, 2, 30)
 	rng := rand.New(rand.NewSource(31))
 	z := NewDense(40, 32)
@@ -422,7 +367,7 @@ func testWhitenSteadyStateAllocs[T float32 | float64](t *testing.T) {
 		SetParallelism(width)
 		loop()
 		if n := testing.AllocsPerRun(50, loop); n != 0 {
-			t.Fatalf("steady-state %T MahalanobisInto at pool width %d allocates %.1f allocs/op, want 0", stack, width, n)
+			t.Fatalf("steady-state MahalanobisInto at pool width %d allocates %.1f allocs/op, want 0", width, n)
 		}
 	}
 }
@@ -430,13 +375,8 @@ func testWhitenSteadyStateAllocs[T float32 | float64](t *testing.T) {
 // BenchmarkWhitenMahalanobis is the quadratic-form pass under GDA batch
 // scoring: 512 rows × 64 dims against a 4-factor stack, serial and on the
 // worker pool.
-func BenchmarkWhitenMahalanobis(b *testing.B) { benchWhitenMahalanobis[float64](b) }
-
-// BenchmarkWhitenMahalanobis32 is the same pass on the float32 stack.
-func BenchmarkWhitenMahalanobis32(b *testing.B) { benchWhitenMahalanobis[float32](b) }
-
-func benchWhitenMahalanobis[T float32 | float64](b *testing.B) {
-	stack, _, _ := whitenFixtureStack[T](b, 64, 4, 16, 37)
+func BenchmarkWhitenMahalanobis(b *testing.B) {
+	stack, _, _ := whitenFixtureStack(b, 64, 4, 16, 37)
 	rng := rand.New(rand.NewSource(41))
 	z := NewDense(512, 64)
 	for i := range z.Data {

@@ -55,6 +55,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // variable so tests can pin it.
 var jitterRand = rand.Float64
 
+// backoffTimer starts the timer a Retry backoff waits on, a package
+// variable so tests can observe the delay without waiting it out.
+var backoffTimer = time.NewTimer
+
 // jittered maps delay to a uniform sample of [delay·(1−j), delay·(1+j)],
 // capped at max. With j == 0 it returns delay (capped) unchanged.
 func jittered(delay, max time.Duration, j float64) time.Duration {
@@ -90,7 +94,7 @@ func Retry(ctx context.Context, p RetryPolicy, fn func() error) error {
 		if attempt >= p.Attempts {
 			return fmt.Errorf("resilience: giving up after %d attempts: %w", attempt, last)
 		}
-		timer := time.NewTimer(jittered(delay, p.MaxDelay, p.Jitter))
+		timer := backoffTimer(jittered(delay, p.MaxDelay, p.Jitter))
 		select {
 		case <-ctx.Done():
 			timer.Stop()

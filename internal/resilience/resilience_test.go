@@ -309,24 +309,30 @@ func TestWriteFileAtomicNoPartials(t *testing.T) {
 }
 
 // serveFixture starts Serve on a loopback listener with the given handler
-// and returns the base URL plus the Serve error channel.
-func serveFixture(t *testing.T, ctx context.Context, handler http.Handler, drain time.Duration, onDrain func()) (string, chan error) {
+// and returns the base URL, the Serve error channel, and a channel closed
+// when the server's Shutdown begins.
+func serveFixture(t *testing.T, ctx context.Context, handler http.Handler, drain time.Duration, onDrain func()) (string, chan error, chan struct{}) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 2 * time.Second}
+	shutdown := make(chan struct{})
+	srv.RegisterOnShutdown(func() { close(shutdown) })
 	done := make(chan error, 1)
 	go func() { done <- Serve(ctx, srv, ln, drain, onDrain) }()
-	return "http://" + ln.Addr().String(), done
+	return "http://" + ln.Addr().String(), done, shutdown
 }
 
+// A request that reached its handler before shutdown began completes
+// during the drain.
 func TestServeDrainsInFlightRequests(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	release := make(chan struct{})
+	entered, release := make(chan struct{}), make(chan struct{})
 	var drained bool
-	url, done := serveFixture(t, ctx, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	url, done, shutdown := serveFixture(t, ctx, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
 		<-release
 		fmt.Fprint(w, "slow but done")
 	}), 5*time.Second, func() { drained = true })
@@ -340,9 +346,13 @@ func TestServeDrainsInFlightRequests(t *testing.T) {
 		}
 		respc <- resp
 	}()
-	time.Sleep(100 * time.Millisecond) // request is now in-flight
-	cancel()                           // begin shutdown under load
-	time.Sleep(100 * time.Millisecond)
+	<-entered // the request is in flight
+	cancel()  // begin shutdown under load
+	select {
+	case <-shutdown: // the listener is closing and Shutdown waits on the request
+	case err := <-done:
+		t.Fatalf("Serve returned %v without a graceful shutdown", err)
+	}
 	close(release) // let the in-flight request finish
 
 	resp := <-respc
@@ -358,35 +368,36 @@ func TestServeDrainsInFlightRequests(t *testing.T) {
 	}
 }
 
+// A handler that never returns cannot hold Serve past its drain timeout:
+// Serve force-closes the connection and reports the incomplete drain.
 func TestServeForceClosesStuckClients(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	stuck := make(chan struct{})
-	url, done := serveFixture(t, ctx, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	entered, stuck := make(chan struct{}), make(chan struct{})
+	url, done, _ := serveFixture(t, ctx, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
 		<-stuck // never released: simulates a wedged handler
 	}), 150*time.Millisecond, nil)
 	defer close(stuck)
 
 	go func() { http.Get(url) }() //nolint:errcheck // the request is meant to die
-	time.Sleep(100 * time.Millisecond)
+	<-entered
 	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("expected a drain-incomplete error for the stuck request")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve hung past its drain timeout")
+	if err := <-done; err == nil {
+		t.Fatal("expected a drain-incomplete error for the stuck request")
 	}
 }
 
 // TestServeSIGTERM sends a real SIGTERM to the test process and checks the
 // signal-driven lifecycle drains and exits cleanly — the in-process analog
-// of `kill <pid>` against faction-serve.
+// of `kill <pid>` against faction-serve. The handler answers only once the
+// signal has arrived, so the request is in flight when it does.
 func TestServeSIGTERM(t *testing.T) {
 	ctx, stop := contextWithSigterm(t)
 	defer stop()
-	url, done := serveFixture(t, ctx, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(50 * time.Millisecond)
+	entered := make(chan struct{})
+	url, done, _ := serveFixture(t, ctx, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-ctx.Done()
 		fmt.Fprint(w, "ok")
 	}), 5*time.Second, nil)
 
@@ -395,7 +406,7 @@ func TestServeSIGTERM(t *testing.T) {
 		resp, _ := http.Get(url)
 		respc <- resp
 	}()
-	time.Sleep(20 * time.Millisecond)
+	<-entered
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -404,12 +415,7 @@ func TestServeSIGTERM(t *testing.T) {
 		t.Fatalf("request dropped on SIGTERM: %v", resp)
 	}
 	resp.Body.Close()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Serve after SIGTERM = %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not exit after SIGTERM")
+	if err := <-done; err != nil {
+		t.Fatalf("Serve after SIGTERM = %v", err)
 	}
 }

@@ -308,10 +308,6 @@ func (s *Server) runRefit(ctx context.Context) (refitResponse, error) {
 			return refitResponse{}, fmt.Errorf(
 				"density refit degenerate: all %d components fell back to pooled statistics", est.NumComponents())
 		}
-		// The refitted density inherits the replica's configured scoring
-		// precision (done off-lock: the f32 stack conversion is per-component
-		// O(Dim²) work that must not sit inside the swap).
-		est.SetPrecision(s.cfg.ScorePrecision)
 	}
 
 	// Last cancellation check before the point of no return: the density

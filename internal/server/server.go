@@ -42,13 +42,6 @@ type Config struct {
 	Model *nn.Classifier
 	// Density is optional; without it /score and /drift are disabled (404).
 	Density *gda.Estimator
-	// ScorePrecision selects the density scoring kernel width (DESIGN.md §15):
-	// gda.PrecisionF64 — the zero value and default — or gda.PrecisionF32,
-	// which halves kernel bandwidth and snapshot density bytes at a bounded
-	// relative error. Applied to Density at construction and to every density
-	// the server adopts afterwards (refits, snapshot installs); snapshots
-	// from a differently-configured peer are rejected with 422.
-	ScorePrecision gda.Precision
 	// Lambda is the fairness trade-off λ of Eq. 6 used by /score.
 	Lambda float64
 	// OODQuantile marks an instance OOD when its log-density falls below the
@@ -265,12 +258,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.sloEngine = eng
 		s.sloEngine.Start()
-	}
-	if cfg.Density != nil {
-		// One-time stack conversion before the server is published; the
-		// density serves through the configured precision from the first
-		// request.
-		cfg.Density.SetPrecision(cfg.ScorePrecision)
 	}
 	s.mu.Lock()
 	s.adoptDensityLocked(cfg.Density, cfg.TrainLogDensities)
@@ -693,10 +680,6 @@ type infoResponse struct {
 	NumParams    int   `json:"numParams"`
 	HasDensity   bool  `json:"hasDensity"`
 	Components   int   `json:"densityComponents,omitempty"`
-	// ScorePrecision is the density kernel width ("f64" or "f32"); omitted
-	// when the replica serves no density. The fleet reconciler reads it to
-	// explain cross-precision install rejections.
-	ScorePrecision string `json:"scorePrecision,omitempty"`
 
 	// Serving-time adaptation state: how often the model was swapped, how
 	// often a candidate was rejected, and why the last rejection happened —
@@ -727,7 +710,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cfg.Density != nil {
 		resp.Components = s.cfg.Density.NumComponents()
-		resp.ScorePrecision = s.cfg.ScorePrecision.String()
 	}
 	writeJSON(w, r, resp)
 }

@@ -35,14 +35,6 @@ type fleetSnapshot struct {
 	Generation uint64
 	Model      []byte // nn.Classifier.Save bytes
 	Density    []byte // gda.Estimator.Save bytes; empty when the exporter has no density
-	// DensityPrecision is the exporter's density scoring precision ("f64" or
-	// "f32"); empty — including on pre-precision envelopes, which gob decodes
-	// with the field unset — means f64. Installs require it to match the
-	// replica's configured precision: a cross-precision snapshot is rejected
-	// with 422, never silently reinterpreted (the f32 payload carries
-	// different component fields, and the fleet must stay bit-deterministic
-	// per precision).
-	DensityPrecision string
 }
 
 const fleetSnapshotVersion = 1
@@ -91,7 +83,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		var density bytes.Buffer
 		err = s.cfg.Density.Save(&density)
 		snap.Density = density.Bytes()
-		snap.DensityPrecision = s.cfg.ScorePrecision.String()
 	}
 	s.mu.RUnlock()
 	if err != nil {
@@ -173,33 +164,12 @@ func (s *Server) handleSnapshotInstall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var est *gda.Estimator
-	if len(snap.Density) > 0 && s.cfg.Density != nil {
-		// Precision is part of the serving contract: an f32 payload on an
-		// f64-configured replica (or vice versa) is refused before decoding,
-		// never silently reinterpreted.
-		snapPrec, err := gda.ParsePrecision(snap.DensityPrecision)
-		if err != nil {
-			httpError(w, r, http.StatusUnprocessableEntity, "snapshot density rejected: %v", err)
-			return
-		}
-		if snapPrec != s.cfg.ScorePrecision {
-			httpError(w, r, http.StatusUnprocessableEntity,
-				"snapshot density precision %s, replica configured for %s; refusing cross-precision install",
-				snapPrec, s.cfg.ScorePrecision)
-			return
-		}
-	}
 	if len(snap.Density) > 0 {
+		// A density from an earlier release's float32 replica loads widened
+		// to float64, like any legacy f32 snapshot.
 		est, err = gda.Load(bytes.NewReader(snap.Density))
 		if err != nil {
 			httpError(w, r, http.StatusUnprocessableEntity, "snapshot density rejected: %v", err)
-			return
-		}
-		if s.cfg.Density != nil && est.Precision() != s.cfg.ScorePrecision {
-			// Defense in depth against a mislabeled envelope: the payload's
-			// own precision must agree with what the envelope declared.
-			httpError(w, r, http.StatusUnprocessableEntity,
-				"snapshot density payload is %s, envelope declared %s", est.Precision(), snap.DensityPrecision)
 			return
 		}
 	}

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"testing"
 
 	"faction/internal/data"
@@ -147,6 +150,65 @@ func TestSnapshotExportInstallRoundTrip(t *testing.T) {
 	}
 	if got := lag.Generation(); got != 1 {
 		t.Fatalf("laggard generation %d after stale install, want 1", got)
+	}
+}
+
+// An f32 donor's snapshot round-trips to this release: the envelope an
+// earlier release's float32 replica exported installs.
+// testdata/snapshot_f32.env (generation 1, written after one refit of a
+// snapshotFixture donor scoring at float32) carries the density at f32 and a
+// DensityPrecision field this release no longer has, which gob skips. The
+// density loads widened to float64, the replica serves /score, and its
+// /predict answer matches the exporter's recorded one
+// (testdata/snapshot_f32_predict.json): classes and probabilities exactly,
+// since the classifier is float64 on both sides, and log-densities within
+// the f32 path's tolerance.
+func TestSnapshotF32RoundTrip(t *testing.T) {
+	lag, lagTS, stream := snapshotFixture(t, testSnapToken)
+	envelope, err := os.ReadFile("testdata/snapshot_f32.env")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := installSnapshot(t, lagTS.URL, testSnapToken, envelope)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("legacy f32 install: %d %s", resp.StatusCode, body)
+	}
+	var ir installResponse
+	if err := json.Unmarshal(body, &ir); err != nil {
+		t.Fatal(err)
+	}
+	if ir.Generation != 1 || !ir.HasDensity || lag.Generation() != 1 {
+		t.Fatalf("install response %+v, generation %d", ir, lag.Generation())
+	}
+
+	pool := stream.Tasks[8].Pool.Samples
+	probe := instancesRequest{Instances: [][]float64{pool[0].X, pool[1].X, pool[2].X}}
+	if resp, body := postJSON(t, lagTS.URL+"/score", probe); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/score after legacy install: %d %s", resp.StatusCode, body)
+	}
+	var got, want predictResponse
+	if resp, body := postJSON(t, lagTS.URL+"/predict", probe); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/predict after legacy install: %d %s", resp.StatusCode, body)
+	} else if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	recorded, err := os.ReadFile("testdata/snapshot_f32_predict.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(recorded, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Classes, want.Classes) || !reflect.DeepEqual(got.Probs, want.Probs) {
+		t.Fatalf("classes/probs %v %v, exporter answered %v %v", got.Classes, got.Probs, want.Classes, want.Probs)
+	}
+	if len(got.LogDensities) != len(want.LogDensities) {
+		t.Fatalf("%d log-densities, exporter answered %d", len(got.LogDensities), len(want.LogDensities))
+	}
+	for i, v := range want.LogDensities {
+		if rel := math.Abs(got.LogDensities[i]-v) / (1 + math.Abs(v)); rel > 1e-3 {
+			t.Fatalf("log-density %d: %v, exporter answered %v (rel %g)", i, got.LogDensities[i], v, rel)
+		}
 	}
 }
 

@@ -65,25 +65,33 @@ func AppendFeedback(buf []byte, fb Feedback) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeFeedback parses a KindFeedback record.
+// DecodeFeedback parses a KindFeedback record. It accepts exactly the
+// records AppendFeedback writes, so a decoded record re-encodes to its own
+// bytes.
 func DecodeFeedback(payload []byte) (Feedback, error) {
 	var fb Feedback
 	if len(payload) < 9 || Kind(payload[0]) != KindFeedback {
 		return fb, fmt.Errorf("wal: not a feedback record")
 	}
-	n := int(binary.BigEndian.Uint32(payload[1:]))
-	dim := int(binary.BigEndian.Uint32(payload[5:]))
-	rowBytes := dim*8 + 8
-	if want := 9 + n*rowBytes; len(payload) != want {
-		return fb, fmt.Errorf("wal: feedback record is %d bytes, want %d (n=%d dim=%d)", len(payload), want, n, dim)
+	n := uint64(binary.BigEndian.Uint32(payload[1:]))
+	dim := uint64(binary.BigEndian.Uint32(payload[5:]))
+	// Bound the row count by the payload before multiplying: counts whose
+	// product wraps would pass the length check and size the allocations
+	// below.
+	body, rowBytes := uint64(len(payload)-9), dim*8+8
+	if n > body/rowBytes || n*rowBytes != body {
+		return fb, fmt.Errorf("wal: feedback record is %d bytes, wrong length for n=%d dim=%d", len(payload), n, dim)
+	}
+	if n == 0 && dim != 0 {
+		return fb, fmt.Errorf("wal: empty feedback record with dim %d", dim)
 	}
 	fb.X = make([][]float64, n)
 	fb.Y = make([]int, n)
 	fb.S = make([]int, n)
 	off := 9
-	for i := 0; i < n; i++ {
+	for i := range fb.X {
 		row := make([]float64, dim)
-		for j := 0; j < dim; j++ {
+		for j := range row {
 			row[j] = math.Float64frombits(binary.BigEndian.Uint64(payload[off:]))
 			off += 8
 		}
@@ -126,9 +134,9 @@ func DecodeAcquisition(payload []byte) (Acquisition, error) {
 	}
 	acq.Task = int64(binary.BigEndian.Uint64(payload[1:]))
 	acq.Round = int64(binary.BigEndian.Uint64(payload[9:]))
-	k := int(binary.BigEndian.Uint32(payload[17:]))
-	if want := 21 + k*8; len(payload) != want {
-		return acq, fmt.Errorf("wal: acquisition record is %d bytes, want %d (k=%d)", len(payload), want, k)
+	k := uint64(binary.BigEndian.Uint32(payload[17:]))
+	if k*8 != uint64(len(payload)-21) { // k < 2^32: no wrap
+		return acq, fmt.Errorf("wal: acquisition record is %d bytes, wrong length for k=%d", len(payload), k)
 	}
 	acq.Picks = make([]int64, k)
 	for i := range acq.Picks {
