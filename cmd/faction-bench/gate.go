@@ -51,7 +51,7 @@ const (
 // them.
 var gated = []struct{ pkg, bench string }{
 	{"internal/mat", "^Benchmark(MulInto|WhitenMahalanobis)$"},
-	{"internal/nn", "^Benchmark(LinearTrainStep|LogitsAndFeatures)$"},
+	{"internal/nn", "^Benchmark(LinearTrainStep|LogitsAndFeatures|TrainStepPaper|PoolPassPaper)$"},
 	{"internal/gda", "^Benchmark(GDAScoreBatch|GDAScoreBatchRaw|GDAScoreBatchRaw512d|LogDensityBatch|Fit4Comp64d|Fit4Comp512d)$"},
 	{"internal/obs", "^Benchmark(CounterInc|HistogramObserve|HistogramQuantile)$"},
 	{"internal/obs/history", "^BenchmarkSampleNow$"},

@@ -368,7 +368,7 @@ func trainAndSave(logger *slog.Logger, streamName, modelPath, densPath string, s
 	logger.Info("trained serving model",
 		slog.Int("samples", pool.Len()),
 		slog.String("stream", streamName),
-		slog.Float64("accuracy", stats.Accuracy),
+		slog.Float64("accuracy", nn.Accuracy(model.Logits(pool.Matrix()), pool.Labels())),
 		slog.Float64("loss", stats.Loss))
 
 	if err := nn.SaveClassifierFile(modelPath, model, keep); err != nil {

@@ -170,33 +170,83 @@ func MulInto(dst, a, b *Dense) {
 	runSharded(n, shardCount(n*k*p), shard{kernel: mulShard, dst: dst, a: a, b: b})
 }
 
-// mulShard computes output rows [lo, hi) of dst = a × b. Shards large enough
-// to amortize packing take the cache-blocked path; the rest run the plain ikj
-// kernel (streams through b and dst rows sequentially). Both accumulate every
-// output element in ascending-l order, so the choice never changes a bit of
-// the result. Zero A elements are NOT skipped: 0×NaN and 0×Inf must
-// contribute NaN (IEEE 754), and a data-dependent branch in the innermost
-// loop costs more than the multiply it saves on dense data.
+// mulShard computes output rows [lo, hi) of dst = a × b. Products at most
+// narrowCols wide take the dot-per-output path, shards large enough to
+// amortize packing take the cache-blocked path, and the rest run the plain
+// ikj kernel (streams through b and dst rows sequentially). All three
+// accumulate every output element from +0 in ascending-l order, so the choice
+// never changes a bit of the result. Zero A elements are NOT skipped: 0×NaN
+// and 0×Inf must contribute NaN (IEEE 754), and a data-dependent branch in the
+// innermost loop costs more than the multiply it saves on dense data.
 func mulShard(s shard) {
 	k, p := s.a.Cols, s.b.Cols
+	if p <= narrowCols {
+		mulShardNarrow(s)
+		return
+	}
 	if rows := s.hi - s.lo; rows >= packMinRows && rows*k*p >= packFlopThreshold {
 		mulShardPacked(s)
 		return
 	}
 	a, b, dst := s.a, s.b, s.dst
 	for i := s.lo; i < s.hi; i++ {
+		drow := dst.Data[i*p : (i+1)*p]
+		clear(drow)
+		addProducts(drow, a.Data[i*k:(i+1)*k], b.Data, p)
+	}
+}
+
+// narrowCols is the widest product mulShard computes one dot product per
+// output element: up to it a row update is too short to pay for its loop
+// (the two-class head is p = 2), from p = 3 on the four-term row update is
+// faster. The measured crossover is in DESIGN.md §7.
+const narrowCols = 2
+
+// mulShardNarrow computes output rows [lo, hi) of a product at most
+// narrowCols wide as one dot product per element: a's row is read once per
+// output column, and b, at most narrowCols floats wide, is read in order.
+func mulShardNarrow(s shard) {
+	a, b, dst := s.a, s.b, s.dst
+	k, p := a.Cols, b.Cols
+	for i := s.lo; i < s.hi; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		drow := dst.Data[i*p : (i+1)*p]
 		for j := range drow {
-			drow[j] = 0
-		}
-		for l := 0; l < k; l++ {
-			av := arow[l]
-			brow := b.Data[l*p : (l+1)*p]
-			for j, bv := range brow {
-				drow[j] += av * bv
+			sum := 0.0
+			for l, av := range arow {
+				sum += av * b.Data[l*p+j]
 			}
+			drow[j] = sum
 		}
+	}
+}
+
+// addProducts adds Σ_l a[l]·b[l·stride : l·stride+len(d)] to d, in ascending
+// l, four terms per pass over d. Each element keeps one running value and
+// rounds after every multiply and every add, the sequence four single-term
+// passes would run, so the bits are theirs; the pass saves three loads and
+// three stores of d per element.
+func addProducts(d, a, b []float64, stride int) {
+	l := 0
+	for ; l+4 <= len(a); l += 4 {
+		o := l * stride
+		axpy4(d, a[l], a[l+1], a[l+2], a[l+3], b[o:], b[o+stride:], b[o+2*stride:], b[o+3*stride:])
+	}
+	for ; l < len(a); l++ {
+		AxpyVec(d, a[l], b[l*stride:l*stride+len(d)])
+	}
+}
+
+// axpy4 computes d[j] += a0·b0[j], then += a1·b1[j], += a2·b2[j] and
+// += a3·b3[j], holding d[j] in a register between the four adds.
+func axpy4(d []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
+	b0, b1, b2, b3 = b0[:len(d)], b1[:len(d)], b2[:len(d)], b3[:len(d)]
+	for j, v := range d {
+		v += a0 * b0[j]
+		v += a1 * b1[j]
+		v += a2 * b2[j]
+		v += a3 * b3[j]
+		d[j] = v
 	}
 }
 
@@ -258,20 +308,11 @@ func mulShardPacked(s shard) {
 				copy(panel[(l-l0)*jw:(l-l0+1)*jw], b.Data[l*p+j0:l*p+j1])
 			}
 			for i := s.lo; i < s.hi; i++ {
-				arow := a.Data[i*k : (i+1)*k]
 				drow := dst.Data[i*p+j0 : i*p+j1 : i*p+j1]
 				if l0 == 0 {
-					for j := range drow {
-						drow[j] = 0
-					}
+					clear(drow)
 				}
-				for l := l0; l < l1; l++ {
-					av := arow[l]
-					prow := panel[(l-l0)*jw : (l-l0+1)*jw]
-					for j, bv := range prow {
-						drow[j] += av * bv
-					}
-				}
+				addProducts(drow, a.Data[i*k+l0:i*k+l1], panel, jw)
 			}
 		}
 	}
@@ -309,26 +350,30 @@ func MulTAInto(dst, a, b *Dense) {
 }
 
 // mulTAShard computes output rows [lo, hi) of dst = aᵀ × b. The outer loop
-// stays over a's rows (ascending l) so every dst element accumulates its
-// terms in the serial order regardless of the shard split.
+// stays over a's rows (ascending l), four at a time, so every dst element
+// accumulates its terms in the serial order regardless of the shard split,
+// and a and b are both read row by row.
 func mulTAShard(s shard) {
 	a, b, dst := s.a, s.b, s.dst
 	n, k, p := a.Rows, a.Cols, b.Cols
 	for i := s.lo; i < s.hi; i++ {
-		drow := dst.Data[i*p : (i+1)*p]
-		for j := range drow {
-			drow[j] = 0
+		clear(dst.Data[i*p : (i+1)*p])
+	}
+	l := 0
+	for ; l+4 <= n; l += 4 {
+		a0, a1 := a.Data[l*k:(l+1)*k], a.Data[(l+1)*k:(l+2)*k]
+		a2, a3 := a.Data[(l+2)*k:(l+3)*k], a.Data[(l+3)*k:(l+4)*k]
+		b0, b1 := b.Data[l*p:(l+1)*p], b.Data[(l+1)*p:(l+2)*p]
+		b2, b3 := b.Data[(l+2)*p:(l+3)*p], b.Data[(l+3)*p:(l+4)*p]
+		for i := s.lo; i < s.hi; i++ {
+			axpy4(dst.Data[i*p:(i+1)*p], a0[i], a1[i], a2[i], a3[i], b0, b1, b2, b3)
 		}
 	}
-	for l := 0; l < n; l++ {
+	for ; l < n; l++ {
 		arow := a.Data[l*k : (l+1)*k]
 		brow := b.Data[l*p : (l+1)*p]
 		for i := s.lo; i < s.hi; i++ {
-			av := arow[i]
-			orow := dst.Data[i*p : (i+1)*p]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			AxpyVec(dst.Data[i*p:(i+1)*p], arow[i], brow)
 		}
 	}
 }
@@ -364,7 +409,9 @@ func MulTBInto(dst, a, b *Dense) {
 }
 
 // mulTBShard computes output rows [lo, hi) of dst = a × bᵀ (a dot product
-// per element, so shard independence is immediate).
+// per element, so shard independence is immediate). The dot is written out
+// rather than called: at the two-class head's k = 2 the call took a third of
+// each element's time.
 func mulTBShard(s shard) {
 	a, b, dst := s.a, s.b, s.dst
 	k := a.Cols
@@ -372,7 +419,13 @@ func mulTBShard(s shard) {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := dst.Data[i*b.Rows : (i+1)*b.Rows]
 		for j := range orow {
-			orow[j] = Dot(arow, b.Data[j*k:(j+1)*k])
+			brow := b.Data[j*k : (j+1)*k]
+			brow = brow[:len(arow)]
+			sum := 0.0
+			for l, av := range arow {
+				sum += av * brow[l]
+			}
+			orow[j] = sum
 		}
 	}
 }

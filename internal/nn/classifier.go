@@ -162,13 +162,13 @@ type TrainOpts struct {
 	MaxGradNorm float64
 }
 
-// TrainStats summarizes the final epoch of a training call.
+// TrainStats summarizes the final epoch of a training call. Callers that
+// report training accuracy compute Accuracy(c.Logits(x), y) themselves.
 type TrainStats struct {
-	Loss     float64 // mean total loss
-	CE       float64 // mean cross-entropy component
-	FairPen  float64 // mean fairness hinge component
-	Batches  int
-	Accuracy float64 // training accuracy after the final epoch
+	Loss    float64 // mean total loss
+	CE      float64 // mean cross-entropy component
+	FairPen float64 // mean fairness hinge component
+	Batches int
 }
 
 // Train fits the classifier on (x, y, s) for opts.Epochs passes of shuffled
@@ -196,6 +196,12 @@ func (c *Classifier) Train(x *mat.Dense, y, s []int, opt Optimizer, opts TrainOp
 	bx := mat.NewDense(bs, x.Cols)
 	by := make([]int, bs)
 	bsens := make([]int, bs)
+	// The ragged last batch of every epoch views bx's first rows; the
+	// layers and the loss reslice their scratch to it the same way.
+	tail := bx
+	if r := n % bs; r != 0 {
+		tail = mat.NewDenseData(r, x.Cols, bx.Data[:r*x.Cols])
+	}
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		stats = TrainStats{}
@@ -209,7 +215,7 @@ func (c *Classifier) Train(x *mat.Dense, y, s []int, opt Optimizer, opts TrainOp
 			batchY := by[:m]
 			batchS := bsens[:m]
 			if m != bs {
-				batchX = mat.NewDense(m, x.Cols)
+				batchX = tail
 			}
 			for r := 0; r < m; r++ {
 				copy(batchX.Row(r), x.Row(idx[start+r]))
@@ -231,7 +237,6 @@ func (c *Classifier) Train(x *mat.Dense, y, s []int, opt Optimizer, opts TrainOp
 		stats.CE *= inv
 		stats.FairPen *= inv
 	}
-	stats.Accuracy = Accuracy(c.Logits(x), y)
 	return stats
 }
 

@@ -37,9 +37,9 @@ func TestClassifierLearnsSeparableData(t *testing.T) {
 	x, y, _ := separableData(rng, 200, 0.5)
 	c := NewClassifier(Config{InputDim: 2, NumClasses: 2, Hidden: []int{16}, Seed: 7})
 	opt := NewSGD(0.1, 0.9, 0)
-	stats := c.Train(x, y, nil, opt, TrainOpts{Epochs: 30, BatchSize: 32}, rng)
-	if stats.Accuracy < 0.97 {
-		t.Fatalf("train accuracy %g, want ≥ 0.97", stats.Accuracy)
+	c.Train(x, y, nil, opt, TrainOpts{Epochs: 30, BatchSize: 32}, rng)
+	if acc := Accuracy(c.Logits(x), y); acc < 0.97 {
+		t.Fatalf("train accuracy %g, want ≥ 0.97", acc)
 	}
 }
 
@@ -183,8 +183,8 @@ func TestSpectralClassifierTrains(t *testing.T) {
 		InputDim: 2, NumClasses: 2, Hidden: []int{32},
 		SpectralNorm: true, SpectralCoeff: 3, Seed: 13,
 	})
-	stats := c.Train(x, y, nil, NewAdam(0.01), TrainOpts{Epochs: 40, BatchSize: 32}, rng)
-	if stats.Accuracy < 0.95 {
-		t.Fatalf("spectral-norm classifier accuracy %g, want ≥ 0.95", stats.Accuracy)
+	c.Train(x, y, nil, NewAdam(0.01), TrainOpts{Epochs: 40, BatchSize: 32}, rng)
+	if acc := Accuracy(c.Logits(x), y); acc < 0.95 {
+		t.Fatalf("spectral-norm classifier accuracy %g, want ≥ 0.95", acc)
 	}
 }

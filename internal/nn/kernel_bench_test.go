@@ -48,6 +48,62 @@ func BenchmarkLinearTrainStep(b *testing.B) {
 	}
 }
 
+// paperFixture builds protocol-paper's network exactly (online.DefaultConfig
+// at the paper scale: 16 inputs, hidden 512, spectral norm with c = 3, two
+// classes) and one random n-row batch with labels and 0/1 sensitive values.
+func paperFixture(n int) (c *Classifier, x *mat.Dense, y, s []int) {
+	const inputDim = 16
+	c = NewClassifier(Config{
+		InputDim:      inputDim,
+		NumClasses:    2,
+		Hidden:        []int{DefaultHidden},
+		SpectralNorm:  true,
+		SpectralCoeff: 3,
+		Seed:          1,
+	})
+	rng := rand.New(rand.NewSource(2))
+	x = mat.NewDense(n, inputDim)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	y, s = make([]int, n), make([]int, n)
+	for i := range y {
+		y[i] = rng.Intn(2)
+		s[i] = rng.Intn(2)
+	}
+	return c, x, y, s
+}
+
+// paperFair is FACTION's default fairness regularizer (μ = 0.7, ε = 0.01).
+var paperFair = FairConfig{Mu: 0.7, Eps: 0.01}
+
+// BenchmarkTrainStepPaper measures the training step exactly as
+// protocol-paper runs it between acquisition rounds: batch 32, Adam at
+// lr 0.01, μ = 0.7, ε = 0.01, gradient norm clipped at 5.
+func BenchmarkTrainStepPaper(b *testing.B) {
+	c, x, y, s := paperFixture(32)
+	opt := NewAdam(0.01)
+	c.TrainStep(x, y, s, opt, paperFair, 5) // warm scratch and optimizer state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.TrainStep(x, y, s, opt, paperFair, 5)
+	}
+}
+
+// BenchmarkPoolPassPaper measures FACTION's per-round pass over a paper-scale
+// pool (2,200 × 16): logits and features with heap outputs, as
+// active.Context.PoolFeatures runs it.
+func BenchmarkPoolPassPaper(b *testing.B) {
+	c, x, y, s := paperFixture(2200)
+	c.TrainStep(mat.NewDenseData(32, x.Cols, x.Data[:32*x.Cols]), y[:32], s[:32], NewAdam(0.01), paperFair, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = c.LogitsAndFeatures(x, nil)
+	}
+}
+
 // TestTrainStepSteadyStateAllocs pins the acceptance criterion so a
 // regression fails `go test`, not just a benchmark eyeball: after warm-up, a
 // fixed-shape TrainStep performs zero heap allocations (measured with the
@@ -66,6 +122,31 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state TrainStep allocates %.1f times per step, want 0", allocs)
+	}
+}
+
+// The last batch of an epoch is short whenever the batch size does not
+// divide n, as in every protocol-paper round. Train views it in its batch
+// buffer and the layers and loss reslice their scratch to it, so a warm
+// Train call allocates the same whatever its epoch count.
+func TestTrainRaggedAllocsIndependentOfEpochs(t *testing.T) {
+	old := mat.Parallelism()
+	mat.SetParallelism(1)
+	defer mat.SetParallelism(old)
+
+	c, x, y, s := paperFixture(150) // 4 batches of 32, then 22 rows
+	opt := NewAdam(0.01)
+	rng := rand.New(rand.NewSource(3))
+	train := func(epochs int) func() {
+		return func() {
+			c.Train(x, y, s, opt, TrainOpts{Epochs: epochs, BatchSize: 32, Fair: paperFair, MaxGradNorm: 5}, rng)
+		}
+	}
+	train(1)() // warm the layer, loss and optimizer state
+	one := testing.AllocsPerRun(3, train(1))
+	six := testing.AllocsPerRun(3, train(6))
+	if six != one {
+		t.Fatalf("Train allocates %.0f times at 1 epoch and %.0f at 6; the ragged batch must reuse its buffers", one, six)
 	}
 }
 

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 
 	"faction/internal/mat"
@@ -40,13 +42,16 @@ func get(a *mat.Arena, r, c int) *mat.Dense {
 	return a.Get(r, c)
 }
 
-// ensureScratch returns buf when it already has shape r×c (and is not the
-// forbidden alias), or a fresh r×c matrix otherwise. The steady state of a
-// fixed-shape training loop hits the reuse path every step.
+// ensureScratch returns buf resliced to shape r×c when its storage holds
+// r·c floats (and it is not the forbidden alias), or a fresh r×c matrix
+// otherwise. Callers overwrite every element, so the reslice moves no bit.
+// A training loop hits the reuse path every step, including the shorter
+// last batch of each epoch.
 func ensureScratch(buf *mat.Dense, r, c int, notAlias *mat.Dense) *mat.Dense {
-	if buf == nil || buf.Rows != r || buf.Cols != c || buf == notAlias {
+	if buf == nil || cap(buf.Data) < r*c || buf == notAlias {
 		return mat.NewDense(r, c)
 	}
+	buf.Rows, buf.Cols, buf.Data = r, c, buf.Data[:r*c]
 	return buf
 }
 
@@ -123,17 +128,22 @@ func (l *Linear) checkInput(x *mat.Dense) {
 }
 
 // affineInto writes scale·(x·W) + b into out — the arithmetic Forward and
-// Infer share, so the two passes cannot disagree by a bit.
+// Infer share, so the two passes cannot disagree by a bit. The scale and the
+// bias share one pass; the float64 conversion rounds the product before the
+// add, as a separate scaling pass would, so no target may fuse the two.
 func (l *Linear) affineInto(out, x *mat.Dense, scale float64) {
 	mat.MulInto(out, x, l.W.Value)
-	if scale != 1 {
-		out.Scale(scale)
-	}
 	b := l.B.Value.Row(0)
 	for i := 0; i < out.Rows; i++ {
 		row := out.Row(i)
-		for j := range row {
-			row[j] += b[j]
+		if scale == 1 {
+			for j := range row {
+				row[j] += b[j]
+			}
+			continue
+		}
+		for j, v := range row {
+			row[j] = float64(v*scale) + b[j]
 		}
 	}
 }
@@ -142,6 +152,18 @@ func (l *Linear) affineInto(out, x *mat.Dense, scale float64) {
 // dx = scale·g·Wᵀ. The spectral scale is treated as a constant (standard
 // stop-gradient approximation for power-iteration spectral norm).
 func (l *Linear) Backward(gradOut *mat.Dense) *mat.Dense {
+	l.paramGrads(gradOut)
+	l.dx = ensureScratch(l.dx, gradOut.Rows, l.In, gradOut)
+	mat.MulTBInto(l.dx, gradOut, l.W.Value)
+	if l.lastScale != 1 {
+		l.dx.Scale(l.lastScale)
+	}
+	return l.dx
+}
+
+// paramGrads is the part of Backward that accumulates dW and db, without the
+// input gradient.
+func (l *Linear) paramGrads(gradOut *mat.Dense) {
 	if l.lastInput == nil {
 		panic("nn: Backward before Forward")
 	}
@@ -158,12 +180,6 @@ func (l *Linear) Backward(gradOut *mat.Dense) *mat.Dense {
 			db[j] += row[j]
 		}
 	}
-	l.dx = ensureScratch(l.dx, gradOut.Rows, l.In, gradOut)
-	mat.MulTBInto(l.dx, gradOut, l.W.Value)
-	if l.lastScale != 1 {
-		l.dx.Scale(l.lastScale)
-	}
-	return l.dx
 }
 
 // Params returns the layer's trainable parameters.
@@ -180,62 +196,64 @@ func (l *Linear) EffectiveWeight() *mat.Dense {
 }
 
 // ReLU applies max(0, x) elementwise.
+//
+// Its loops select with integer masks instead of branches: the sign of a
+// pre-activation is a coin flip to the branch predictor, and with a branch
+// per element the layer took an eighth of the paper-shape training step.
 type ReLU struct {
-	mask []bool
-
 	out, dx *mat.Dense // train-step scratch (see Layer scratch-reuse contract)
 }
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward applies the rectifier and records the activation mask for
-// Backward.
+// posInfBits is the bit pattern of +Inf: the float64s in (0, +Inf] are
+// exactly those whose bits b satisfy 1 ≤ b ≤ posInfBits.
+const posInfBits = 0x7FF0000000000000
+
+// keepPositive returns b when the float64 with bits b is above 0, and +0
+// otherwise: −0, NaN and every negative value map to +0.
+func keepPositive(b uint64) uint64 {
+	_, keep := bits.Sub64(b-1, posInfBits, 0) // 1 iff b−1 < +Inf's bits
+	return b & -keep
+}
+
+// Forward applies the rectifier. Backward reads the output it leaves: an
+// output is above 0 exactly where the input was.
 func (r *ReLU) Forward(x *mat.Dense) *mat.Dense {
 	r.out = ensureScratch(r.out, x.Rows, x.Cols, x)
-	out := r.out
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
-	}
-	r.mask = r.mask[:len(out.Data)]
+	out := r.out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			r.mask[i] = true
-			out.Data[i] = v
-		} else {
-			r.mask[i] = false
-			out.Data[i] = 0
-		}
+		out[i] = math.Float64frombits(keepPositive(math.Float64bits(v)))
 	}
-	return out
+	return r.out
 }
 
-// Infer rectifies into a fresh matrix without recording a mask. It zeroes
-// only v ≤ 0, so a NaN input passes through unchanged.
+// Infer rectifies into a fresh matrix. It zeroes only v ≤ 0, so a NaN input
+// passes through unchanged.
 func (r *ReLU) Infer(x *mat.Dense, a *mat.Arena) *mat.Dense {
 	out := get(a, x.Rows, x.Cols)
+	dst := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v <= 0 {
-			out.Data[i] = 0
-		} else {
-			out.Data[i] = v
-		}
+		b := math.Float64bits(v)
+		_, nan := bits.Sub64(posInfBits, b&^(1<<63), 0) // 1 iff |v|'s bits exceed +Inf's
+		dst[i] = math.Float64frombits(keepPositive(b) | b&-nan)
 	}
 	return out
 }
 
-// Backward zeroes gradients where the input was non-positive.
+// Backward zeroes gradients where the input was non-positive, that is where
+// Forward's output is +0.
 func (r *ReLU) Backward(gradOut *mat.Dense) *mat.Dense {
-	if len(r.mask) != len(gradOut.Data) {
+	if r.out == nil || len(r.out.Data) != len(gradOut.Data) {
 		panic("nn: ReLU Backward shape mismatch with last Forward")
 	}
 	r.dx = ensureScratch(r.dx, gradOut.Rows, gradOut.Cols, gradOut)
+	out, dx := r.out.Data[:len(gradOut.Data)], r.dx.Data[:len(gradOut.Data)]
 	for i, g := range gradOut.Data {
-		if r.mask[i] {
-			r.dx.Data[i] = g
-		} else {
-			r.dx.Data[i] = 0
-		}
+		o := math.Float64bits(out[i])
+		nz := (o | -o) >> 63 // 1 iff o ≠ 0
+		dx[i] = math.Float64frombits(math.Float64bits(g) & -nz)
 	}
 	return r.dx
 }

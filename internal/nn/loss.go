@@ -18,9 +18,7 @@ type lossScratch struct {
 }
 
 func (ls *lossScratch) ensure(n, c int) {
-	if ls.grad == nil || ls.grad.Rows != n || ls.grad.Cols != c {
-		ls.grad = mat.NewDense(n, c)
-	}
+	ls.grad = ensureScratch(ls.grad, n, c, nil)
 	if len(ls.probs) != c {
 		ls.probs = make([]float64, c)
 	}
@@ -200,9 +198,7 @@ func (ls *lossScratch) fairRegularizedCE(logits *mat.Dense, y, s []int, cfg Fair
 	if cfg.Mu == 0 {
 		return res, ls.grad
 	}
-	if ls.vGrad == nil || ls.vGrad.Rows != logits.Rows || ls.vGrad.Cols != logits.Cols {
-		ls.vGrad = mat.NewDense(logits.Rows, logits.Cols)
-	}
+	ls.vGrad = ensureScratch(ls.vGrad, logits.Rows, logits.Cols, nil)
 	v, ok := fairPenaltyInto(ls.vGrad, logits, y, s, cfg.Mode, ls.probs)
 	res.V = v
 	if !ok {

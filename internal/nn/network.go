@@ -65,10 +65,16 @@ func (n *Network) LastFeatures() *mat.Dense {
 }
 
 // Backward propagates the loss gradient (with respect to the final output)
-// through every layer, accumulating parameter gradients.
+// through every layer, accumulating parameter gradients. Nothing reads the
+// gradient with respect to the network's input, so a first Linear layer
+// computes only its parameter gradients.
 func (n *Network) Backward(gradOut *mat.Dense) {
 	g := gradOut
 	for i := len(n.Layers) - 1; i >= 0; i-- {
+		if l, ok := n.Layers[i].(*Linear); ok && i == 0 {
+			l.paramGrads(g)
+			return
+		}
 		g = n.Layers[i].Backward(g)
 	}
 }

@@ -310,6 +310,8 @@ func (s *Server) runRefit(ctx context.Context) (refitResponse, error) {
 		}
 	}
 
+	trainAcc := nn.Accuracy(cand.Logits(buf.Matrix()), buf.Labels())
+
 	// Last cancellation check before the point of no return: the density
 	// refit above can outlive the deadline too.
 	if err := ctx.Err(); err != nil {
@@ -327,7 +329,7 @@ func (s *Server) runRefit(ctx context.Context) (refitResponse, error) {
 	resp := refitResponse{
 		Samples:       buf.Len(),
 		TrainLoss:     stats.Loss,
-		TrainAccuracy: stats.Accuracy,
+		TrainAccuracy: trainAcc,
 		DensityRefit:  est != nil,
 		Refits:        s.refits,
 		Generation:    s.generation.Add(1),
