@@ -19,6 +19,7 @@ package faction
 import (
 	"faction/internal/active"
 	"faction/internal/gda"
+	"faction/internal/mat"
 	"faction/internal/nn"
 )
 
@@ -125,9 +126,23 @@ func (s *Strategy) Name() string {
 	}
 }
 
+// scoreTile is the number of pool rows Scores passes through the network
+// and the density model at once. At the paper's hidden width a tile's
+// 256 × 512 features fill one arena size class exactly, so after the first
+// round the pass takes its matrices from the arena's pools instead of
+// allocating the whole pool's.
+const scoreTile = 256
+
 // Scores computes the raw u(x) values (Eq. 6) for every pool sample. It is
 // exported for tests, diagnostics and the examples; SelectBatch consumes it.
 // The boolean reports whether the density estimator could be fitted.
+//
+// The pool runs in tiles of scoreTile rows: each tile's forward pass goes
+// into an arena, its probabilities into one n × C matrix, and its density
+// pass into rows of one n-row RawScores. Every per-row value, and the
+// maximum over rows that sets the common scale, is independent of the other
+// rows, so the one SliceInto at the end gives the bits of scoring the whole
+// pool at once (TestScoresTiledMatchesUntiled).
 func (s *Strategy) Scores(ctx *active.Context) ([]float64, bool) {
 	est, err := gda.Fit(
 		ctx.LabeledFeatures(),
@@ -140,9 +155,26 @@ func (s *Strategy) Scores(ctx *active.Context) ([]float64, bool) {
 	if err != nil {
 		return nil, false
 	}
-	batch := est.ScoreBatch(ctx.PoolFeatures())
-	probs := ctx.PoolProbs()
-	u := make([]float64, len(batch.G))
+	pool := ctx.PoolMatrix()
+	n, d := pool.Rows, pool.Cols
+	probs := mat.NewDense(n, ctx.Model.Config().NumClasses)
+	raw := est.NewRawScores(n)
+	tile := &mat.Dense{Cols: d}
+	for off := 0; off < n; off += scoreTile {
+		tile.Rows = min(scoreTile, n-off)
+		tile.Data = pool.Data[off*d : (off+tile.Rows)*d]
+		arena := mat.GetArena()
+		logits, feats := ctx.Model.LogitsAndFeatures(tile, arena)
+		for i := 0; i < tile.Rows; i++ {
+			mat.Softmax(probs.Row(off+i), logits.Row(i))
+		}
+		est.ScoreRows(raw, off, feats)
+		arena.Release()
+	}
+	var batch gda.BatchScores
+	raw.SliceInto(&batch, 0, n)
+	raw.Release()
+	u := make([]float64, n)
 	for i := range u {
 		u[i] = batch.G[i]
 		if s.opts.FairSelect {

@@ -24,7 +24,8 @@ import (
 )
 
 // Timing instruments on the process-wide registry: Fit runs once per
-// task/refit, ScoreBatch on every /score request and acquisition round.
+// task/refit, a score pass on every /score request and acquisition round
+// (observed when its RawScores is released, see RawScores).
 var (
 	fitSeconds = obs.Default().Histogram("faction_gda_fit_seconds",
 		"Duration of fitting the GDA mixture.", obs.ExpBuckets(1e-4, 4, 8))
@@ -419,7 +420,7 @@ const scoreBatchMinGrain = 8
 // ScoreBatch is SliceInto(0, n) over one raw log-space pass; slicing any
 // sub-range of a pass gives the bits scoring those rows alone would. The
 // returned BatchScores owns its storage (the raw pass is released back to
-// the pool before returning).
+// the pool before returning), and the pass counts as one score pass.
 func (e *Estimator) ScoreBatch(features *mat.Dense) BatchScores {
 	raw := e.ScoreBatchRaw(features)
 	var out BatchScores
@@ -434,36 +435,51 @@ func (e *Estimator) ScoreBatch(features *mat.Dense) BatchScores {
 // concatenated batch carries exactly the values each sub-range would have
 // produced on its own — Slice/SliceInto recover them bit-identically.
 //
+// The same independence lets several ScoreRows calls fill one RawScores
+// in row ranges (FACTION scores its pool in tiles this way): the filled
+// RawScores holds the bits one ScoreBatchRaw over all the rows would.
+//
 // RawScores are pooled: call Release when done (after the last Slice) to
-// recycle the storage. Using one after Release panics.
+// recycle the storage. Using one after Release panics. Release also
+// observes the summed duration of the ScoreRows calls that filled it as one
+// faction_gda_score_batch_seconds sample, so a pool scored in tiles counts
+// as one score pass.
 type RawScores struct {
 	// LogG[i] is log g(z_i) (Eq. 3), identical to LogDensity(z_i).
 	LogG []float64
 
 	// logCond[(i·classes+c)·ns+k] = log g(z_i | c, SensValues[k]); filled
-	// only when cond is set, i.e. by ScoreBatchRaw on an estimator with two
-	// or more sensitive values (otherwise there are no gaps to compute).
+	// only when cond is set, i.e. by ScoreRows on an estimator with two or
+	// more sensitive values (otherwise there are no gaps to compute).
 	logCond []float64
 	cond    bool
 	// rowMax[i] is the per-row maximum over logG[i] and the row's finite
 	// component log-pdfs — the quantity a range's common scale M reduces over.
 	rowMax []float64
-	// quads[i·K+j] is the whitened Mahalanobis distance of row i to ordered
-	// component j, filled by one batch kernel pass and reduced to log-pdfs by
-	// the sharded reduction.
+	// quads[i·K+j] is the whitened Mahalanobis distance of the current
+	// pass's row i to ordered component j, filled by one batch kernel pass
+	// and reduced to log-pdfs by the sharded reduction.
 	quads       []float64
 	classes, ns int
-	released    bool
+	// scoreTime sums the ScoreRows calls since NewRawScores; timed is set
+	// by the first of them.
+	scoreTime time.Duration
+	timed     bool
+	released  bool
 }
 
 var rawScoresPool = sync.Pool{New: func() any { return new(RawScores) }}
 
 // Release returns the RawScores to the pool. Every slice taken via SliceInto
 // owns its own copies, so Release is safe as soon as the slicing is done.
+// A RawScores filled by ScoreRows is observed here as one score pass.
 // Panics on double Release.
 func (r *RawScores) Release() {
 	if r.released {
 		panic("gda: RawScores.Release twice")
+	}
+	if r.timed {
+		scoreBatchSeconds.Observe(r.scoreTime.Seconds())
 	}
 	r.released = true
 	rawScoresPool.Put(r)
@@ -475,6 +491,7 @@ func (r *RawScores) Release() {
 type scoreJob struct {
 	e   *Estimator
 	raw *RawScores
+	off int // raw's row of the pass's row 0
 	fn  func(lo, hi int)
 }
 
@@ -492,10 +509,11 @@ func (j *scoreJob) run(lo, hi int) {
 	terms := ds.terms
 	for i := lo; i < hi; i++ {
 		qrow := raw.quads[i*nc : (i+1)*nc]
+		r := j.off + i
 		rowMax := math.Inf(-1)
 		var row []float64
 		if raw.cond {
-			row = raw.logCond[i*classes*ns : (i+1)*classes*ns]
+			row = raw.logCond[r*classes*ns : (r+1)*classes*ns]
 			for j := range row {
 				row[j] = math.Inf(-1)
 			}
@@ -510,58 +528,90 @@ func (j *scoreJob) run(lo, hi int) {
 				}
 			}
 		}
-		raw.LogG[i] = mat.LogSumExp(terms)
-		if raw.LogG[i] > rowMax {
-			rowMax = raw.LogG[i]
+		raw.LogG[r] = mat.LogSumExp(terms)
+		if raw.LogG[r] > rowMax {
+			rowMax = raw.LogG[r]
 		}
-		raw.rowMax[i] = rowMax
+		raw.rowMax[r] = rowMax
 	}
 	densScratchPool.Put(ds)
 }
 
 // ScoreBatchRaw runs the sharded density pass of ScoreBatch and returns the
-// raw log-space results without choosing a scale. One pass serves any number
-// of Slice calls; Release the result when done. Storage is pooled, so a
-// steady-state loop of ScoreBatchRaw → SliceInto → Release allocates nothing.
-// It is the only density entry point timed as a score pass
-// (faction_gda_score_batch_seconds).
+// raw log-space results without choosing a scale: NewRawScores and one
+// ScoreRows over every row. One pass serves any number of Slice calls;
+// Release the result when done, which observes it as one score pass
+// (faction_gda_score_batch_seconds). Storage is pooled, so a steady-state
+// loop of ScoreBatchRaw → SliceInto → Release allocates nothing.
 func (e *Estimator) ScoreBatchRaw(features *mat.Dense) *RawScores {
-	start := time.Now()
-	raw := e.rawPass(features, len(e.SensValues) >= 2)
-	scoreBatchSeconds.Observe(time.Since(start).Seconds())
+	raw := e.NewRawScores(features.Rows)
+	e.ScoreRows(raw, 0, features)
 	return raw
 }
 
-// rawPass is the one pooled density pass behind ScoreBatchRaw and
+// NewRawScores checks an n-row RawScores for this estimator out of the
+// pool, for ScoreRows to fill. Its rows hold arbitrary values until a
+// ScoreRows call covers them; Release it when done.
+func (e *Estimator) NewRawScores(n int) *RawScores {
+	return e.newRaw(n, len(e.SensValues) >= 2)
+}
+
+// newRaw checks out an n-row RawScores; cond records the per-group
+// conditional log-pdfs the fairness gaps need.
+func (e *Estimator) newRaw(n int, cond bool) *RawScores {
+	raw := rawScoresPool.Get().(*RawScores)
+	raw.released, raw.timed, raw.scoreTime = false, false, 0
+	raw.classes, raw.ns, raw.cond = e.Classes, len(e.SensValues), cond
+	raw.LogG = growFloats(raw.LogG, n)
+	raw.rowMax = growFloats(raw.rowMax, n)
+	if cond {
+		raw.logCond = growFloats(raw.logCond, n*raw.classes*raw.ns)
+	}
+	return raw
+}
+
+// ScoreRows runs the density pass over features and stores its raw results
+// as rows [off, off+features.Rows) of raw, which must come from
+// NewRawScores on this estimator. Every value of a row depends only on that
+// row, so filling a RawScores range by range gives the bits of one pass
+// over all its rows. The call's duration adds to the score pass raw's
+// Release observes.
+func (e *Estimator) ScoreRows(raw *RawScores, off int, features *mat.Dense) {
+	start := time.Now()
+	e.rawPass(raw, off, features)
+	raw.scoreTime += time.Since(start)
+	raw.timed = true
+}
+
+// rawPass is the one pooled density pass behind ScoreRows and
 // LogDensityBatchInto: a whitened kernel pass fills every (row, component)
 // Mahalanobis distance, then a sharded reduction does the O(n·K) log-space
-// arithmetic. cond additionally records the per-group conditional log-pdfs
-// the fairness gaps need. LogG does not depend on cond, so both callers see
-// the same bits.
-func (e *Estimator) rawPass(features *mat.Dense, cond bool) *RawScores {
+// arithmetic into rows [off, off+n) of raw. LogG does not depend on
+// raw.cond, so both callers see the same bits.
+func (e *Estimator) rawPass(raw *RawScores, off int, features *mat.Dense) {
+	if raw.released {
+		panic("gda: RawScores used after Release")
+	}
 	n := features.Rows
 	if n > 0 && features.Cols != e.Dim {
 		panic(fmt.Sprintf("gda: feature dim %d, want %d", features.Cols, e.Dim))
 	}
-	raw := rawScoresPool.Get().(*RawScores)
-	raw.released = false
-	raw.classes, raw.ns, raw.cond = e.Classes, len(e.SensValues), cond
-	raw.LogG = growFloats(raw.LogG, n)
-	raw.rowMax = growFloats(raw.rowMax, n)
-	if n == 0 {
-		return raw
+	if raw.classes != e.Classes || raw.ns != len(e.SensValues) {
+		panic("gda: RawScores from another estimator")
 	}
-	if cond {
-		raw.logCond = growFloats(raw.logCond, n*raw.classes*raw.ns)
+	if off < 0 || off+n > len(raw.LogG) {
+		panic(fmt.Sprintf("gda: rows [%d, %d) outside a %d-row RawScores", off, off+n, len(raw.LogG)))
+	}
+	if n == 0 {
+		return
 	}
 	raw.quads = growFloats(raw.quads, n*len(e.ordered))
 	e.wstack.MahalanobisInto(raw.quads, features)
 	j := scoreJobPool.Get().(*scoreJob)
-	j.e, j.raw = e, raw
+	j.e, j.raw, j.off = e, raw, off
 	mat.ParallelFor(n, scoreBatchMinGrain, j.fn)
 	j.e, j.raw = nil, nil
 	scoreJobPool.Put(j)
-	return raw
 }
 
 // sliceJob is scoreJob's twin for the rescaling pass of SliceInto.
@@ -656,7 +706,7 @@ func (e *Estimator) LogDensityBatch(features *mat.Dense) []float64 {
 }
 
 // LogDensityBatchInto is LogDensityBatch into caller-owned storage: dst must
-// have length features.Rows. It runs ScoreBatchRaw's pooled pass without the
+// have length features.Rows. It runs ScoreRows' pooled pass without the
 // conditional densities, copies LogG out and releases the pass, so at a fixed
 // batch shape the steady state performs no heap allocation. It is not timed
 // as a score pass.
@@ -664,7 +714,8 @@ func (e *Estimator) LogDensityBatchInto(dst []float64, features *mat.Dense) {
 	if len(dst) != features.Rows {
 		panic(fmt.Sprintf("gda: dst length %d, want %d rows", len(dst), features.Rows))
 	}
-	raw := e.rawPass(features, false)
+	raw := e.newRaw(features.Rows, false)
+	e.rawPass(raw, 0, features)
 	copy(dst, raw.LogG)
 	raw.Release()
 }

@@ -36,7 +36,8 @@ func poolFixture(t testing.TB, rows int) (*Estimator, *mat.Dense) {
 }
 
 // SliceInto must copy LogG (not alias the pooled RawScores) and agree exactly
-// with Slice; Released RawScores must panic on reuse.
+// with Slice; Released RawScores must panic on reuse, and ScoreRows must
+// panic on rows outside its RawScores.
 func TestSliceIntoCopiesAndReleaseGuards(t *testing.T) {
 	e, batch := poolFixture(t, 10)
 	raw := e.ScoreBatchRaw(batch)
@@ -62,7 +63,12 @@ func TestSliceIntoCopiesAndReleaseGuards(t *testing.T) {
 	}
 	raw.Release()
 	mustPanicGDA(t, "Slice after Release", func() { raw.Slice(0, 1) })
+	mustPanicGDA(t, "ScoreRows after Release", func() { e.ScoreRows(raw, 0, batch) })
 	mustPanicGDA(t, "double Release", func() { raw.Release() })
+	short := e.NewRawScores(batch.Rows - 1)
+	mustPanicGDA(t, "ScoreRows past the last row", func() { e.ScoreRows(short, 0, batch) })
+	mustPanicGDA(t, "ScoreRows before the first row", func() { e.ScoreRows(short, -1, batch) })
+	short.Release()
 }
 
 // A reused BatchScores destination must produce values identical to a fresh

@@ -1,6 +1,7 @@
 package gda
 
 import (
+	"fmt"
 	"testing"
 
 	"faction/internal/mat"
@@ -46,7 +47,8 @@ func TestLogDensityBatchMatchesSerial(t *testing.T) {
 }
 
 // Property: slicing one raw pass over a concatenated batch is bit-identical
-// to scoring each sub-range alone.
+// to scoring each sub-range alone, and so is slicing a RawScores that
+// ScoreRows filled range by range.
 func TestRawSliceBitIdenticalToSubsetScoreBatch(t *testing.T) {
 	old := mat.Parallelism()
 	defer mat.SetParallelism(old)
@@ -55,6 +57,10 @@ func TestRawSliceBitIdenticalToSubsetScoreBatch(t *testing.T) {
 		for _, sens := range [][]int{{-1, 1}, {0}, {-1, 0, 1}} {
 			e, f := fitFixture(t, 64, 4, 2, sens)
 			raw := e.ScoreBatchRaw(f)
+			tiled := e.NewRawScores(f.Rows)
+			for _, r := range [][2]int{{30, 64}, {0, 5}, {5, 5}, {5, 30}} {
+				e.ScoreRows(tiled, r[0], mat.NewDenseData(r[1]-r[0], f.Cols, f.Data[r[0]*f.Cols:r[1]*f.Cols]))
+			}
 			for _, r := range [][2]int{{0, f.Rows}, {0, 1}, {5, 6}, {3, 17}, {40, 64}, {10, 10}} {
 				lo, hi := r[0], r[1]
 				sub := mat.NewDense(hi-lo, f.Cols)
@@ -62,22 +68,29 @@ func TestRawSliceBitIdenticalToSubsetScoreBatch(t *testing.T) {
 					copy(sub.Row(i-lo), f.Row(i))
 				}
 				want := e.ScoreBatch(sub)
-				got := raw.Slice(lo, hi)
-				if got.LogScale != want.LogScale {
-					t.Fatalf("p=%d sens=%v [%d,%d): LogScale %v != %v", p, sens, lo, hi, got.LogScale, want.LogScale)
+				for _, got := range []BatchScores{raw.Slice(lo, hi), tiled.Slice(lo, hi)} {
+					checkSameScores(t, fmt.Sprintf("p=%d sens=%v [%d,%d)", p, sens, lo, hi), got, want)
 				}
-				for i := range want.G {
-					if got.G[i] != want.G[i] || got.LogG[i] != want.LogG[i] {
-						t.Fatalf("p=%d sens=%v [%d,%d): row %d G %v/%v LogG %v/%v",
-							p, sens, lo, hi, i, got.G[i], want.G[i], got.LogG[i], want.LogG[i])
-					}
-					for c := range want.Delta[i] {
-						if got.Delta[i][c] != want.Delta[i][c] {
-							t.Fatalf("p=%d sens=%v [%d,%d): Delta[%d][%d] %v != %v",
-								p, sens, lo, hi, i, c, got.Delta[i][c], want.Delta[i][c])
-						}
-					}
-				}
+			}
+			raw.Release()
+			tiled.Release()
+		}
+	}
+}
+
+// checkSameScores fails unless got and want carry the same bits.
+func checkSameScores(t *testing.T, name string, got, want BatchScores) {
+	t.Helper()
+	if got.LogScale != want.LogScale {
+		t.Fatalf("%s: LogScale %v != %v", name, got.LogScale, want.LogScale)
+	}
+	for i := range want.G {
+		if got.G[i] != want.G[i] || got.LogG[i] != want.LogG[i] {
+			t.Fatalf("%s: row %d G %v/%v LogG %v/%v", name, i, got.G[i], want.G[i], got.LogG[i], want.LogG[i])
+		}
+		for c := range want.Delta[i] {
+			if got.Delta[i][c] != want.Delta[i][c] {
+				t.Fatalf("%s: Delta[%d][%d] %v != %v", name, i, c, got.Delta[i][c], want.Delta[i][c])
 			}
 		}
 	}

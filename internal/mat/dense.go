@@ -205,10 +205,17 @@ const narrowCols = 2
 // mulShardNarrow computes output rows [lo, hi) of a product at most
 // narrowCols wide as one dot product per element: a's row is read once per
 // output column, and b, at most narrowCols floats wide, is read in order.
+// The two-class head (p = 2) runs four rows per pass in the head kernel
+// (headRowsAVX); the rows left over run here.
 func mulShardNarrow(s shard) {
 	a, b, dst := s.a, s.b, s.dst
 	k, p := a.Cols, b.Cols
-	for i := s.lo; i < s.hi; i++ {
+	lo := s.lo
+	if rows := (s.hi - lo) &^ 3; useAsm && p == 2 && rows > 0 {
+		headRowsAVX(dst.Data[lo*2:(lo+rows)*2], a.Data[lo*k:(lo+rows)*k], b.Data[:2*k], rows, k)
+		lo += rows
+	}
+	for i := lo; i < s.hi; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		drow := dst.Data[i*p : (i+1)*p]
 		for j := range drow {
@@ -222,11 +229,16 @@ func mulShardNarrow(s shard) {
 }
 
 // addProducts adds Σ_l a[l]·b[l·stride : l·stride+len(d)] to d, in ascending
-// l, four terms per pass over d. Each element keeps one running value and
+// l: in the row-update kernel when the assembly kernels are on, otherwise
+// four terms per pass over d. Each element keeps one running value and
 // rounds after every multiply and every add, the sequence four single-term
 // passes would run, so the bits are theirs; the pass saves three loads and
 // three stores of d per element.
 func addProducts(d, a, b []float64, stride int) {
+	if useAsm {
+		rowUpdate(d, a, 1, b, stride, len(a))
+		return
+	}
 	l := 0
 	for ; l+4 <= len(a); l += 4 {
 		o := l * stride
@@ -235,6 +247,18 @@ func addProducts(d, a, b []float64, stride int) {
 	for ; l < len(a); l++ {
 		AxpyVec(d, a[l], b[l*stride:l*stride+len(d)])
 	}
+}
+
+// rowUpdate adds Σ_{l<terms} a[l·as]·b[l·bs : l·bs+len(d)] to d in the
+// row-update kernel (rowUpdateAVX), l ascending, each element rounded after
+// every multiply and every add. It proves the kernel's reads in bounds first.
+func rowUpdate(d, a []float64, as int, b []float64, bs, terms int) {
+	if terms == 0 || len(d) == 0 {
+		return
+	}
+	_ = a[(terms-1)*as]
+	_ = b[(terms-1)*bs+len(d)-1]
+	rowUpdateAVX(d, a, as, b, bs, terms)
 }
 
 // axpy4 computes d[j] += a0·b0[j], then += a1·b1[j], += a2·b2[j] and
@@ -349,15 +373,23 @@ func MulTAInto(dst, a, b *Dense) {
 	runSharded(k, shardCount(n*k*p), shard{kernel: mulTAShard, dst: dst, a: a, b: b})
 }
 
-// mulTAShard computes output rows [lo, hi) of dst = aᵀ × b. The outer loop
-// stays over a's rows (ascending l), four at a time, so every dst element
-// accumulates its terms in the serial order regardless of the shard split,
-// and a and b are both read row by row.
+// mulTAShard computes output rows [lo, hi) of dst = aᵀ × b. With the
+// assembly kernels on and b wider than narrowCols, each output row is one
+// row update over all n rows of b, its coefficients a column of a (stride
+// k). Otherwise the outer loop stays over a's rows (ascending l), four at a
+// time, and a and b are both read row by row. Either way every dst element
+// accumulates its terms in the serial order regardless of the shard split.
 func mulTAShard(s shard) {
 	a, b, dst := s.a, s.b, s.dst
 	n, k, p := a.Rows, a.Cols, b.Cols
 	for i := s.lo; i < s.hi; i++ {
 		clear(dst.Data[i*p : (i+1)*p])
+	}
+	if useAsm && p > narrowCols && n > 0 {
+		for i := s.lo; i < s.hi; i++ {
+			rowUpdate(dst.Data[i*p:(i+1)*p], a.Data[i:], k, b.Data, p, n)
+		}
+		return
 	}
 	l := 0
 	for ; l+4 <= n; l += 4 {
@@ -411,10 +443,16 @@ func MulTBInto(dst, a, b *Dense) {
 // mulTBShard computes output rows [lo, hi) of dst = a × bᵀ (a dot product
 // per element, so shard independence is immediate). The dot is written out
 // rather than called: at the two-class head's k = 2 the call took a third of
-// each element's time.
+// each element's time. With the assembly kernels on, inner lengths up to
+// narrowCols (the head's input gradient) run as row updates instead
+// (mulTBShardNarrow).
 func mulTBShard(s shard) {
 	a, b, dst := s.a, s.b, s.dst
 	k := a.Cols
+	if useAsm && k <= narrowCols {
+		mulTBShardNarrow(s)
+		return
+	}
 	for i := s.lo; i < s.hi; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := dst.Data[i*b.Rows : (i+1)*b.Rows]
@@ -426,6 +464,37 @@ func mulTBShard(s shard) {
 				sum += av * brow[l]
 			}
 			orow[j] = sum
+		}
+	}
+}
+
+// tbPanelCols is the widest block of b's rows mulTBShardNarrow transposes
+// at once: a narrowCols × 512 panel, 8 KiB on the stack.
+const tbPanelCols = 512
+
+// mulTBShardNarrow computes output rows [lo, hi) of dst = a × bᵀ for an
+// inner length k ≤ narrowCols. It copies a block of b's rows, transposed,
+// into a k × jw panel, then clears each output row's block and adds its k
+// terms as row updates over the panel. Each element starts from +0 and adds
+// a[i,l]·b[j,l] in ascending l, the written-out dot's sequence. The panel
+// sits on the stack, as mulShardPacked's does.
+func mulTBShardNarrow(s shard) {
+	a, b, dst := s.a, s.b, s.dst
+	k, p := a.Cols, b.Rows
+	var panelBuf [narrowCols * tbPanelCols]float64
+	for j0 := 0; j0 < p; j0 += tbPanelCols {
+		j1 := min(j0+tbPanelCols, p)
+		jw := j1 - j0
+		panel := panelBuf[:k*jw]
+		for j := j0; j < j1; j++ {
+			for l, v := range b.Data[j*k : (j+1)*k] {
+				panel[l*jw+j-j0] = v
+			}
+		}
+		for i := s.lo; i < s.hi; i++ {
+			drow := dst.Data[i*p+j0 : i*p+j1]
+			clear(drow)
+			rowUpdate(drow, a.Data[i*k:(i+1)*k], 1, panel, jw, k)
 		}
 	}
 }

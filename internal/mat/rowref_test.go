@@ -134,12 +134,34 @@ func diffResults(got, want []float64) int {
 	return -1
 }
 
+// withVectorized runs f with the assembly kernels switched on or off.
+func withVectorized(t testing.TB, on bool, f func()) {
+	t.Helper()
+	was := SetVectorized(on)
+	defer SetVectorized(was)
+	f()
+}
+
+// gateSettings are the assembly-gate settings this machine can run: off,
+// and on where the CPU has the kernels.
+func gateSettings() []bool {
+	if cpuHasAsm {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
 // Property: MulInto, MulTAInto and MulTBInto match the reference loops bit
-// for bit on every dispatch path: output widths through the narrow limit and
-// past it (1–5, 64 and more than one 64-wide panel), inner lengths that are
-// not multiples of four (and one past a 128-deep panel), row counts below
-// packMinRows, the plain and the forced packed kernels, at parallelism 1 and
-// 2, with ±0, NaN and ±Inf operands.
+// for bit on every dispatch path, with the assembly kernels on and off:
+// output widths through the narrow limit and past it, widths that end in
+// each of the row-update kernel's column blocks (7, 8, 9, 31, 32, 33, 100,
+// 512 and more than one transposed MulTB panel), inner lengths that are not
+// multiples of four (and one past a 128-deep panel), row counts below
+// packMinRows and around the head kernel's four-row block, the plain and
+// the forced packed kernels, at parallelism 1 and 2 (every product sharded,
+// so a MulTA shard owns fewer rows than a has columns), with ±0, NaN and
+// ±Inf operands. Inner lengths 1 and 2 against 512 and 520 columns are the
+// head's input gradient in MulTB.
 func TestRowKernelsMatchReferenceBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	paths := []struct {
@@ -150,36 +172,59 @@ func TestRowKernelsMatchReferenceBits(t *testing.T) {
 		{"packed", 1, 0},
 		{"plain", 1 << 30, 1 << 62},
 	}
-	for _, n := range []int{1, 3, 7, 9, 22} {
+	widths := []int{1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 64, 100, 130, 512, 520}
+	for _, n := range []int{1, 3, 4, 7, 9, 22} {
 		for _, k := range []int{0, 1, 2, 3, 5, 7, 13, 131} {
-			for _, p := range []int{1, 2, 3, 4, 5, 64, 130} {
+			for _, p := range widths {
 				specials := (n+k+p)%2 == 0
 				a, b := specialDense(rng, n, k, specials), specialDense(rng, k, p, specials)
 				c, bt := specialDense(rng, n, p, specials), specialDense(rng, p, k, specials)
 				want, wantTA, wantTB := mulRef(a, b), mulTARef(a, c), mulTBRef(a, bt)
-				for _, par := range []int{1, 2} {
-					for _, path := range paths {
-						name := fmt.Sprintf("%dx%dx%d specials=%v par=%d %s", n, k, p, specials, par, path.name)
-						var got, gotTA, gotTB *Dense
-						withParallelism(t, par, 1, func() {
-							withPacking(t, path.minRows, path.flop, func() {
-								got, gotTA, gotTB = Mul(a, b), MulTA(a, c), MulTB(a, bt)
+				for _, asm := range gateSettings() {
+					for _, par := range []int{1, 2} {
+						for _, path := range paths {
+							name := fmt.Sprintf("%dx%dx%d specials=%v asm=%v par=%d %s", n, k, p, specials, asm, par, path.name)
+							var got, gotTA, gotTB *Dense
+							withVectorized(t, asm, func() {
+								withParallelism(t, par, 1, func() {
+									withPacking(t, path.minRows, path.flop, func() {
+										got, gotTA, gotTB = Mul(a, b), MulTA(a, c), MulTB(a, bt)
+									})
+								})
 							})
-						})
-						if i := diffResults(got.Data, want.Data); i >= 0 {
-							t.Fatalf("%s: MulInto differs at %d: %v, reference %v", name, i, got.Data[i], want.Data[i])
-						}
-						if i := diffResults(gotTA.Data, wantTA.Data); i >= 0 {
-							t.Fatalf("%s: MulTAInto differs at %d: %v, reference %v", name, i, gotTA.Data[i], wantTA.Data[i])
-						}
-						if i := diffResults(gotTB.Data, wantTB.Data); i >= 0 {
-							t.Fatalf("%s: MulTBInto differs at %d: %v, reference %v", name, i, gotTB.Data[i], wantTB.Data[i])
+							if i := diffResults(got.Data, want.Data); i >= 0 {
+								t.Fatalf("%s: MulInto differs at %d: %v, reference %v", name, i, got.Data[i], want.Data[i])
+							}
+							if i := diffResults(gotTA.Data, wantTA.Data); i >= 0 {
+								t.Fatalf("%s: MulTAInto differs at %d: %v, reference %v", name, i, gotTA.Data[i], wantTA.Data[i])
+							}
+							if i := diffResults(gotTB.Data, wantTB.Data); i >= 0 {
+								t.Fatalf("%s: MulTBInto differs at %d: %v, reference %v", name, i, gotTB.Data[i], wantTB.Data[i])
+							}
 						}
 					}
 				}
 				if i := diffResults(mulPackedRef(a, b).Data, want.Data); i >= 0 {
 					t.Fatalf("%dx%dx%d: packed reference differs from the plain one at %d", n, k, p, i)
 				}
+			}
+		}
+	}
+	// One MulTA shard that owns rows [7, 19) of a 40-row product: its
+	// coefficients come from columns 7–18 of a, whose other columns it
+	// must not read.
+	a, c := specialDense(rng, 5, 40, true), specialDense(rng, 5, 33, true)
+	wantTA := mulTARef(a, c)
+	for _, asm := range gateSettings() {
+		dst := NewDense(40, 33)
+		withVectorized(t, asm, func() { mulTAShard(shard{dst: dst, a: a, b: c, lo: 7, hi: 19}) })
+		for i := 0; i < 40; i++ {
+			got, want := dst.Row(i), wantTA.Row(i)
+			if i < 7 || i >= 19 {
+				want = make([]float64, 33) // rows outside the shard stay untouched
+			}
+			if j := diffResults(got, want); j >= 0 {
+				t.Fatalf("asm=%v: MulTA shard [7, 19) row %d differs at %d: %v, reference %v", asm, i, j, got[j], want[j])
 			}
 		}
 	}

@@ -56,6 +56,15 @@ const whitenLanes = whitenTileBytes / 8
 // the stack picks one when it is made.
 type whitenKernel func(q *[whitenLanes]float64, tile, a, m, init, out []float64, rows, cols int, tri bool)
 
+// selectWhitenKernel picks the assembly kernel when the assembly kernels are
+// on (asm.go), the portable one otherwise.
+func selectWhitenKernel() whitenKernel {
+	if useAsm {
+		return whitenRowsAVX
+	}
+	return whitenRowsGo
+}
+
 // invLowerInto fills w (n×n row major) with the inverse of the
 // lower-triangular factor l, one row at a time:
 // W[i,:] = (e_i − Σ_{k<i} L[i,k]·W[k,:]) / L[i,i], k ascending. Each W[i,j]

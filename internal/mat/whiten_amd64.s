@@ -21,7 +21,7 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func whitenRowsAVX(q *[16]float64, tile, a, m, init, out []float64, rows, cols int, tri bool)
+// func whitenRowsAVX(q *[8]float64, tile, a, m, init, out []float64, rows, cols int, tri bool)
 //
 // For the 8 interleaved lanes of tile (tile[c*8+lane] = z_lane[c]), writing
 // q[0:8]:

@@ -91,7 +91,7 @@ func (c whitenCase) run(k whitenKernel, lanes int) ([whitenLanes]float64, []floa
 // it is the single-row kernel a dense component used to run, and dense
 // components keep their bits.
 func TestWhitenRowsAVXMatchesFMAReference(t *testing.T) {
-	if !whitenUseAVX {
+	if !cpuHasAsm {
 		t.Skip("no AVX2+FMA on this machine")
 	}
 	const lanes = whitenTileBytes / 8
@@ -132,7 +132,7 @@ func TestWhitenRowsAVXMatchesFMAReference(t *testing.T) {
 // agreement is asserted under relative tolerance. Skipped (vacuous) on
 // machines without AVX2+FMA, where every stack runs the Go kernel.
 func TestWhitenQuadAVXMatchesGo(t *testing.T) {
-	if !whitenUseAVX {
+	if !cpuHasAsm {
 		t.Skip("no AVX2+FMA on this machine")
 	}
 	const lanes, tol = whitenLanes, 1e-12
@@ -168,7 +168,7 @@ func TestWhitenQuadAVXMatchesGo(t *testing.T) {
 // MahalanobisInto within tolerance of one built with it on, over a full
 // batch — the whole-pipeline version of the per-tile differential above.
 func TestMahalanobisIntoAVXvsGo(t *testing.T) {
-	if !whitenUseAVX {
+	if !cpuHasAsm {
 		t.Skip("no AVX2+FMA on this machine")
 	}
 	const d, k, n, tol = 40, 3, 53, 1e-10
@@ -182,8 +182,8 @@ func TestMahalanobisIntoAVXvsGo(t *testing.T) {
 	stack.MahalanobisInto(avx, z)
 	// The kernel is picked when a stack is built: rebuild the same stack with
 	// the assembly kernel switched off.
-	whitenUseAVX = false
-	defer func() { whitenUseAVX = true }()
+	was := SetVectorized(false)
+	defer SetVectorized(was)
 	goStack, _, _ := whitenFixtureStack(t, d, k, 10, 47)
 	pure := make([]float64, n*k)
 	goStack.MahalanobisInto(pure, z)

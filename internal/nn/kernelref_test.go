@@ -204,48 +204,52 @@ func diffNonNaN(got, want []float64) int {
 }
 
 // Property: Adam.Step matches the plain element loop bit for bit on every
-// parameter, moment and second moment: lengths 0–9 and 31–33 around the
-// vector width, the paper network's 9,730 parameters, the first step and
-// step 10⁴ from a warm state, with and without weight decay, on gradients
-// with ±0, ±Inf, NaN and subnormals.
+// parameter, moment and second moment, with the assembly kernels on and
+// off: lengths 0–9 and 31–33 around the vector width, the paper network's
+// 9,730 parameters, the first step and step 10⁴ from a warm state, with and
+// without weight decay, on gradients with ±0, ±Inf, NaN and subnormals.
 func TestAdamMatchesReferenceBits(t *testing.T) {
+	defer mat.SetVectorized(mat.Vectorized())
 	rng := rand.New(rand.NewSource(37))
 	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 9730}
-	for _, n := range lengths {
-		for _, step := range []int{1, 10000} {
-			for _, wd := range []float64{0, 1e-4} {
-				name := fmt.Sprintf("n=%d t=%d wd=%g", n, step, wd)
-				prm := newParam("w", 1, n)
-				for i := range prm.Value.Data {
-					prm.Value.Data[i] = rng.NormFloat64()
-					if rng.Intn(8) == 0 {
-						prm.Grad.Data[i] = adamEdges[rng.Intn(len(adamEdges))]
-					} else {
-						prm.Grad.Data[i] = 0.1 * rng.NormFloat64()
+	for _, asm := range []bool{false, true} {
+		mat.SetVectorized(asm) // stays off where the CPU lacks the kernels
+		for _, n := range lengths {
+			for _, step := range []int{1, 10000} {
+				for _, wd := range []float64{0, 1e-4} {
+					name := fmt.Sprintf("asm=%v n=%d t=%d wd=%g", mat.Vectorized(), n, step, wd)
+					prm := newParam("w", 1, n)
+					for i := range prm.Value.Data {
+						prm.Value.Data[i] = rng.NormFloat64()
+						if rng.Intn(8) == 0 {
+							prm.Grad.Data[i] = adamEdges[rng.Intn(len(adamEdges))]
+						} else {
+							prm.Grad.Data[i] = 0.1 * rng.NormFloat64()
+						}
 					}
-				}
-				o := NewAdam(0.01)
-				o.WeightDecay = wd
-				m, v := make([]float64, n), make([]float64, n)
-				if step > 1 {
-					// A warm optimizer: step t−1 done, moments from earlier steps.
-					o.t = step - 1
-					for i := range m {
-						m[i] = 0.05 * rng.NormFloat64()
-						v[i] = 0.01 * math.Abs(rng.NormFloat64())
+					o := NewAdam(0.01)
+					o.WeightDecay = wd
+					m, v := make([]float64, n), make([]float64, n)
+					if step > 1 {
+						// A warm optimizer: step t−1 done, moments from earlier steps.
+						o.t = step - 1
+						for i := range m {
+							m[i] = 0.05 * rng.NormFloat64()
+							v[i] = 0.01 * math.Abs(rng.NormFloat64())
+						}
+						o.m[prm] = mat.NewDenseData(1, n, append([]float64(nil), m...))
+						o.v[prm] = mat.NewDenseData(1, n, append([]float64(nil), v...))
 					}
-					o.m[prm] = mat.NewDenseData(1, n, append([]float64(nil), m...))
-					o.v[prm] = mat.NewDenseData(1, n, append([]float64(nil), v...))
-				}
-				p := append([]float64(nil), prm.Value.Data...)
-				adamRef(p, prm.Grad.Data, m, v, o.LR(), o.Beta1, o.Beta2, o.Eps, wd, step)
-				o.Step([]*Param{prm})
-				for _, c := range []struct {
-					what      string
-					got, want []float64
-				}{{"parameter", prm.Value.Data, p}, {"first moment", o.m[prm].Data, m}, {"second moment", o.v[prm].Data, v}} {
-					if i := diffNonNaN(c.got, c.want); i >= 0 {
-						t.Fatalf("%s: %s differs at %d: %v, reference %v", name, c.what, i, c.got[i], c.want[i])
+					p := append([]float64(nil), prm.Value.Data...)
+					adamRef(p, prm.Grad.Data, m, v, o.LR(), o.Beta1, o.Beta2, o.Eps, wd, step)
+					o.Step([]*Param{prm})
+					for _, c := range []struct {
+						what      string
+						got, want []float64
+					}{{"parameter", prm.Value.Data, p}, {"first moment", o.m[prm].Data, m}, {"second moment", o.v[prm].Data, v}} {
+						if i := diffNonNaN(c.got, c.want); i >= 0 {
+							t.Fatalf("%s: %s differs at %d: %v, reference %v", name, c.what, i, c.got[i], c.want[i])
+						}
 					}
 				}
 			}

@@ -83,6 +83,7 @@ func (o *Adam) Step(params []*Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	c := adamCoeffs{o.Beta1, 1 - o.Beta1, o.Beta2, 1 - o.Beta2, bc1, bc2, o.lr, o.Eps}
 	for _, p := range params {
 		m, ok := o.m[p]
 		if !ok {
@@ -94,13 +95,32 @@ func (o *Adam) Step(params []*Param) {
 		if o.WeightDecay != 0 {
 			mat.AddScaled(p.Value, -o.lr*o.WeightDecay, p.Value)
 		}
-		for i, g := range p.Grad.Data {
-			m.Data[i] = o.Beta1*m.Data[i] + (1-o.Beta1)*g
-			v.Data[i] = o.Beta2*v.Data[i] + (1-o.Beta2)*g*g
-			mhat := m.Data[i] / bc1
-			vhat := v.Data[i] / bc2
-			p.Value.Data[i] -= o.lr * mhat / (math.Sqrt(vhat) + o.Eps)
-		}
+		adamUpdate(p.Value.Data, p.Grad.Data, m.Data, v.Data, &c)
+	}
+}
+
+// adamCoeffs are one Adam step's scalars, laid out as adam_amd64.s reads
+// them.
+type adamCoeffs struct {
+	beta1, oneMinusBeta1, beta2, oneMinusBeta2, bc1, bc2, lr, eps float64
+}
+
+// adamUpdate runs Adam's element loop over one parameter: the moments, then
+// the bias-corrected step, every operation rounded in the order written.
+// With the assembly kernels on, whole groups of four elements run in
+// adamAVX, whose vector operations round each lane as these scalar ones do.
+func adamUpdate(p, g, m, v []float64, c *adamCoeffs) {
+	g, m, v = g[:len(p)], m[:len(p)], v[:len(p)]
+	if n := len(p) &^ 3; n > 0 && mat.Vectorized() {
+		adamAVX(p[:n], g[:n], m[:n], v[:n], c)
+		p, g, m, v = p[n:], g[n:], m[n:], v[n:]
+	}
+	for i, gi := range g {
+		m[i] = c.beta1*m[i] + c.oneMinusBeta1*gi
+		v[i] = c.beta2*v[i] + c.oneMinusBeta2*gi*gi
+		mhat := m[i] / c.bc1
+		vhat := v[i] / c.bc2
+		p[i] -= c.lr * mhat / (math.Sqrt(vhat) + c.eps)
 	}
 }
 
