@@ -43,38 +43,53 @@ const LowRankOrthoTol = 1e-6
 var ErrNonFinite = errors.New("mat: non-finite value")
 
 // NewLowRank builds the low-rank form of the covariance of the rows of x
-// around mean, ridged by ridge > 0. The basis comes from classical
-// Gram–Schmidt with a second orthogonalization pass, one centred row at a
-// time in row order; a row whose remainder falls below lowRankDropTol of
-// its norm adds no basis vector. The rows' coordinates in the basis are the
-// two passes' coefficients plus the new vector's norm, and S + ρI is their
-// covariance (Covariance around zero). It fails on non-finite input and
-// when S + ρI does not factorize.
+// around mean, ridged by ridge > 0: the basis and coordinates of
+// gramSchmidt, and S + ρI as the coordinates' covariance (Covariance around
+// zero). It fails on non-finite input and when S + ρI does not factorize.
 func NewLowRank(x *Dense, mean []float64, ridge float64) (*LowRank, error) {
-	n, d := x.Rows, x.Cols
-	if len(mean) != d {
-		panic(fmt.Sprintf("mat: low-rank mean length %d != cols %d", len(mean), d))
+	if len(mean) != x.Cols {
+		panic(fmt.Sprintf("mat: low-rank mean length %d != cols %d", len(mean), x.Cols))
 	}
 	if !(ridge > 0) || math.IsInf(ridge, 1) {
 		return nil, fmt.Errorf("mat: low-rank ridge %g, want finite and > 0", ridge)
 	}
+	basis, y, err := gramSchmidt(x, mean)
+	if err != nil {
+		return nil, err
+	}
+	ch, err := NewCholesky(Covariance(y, make([]float64, y.Cols), ridge))
+	if err != nil {
+		return nil, err
+	}
+	return &LowRank{basis: basis, chol: ch, ridge: ridge}, nil
+}
+
+// gramSchmidt returns Q, an r×d orthonormal basis of the rows of x centred
+// on mean, and the n×r coordinates of the centred rows in it. It runs
+// classical Gram–Schmidt with a second orthogonalization pass, one centred
+// row at a time in row order; a row whose remainder falls below
+// lowRankDropTol of its norm adds no basis vector. A row's coordinates are
+// the two passes' coefficients plus, for a row that adds a vector, the
+// vector's norm. It fails on a non-finite row.
+func gramSchmidt(x *Dense, mean []float64) (basis, coords *Dense, err error) {
+	n, d := x.Rows, x.Cols
 	maxR := min(n, d)
-	basis := make([]float64, 0, maxR*d)
-	coords := make([]float64, n*maxR) // coords[i·maxR+j] = Q_j·c_i
+	q := make([]float64, 0, maxR*d)
+	c := make([]float64, n*maxR) // c[i·maxR+j] = Q_j·c_i
 	v := make([]float64, d)
 	a := make([]float64, maxR)
 	for i := 0; i < n; i++ {
-		for c, z := range x.Row(i) {
-			v[c] = z - mean[c]
+		for k, z := range x.Row(i) {
+			v[k] = z - mean[k]
 		}
 		norm0 := Dot(v, v)
 		if math.IsNaN(norm0) || math.IsInf(norm0, 0) {
-			return nil, fmt.Errorf("%w in row %d", ErrNonFinite, i)
+			return nil, nil, fmt.Errorf("%w in row %d", ErrNonFinite, i)
 		}
-		r := len(basis) / d
-		ci := coords[i*maxR : i*maxR+r]
+		r := len(q) / d
+		ci := c[i*maxR : i*maxR+r]
 		for pass := 0; pass < 2; pass++ {
-			project(a[:r], basis, v, d)
+			project(a[:r], q, v, d)
 			for j, s := range a[:r] {
 				ci[j] += s
 			}
@@ -87,21 +102,17 @@ func NewLowRank(x *Dense, mean []float64, ridge float64) (*LowRank, error) {
 			continue
 		}
 		norm := math.Sqrt(nv)
-		coords[i*maxR+r] = norm
+		c[i*maxR+r] = norm
 		for _, z := range v {
-			basis = append(basis, z/norm)
+			q = append(q, z/norm)
 		}
 	}
-	r := len(basis) / d
-	y := NewDense(n, r)
+	r := len(q) / d
+	coords = NewDense(n, r)
 	for i := 0; i < n; i++ {
-		copy(y.Row(i), coords[i*maxR:i*maxR+r])
+		copy(coords.Row(i), c[i*maxR:i*maxR+r])
 	}
-	ch, err := NewCholesky(Covariance(y, make([]float64, r), ridge))
-	if err != nil {
-		return nil, err
-	}
-	return &LowRank{basis: NewDenseData(r, d, basis), chol: ch, ridge: ridge}, nil
+	return NewDenseData(r, d, q), coords, nil
 }
 
 // project sets a[j] = Q_j·v for every basis row j < len(a), then subtracts

@@ -105,58 +105,221 @@ func firstDiff(got, want []float64) int {
 	return -1
 }
 
+// gateSettings runs f once with the assembly kernels off and once on (where
+// the CPU has them; elsewhere both runs use the Go loops), then restores
+// the gate.
+func gateSettings(f func(asm bool)) {
+	defer mat.SetVectorized(mat.Vectorized())
+	for _, on := range []bool{false, true} {
+		mat.SetVectorized(on)
+		f(mat.Vectorized())
+	}
+}
+
 // Property: Forward, Backward and Infer match the masked rectifier bit for
-// bit: ±0, NaN of either sign, ±Inf and subnormals included, on columns that
-// are all rectified to zero, and when the batch shrinks between calls as it
-// does for an epoch's last batch. Selection does no arithmetic, so even NaN
-// payloads must match.
+// bit, with the assembly kernels on and off: ±0, NaN of either sign, ±Inf
+// and subnormals included, on columns that are all rectified to zero, at
+// lengths around the vector width, and when the batch shrinks between calls
+// as it does for an epoch's last batch. Selection does no arithmetic, so
+// even NaN payloads must match.
 func TestReLUMatchesReferenceBits(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	r := NewReLU()
-	for _, sh := range [][2]int{{32, 512}, {1, 1}, {3, 5}, {22, 512}, {7, 13}} {
-		name := fmt.Sprintf("%dx%d", sh[0], sh[1])
-		x, g := edgeDense(rng, sh[0], sh[1], 4), edgeDense(rng, sh[0], sh[1], 4)
-		for i := 0; i < x.Rows; i++ {
-			x.Set(i, 0, -math.Abs(x.At(i, 0))) // a dead column
+	shapes := [][2]int{{32, 512}, {1, 1}, {3, 5}, {22, 512}, {7, 13}, {1, 9730}}
+	for _, c := range []int{2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33} {
+		shapes = append(shapes, [2]int{1, c})
+	}
+	gateSettings(func(asm bool) {
+		rng := rand.New(rand.NewSource(29))
+		r := NewReLU()
+		for _, sh := range shapes {
+			name := fmt.Sprintf("asm=%v %dx%d", asm, sh[0], sh[1])
+			x, g := edgeDense(rng, sh[0], sh[1], 4), edgeDense(rng, sh[0], sh[1], 4)
+			for i := 0; i < x.Rows; i++ {
+				x.Set(i, 0, -math.Abs(x.At(i, 0))) // a dead column
+			}
+			var ref reluRef
+			out := r.Forward(x)
+			if i := firstDiff(out.Data, ref.forward(x.Data)); i >= 0 {
+				t.Fatalf("%s: Forward differs at %d: %v, reference %v", name, i, out.Data[i], ref.forward(x.Data)[i])
+			}
+			dx := r.Backward(g)
+			if i := firstDiff(dx.Data, ref.backward(g.Data)); i >= 0 {
+				t.Fatalf("%s: Backward differs at %d: %v, reference %v", name, i, dx.Data[i], ref.backward(g.Data)[i])
+			}
+			inf := r.Infer(x, nil)
+			if i := firstDiff(inf.Data, reluInferRef(x.Data)); i >= 0 {
+				t.Fatalf("%s: Infer differs at %d: %v, reference %v", name, i, inf.Data[i], reluInferRef(x.Data)[i])
+			}
 		}
-		var ref reluRef
-		out := r.Forward(x)
-		if i := firstDiff(out.Data, ref.forward(x.Data)); i >= 0 {
-			t.Fatalf("%s: Forward differs at %d: %v, reference %v", name, i, out.Data[i], ref.forward(x.Data)[i])
+	})
+}
+
+// Property: Linear's fused scale-and-bias pass matches the separate passes
+// bit for bit, with the assembly kernels on and off, at unit and non-unit
+// scale and at output widths around the vector width. The product must
+// round before the bias is added; a target that fused the two into one
+// multiply-add would fail here.
+func TestLinearEpilogueMatchesReferenceBits(t *testing.T) {
+	shapes := [][3]int{{32, 16, 512}, {5, 7, 2}, {1, 512, 2}, {9, 3, 65}}
+	for _, out := range []int{1, 3, 4, 5, 7, 8, 9, 31, 32, 33} {
+		shapes = append(shapes, [3]int{3, 4, out})
+	}
+	gateSettings(func(asm bool) {
+		rng := rand.New(rand.NewSource(31))
+		for _, sh := range shapes {
+			n, in, out := sh[0], sh[1], sh[2]
+			l := NewLinear(rng, in, out, false, 0)
+			// Rare edge values in the product's operands keep most sums finite.
+			l.W.Value = edgeDense(rng, in, out, 256)
+			l.B.Value = edgeDense(rng, 1, out, 4)
+			x := edgeDense(rng, n, in, 256)
+			for _, scale := range []float64{1, 0.3710935, 3.0 / 7} {
+				got := mat.NewDense(n, out)
+				l.affineInto(got, x, scale)
+				want := affineRef(x, l.W.Value, l.B.Value.Row(0), scale)
+				if i := firstDiff(got.Data, want.Data); i >= 0 {
+					t.Fatalf("asm=%v %v scale %g: epilogue differs at %d: %v, reference %v", asm, sh, scale, i, got.Data[i], want.Data[i])
+				}
+			}
 		}
-		dx := r.Backward(g)
-		if i := firstDiff(dx.Data, ref.backward(g.Data)); i >= 0 {
-			t.Fatalf("%s: Backward differs at %d: %v, reference %v", name, i, dx.Data[i], ref.backward(g.Data)[i])
-		}
-		inf := r.Infer(x, nil)
-		if i := firstDiff(inf.Data, reluInferRef(x.Data)); i >= 0 {
-			t.Fatalf("%s: Infer differs at %d: %v, reference %v", name, i, inf.Data[i], reluInferRef(x.Data)[i])
+	})
+}
+
+// refLengths are the lengths the layer references run at: every length up
+// to two vector widths, one vector block either side of 32, the paper's
+// hidden width and the paper network's parameter count.
+var refLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 512, 9730}
+
+// paramGradsRef is Linear.paramGrads as the plain loops wrote it: the
+// weight gradient gains scale·(xᵀg) element by element, and the bias
+// gradient gains each row of g in ascending row order.
+func paramGradsRef(wGrad, bGrad []float64, x, g *mat.Dense, scale float64) {
+	dw := mat.MulTA(x, g)
+	for i, v := range dw.Data {
+		wGrad[i] += scale * v
+	}
+	for i := 0; i < g.Rows; i++ {
+		for j, v := range g.Row(i) {
+			bGrad[j] += v
 		}
 	}
 }
 
-// Property: Linear's fused scale-and-bias pass matches the separate passes
-// bit for bit, at unit and non-unit scale. The product must round before the
-// bias is added; a target that fused the two into one multiply-add would
-// fail here.
-func TestLinearEpilogueMatchesReferenceBits(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, sh := range [][3]int{{32, 16, 512}, {5, 7, 2}, {1, 512, 2}, {9, 3, 65}} {
-		n, in, out := sh[0], sh[1], sh[2]
-		l := NewLinear(rng, in, out, false, 0)
-		// Rare edge values in the product's operands keep most sums finite.
-		l.W.Value = edgeDense(rng, in, out, 256)
-		l.B.Value = edgeDense(rng, 1, out, 4)
-		x := edgeDense(rng, n, in, 256)
-		for _, scale := range []float64{1, 0.3710935, 3.0 / 7} {
-			got := mat.NewDense(n, out)
-			l.affineInto(got, x, scale)
-			want := affineRef(x, l.W.Value, l.B.Value.Row(0), scale)
-			if i := firstDiff(got.Data, want.Data); i >= 0 {
-				t.Fatalf("%v scale %g: epilogue differs at %d: %v, reference %v", sh, scale, i, got.Data[i], want.Data[i])
+// Property: Linear's parameter gradients match the plain loops bit for
+// bit, with the assembly kernels on and off: output widths in refLengths,
+// 1, 3 and 32 rows, unit and non-unit spectral scale, on gradients with ±0,
+// ±Inf, NaN and subnormals accumulated onto gradients that are not zero.
+func TestLinearParamGradsMatchReferenceBits(t *testing.T) {
+	gateSettings(func(asm bool) {
+		rng := rand.New(rand.NewSource(41))
+		for _, out := range refLengths {
+			for _, rows := range []int{1, 3, 32} {
+				for _, scale := range []float64{1, 0.3710935} {
+					name := fmt.Sprintf("asm=%v out=%d rows=%d scale=%g", asm, out, rows, scale)
+					l := NewLinear(rng, 3, out, false, 0)
+					x := edgeDense(rng, rows, 3, 64)
+					l.Forward(x)
+					l.lastScale = scale
+					g := edgeDense(rng, rows, out, 4)
+					l.W.Grad = edgeDense(rng, 3, out, 4)
+					l.B.Grad = edgeDense(rng, 1, out, 4)
+					wantW := append([]float64(nil), l.W.Grad.Data...)
+					wantB := append([]float64(nil), l.B.Grad.Data...)
+					paramGradsRef(wantW, wantB, x, g, scale)
+					l.paramGrads(g)
+					if i := diffNonNaN(l.W.Grad.Data, wantW); i >= 0 {
+						t.Fatalf("%s: weight gradient differs at %d: %v, reference %v", name, i, l.W.Grad.Data[i], wantW[i])
+					}
+					if i := diffNonNaN(l.B.Grad.Data, wantB); i >= 0 {
+						t.Fatalf("%s: bias gradient differs at %d: %v, reference %v", name, i, l.B.Grad.Data[i], wantB[i])
+					}
+				}
 			}
 		}
+	})
+}
+
+// powerIterationRef is spectralState.powerIteration as the plain loops
+// wrote it: each v_i a dot product of W's row i with u from +0, u
+// accumulated over W's rows in ascending order, each norm a dot product in
+// ascending order, and each normalization a multiply by the norm's
+// reciprocal.
+func powerIterationRef(s *spectralState, w *mat.Dense) {
+	dot := func(a, b []float64) float64 {
+		sum := 0.0
+		for i, v := range a {
+			sum += v * b[i]
+		}
+		return sum
 	}
+	normalize := func(x []float64) bool {
+		n := math.Sqrt(dot(x, x))
+		if n == 0 {
+			return false
+		}
+		inv := 1 / n
+		for i := range x {
+			x[i] *= inv
+		}
+		return true
+	}
+	for i := range s.v {
+		s.v[i] = dot(w.Row(i), s.u)
+	}
+	if !normalize(s.v) {
+		s.sigma = 0
+		return
+	}
+	for j := range s.u {
+		s.u[j] = 0
+	}
+	for i, vi := range s.v {
+		for j, wij := range w.Row(i) {
+			s.u[j] += wij * vi
+		}
+	}
+	s.sigma = math.Sqrt(dot(s.u, s.u))
+	normalize(s.u)
+}
+
+// Property: three steps of the spectral-norm power iteration match the
+// plain loops bit for bit on u, v and σ after every step, with the assembly
+// kernels on and off: every pair of dimensions in refLengths up to 512 (the
+// paper's first layer is 16 × 512 and its head 512 × 2), plus 9,730-wide
+// and 9,730-tall weights, with rare ±0, ±Inf, NaN and subnormal entries,
+// and weights where such entries are common.
+func TestPowerIterationMatchesReferenceBits(t *testing.T) {
+	var shapes [][2]int
+	for _, in := range refLengths[:len(refLengths)-1] {
+		for _, out := range refLengths[:len(refLengths)-1] {
+			shapes = append(shapes, [2]int{in, out})
+		}
+	}
+	shapes = append(shapes, [2]int{16, 512}, [2]int{512, 2}, [2]int{3, 9730}, [2]int{9730, 2})
+	gateSettings(func(asm bool) {
+		rng := rand.New(rand.NewSource(43))
+		for _, sh := range shapes {
+			for _, oneIn := range []int{1024, 4} {
+				in, out := sh[0], sh[1]
+				w := edgeDense(rng, in, out, oneIn)
+				s := newSpectralState(rng, in, out, 3)
+				ref := &spectralState{coeff: s.coeff, u: append([]float64(nil), s.u...), v: append([]float64(nil), s.v...), sigma: s.sigma}
+				for step := 1; step <= 3; step++ {
+					name := fmt.Sprintf("asm=%v %dx%d oneIn=%d step %d", asm, in, out, oneIn, step)
+					s.powerIteration(w)
+					powerIterationRef(ref, w)
+					if i := diffNonNaN(s.v, ref.v); i >= 0 {
+						t.Fatalf("%s: v differs at %d: %v, reference %v", name, i, s.v[i], ref.v[i])
+					}
+					if i := diffNonNaN(s.u, ref.u); i >= 0 {
+						t.Fatalf("%s: u differs at %d: %v, reference %v", name, i, s.u[i], ref.u[i])
+					}
+					if i := diffNonNaN([]float64{s.sigma}, []float64{ref.sigma}); i >= 0 {
+						t.Fatalf("%s: σ %v, reference %v", name, s.sigma, ref.sigma)
+					}
+				}
+			}
+		}
+	})
 }
 
 // adamRef is Adam.Step's element loop for one parameter as the plain Go loop
