@@ -52,7 +52,7 @@ const (
 var gated = []struct{ pkg, bench string }{
 	{"internal/mat", "^Benchmark(MulInto|WhitenMahalanobis)$"},
 	{"internal/nn", "^Benchmark(LinearTrainStep|LogitsAndFeatures|TrainStepPaper|PoolPassPaper)$"},
-	{"internal/gda", "^Benchmark(GDAScoreBatch|GDAScoreBatchRaw|GDAScoreBatchRaw512d|LogDensityBatch|Fit4Comp64d|Fit4Comp512d)$"},
+	{"internal/gda", "^Benchmark(GDAScoreBatch|GDAScoreBatchRaw|GDAScoreBatchRaw512d|LogDensityBatch|Fit4Comp64d|Fit4Comp512d|Fit4Comp512dRank16)$"},
 	{"internal/faction", "^BenchmarkScoresPaper$"},
 	{"internal/obs", "^Benchmark(CounterInc|HistogramObserve|HistogramQuantile)$"},
 	{"internal/obs/history", "^BenchmarkSampleNow$"},

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"faction/internal/mat"
+	"faction/internal/nn"
 )
 
 // clusters builds a 2-class × 2-group dataset with well-separated Gaussian
@@ -351,12 +352,34 @@ func BenchmarkFit4Comp64d(b *testing.B) { benchmarkFit4Comp(b, 500, 64) }
 // covariance is rank-deficient and leans on the ridge.
 func BenchmarkFit4Comp512d(b *testing.B) { benchmarkFit4Comp(b, 300, 512) }
 
+// BenchmarkFit4Comp512dRank16 fits protocol-paper's features: 450 rows of
+// the paper network's spectrally normalised 16 → 512 first layer (the
+// feature tap FACTION fits each round), so each of the four (y, s)
+// components has about 112 rows but rank 16, and its low-rank fit finds a
+// 16-row basis.
+func BenchmarkFit4Comp512dRank16(b *testing.B) {
+	const n, in = 450, 16
+	rng := rand.New(rand.NewSource(10))
+	x := mat.NewDense(n, in)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	net := nn.NewClassifier(nn.Config{InputDim: in, NumClasses: 2, Hidden: []int{nn.DefaultHidden}, SpectralNorm: true, SpectralCoeff: 3, Seed: 1})
+	benchmarkFit(b, rng, net.Features(x))
+}
+
 func benchmarkFit4Comp(b *testing.B, n, d int) {
 	rng := rand.New(rand.NewSource(10))
 	f := mat.NewDense(n, d)
 	for i := range f.Data {
 		f.Data[i] = rng.NormFloat64()
 	}
+	benchmarkFit(b, rng, f)
+}
+
+// benchmarkFit fits four (y, s) components, y and s drawn from rng, on f.
+func benchmarkFit(b *testing.B, rng *rand.Rand, f *mat.Dense) {
+	n := f.Rows
 	y := make([]int, n)
 	s := make([]int, n)
 	for i := range y {

@@ -20,3 +20,27 @@ func rowUpdateAVX(d, a []float64, as int, b []float64, bs, terms int) {
 func headRowsAVX(d, a, b []float64, rows, k int) {
 	panic("mat: no assembly kernels in this build")
 }
+
+func headGradAVX(d, a []float64, as int, b []float64, rows, terms int) {
+	panic("mat: no assembly kernels in this build")
+}
+
+func dotGroupsAVX(a, q, v []float64, groups int) {
+	panic("mat: no assembly kernels in this build")
+}
+
+func axpyAVX(y []float64, s float64, x []float64) {
+	panic("mat: no assembly kernels in this build")
+}
+
+func addAVX(y, x []float64) {
+	panic("mat: no assembly kernels in this build")
+}
+
+func scaleAVX(v []float64, s float64) {
+	panic("mat: no assembly kernels in this build")
+}
+
+func subRows4AVX(v, q []float64, d int, a0, a1, a2, a3 float64) {
+	panic("mat: no assembly kernels in this build")
+}

@@ -206,7 +206,8 @@ const narrowCols = 2
 // narrowCols wide as one dot product per element: a's row is read once per
 // output column, and b, at most narrowCols floats wide, is read in order.
 // The two-class head (p = 2) runs four rows per pass in the head kernel
-// (headRowsAVX); the rows left over run here.
+// (headRowsAVX), and a matrix–vector product (p = 1) four rows per pass in
+// dot4; the rows left over run one at a time.
 func mulShardNarrow(s shard) {
 	a, b, dst := s.a, s.b, s.dst
 	k, p := a.Cols, b.Cols
@@ -214,6 +215,14 @@ func mulShardNarrow(s shard) {
 	if rows := (s.hi - lo) &^ 3; useAsm && p == 2 && rows > 0 {
 		headRowsAVX(dst.Data[lo*2:(lo+rows)*2], a.Data[lo*k:(lo+rows)*k], b.Data[:2*k], rows, k)
 		lo += rows
+	}
+	if p == 1 {
+		// A matrix–vector product: four rows' dot products per pass over b,
+		// as four independent sums.
+		for ; lo+4 <= s.hi; lo += 4 {
+			r := a.Data[lo*k : (lo+4)*k]
+			dst.Data[lo], dst.Data[lo+1], dst.Data[lo+2], dst.Data[lo+3] = dot4(r[:k], r[k:2*k], r[2*k:3*k], r[3*k:], b.Data[:k])
+		}
 	}
 	for i := lo; i < s.hi; i++ {
 		arow := a.Data[i*k : (i+1)*k]
@@ -259,6 +268,20 @@ func rowUpdate(d, a []float64, as int, b []float64, bs, terms int) {
 	_ = a[(terms-1)*as]
 	_ = b[(terms-1)*bs+len(d)-1]
 	rowUpdateAVX(d, a, as, b, bs, terms)
+}
+
+// dot4 returns the dot products of x with q0, q1, q2 and q3, each from +0
+// in ascending index, as Dot adds them: four independent sums, so each
+// pass over x keeps four additions in flight instead of one.
+func dot4(q0, q1, q2, q3, x []float64) (s0, s1, s2, s3 float64) {
+	q0, q1, q2, q3 = q0[:len(x)], q1[:len(x)], q2[:len(x)], q3[:len(x)]
+	for c, z := range x {
+		s0 += q0[c] * z
+		s1 += q1[c] * z
+		s2 += q2[c] * z
+		s3 += q3[c] * z
+	}
+	return s0, s1, s2, s3
 }
 
 // axpy4 computes d[j] += a0·b0[j], then += a1·b1[j], += a2·b2[j] and
@@ -376,9 +399,11 @@ func MulTAInto(dst, a, b *Dense) {
 // mulTAShard computes output rows [lo, hi) of dst = aᵀ × b. With the
 // assembly kernels on and b wider than narrowCols, each output row is one
 // row update over all n rows of b, its coefficients a column of a (stride
-// k). Otherwise the outer loop stays over a's rows (ascending l), four at a
-// time, and a and b are both read row by row. Either way every dst element
-// accumulates its terms in the serial order regardless of the shard split.
+// k); at p = 2 (the two-class head's weight gradient) whole groups of four
+// output rows run in headGradAVX. Otherwise the outer loop stays over a's
+// rows (ascending l), four at a time, and a and b are both read row by row.
+// Either way every dst element accumulates its terms in the serial order
+// regardless of the shard split.
 func mulTAShard(s shard) {
 	a, b, dst := s.a, s.b, s.dst
 	n, k, p := a.Rows, a.Cols, b.Cols
@@ -390,6 +415,12 @@ func mulTAShard(s shard) {
 			rowUpdate(dst.Data[i*p:(i+1)*p], a.Data[i:], k, b.Data, p, n)
 		}
 		return
+	}
+	if rows := (s.hi - s.lo) &^ 3; useAsm && p == 2 && n > 0 && rows > 0 {
+		// The kernel reads a[l·k + lo + i] for l < n and i < rows, inside
+		// a.Data[lo:] because lo + rows ≤ k.
+		headGradAVX(dst.Data[s.lo*2:(s.lo+rows)*2], a.Data[s.lo:], k, b.Data[:2*n], rows, n)
+		s.lo += rows
 	}
 	l := 0
 	for ; l+4 <= n; l += 4 {
@@ -527,19 +558,15 @@ func AddInPlace(a, b *Dense) {
 	}
 }
 
-// AddScaled computes a += s·b.
+// AddScaled computes a += s·b element by element (AxpyVec); b may be a.
 func AddScaled(a *Dense, s float64, b *Dense) {
 	sameShape("addScaled", a, b)
-	for i := range a.Data {
-		a.Data[i] += s * b.Data[i]
-	}
+	AxpyVec(a.Data, s, b.Data)
 }
 
-// Scale multiplies every element of m by s in place.
+// Scale multiplies every element of m by s in place (ScaleVec).
 func (m *Dense) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
+	ScaleVec(m.Data, s)
 }
 
 // Apply replaces each element x with f(x) in place.

@@ -223,3 +223,227 @@ store4:
 done4:
 	VZEROUPPER
 	RET
+
+// func headGradAVX(d, a []float64, as int, b []float64, rows, terms int)
+//
+//	d[2i+j] = sum_{l<terms} a[l*as+i] * b[2l+j]   for i < rows, j < 2
+//
+// The p = 2 weight gradient aᵀ·b of the two-class head. Sixteen output rows
+// per pass (four while fewer are left), their sums held a column at a
+// time: Y0 holds (i,0) (i+1,0) (i+2,0) (i+3,0) and Y1 the same rows'
+// column 1, so each l loads four consecutive elements of a's row l and
+// multiplies them by b[2l] and by b[2l+1], broadcast. Every sum starts from
+// +0 and adds its terms in ascending l; the (row, column) pairs are
+// interleaved into d's order only at the store. Caller guarantees rows is a
+// multiple of 4, terms >= 1, len(d) >= 2*rows,
+// (terms-1)*as + rows <= len(a) and len(b) >= 2*terms.
+TEXT ·headGradAVX(SB), NOSPLIT, $0-96
+	MOVQ d_base+0(FP), DI
+	MOVQ a_base+24(FP), SI   // &a[i]
+	MOVQ as+48(FP), R8
+	SHLQ $3, R8              // row stride of a, bytes
+	MOVQ b_base+56(FP), DX
+	MOVQ rows+80(FP), CX
+	MOVQ terms+88(FP), R10
+
+grad16:
+	CMPQ   CX, $16
+	JL     grad4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   SI, R11           // &a[l*as+i]
+	MOVQ   DX, R12           // &b[2l]
+	MOVQ   R10, R13
+	PCALIGN $64
+
+loop16:
+	VBROADCASTSD (R12), Y8
+	VBROADCASTSD 8(R12), Y9
+	VMOVUPD      (R11), Y10
+	VMULPD       Y8, Y10, Y12
+	VADDPD       Y12, Y0, Y0
+	VMULPD       Y9, Y10, Y13
+	VADDPD       Y13, Y1, Y1
+	VMOVUPD      32(R11), Y11
+	VMULPD       Y8, Y11, Y14
+	VADDPD       Y14, Y2, Y2
+	VMULPD       Y9, Y11, Y15
+	VADDPD       Y15, Y3, Y3
+	VMOVUPD      64(R11), Y10
+	VMULPD       Y8, Y10, Y12
+	VADDPD       Y12, Y4, Y4
+	VMULPD       Y9, Y10, Y13
+	VADDPD       Y13, Y5, Y5
+	VMOVUPD      96(R11), Y11
+	VMULPD       Y8, Y11, Y14
+	VADDPD       Y14, Y6, Y6
+	VMULPD       Y9, Y11, Y15
+	VADDPD       Y15, Y7, Y7
+	ADDQ         R8, R11
+	ADDQ         $16, R12
+	DECQ         R13
+	JNZ          loop16
+
+	// Interleave each column pair into d's (i,0) (i,1) (i+1,0) ... order.
+	VUNPCKLPD  Y1, Y0, Y8
+	VUNPCKHPD  Y1, Y0, Y9
+	VPERM2F128 $0x20, Y9, Y8, Y10
+	VPERM2F128 $0x31, Y9, Y8, Y11
+	VMOVUPD    Y10, (DI)
+	VMOVUPD    Y11, 32(DI)
+	VUNPCKLPD  Y3, Y2, Y8
+	VUNPCKHPD  Y3, Y2, Y9
+	VPERM2F128 $0x20, Y9, Y8, Y10
+	VPERM2F128 $0x31, Y9, Y8, Y11
+	VMOVUPD    Y10, 64(DI)
+	VMOVUPD    Y11, 96(DI)
+	VUNPCKLPD  Y5, Y4, Y8
+	VUNPCKHPD  Y5, Y4, Y9
+	VPERM2F128 $0x20, Y9, Y8, Y10
+	VPERM2F128 $0x31, Y9, Y8, Y11
+	VMOVUPD    Y10, 128(DI)
+	VMOVUPD    Y11, 160(DI)
+	VUNPCKLPD  Y7, Y6, Y8
+	VUNPCKHPD  Y7, Y6, Y9
+	VPERM2F128 $0x20, Y9, Y8, Y10
+	VPERM2F128 $0x31, Y9, Y8, Y11
+	VMOVUPD    Y10, 192(DI)
+	VMOVUPD    Y11, 224(DI)
+	ADDQ       $256, DI
+	ADDQ       $128, SI
+	SUBQ       $16, CX
+	JMP        grad16
+
+grad4:
+	CMPQ   CX, $4
+	JL     gradDone
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ   SI, R11
+	MOVQ   DX, R12
+	MOVQ   R10, R13
+	PCALIGN $64
+
+loop4g:
+	VBROADCASTSD (R12), Y8
+	VBROADCASTSD 8(R12), Y9
+	VMOVUPD      (R11), Y10
+	VMULPD       Y8, Y10, Y12
+	VADDPD       Y12, Y0, Y0
+	VMULPD       Y9, Y10, Y13
+	VADDPD       Y13, Y1, Y1
+	ADDQ         R8, R11
+	ADDQ         $16, R12
+	DECQ         R13
+	JNZ          loop4g
+
+	VUNPCKLPD  Y1, Y0, Y8
+	VUNPCKHPD  Y1, Y0, Y9
+	VPERM2F128 $0x20, Y9, Y8, Y10
+	VPERM2F128 $0x31, Y9, Y8, Y11
+	VMOVUPD    Y10, (DI)
+	VMOVUPD    Y11, 32(DI)
+	ADDQ       $64, DI
+	ADDQ       $32, SI
+	SUBQ       $4, CX
+	JMP        grad4
+
+gradDone:
+	VZEROUPPER
+	RET
+
+// func dotGroupsAVX(a, q, v []float64, groups int)
+//
+//	a[4g+m] = sum_{c<len(v)} q[4·len(v)·g + 4c + m] * v[c]   for g < groups, m < 4
+//
+// The dot products of v with the rows of a basis stored four rows
+// interleaved: group g holds rows 4g to 4g+3, column by column. One lane
+// per row, each sum from +0 in ascending c, so each a[j] gets the bits of
+// a dot product of row j with v. Four groups (four independent sums) per
+// pass, then one at a time. Caller guarantees len(a) >= 4*groups and
+// len(q) >= 4*len(v)*groups.
+TEXT ·dotGroupsAVX(SB), NOSPLIT, $0-80
+	MOVQ a_base+0(FP), DI
+	MOVQ q_base+24(FP), SI   // &q[group g]
+	MOVQ v_base+48(FP), DX
+	MOVQ v_len+56(FP), R9
+	MOVQ groups+72(FP), CX
+	MOVQ R9, R8
+	SHLQ $5, R8              // group stride, bytes: 4·len(v) floats
+	LEAQ (R8)(R8*2), R14     // three group strides
+
+groups4:
+	CMPQ   CX, $4
+	JL     groups1
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, R11           // &q[group][4c]
+	MOVQ   DX, R12           // &v[c]
+	MOVQ   R9, R13
+	TESTQ  R13, R13
+	JZ     store4g
+	PCALIGN $64
+
+dot4:
+	VBROADCASTSD (R12), Y8
+	VMULPD       (R11), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	VMULPD       (R11)(R8*1), Y8, Y10
+	VADDPD       Y10, Y1, Y1
+	VMULPD       (R11)(R8*2), Y8, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       (R11)(R14*1), Y8, Y12
+	VADDPD       Y12, Y3, Y3
+	ADDQ         $32, R11
+	ADDQ         $8, R12
+	DECQ         R13
+	JNZ          dot4
+
+store4g:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	LEAQ    (SI)(R8*4), SI
+	SUBQ    $4, CX
+	JMP     groups4
+
+groups1:
+	TESTQ  CX, CX
+	JZ     dotDone
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, R11
+	MOVQ   DX, R12
+	MOVQ   R9, R13
+	TESTQ  R13, R13
+	JZ     store1g
+	PCALIGN $64
+
+dot1:
+	VBROADCASTSD (R12), Y8
+	VMULPD       (R11), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	ADDQ         $32, R11
+	ADDQ         $8, R12
+	DECQ         R13
+	JNZ          dot1
+
+store1g:
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    R8, SI
+	DECQ    CX
+	JMP     groups1
+
+dotDone:
+	VZEROUPPER
+	RET

@@ -22,18 +22,44 @@ func Norm2(v []float64) float64 {
 	return math.Sqrt(Dot(v, v))
 }
 
-// AxpyVec computes y += s·x.
+// AxpyVec computes y += s·x, each element's product rounded before its
+// sum. With the assembly kernels on, whole groups of four elements run in
+// axpyAVX, whose lanes round as this loop does.
 func AxpyVec(y []float64, s float64, x []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mat: axpy length mismatch %d vs %d", len(x), len(y)))
+	}
+	if n := len(y) &^ 3; useAsm && n > 0 {
+		axpyAVX(y[:n], s, x[:n])
+		y, x = y[n:], x[n:]
 	}
 	for i, v := range x {
 		y[i] += s * v
 	}
 }
 
-// ScaleVec multiplies v by s in place.
+// AddVec computes y += x, in addAVX for whole groups of four elements when
+// the assembly kernels are on.
+func AddVec(y, x []float64) {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("mat: add length mismatch %d vs %d", len(x), len(y)))
+	}
+	if n := len(y) &^ 3; useAsm && n > 0 {
+		addAVX(y[:n], x[:n])
+		y, x = y[n:], x[n:]
+	}
+	for i := range y {
+		y[i] += x[i]
+	}
+}
+
+// ScaleVec multiplies v by s in place, in scaleAVX for whole groups of four
+// elements when the assembly kernels are on.
 func ScaleVec(v []float64, s float64) {
+	if n := len(v) &^ 3; useAsm && n > 0 {
+		scaleAVX(v[:n], s)
+		v = v[n:]
+	}
 	for i := range v {
 		v[i] *= s
 	}

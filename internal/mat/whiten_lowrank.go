@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // LowRank is the exact low-rank form of a ridged sample covariance
@@ -31,6 +32,11 @@ type LowRank struct {
 // size 1e-9 leaves out a variance of at most 1e-18·‖c‖²/n, far below any
 // ridge the estimator uses.
 const lowRankDropTol = 1e-9
+
+// lowRankStartRows is how many basis rows NewLowRank first makes room for.
+// A fit's rank is often far below min(n, d): FACTION's features come from
+// a 16-input layer, so their components have rank 16 at most.
+const lowRankStartRows = 16
 
 // LowRankOrthoTol bounds |QQᵀ − I| entrywise for a basis LowRankFromFactors
 // accepts. A basis built here is orthonormal to a few ulps; one stored at
@@ -71,13 +77,26 @@ func NewLowRank(x *Dense, mean []float64, ridge float64) (*LowRank, error) {
 // lowRankDropTol of its norm adds no basis vector. A row's coordinates are
 // the two passes' coefficients plus, for a row that adds a vector, the
 // vector's norm. It fails on a non-finite row.
+//
+// With the assembly kernels on, it also keeps q4, a copy of the basis
+// stored four rows interleaved (group g holds rows 4g to 4g+3, column by
+// column) as it grows, for project's dot products.
 func gramSchmidt(x *Dense, mean []float64) (basis, coords *Dense, err error) {
 	n, d := x.Rows, x.Cols
 	maxR := min(n, d)
-	q := make([]float64, 0, maxR*d)
+	vec := useAsm
+	// q and q4 first have room for lowRankStartRows rows and grow once, to
+	// maxR rows, if the basis outgrows that. q is not nil even at rank 0: a
+	// whitened stack takes a nil basis for a dense factor.
+	startRows := min(maxR, lowRankStartRows)
+	q := make([]float64, 0, startRows*d)
+	var q4 []float64
+	if vec {
+		q4 = make([]float64, 0, (startRows+3)&^3*d)
+	}
 	c := make([]float64, n*maxR) // c[i·maxR+j] = Q_j·c_i
 	v := make([]float64, d)
-	a := make([]float64, maxR)
+	a := make([]float64, (maxR+3)&^3) // project may fill a whole group
 	for i := 0; i < n; i++ {
 		for k, z := range x.Row(i) {
 			v[k] = z - mean[k]
@@ -89,7 +108,7 @@ func gramSchmidt(x *Dense, mean []float64) (basis, coords *Dense, err error) {
 		r := len(q) / d
 		ci := c[i*maxR : i*maxR+r]
 		for pass := 0; pass < 2; pass++ {
-			project(a[:r], q, v, d)
+			project(a[:r], q, q4, v, vec)
 			for j, s := range a[:r] {
 				ci[j] += s
 			}
@@ -103,8 +122,23 @@ func gramSchmidt(x *Dense, mean []float64) (basis, coords *Dense, err error) {
 		}
 		norm := math.Sqrt(nv)
 		c[i*maxR+r] = norm
+		if r == startRows {
+			q = slices.Grow(q, (maxR-r)*d)
+		}
 		for _, z := range v {
 			q = append(q, z/norm)
+		}
+		if vec {
+			if r == startRows {
+				q4 = slices.Grow(q4, ((maxR+3)&^3-r)*d)
+			}
+			if r%4 == 0 {
+				q4 = append(q4, make([]float64, 4*d)...) // a new group
+			}
+			g := q4[r/4*4*d:]
+			for k, z := range q[r*d:] {
+				g[4*k+r%4] = z
+			}
 		}
 	}
 	r := len(q) / d
@@ -116,35 +150,50 @@ func gramSchmidt(x *Dense, mean []float64) (basis, coords *Dense, err error) {
 }
 
 // project sets a[j] = Q_j·v for every basis row j < len(a), then subtracts
-// Σ_j a[j]·Q_j from v: one classical Gram–Schmidt pass. Four basis rows
-// share each pass over v.
-func project(a, basis, v []float64, d int) {
-	r := len(a)
+// Σ_j a[j]·Q_j from v: one classical Gram–Schmidt pass. Each a[j] is a dot
+// product from +0 in ascending column order: four rows per pass over v in
+// dot4, or, with vec, every group of four at once in dotGroupsAVX over q4,
+// the basis stored four rows interleaved (a's capacity must reach the next
+// multiple of 4). The subtraction runs four basis rows at a time
+// (subRows4), then the rows left over one at a time.
+func project(a, basis, q4, v []float64, vec bool) {
+	r, d := len(a), len(v)
+	if vec {
+		if g := (r + 3) / 4; g > 0 {
+			dotGroupsAVX(a[:4*g], q4[:4*d*g], v, g)
+		}
+	} else {
+		j := 0
+		for ; j+4 <= r; j += 4 {
+			a[j], a[j+1], a[j+2], a[j+3] = dot4(basis[j*d:][:d], basis[(j+1)*d:][:d], basis[(j+2)*d:][:d], basis[(j+3)*d:][:d], v)
+		}
+		for ; j < r; j++ {
+			a[j] = Dot(basis[j*d:(j+1)*d], v)
+		}
+	}
 	j := 0
 	for ; j+4 <= r; j += 4 {
-		q0, q1, q2, q3 := basis[j*d:][:d], basis[(j+1)*d:][:d], basis[(j+2)*d:][:d], basis[(j+3)*d:][:d]
-		var s0, s1, s2, s3 float64
-		for c, z := range v {
-			s0 += q0[c] * z
-			s1 += q1[c] * z
-			s2 += q2[c] * z
-			s3 += q3[c] * z
-		}
-		a[j], a[j+1], a[j+2], a[j+3] = s0, s1, s2, s3
-	}
-	for ; j < r; j++ {
-		a[j] = Dot(basis[j*d:(j+1)*d], v)
-	}
-	j = 0
-	for ; j+4 <= r; j += 4 {
-		q0, q1, q2, q3 := basis[j*d:][:d], basis[(j+1)*d:][:d], basis[(j+2)*d:][:d], basis[(j+3)*d:][:d]
-		a0, a1, a2, a3 := a[j], a[j+1], a[j+2], a[j+3]
-		for c := range v {
-			v[c] -= a0*q0[c] + a1*q1[c] + a2*q2[c] + a3*q3[c]
-		}
+		subRows4(v, basis[j*d:(j+4)*d], a[j], a[j+1], a[j+2], a[j+3])
 	}
 	for ; j < r; j++ {
 		AxpyVec(v, -a[j], basis[j*d:(j+1)*d])
+	}
+}
+
+// subRows4 computes v[c] −= ((a0·q0[c] + a1·q1[c]) + a2·q2[c]) + a3·q3[c]
+// for every c, where q holds the rows q0 to q3, each len(v) long, back to
+// back: in subRows4AVX for whole groups of four elements when the assembly
+// kernels are on, with the sum grouped as written either way.
+func subRows4(v, q []float64, a0, a1, a2, a3 float64) {
+	d := len(v)
+	q0, q1, q2, q3 := q[:d], q[d:2*d], q[2*d:3*d], q[3*d:4*d]
+	c := 0
+	if n := d &^ 3; useAsm && n > 0 {
+		subRows4AVX(v[:n], q, d, a0, a1, a2, a3)
+		c = n
+	}
+	for ; c < d; c++ {
+		v[c] -= a0*q0[c] + a1*q1[c] + a2*q2[c] + a3*q3[c]
 	}
 }
 

@@ -140,10 +140,11 @@ func (c *Classifier) LogitsAndFeatures(x *mat.Dense, a *mat.Arena) (logits, feat
 	return c.net.Infer(x, a)
 }
 
-// Features returns z = r(x, θ) for each row of x.
+// Features returns z = r(x, θ) for each row of x, on the heap. It runs the
+// network only through the feature tap; the bits are LogitsAndFeatures'
+// features.
 func (c *Classifier) Features(x *mat.Dense) *mat.Dense {
-	_, f := c.net.Infer(x, nil)
-	return f
+	return c.net.Features(x, nil)
 }
 
 // Clone returns a classifier with identical architecture and copied weights.

@@ -128,23 +128,19 @@ func (l *Linear) checkInput(x *mat.Dense) {
 }
 
 // affineInto writes scale·(x·W) + b into out — the arithmetic Forward and
-// Infer share, so the two passes cannot disagree by a bit. The scale and the
-// bias share one pass; the float64 conversion rounds the product before the
-// add, as a separate scaling pass would, so no target may fuse the two.
+// Infer share, so the two passes cannot disagree by a bit. Each row is
+// scaled in its own pass, which rounds the product before the bias is
+// added, so no target may fuse the two; both passes run as vector kernels
+// when the gate is on.
 func (l *Linear) affineInto(out, x *mat.Dense, scale float64) {
 	mat.MulInto(out, x, l.W.Value)
 	b := l.B.Value.Row(0)
 	for i := 0; i < out.Rows; i++ {
 		row := out.Row(i)
-		if scale == 1 {
-			for j := range row {
-				row[j] += b[j]
-			}
-			continue
+		if scale != 1 {
+			mat.ScaleVec(row, scale)
 		}
-		for j, v := range row {
-			row[j] = float64(v*scale) + b[j]
-		}
+		mat.AddVec(row, b)
 	}
 }
 
@@ -175,10 +171,7 @@ func (l *Linear) paramGrads(gradOut *mat.Dense) {
 	mat.AddScaled(l.W.Grad, l.lastScale, l.dw)
 	db := l.B.Grad.Row(0)
 	for i := 0; i < gradOut.Rows; i++ {
-		row := gradOut.Row(i)
-		for j := range row {
-			db[j] += row[j]
-		}
+		mat.AddVec(db, gradOut.Row(i))
 	}
 }
 
@@ -200,6 +193,8 @@ func (l *Linear) EffectiveWeight() *mat.Dense {
 // Its loops select with integer masks instead of branches: the sign of a
 // pre-activation is a coin flip to the branch predictor, and with a branch
 // per element the layer took an eighth of the paper-shape training step.
+// With the assembly kernels on (mat.Vectorized), whole groups of four
+// elements take the same masks on 256-bit vectors (relu_amd64.s).
 type ReLU struct {
 	out, dx *mat.Dense // train-step scratch (see Layer scratch-reuse contract)
 }
@@ -222,8 +217,12 @@ func keepPositive(b uint64) uint64 {
 // output is above 0 exactly where the input was.
 func (r *ReLU) Forward(x *mat.Dense) *mat.Dense {
 	r.out = ensureScratch(r.out, x.Rows, x.Cols, x)
-	out := r.out.Data[:len(x.Data)]
-	for i, v := range x.Data {
+	out, src := r.out.Data[:len(x.Data)], x.Data
+	if n := len(src) &^ 3; n > 0 && mat.Vectorized() {
+		reluForwardAVX(out[:n], src[:n])
+		out, src = out[n:], src[n:]
+	}
+	for i, v := range src {
 		out[i] = math.Float64frombits(keepPositive(math.Float64bits(v)))
 	}
 	return r.out
@@ -233,8 +232,12 @@ func (r *ReLU) Forward(x *mat.Dense) *mat.Dense {
 // passes through unchanged.
 func (r *ReLU) Infer(x *mat.Dense, a *mat.Arena) *mat.Dense {
 	out := get(a, x.Rows, x.Cols)
-	dst := out.Data[:len(x.Data)]
-	for i, v := range x.Data {
+	dst, src := out.Data[:len(x.Data)], x.Data
+	if n := len(src) &^ 3; n > 0 && mat.Vectorized() {
+		reluInferAVX(dst[:n], src[:n])
+		dst, src = dst[n:], src[n:]
+	}
+	for i, v := range src {
 		b := math.Float64bits(v)
 		_, nan := bits.Sub64(posInfBits, b&^(1<<63), 0) // 1 iff |v|'s bits exceed +Inf's
 		dst[i] = math.Float64frombits(keepPositive(b) | b&-nan)
@@ -249,8 +252,12 @@ func (r *ReLU) Backward(gradOut *mat.Dense) *mat.Dense {
 		panic("nn: ReLU Backward shape mismatch with last Forward")
 	}
 	r.dx = ensureScratch(r.dx, gradOut.Rows, gradOut.Cols, gradOut)
-	out, dx := r.out.Data[:len(gradOut.Data)], r.dx.Data[:len(gradOut.Data)]
-	for i, g := range gradOut.Data {
+	out, dx, grad := r.out.Data[:len(gradOut.Data)], r.dx.Data[:len(gradOut.Data)], gradOut.Data
+	if n := len(grad) &^ 3; n > 0 && mat.Vectorized() {
+		reluBackwardAVX(dx[:n], grad[:n], out[:n])
+		out, dx, grad = out[n:], dx[n:], grad[n:]
+	}
+	for i, g := range grad {
 		o := math.Float64bits(out[i])
 		nz := (o | -o) >> 63 // 1 iff o ≠ 0
 		dx[i] = math.Float64frombits(math.Float64bits(g) & -nz)

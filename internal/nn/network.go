@@ -54,6 +54,21 @@ func (n *Network) Infer(x *mat.Dense, a *mat.Arena) (out, features *mat.Dense) {
 	return h, features
 }
 
+// Features runs the inference pass only through the feature tap and returns
+// the tap's activations, with the bits of Infer's features: the layers after
+// the tap do not run. Its intermediates come from a as Infer's do (the heap
+// when a is nil).
+func (n *Network) Features(x *mat.Dense, a *mat.Arena) *mat.Dense {
+	if len(n.Layers) == 0 {
+		panic("nn: empty network")
+	}
+	h := x
+	for _, l := range n.Layers[:n.FeatureTap+1] {
+		h = l.Infer(h, a)
+	}
+	return h
+}
+
 // LastFeatures returns the feature activations recorded at the tap during the
 // most recent training Forward. The returned matrix is shared with the layer
 // cache. Inference passes do not update it; Infer returns its own features.

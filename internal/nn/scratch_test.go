@@ -157,3 +157,39 @@ func BenchmarkLogitsAndFeatures(b *testing.B) {
 		}
 	})
 }
+
+// Property: Features returns exactly the bits of LogitsAndFeatures'
+// features on the paper's hidden-512 model, on the wide model (three hidden
+// layers, dropout after each) and on a linear model (Hidden = nil, whose
+// tap is the logits), and, on the hidden models, allocates less: the layers
+// after the tap do not run.
+func TestFeaturesStopAtTapBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	paper, _, _, _ := paperFixture(8)
+	for name, c := range map[string]*Classifier{
+		"hidden512": paper,
+		"wide":      NewClassifier(Config{InputDim: 16, NumClasses: 2, Hidden: WideHidden(), SpectralNorm: true, DropoutRate: 0.2, Seed: 3}),
+		"linear":    NewClassifier(Config{InputDim: 16, NumClasses: 3, SpectralNorm: true, Seed: 4}),
+	} {
+		x := mat.NewDense(37, 16)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
+		}
+		_, want := c.LogitsAndFeatures(x, nil)
+		got := c.Features(x)
+		if got.Rows != want.Rows || got.Cols != want.Cols || got.Cols != c.FeatureDim() {
+			t.Fatalf("%s: features %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		if i := firstDiff(got.Data, want.Data); i >= 0 {
+			t.Fatalf("%s: feature %d is %v, LogitsAndFeatures has %v", name, i, got.Data[i], want.Data[i])
+		}
+		if name == "linear" || testutil.RaceEnabled {
+			continue
+		}
+		full := testing.AllocsPerRun(5, func() { c.LogitsAndFeatures(x, nil) })
+		tap := testing.AllocsPerRun(5, func() { c.Features(x) })
+		if tap >= full {
+			t.Fatalf("%s: Features allocates %v times per call, the full pass %v", name, tap, full)
+		}
+	}
+}

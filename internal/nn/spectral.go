@@ -18,6 +18,10 @@ type spectralState struct {
 	u     []float64 // left singular-vector estimate, length out
 	v     []float64 // right singular-vector estimate, length in
 	sigma float64   // latest spectral-norm estimate
+
+	// u and v as out×1 and 1×in matrices (views of the same storage), the
+	// operands of powerIteration's two products.
+	uCol, uRow, vCol, vRow *mat.Dense
 }
 
 func newSpectralState(rng *rand.Rand, in, out int, coeff float64) *spectralState {
@@ -29,6 +33,8 @@ func newSpectralState(rng *rand.Rand, in, out int, coeff float64) *spectralState
 		u:     make([]float64, out),
 		v:     make([]float64, in),
 	}
+	s.uCol, s.uRow = mat.NewDenseData(out, 1, s.u), mat.NewDenseData(1, out, s.u)
+	s.vCol, s.vRow = mat.NewDenseData(in, 1, s.v), mat.NewDenseData(1, in, s.v)
 	for i := range s.u {
 		s.u[i] = rng.NormFloat64()
 	}
@@ -54,26 +60,16 @@ func (s *spectralState) scale(w *mat.Dense, train bool) float64 {
 // powerIteration performs one round of v ← Wᵀu/‖·‖, u ← Wv/‖·‖ and updates
 // σ ← uᵀWv. w is in×out, u has length out, v has length in.
 func (s *spectralState) powerIteration(w *mat.Dense) {
-	in, out := w.Rows, w.Cols
-	// v = W·u (in-dim): v_i = Σ_j w[i][j]·u[j]
-	for i := 0; i < in; i++ {
-		s.v[i] = mat.Dot(w.Row(i), s.u)
-	}
+	// v = W·u (in-dim): v_i = Σ_j w[i][j]·u[j], each a dot product from +0
+	// in ascending j — a matrix–vector product, four rows' sums at a time.
+	mat.MulInto(s.vCol, w, s.uCol)
 	if !normalize(s.v) {
 		s.sigma = 0
 		return
 	}
-	// u = Wᵀ·v (out-dim): u_j = Σ_i w[i][j]·v_i
-	for j := 0; j < out; j++ {
-		s.u[j] = 0
-	}
-	for i := 0; i < in; i++ {
-		row := w.Row(i)
-		vi := s.v[i]
-		for j, wij := range row {
-			s.u[j] += wij * vi
-		}
-	}
+	// u = Wᵀ·v = vᵀW (out-dim): u_j = Σ_i v_i·w[i][j], each from +0 in
+	// ascending i — a 1 × in product, one row update over W's rows.
+	mat.MulInto(s.uRow, s.vRow, w)
 	// Before normalizing, ‖u‖ = ‖Wᵀv‖ = σ estimate (v is unit).
 	s.sigma = mat.Norm2(s.u)
 	normalize(s.u)
