@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench-smoke bench-gate fuzz-smoke perfbench-vet
+.PHONY: build test race vet check bench-smoke bench-gate golden-ci fuzz-smoke perfbench-vet
 
 build:
 	$(GO) build ./...
@@ -40,13 +40,25 @@ BASE ?= HEAD
 bench-gate:
 	$(GO) run ./cmd/faction-bench -gate $(BASE)
 
+# golden-ci runs every experiment at CI scale (faction-bench -exp all -scale
+# ci -seed 42, about a minute on two cores) and compares its output, wall
+# clock masked, with results/golden-ci.txt (scripts/golden-ci.sh). A change
+# that claims bit-identity must leave it matching; a change that moves a bit
+# regenerates it with `scripts/golden-ci.sh -update`. It compares only on
+# amd64 below GOAMD64=v3 with the assembly kernels on, where the golden was
+# recorded, and skips elsewhere.
+golden-ci:
+	GO=$(GO) sh scripts/golden-ci.sh
+
 # fuzz-smoke runs each fuzz target for a short burst. The request decoder is
 # held differentially to encoding/json; the density and classifier snapshot
 # loaders must return an error or a model that scores without panicking; the
 # snapshot envelope decoder must fail as corruption or re-encode to exactly
 # the bytes it read; an SLO spec that parses must build an engine that
 # evaluates without panicking; a WAL feedback or acquisition record that
-# decodes must re-encode to exactly its own bytes.
+# decodes must re-encode to exactly its own bytes; and any bytes as a WAL
+# segment must open without panicking and replay a gapless run of LSNs
+# from 1.
 # Inputs that once failed live in the package's testdata/fuzz/ corpus and
 # replay on every plain `go test`.
 fuzz-smoke:
@@ -56,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime=10s ./internal/resilience/
 	$(GO) test -run '^$$' -fuzz '^FuzzSLOSpec$$' -fuzztime=10s ./internal/obs/slo/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime=10s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALOpen$$' -fuzztime=10s ./internal/wal/
 
 # perfbench-vet vets the benchmark module (perfbench/, its own Go module that
 # builds against this one through a replace directive), so an API change here
