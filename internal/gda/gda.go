@@ -209,10 +209,14 @@ func Fit(features *mat.Dense, y, s []int, classes int, sensValues []int, cfg Con
 
 	e := &Estimator{Dim: d, Classes: classes, SensValues: append([]int(nil), sensValues...), comps: map[[2]int]*Component{}}
 	logTwoPi := float64(d) * math.Log(2*math.Pi)
+	// Each component's rows are copied into arena scratch: no component
+	// keeps them, so every fit reuses the same storage.
+	arena := mat.GetArena()
+	defer arena.Release()
 	for _, key := range keys {
 		idx := groups[key]
 		comp := &Component{Y: key[0], S: key[1], N: len(idx), Weight: float64(len(idx)) / float64(n)}
-		sub := mat.NewDense(len(idx), d)
+		sub := arena.Get(len(idx), d)
 		for r, i := range idx {
 			copy(sub.Row(r), features.Row(i))
 		}

@@ -2,7 +2,8 @@
 
 package mat
 
-// The assembly kernels: the whitened Mahalanobis kernel (whiten_amd64.s);
+// The assembly kernels: the whitened Mahalanobis kernel and its tile
+// transpose (whiten_amd64.s);
 // the row update, the two-class head's kernels and the grouped dot products
 // of the low-rank fit (rows_amd64.s); and the element kernels behind
 // AxpyVec, AddVec, ScaleVec and the fit's subtraction (vec_amd64.s). All of them
@@ -50,6 +51,14 @@ func rowUpdateAVX(d, a []float64, as int, b []float64, bs, terms int)
 //
 //go:noescape
 func headRowsAVX(d, a, b []float64, rows, k int)
+
+// packTileAVX (whiten_amd64.s) transposes eight rows of z, each len(z)/8
+// long, into the column-major tile for columns c < cols: tile[c·8+lane] =
+// z[lane·len(z)/8+c]. The caller proves cols is a multiple of 4,
+// len(z)/8 ≥ cols and len(tile) ≥ 8·cols (packTile).
+//
+//go:noescape
+func packTileAVX(tile, z []float64, cols int)
 
 // headGradAVX (rows_amd64.s) writes d[2i+j] = Σ_{l<terms} a[l·as+i]·b[2l+j]
 // for i < rows and j < 2, each sum from +0 in ascending l. The caller

@@ -21,6 +21,10 @@ func headRowsAVX(d, a, b []float64, rows, k int) {
 	panic("mat: no assembly kernels in this build")
 }
 
+func packTileAVX(tile, z []float64, cols int) {
+	panic("mat: no assembly kernels in this build")
+}
+
 func headGradAVX(d, a []float64, as int, b []float64, rows, terms int) {
 	panic("mat: no assembly kernels in this build")
 }

@@ -367,3 +367,32 @@ func firstBitDiff(got, want []float64) int {
 	}
 	return -1
 }
+
+// Property: packTile fills the lane tile exactly as the transposing loop
+// does, with the assembly kernels on and off: every row count of a lane
+// block (the kernel takes full blocks only), widths around the four-column
+// step, blocks that start mid-matrix, a tile holding another block's values
+// beforehand, and NaN payloads, which a value move must keep.
+func TestPackTileMatchesReferenceBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for _, d := range []int{1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 64, 512, 513} {
+		z := NewDenseData(19, d, edgeVec(rng, 19*d, 4))
+		for _, lo := range []int{0, 3, 11} {
+			for rows := 1; rows <= whitenLanes; rows++ {
+				want := make([]float64, d*whitenLanes)
+				for lane := 0; lane < rows; lane++ {
+					for c := 0; c < d; c++ {
+						want[c*whitenLanes+lane] = z.At(lo+lane, c)
+					}
+				}
+				for _, asm := range gateSettings() {
+					tile := edgeVec(rng, d*whitenLanes, 2) // stale values
+					withVectorized(t, asm, func() { packTile(tile, z, lo, rows) })
+					if i := firstBitDiff(tile, want); i >= 0 {
+						t.Fatalf("d=%d lo=%d rows=%d asm=%v: tile[%d] = %v, want %v", d, lo, rows, asm, i, tile[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

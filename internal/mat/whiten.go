@@ -314,8 +314,20 @@ func (j *whitenJob) run(lob, hib int) {
 // packTile transposes rows [lo, lo+rows) of z into the column-major tile
 // (tile[r·lanes+lane] = z_lane[r]) and zero-fills the remaining lanes. A
 // function of its own so the copy loop keeps its counters in registers.
+// With the assembly kernels on, a full block's columns run four at a time
+// in packTileAVX, which moves the same values.
 func packTile(tile []float64, z *Dense, lo, rows int) {
 	d := z.Cols
+	if c := d &^ 3; useAsm && rows == whitenLanes && c > 0 {
+		block := z.Data[lo*d : (lo+whitenLanes)*d]
+		packTileAVX(tile[:c*whitenLanes], block, c)
+		for lane := 0; lane < whitenLanes; lane++ {
+			for r := c; r < d; r++ {
+				tile[r*whitenLanes+lane] = block[lane*d+r]
+			}
+		}
+		return
+	}
 	for lane := 0; lane < rows; lane++ {
 		i := lane
 		for _, v := range z.Data[(lo+lane)*d : (lo+lane+1)*d] {

@@ -277,3 +277,70 @@ done:
 	VMOVUPD Y15, 32(AX)
 	VZEROUPPER
 	RET
+
+// func packTileAVX(tile, z []float64, cols int)
+//
+//	tile[c*8 + lane] = z[lane*len(z)/8 + c]   for c < cols, lane < 8
+//
+// packTile for a full lane block: eight rows of z (row stride len(z)/8)
+// transposed, four columns at a time, into the column-major tile. Each
+// step loads four columns of the eight rows, transposes rows 0-3 and rows
+// 4-7 as two 4×4 blocks (VUNPCKLPD/VUNPCKHPD, then VPERM2F128) and stores
+// each column's eight lanes as one 64-byte tile row. It moves values only.
+// Caller guarantees cols is a multiple of 4, len(z)/8 >= cols and
+// len(tile) >= 8*cols.
+TEXT ·packTileAVX(SB), NOSPLIT, $0-56
+	MOVQ tile_base+0(FP), DI
+	MOVQ z_base+24(FP), SI
+	MOVQ z_len+32(FP), R8
+	SHRQ $3, R8
+	SHLQ $3, R8              // row stride of z, bytes
+	LEAQ (R8)(R8*2), R9      // three row strides
+	LEAQ (SI)(R8*4), DX      // &z[row 4][c]
+	MOVQ cols+48(FP), CX
+	PCALIGN $64
+
+pack4:
+	TESTQ      CX, CX
+	JZ         packDone
+	VMOVUPD    (SI), Y0
+	VMOVUPD    (SI)(R8*1), Y1
+	VMOVUPD    (SI)(R8*2), Y2
+	VMOVUPD    (SI)(R9*1), Y3
+	VMOVUPD    (DX), Y4
+	VMOVUPD    (DX)(R8*1), Y5
+	VMOVUPD    (DX)(R8*2), Y6
+	VMOVUPD    (DX)(R9*1), Y7
+	VUNPCKLPD  Y1, Y0, Y8    // r0[0] r1[0] r0[2] r1[2]
+	VUNPCKHPD  Y1, Y0, Y9    // r0[1] r1[1] r0[3] r1[3]
+	VUNPCKLPD  Y3, Y2, Y10
+	VUNPCKHPD  Y3, Y2, Y11
+	VPERM2F128 $0x20, Y10, Y8, Y12
+	VPERM2F128 $0x20, Y11, Y9, Y13
+	VPERM2F128 $0x31, Y10, Y8, Y14
+	VPERM2F128 $0x31, Y11, Y9, Y15
+	VMOVUPD    Y12, (DI)     // column c, lanes 0-3
+	VMOVUPD    Y13, 64(DI)
+	VMOVUPD    Y14, 128(DI)
+	VMOVUPD    Y15, 192(DI)
+	VUNPCKLPD  Y5, Y4, Y8
+	VUNPCKHPD  Y5, Y4, Y9
+	VUNPCKLPD  Y7, Y6, Y10
+	VUNPCKHPD  Y7, Y6, Y11
+	VPERM2F128 $0x20, Y10, Y8, Y12
+	VPERM2F128 $0x20, Y11, Y9, Y13
+	VPERM2F128 $0x31, Y10, Y8, Y14
+	VPERM2F128 $0x31, Y11, Y9, Y15
+	VMOVUPD    Y12, 32(DI)   // column c, lanes 4-7
+	VMOVUPD    Y13, 96(DI)
+	VMOVUPD    Y14, 160(DI)
+	VMOVUPD    Y15, 224(DI)
+	ADDQ       $32, SI
+	ADDQ       $32, DX
+	ADDQ       $256, DI
+	SUBQ       $4, CX
+	JMP        pack4
+
+packDone:
+	VZEROUPPER
+	RET
