@@ -550,12 +550,10 @@ func Sub(a, b *Dense) *Dense {
 	return out
 }
 
-// AddInPlace computes a += b.
+// AddInPlace computes a += b element by element (AddVec).
 func AddInPlace(a, b *Dense) {
 	sameShape("add", a, b)
-	for i := range a.Data {
-		a.Data[i] += b.Data[i]
-	}
+	AddVec(a.Data, b.Data)
 }
 
 // AddScaled computes a += s·b element by element (AxpyVec); b may be a.

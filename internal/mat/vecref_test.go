@@ -18,6 +18,13 @@ func axpyRef(y []float64, s float64, x []float64) {
 	}
 }
 
+// addRef is AddVec's loop: y[i] += x[i].
+func addRef(y, x []float64) {
+	for i := range y {
+		y[i] += x[i]
+	}
+}
+
 // scaleRef is ScaleVec's loop: v[i] *= s.
 func scaleRef(v []float64, s float64) {
 	for i := range v {
@@ -63,15 +70,31 @@ var edgeScalars = []float64{
 	math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
 }
 
-// Property: AxpyVec, AddScaled, ScaleVec and Dense.Scale match their
-// element loops bit for bit, with the assembly kernels on and off, at every
-// length in vecLengths, on operands and multipliers with ±0, ±Inf, NaN and
-// subnormals, and on slices that start one element past an aligned address.
+// Property: AxpyVec, AddScaled, AddVec, AddInPlace, ScaleVec and
+// Dense.Scale match their element loops bit for bit, with the assembly
+// kernels on and off, at every length in vecLengths, on operands and
+// multipliers with ±0, ±Inf, NaN and subnormals, and on slices that start
+// one element past an aligned address. AddVec and AddInPlace, which do no
+// multiply, also keep the loop's NaN payloads.
 func TestVectorKernelsMatchReferenceBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for _, n := range vecLengths {
 		for _, off := range []int{0, 1} {
 			x, y := edgeVec(rng, n+off, 4)[off:], edgeVec(rng, n+off, 4)[off:]
+			wantAdd := append([]float64(nil), y...)
+			addRef(wantAdd, x)
+			for _, asm := range gateSettings() {
+				got := append([]float64(nil), y...)
+				withVectorized(t, asm, func() { AddVec(got, x) })
+				if i := firstBitDiff(got, wantAdd); i >= 0 {
+					t.Fatalf("n=%d off=%d asm=%v: AddVec differs at %d: %v, reference %v", n, off, asm, i, got[i], wantAdd[i])
+				}
+				a := NewDenseData(1, n, append([]float64(nil), y...))
+				withVectorized(t, asm, func() { AddInPlace(a, NewDenseData(1, n, x)) })
+				if i := firstBitDiff(a.Data, wantAdd); i >= 0 {
+					t.Fatalf("n=%d off=%d asm=%v: AddInPlace differs at %d: %v, reference %v", n, off, asm, i, a.Data[i], wantAdd[i])
+				}
+			}
 			for _, s := range edgeScalars {
 				wantAxpy := append([]float64(nil), y...)
 				axpyRef(wantAxpy, s, x)
