@@ -249,7 +249,8 @@ func pivotRows(coords *Dense) []bool {
 
 // lowRankCases are the fits the low-rank reference runs: FACTION's shape
 // (rank-16 rows of a 16 → 512 affine map, one component's share of 450
-// labelled rows), rank-7 rows, full-rank rows below and above the width,
+// labelled rows), rank-7 rows, full-rank rows below and above the width
+// (at 36 columns, a width that ends in a four-element vector block),
 // duplicate and all-zero rows, and rows whose remainder sits either side of
 // lowRankDropTol.
 func lowRankCases(rng *rand.Rand) map[string]*Dense {
@@ -282,6 +283,7 @@ func lowRankCases(rng *rand.Rand) map[string]*Dense {
 		"rank7_30x64":    affine(30, 7, 64),
 		"full_75x512":    gauss(75, 512),
 		"full_40x16":     gauss(40, 16),
+		"full_20x36":     gauss(20, 36),
 		"full_3x5":       gauss(3, 5),
 		"one_row":        gauss(1, 9),
 	}
