@@ -3,12 +3,12 @@
 package mat
 
 // The assembly kernels: the whitened Mahalanobis kernel and its tile
-// transpose (whiten_amd64.s);
-// the row update, the two-class head's kernels and the grouped dot products
-// of the low-rank fit (rows_amd64.s); and the element kernels behind
-// AxpyVec, AddVec, ScaleVec and the fit's subtraction (vec_amd64.s). All of them
-// run on 256-bit vectors and are gated at startup by one CPUID/XGETBV check
-// (AVX2, FMA, and OS ymm-state support), read through useAsm (asm.go).
+// transpose (whiten_amd64.s); the row update, the two-class head's kernels
+// and the grouped dot products of the low-rank fit (rows_amd64.s); and the
+// element kernels behind AxpyVec, AddVec, ScaleVec and the fit's
+// subtraction (vec_amd64.s). All of them run on 256-bit vectors and are
+// gated at startup by one CPUID/XGETBV check (AVX2, FMA, and OS ymm-state
+// support), read through useAsm (asm.go).
 //
 // The whitened kernel processes a tile's 8 float64 lanes as two 4-lane
 // vectors, so one broadcast per operand element feeds two fused
