@@ -86,12 +86,12 @@ func TestVectorKernelsMatchReferenceBits(t *testing.T) {
 			for _, asm := range gateSettings() {
 				got := append([]float64(nil), y...)
 				withVectorized(t, asm, func() { AddVec(got, x) })
-				if i := firstBitDiff(got, wantAdd); i >= 0 {
+				if i := diffBits(got, wantAdd); i >= 0 {
 					t.Fatalf("n=%d off=%d asm=%v: AddVec differs at %d: %v, reference %v", n, off, asm, i, got[i], wantAdd[i])
 				}
 				a := NewDenseData(1, n, append([]float64(nil), y...))
 				withVectorized(t, asm, func() { AddInPlace(a, NewDenseData(1, n, x)) })
-				if i := firstBitDiff(a.Data, wantAdd); i >= 0 {
+				if i := diffBits(a.Data, wantAdd); i >= 0 {
 					t.Fatalf("n=%d off=%d asm=%v: AddInPlace differs at %d: %v, reference %v", n, off, asm, i, a.Data[i], wantAdd[i])
 				}
 			}
@@ -358,7 +358,7 @@ func TestLowRankMatchesReferenceBits(t *testing.T) {
 					{"factor", f.L().Data, want.L().Data},
 					{"log-det", []float64{f.LogDet()}, []float64{want.LogDet()}},
 				} {
-					if i := firstBitDiff(c.got, c.want); i >= 0 {
+					if i := diffBits(c.got, c.want); i >= 0 {
 						t.Fatalf("%s: %s differs at %d: %v, reference %v", label, c.what, i, c.got[i], c.want[i])
 					}
 				}
@@ -377,20 +377,6 @@ func TestLowRankMatchesReferenceBits(t *testing.T) {
 			}
 		}
 	}
-}
-
-// firstBitDiff returns the first index where got and want differ in bits,
-// or −1.
-func firstBitDiff(got, want []float64) int {
-	if len(got) != len(want) {
-		return 0
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			return i
-		}
-	}
-	return -1
 }
 
 // Property: packTile fills the lane tile exactly as the transposing loop
@@ -413,7 +399,7 @@ func TestPackTileMatchesReferenceBits(t *testing.T) {
 				for _, asm := range gateSettings() {
 					tile := edgeVec(rng, d*whitenLanes, 2) // stale values
 					withVectorized(t, asm, func() { packTile(tile, z, lo, rows) })
-					if i := firstBitDiff(tile, want); i >= 0 {
+					if i := diffBits(tile, want); i >= 0 {
 						t.Fatalf("d=%d lo=%d rows=%d asm=%v: tile[%d] = %v, want %v", d, lo, rows, asm, i, tile[i], want[i])
 					}
 				}
