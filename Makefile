@@ -12,14 +12,16 @@ test:
 # online protocol runner, the snapshot/drain helpers, the write-ahead log
 # (group-commit appenders racing rotation, replay and pruning), the network
 # whose inference path must stay read-only, the sharded compute kernels in
-# mat/gda (worker pool + parallel ScoreBatch), and the metrics registry whose
-# hot paths are lock-free atomics scraped concurrently — ./internal/obs/...
-# recursively includes the metric-history sampler and SLO burn-rate engine
-# (tickers racing manual SampleNow/Evaluate and the HTTP snapshots).
+# mat/gda (worker pool + gda's sharded density pass, ScoreRows and Scale),
+# FACTION's tiled select and the active-learning baselines (DDU), which drive
+# that pass into storage they own, and the metrics registry whose hot paths
+# are lock-free atomics scraped concurrently — ./internal/obs/... recursively
+# includes the metric-history sampler and SLO burn-rate engine (tickers
+# racing manual SampleNow/Evaluate and the HTTP snapshots).
 # ./internal/fleet/... is the multi-replica router: the proxy hot path, probe
 # loop and reconciler all share per-replica atomics.
 race:
-	$(GO) test -race ./internal/server/... ./internal/online/... ./internal/resilience/... ./internal/wal/... ./internal/nn/... ./internal/mat/... ./internal/gda/... ./internal/obs/... ./internal/fleet/...
+	$(GO) test -race ./internal/server/... ./internal/online/... ./internal/resilience/... ./internal/wal/... ./internal/nn/... ./internal/mat/... ./internal/gda/... ./internal/faction/... ./internal/active/... ./internal/obs/... ./internal/fleet/...
 
 vet:
 	$(GO) vet ./...

@@ -29,7 +29,9 @@ func (d DDU) SelectBatch(ctx *Context, a int) []int {
 		// No labeled data yet: fall back to uncertainty sampling.
 		return EntropyAL{}.SelectBatch(ctx, a)
 	}
-	scores := est.ScoreBatch(ctx.PoolFeatures())
+	var scores gda.BatchScores
+	est.ScoreRows(&scores, 0, ctx.PoolFeatures())
+	scores.Scale()
 	neg := make([]float64, len(scores.G))
 	for i, g := range scores.G {
 		neg[i] = -g // lowest density first

@@ -14,8 +14,8 @@ import (
 //
 // Binary-sensitive learners must not consume these streams (Sample.S is a
 // group id, not ±1); they exist for the multi-group density/metric paths
-// (gda.ScoreBatch with >2 sensitive values, fairness.DDPMulti/EODMulti/
-// MIMulti, and faction.Options.SensValues).
+// (gda's Δg with >2 sensitive values, fairness.DDPMulti/EODMulti/MIMulti,
+// and faction.Options.SensValues).
 func MultiGroupStream(cfg StreamConfig, groups, tasks int, skew float64) *Stream {
 	if groups < 2 {
 		panic(fmt.Sprintf("data: multi-group stream needs ≥2 groups, got %d", groups))

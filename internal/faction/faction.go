@@ -139,10 +139,10 @@ const scoreTile = 256
 //
 // The pool runs in tiles of scoreTile rows: each tile's forward pass goes
 // into an arena, its probabilities into one n × C matrix, and its density
-// pass into rows of one n-row RawScores. Every per-row value, and the
-// maximum over rows that sets the common scale, is independent of the other
-// rows, so the one SliceInto at the end gives the bits of scoring the whole
-// pool at once (TestScoresTiledMatchesUntiled).
+// pass into the next rows of one gda.BatchScores. Every per-row value, and
+// the maximum over rows that sets the common scale, is independent of the
+// other rows, so the one Scale at the end gives the bits of scoring the
+// whole pool at once (TestScoresTiledMatchesUntiled).
 func (s *Strategy) Scores(ctx *active.Context) ([]float64, bool) {
 	est, err := gda.Fit(
 		ctx.LabeledFeatures(),
@@ -158,7 +158,7 @@ func (s *Strategy) Scores(ctx *active.Context) ([]float64, bool) {
 	pool := ctx.PoolMatrix()
 	n, d := pool.Rows, pool.Cols
 	probs := mat.NewDense(n, ctx.Model.Config().NumClasses)
-	raw := est.NewRawScores(n)
+	var batch gda.BatchScores
 	tile := &mat.Dense{Cols: d}
 	for off := 0; off < n; off += scoreTile {
 		tile.Rows = min(scoreTile, n-off)
@@ -168,12 +168,10 @@ func (s *Strategy) Scores(ctx *active.Context) ([]float64, bool) {
 		for i := 0; i < tile.Rows; i++ {
 			mat.Softmax(probs.Row(off+i), logits.Row(i))
 		}
-		est.ScoreRows(raw, off, feats)
+		est.ScoreRows(&batch, off, feats)
 		arena.Release()
 	}
-	var batch gda.BatchScores
-	raw.SliceInto(&batch, 0, n)
-	raw.Release()
+	batch.Scale()
 	u := make([]float64, n)
 	for i := range u {
 		u[i] = batch.G[i]

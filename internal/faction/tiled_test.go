@@ -15,15 +15,18 @@ import (
 )
 
 // scoresUntiled is Scores as one pass over the whole pool, kept as the
-// tiled pass's reference: ScoreBatch over the pool's features, with
-// probabilities from the pool's softmax, both from Context's cached pass.
+// tiled pass's reference: one ScoreRows over the pool's features and a
+// Scale, with probabilities from the pool's softmax, both from Context's
+// cached pass.
 func scoresUntiled(s *Strategy, ctx *active.Context) ([]float64, bool) {
 	est, err := gda.Fit(ctx.LabeledFeatures(), ctx.Labeled.Labels(), ctx.Labeled.Sensitive(),
 		ctx.Labeled.Classes, s.opts.SensValues, s.opts.GDA)
 	if err != nil {
 		return nil, false
 	}
-	batch := est.ScoreBatch(ctx.PoolFeatures())
+	var batch gda.BatchScores
+	est.ScoreRows(&batch, 0, ctx.PoolFeatures())
+	batch.Scale()
 	probs := ctx.PoolProbs()
 	u := make([]float64, len(batch.G))
 	for i := range u {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -25,7 +26,7 @@ import (
 
 // Timing instruments on the process-wide registry: Fit runs once per
 // task/refit, a score pass on every /score request and acquisition round
-// (observed when its RawScores is released, see RawScores).
+// (observed by BatchScores.Scale).
 var (
 	fitSeconds = obs.Default().Histogram("faction_gda_fit_seconds",
 		"Duration of fitting the GDA mixture.", obs.ExpBuckets(1e-4, 4, 8))
@@ -94,12 +95,12 @@ type Estimator struct {
 	// ordered lists the components sorted by (Y, S). Density sums iterate it
 	// instead of the map, making every score deterministic (map iteration
 	// order would otherwise perturb the floating-point sum run to run) — the
-	// property the parallel-equals-serial ScoreBatch guarantee rests on.
+	// property the parallel-equals-serial ScoreRows guarantee rests on.
 	ordered []*Component
 	// wstack holds the precomputed scoring operand of every ordered
 	// component (the whitening W_k = L_k⁻¹, m̃_k = W_k·μ_k of a dense
 	// component, the basis, whitening and residual of a low-rank one), the
-	// operand of every density entry point's batch Mahalanobis pass. Derived
+	// operand of ScoreRows' batch Mahalanobis pass. Derived
 	// from the factor bits by buildStack, so Fit and a Load of its snapshot
 	// build bit-identical stacks.
 	wstack *mat.WhitenedStack
@@ -259,8 +260,9 @@ func Fit(features *mat.Dense, y, s []int, classes int, sensValues []int, cfg Con
 		e.comps[key] = comp
 	}
 	e.finalize()
-	e.TrainLogDensities = make([]float64, n)
-	e.LogDensityBatchInto(e.TrainLogDensities, features)
+	var train BatchScores
+	e.ScoreRows(&train, 0, features)
+	e.TrainLogDensities = train.LogG
 	return e, nil
 }
 
@@ -318,29 +320,14 @@ func (e *Estimator) DegenerateComponents() int {
 }
 
 // LogDensity returns log g(z) = log Σ_{y,s} p(y,s)·g(z|y,s) (Eq. 3),
-// computed stably in log space. It is a one-row whitened batch: lane
-// independence of the kernel makes the value bit-identical to the same row
-// scored inside any larger batch, and the (Y, S)-ordered sum makes it
-// bit-identical to ScoreBatch's internal sum.
+// computed stably in log space. It is a one-row ScoreRows: lane independence
+// of the kernel makes the value bit-identical to the same row's LogG in any
+// larger batch.
 func (e *Estimator) LogDensity(z []float64) float64 {
 	e.checkDim(z)
-	var out [1]float64
-	e.LogDensityBatchInto(out[:], mat.NewDenseData(1, e.Dim, z))
-	return out[0]
-}
-
-// LogCondDensity returns log g(z|y,s), or −Inf when the component is absent.
-// Evaluated through the whitened kernel, so it bit-matches the conditional
-// log-pdfs inside ScoreBatchRaw.
-func (e *Estimator) LogCondDensity(z []float64, y, s int) float64 {
-	e.checkDim(z)
-	c := e.Component(y, s)
-	if c == nil {
-		return math.Inf(-1)
-	}
-	quads := make([]float64, len(e.ordered))
-	e.wstack.MahalanobisInto(quads, mat.NewDenseData(1, e.Dim, z))
-	return c.logNormBase - 0.5*quads[c.ordIdx]
+	var b BatchScores
+	e.ScoreRows(&b, 0, mat.NewDenseData(1, e.Dim, z))
+	return b.LogG[0]
 }
 
 func (e *Estimator) checkDim(z []float64) {
@@ -350,8 +337,8 @@ func (e *Estimator) checkDim(z []float64) {
 }
 
 // growFloats returns buf resliced to length n, reallocating only when the
-// capacity is insufficient — the steady-state reuse primitive of the pooled
-// scoring paths.
+// capacity is insufficient — the steady-state reuse primitive of a reused
+// BatchScores.
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)
@@ -375,31 +362,43 @@ func getDensScratch(comps int) *densScratch {
 	return ds
 }
 
-// BatchScores holds the relative densities of a batch on a common scale
-// (every value is multiplied by e^{−M}, where M is the batch-wide maximum
-// log density; the subsequent min–max normalization of Eq. 7 is invariant to
-// this shared scale, which is what makes the mixture usable far from the
-// training data where raw densities underflow float64).
+// BatchScores is one batch's density pass, in storage its caller owns and
+// may reuse from batch to batch. ScoreRows fills LogG and the per-row state
+// behind the scaled fields, in one call or tile by tile; Scale then puts the
+// batch on a common scale (every value multiplied by e^{−M}, where M is the
+// batch-wide maximum log density; the subsequent min–max normalization of
+// Eq. 7 is invariant to this shared scale, which is what makes the mixture
+// usable far from the training data where raw densities underflow float64).
 type BatchScores struct {
-	// G[i] is the scaled overall density g(z_i).
+	// G[i] is the scaled overall density g(z_i), written by Scale.
 	G []float64
-	// Delta[i][c] is the scaled Δg_c(z_i). For two sensitive values this is
-	// the paper's |g(z_i|c,+1) − g(z_i|c,−1)| (Eqs. 4–5); for more it
-	// generalizes to the worst-case pairwise gap
+	// Delta[i][c] is the scaled Δg_c(z_i), written by Scale. For two
+	// sensitive values this is the paper's |g(z_i|c,+1) − g(z_i|c,−1)|
+	// (Eqs. 4–5); for more it generalizes to the worst-case pairwise gap
 	// max_{s,s'} |g(z_i|c,s) − g(z_i|c,s')| (the multi-valued extension of
 	// Section IV-H). Zero when a class has fewer than two fitted group
 	// components. All rows view one flattened n×classes backing slice.
 	Delta [][]float64
 	// LogG[i] is the unscaled log g(z_i) (Eq. 3) — the same value LogDensity
-	// returns, already computed inside the batch pass before rescaling.
-	// Consumers needing absolute densities (OOD thresholds, drift feeding)
-	// read it here instead of paying a second per-row density pass.
+	// returns, written by ScoreRows. Consumers needing absolute densities
+	// (OOD thresholds, drift feeding) read it here, with or without Scale,
+	// instead of paying a second per-row density pass.
 	LogG []float64
 	// LogScale is M, the subtracted log-scale (exported for diagnostics).
 	LogScale float64
 
-	// deltaFlat is the backing of Delta, kept so SliceInto can reuse it.
-	deltaFlat []float64
+	// logCond[(i·classes+c)·ns+k] = log g(z_i | c, SensValues[k]), kept only
+	// for an estimator with two or more sensitive values (otherwise there
+	// are no gaps). rowMax[i] is the maximum over LogG[i] and the row's
+	// finite log g(z_i|c,s) — the quantity the common scale reduces over.
+	// quads[i·K+j] is the whitened Mahalanobis distance of the current
+	// tile's row i to ordered component j, filled by one batch kernel pass
+	// and reduced to log-pdfs by the sharded reduction.
+	logCond, rowMax, quads []float64
+	deltaFlat              []float64 // the backing of Delta
+	classes, ns            int       // the shape of the estimator that filled the batch
+	// scoreTime sums the batch's ScoreRows calls; Scale observes it.
+	scoreTime time.Duration
 }
 
 // scoreBatchMinGrain is the smallest per-shard sample count worth a pool
@@ -408,123 +407,100 @@ type BatchScores struct {
 // is O(components) per sample, so shards are kept coarser).
 const scoreBatchMinGrain = 8
 
-// ScoreBatch evaluates the overall density and the per-class fairness gaps
-// for each feature row, on a shared numeric scale (see BatchScores).
+// batchJob carries one batch across the worker pool without allocating:
+// pooled jobs bind fill and scale to their methods once (at pool-New time),
+// so the hot path never constructs a closure.
+type batchJob struct {
+	e           *Estimator
+	b           *BatchScores
+	off         int     // b's row of the tile's row 0, for fill
+	m           float64 // the common log-scale, for scale
+	fill, scale func(lo, hi int)
+}
+
+var batchJobPool = sync.Pool{New: func() any {
+	j := new(batchJob)
+	j.fill, j.scale = j.fillRows, j.scaleRows
+	return j
+}}
+
+// ScoreRows runs the density pass over features and stores its results as
+// rows [off, off+features.Rows) of dst: off = 0 starts a batch, and any
+// other off must equal the rows dst already holds, so a batch is filled in
+// order, in one call or tile by tile (FACTION scores its pool in tiles
+// this way). Every value of a row depends only on that row, so a batch
+// filled in tiles holds the bits of one call over all its rows.
 //
 // The quadratic forms are evaluated by the whitened batch kernel
 // (mat.WhitenedStack.MahalanobisInto) — one packed pass over all rows ×
 // components instead of per-row triangular solves — then a sharded log-space
-// reduction turns them into densities and gaps. Kernel lanes and reduction
-// rows are row-independent with a fixed accumulation order, so the result is
+// reduction turns them into log-densities. Kernel lanes and reduction rows
+// are row-independent with a fixed accumulation order, so the result is
 // bit-identical to a serial evaluation at any parallelism. Per-component
-// log-pdfs are computed once per sample and shared between the overall
-// density and the conditional gaps, and all per-sample storage views
-// flattened backing slices.
+// log-pdfs are computed once per row and shared between the overall density
+// and the conditional gaps.
 //
-// ScoreBatch is SliceInto(0, n) over one raw log-space pass; slicing any
-// sub-range of a pass gives the bits scoring those rows alone would. The
-// returned BatchScores owns its storage (the raw pass is released back to
-// the pool before returning), and the pass counts as one score pass.
-func (e *Estimator) ScoreBatch(features *mat.Dense) BatchScores {
-	raw := e.ScoreBatchRaw(features)
-	var out BatchScores
-	raw.SliceInto(&out, 0, features.Rows)
-	raw.Release()
-	return out
-}
-
-// RawScores is the scale-free half of a batch scoring pass: per-sample log
-// densities (overall and per-component) before any common-scale rescaling.
-// Because every per-row value depends only on that row, RawScores of a
-// concatenated batch carries exactly the values each sub-range would have
-// produced on its own — Slice/SliceInto recover them bit-identically.
-//
-// The same independence lets several ScoreRows calls fill one RawScores
-// in row ranges (FACTION scores its pool in tiles this way): the filled
-// RawScores holds the bits one ScoreBatchRaw over all the rows would.
-//
-// RawScores are pooled: call Release when done (after the last Slice) to
-// recycle the storage. Using one after Release panics. Release also
-// observes the summed duration of the ScoreRows calls that filled it as one
-// faction_gda_score_batch_seconds sample, so a pool scored in tiles counts
-// as one score pass.
-type RawScores struct {
-	// LogG[i] is log g(z_i) (Eq. 3), identical to LogDensity(z_i).
-	LogG []float64
-
-	// logCond[(i·classes+c)·ns+k] = log g(z_i | c, SensValues[k]); filled
-	// only when cond is set, i.e. by ScoreRows on an estimator with two or
-	// more sensitive values (otherwise there are no gaps to compute).
-	logCond []float64
-	cond    bool
-	// rowMax[i] is the per-row maximum over logG[i] and the row's finite
-	// component log-pdfs — the quantity a range's common scale M reduces over.
-	rowMax []float64
-	// quads[i·K+j] is the whitened Mahalanobis distance of the current
-	// pass's row i to ordered component j, filled by one batch kernel pass
-	// and reduced to log-pdfs by the sharded reduction.
-	quads       []float64
-	classes, ns int
-	// scoreTime sums the ScoreRows calls since NewRawScores; timed is set
-	// by the first of them.
-	scoreTime time.Duration
-	timed     bool
-	released  bool
-}
-
-var rawScoresPool = sync.Pool{New: func() any { return new(RawScores) }}
-
-// Release returns the RawScores to the pool. Every slice taken via SliceInto
-// owns its own copies, so Release is safe as soon as the slicing is done.
-// A RawScores filled by ScoreRows is observed here as one score pass.
-// Panics on double Release.
-func (r *RawScores) Release() {
-	if r.released {
-		panic("gda: RawScores.Release twice")
+// LogG is complete when the call returns; Scale writes G and Delta. At a
+// fixed batch shape a reused dst makes the pass allocation-free. The call's
+// duration adds to the score pass Scale observes.
+func (e *Estimator) ScoreRows(dst *BatchScores, off int, features *mat.Dense) {
+	start := time.Now()
+	n := features.Rows
+	if n > 0 && features.Cols != e.Dim {
+		panic(fmt.Sprintf("gda: feature dim %d, want %d", features.Cols, e.Dim))
 	}
-	if r.timed {
-		scoreBatchSeconds.Observe(r.scoreTime.Seconds())
+	ns := len(e.SensValues)
+	switch {
+	case off == 0:
+		dst.classes, dst.ns, dst.scoreTime = e.Classes, ns, 0
+	case off != len(dst.LogG):
+		panic(fmt.Sprintf("gda: tile at row %d of a %d-row batch", off, len(dst.LogG)))
+	case dst.classes != e.Classes || dst.ns != ns:
+		panic(fmt.Sprintf("gda: tile from a %d×%d estimator into a %d×%d batch", e.Classes, ns, dst.classes, dst.ns))
 	}
-	r.released = true
-	rawScoresPool.Put(r)
+	rows := off + n
+	dst.LogG = extendFloats(dst.LogG, off, rows)
+	dst.rowMax = extendFloats(dst.rowMax, off, rows)
+	if ns >= 2 {
+		dst.logCond = extendFloats(dst.logCond, off*e.Classes*ns, rows*e.Classes*ns)
+	}
+	if n > 0 {
+		dst.quads = growFloats(dst.quads, n*len(e.ordered))
+		e.wstack.MahalanobisInto(dst.quads, features)
+		j := batchJobPool.Get().(*batchJob)
+		j.e, j.b, j.off = e, dst, off
+		mat.ParallelFor(n, scoreBatchMinGrain, j.fill)
+		j.e, j.b = nil, nil
+		batchJobPool.Put(j)
+	}
+	dst.scoreTime += time.Since(start)
 }
 
-// scoreJob carries one raw density pass across the worker pool without
-// allocating: pooled jobs pre-bind fn to their run method once (at pool-New
-// time), so the hot path never constructs a closure.
-type scoreJob struct {
-	e   *Estimator
-	raw *RawScores
-	off int // raw's row of the pass's row 0
-	fn  func(lo, hi int)
+// extendFloats returns buf at length n, keeping its first keep values.
+func extendFloats(buf []float64, keep, n int) []float64 {
+	return slices.Grow(buf[:keep], n-keep)[:n]
 }
 
-var scoreJobPool = sync.Pool{New: func() any {
-	j := new(scoreJob)
-	j.fn = j.run
-	return j
-}}
-
-func (j *scoreJob) run(lo, hi int) {
-	e, raw := j.e, j.raw
-	classes, ns := raw.classes, raw.ns
+func (j *batchJob) fillRows(lo, hi int) {
+	e, b := j.e, j.b
+	classes, ns := b.classes, b.ns
 	nc := len(e.ordered)
 	ds := getDensScratch(nc)
 	terms := ds.terms
 	for i := lo; i < hi; i++ {
-		qrow := raw.quads[i*nc : (i+1)*nc]
+		qrow := b.quads[i*nc : (i+1)*nc]
 		r := j.off + i
 		rowMax := math.Inf(-1)
 		var row []float64
-		if raw.cond {
-			row = raw.logCond[r*classes*ns : (r+1)*classes*ns]
-			for j := range row {
-				row[j] = math.Inf(-1)
+		if ns >= 2 {
+			row = b.logCond[r*classes*ns : (r+1)*classes*ns]
+			for k := range row {
+				row[k] = math.Inf(-1)
 			}
 		}
-		for j, c := range e.ordered {
-			lp := c.logNormBase - 0.5*qrow[j]
-			terms[j] = c.logWeight + lp
+		for k, c := range e.ordered {
+			lp := c.logNormBase - 0.5*qrow[k]
+			terms[k] = c.logWeight + lp
 			if row != nil {
 				row[c.Y*ns+c.sIdx] = lp
 				if lp > rowMax {
@@ -532,158 +508,36 @@ func (j *scoreJob) run(lo, hi int) {
 				}
 			}
 		}
-		raw.LogG[r] = mat.LogSumExp(terms)
-		if raw.LogG[r] > rowMax {
-			rowMax = raw.LogG[r]
+		b.LogG[r] = mat.LogSumExp(terms)
+		if b.LogG[r] > rowMax {
+			rowMax = b.LogG[r]
 		}
-		raw.rowMax[r] = rowMax
+		b.rowMax[r] = rowMax
 	}
 	densScratchPool.Put(ds)
 }
 
-// ScoreBatchRaw runs the sharded density pass of ScoreBatch and returns the
-// raw log-space results without choosing a scale: NewRawScores and one
-// ScoreRows over every row. One pass serves any number of Slice calls;
-// Release the result when done, which observes it as one score pass
-// (faction_gda_score_batch_seconds). Storage is pooled, so a steady-state
-// loop of ScoreBatchRaw → SliceInto → Release allocates nothing.
-func (e *Estimator) ScoreBatchRaw(features *mat.Dense) *RawScores {
-	raw := e.NewRawScores(features.Rows)
-	e.ScoreRows(raw, 0, features)
-	return raw
-}
-
-// NewRawScores checks an n-row RawScores for this estimator out of the
-// pool, for ScoreRows to fill. Its rows hold arbitrary values until a
-// ScoreRows call covers them; Release it when done.
-func (e *Estimator) NewRawScores(n int) *RawScores {
-	return e.newRaw(n, len(e.SensValues) >= 2)
-}
-
-// newRaw checks out an n-row RawScores; cond records the per-group
-// conditional log-pdfs the fairness gaps need.
-func (e *Estimator) newRaw(n int, cond bool) *RawScores {
-	raw := rawScoresPool.Get().(*RawScores)
-	raw.released, raw.timed, raw.scoreTime = false, false, 0
-	raw.classes, raw.ns, raw.cond = e.Classes, len(e.SensValues), cond
-	raw.LogG = growFloats(raw.LogG, n)
-	raw.rowMax = growFloats(raw.rowMax, n)
-	if cond {
-		raw.logCond = growFloats(raw.logCond, n*raw.classes*raw.ns)
+// Scale puts every row of the batch on its common scale M = max rowMax and
+// writes G and Delta, reusing their storage; Delta is zero throughout when
+// the estimator that filled the batch has fewer than two sensitive values.
+// Each call observes the batch's ScoreRows time as one score pass
+// (faction_gda_score_batch_seconds), however many tiles filled it.
+func (b *BatchScores) Scale() {
+	n := len(b.LogG)
+	b.G = growFloats(b.G, n)
+	b.deltaFlat = growFloats(b.deltaFlat, n*b.classes)
+	if cap(b.Delta) < n {
+		b.Delta = make([][]float64, n)
 	}
-	return raw
-}
-
-// ScoreRows runs the density pass over features and stores its raw results
-// as rows [off, off+features.Rows) of raw, which must come from
-// NewRawScores on this estimator. Every value of a row depends only on that
-// row, so filling a RawScores range by range gives the bits of one pass
-// over all its rows. The call's duration adds to the score pass raw's
-// Release observes.
-func (e *Estimator) ScoreRows(raw *RawScores, off int, features *mat.Dense) {
-	start := time.Now()
-	e.rawPass(raw, off, features)
-	raw.scoreTime += time.Since(start)
-	raw.timed = true
-}
-
-// rawPass is the one pooled density pass behind ScoreRows and
-// LogDensityBatchInto: a whitened kernel pass fills every (row, component)
-// Mahalanobis distance, then a sharded reduction does the O(n·K) log-space
-// arithmetic into rows [off, off+n) of raw. LogG does not depend on
-// raw.cond, so both callers see the same bits.
-func (e *Estimator) rawPass(raw *RawScores, off int, features *mat.Dense) {
-	if raw.released {
-		panic("gda: RawScores used after Release")
+	b.Delta = b.Delta[:n]
+	for i := range b.Delta {
+		b.Delta[i] = b.deltaFlat[i*b.classes : (i+1)*b.classes]
 	}
-	n := features.Rows
-	if n > 0 && features.Cols != e.Dim {
-		panic(fmt.Sprintf("gda: feature dim %d, want %d", features.Cols, e.Dim))
-	}
-	if raw.classes != e.Classes || raw.ns != len(e.SensValues) {
-		panic("gda: RawScores from another estimator")
-	}
-	if off < 0 || off+n > len(raw.LogG) {
-		panic(fmt.Sprintf("gda: rows [%d, %d) outside a %d-row RawScores", off, off+n, len(raw.LogG)))
-	}
-	if n == 0 {
-		return
-	}
-	raw.quads = growFloats(raw.quads, n*len(e.ordered))
-	e.wstack.MahalanobisInto(raw.quads, features)
-	j := scoreJobPool.Get().(*scoreJob)
-	j.e, j.raw, j.off = e, raw, off
-	mat.ParallelFor(n, scoreBatchMinGrain, j.fn)
-	j.e, j.raw = nil, nil
-	scoreJobPool.Put(j)
-}
-
-// sliceJob is scoreJob's twin for the rescaling pass of SliceInto.
-type sliceJob struct {
-	raw *RawScores
-	dst *BatchScores
-	lo  int
-	m   float64
-	fn  func(a, b int)
-}
-
-var sliceJobPool = sync.Pool{New: func() any {
-	j := new(sliceJob)
-	j.fn = j.run
-	return j
-}}
-
-func (j *sliceJob) run(a, b int) {
-	r, out, lo, m := j.raw, j.dst, j.lo, j.m
-	classes, ns := r.classes, r.ns
-	for i := a; i < b; i++ {
-		out.G[i] = math.Exp(r.LogG[lo+i] - m)
-		if r.cond {
-			delta := out.Delta[i]
-			for c := 0; c < classes; c++ {
-				delta[c] = maxPairwiseGap(r.logCond[((lo+i)*classes+c)*ns:((lo+i)*classes+c+1)*ns], m)
-			}
-		}
-	}
-}
-
-// Slice scales rows [lo, hi) onto their own common scale M = max rowMax and
-// returns them as a freshly allocated BatchScores; see SliceInto for the
-// storage-reusing form.
-func (r *RawScores) Slice(lo, hi int) BatchScores {
-	var out BatchScores
-	r.SliceInto(&out, lo, hi)
-	return out
-}
-
-// SliceInto scales rows [lo, hi) onto their own common scale M = max rowMax,
-// reusing dst's storage (LogG is copied, not aliased, so the RawScores may be
-// Released as soon as every slice is taken). The result is bit-identical to
-// ScoreBatch over exactly those feature rows: the per-row log values do not
-// depend on the rest of the batch, the max reduction is exact, and the
-// rescaling arithmetic is the same.
-func (r *RawScores) SliceInto(dst *BatchScores, lo, hi int) {
-	if r.released {
-		panic("gda: RawScores used after Release")
-	}
-	n := hi - lo
-	dst.G = growFloats(dst.G, n)
-	dst.LogG = growFloats(dst.LogG, n)
-	copy(dst.LogG, r.LogG[lo:hi])
-	dst.deltaFlat = growFloats(dst.deltaFlat, n*r.classes)
-	if cap(dst.Delta) < n {
-		dst.Delta = make([][]float64, n)
-	}
-	dst.Delta = dst.Delta[:n]
-	for i := range dst.Delta {
-		dst.Delta[i] = dst.deltaFlat[i*r.classes : (i+1)*r.classes]
-	}
-	dst.LogScale = 0
-	if n == 0 {
-		return
+	if b.ns < 2 {
+		clear(b.deltaFlat)
 	}
 	m := math.Inf(-1)
-	for _, v := range r.rowMax[lo:hi] {
+	for _, v := range b.rowMax[:n] {
 		if v > m {
 			m = v
 		}
@@ -691,37 +545,28 @@ func (r *RawScores) SliceInto(dst *BatchScores, lo, hi int) {
 	if math.IsInf(m, -1) {
 		m = 0
 	}
-	dst.LogScale = m
-	j := sliceJobPool.Get().(*sliceJob)
-	j.raw, j.dst, j.lo, j.m = r, dst, lo, m
-	mat.ParallelFor(n, 4*scoreBatchMinGrain, j.fn)
-	j.raw, j.dst = nil, nil
-	sliceJobPool.Put(j)
-}
-
-// LogDensityBatch returns log g(z_i) for every feature row, sharded across
-// the kernel worker pool. Each value is bit-identical to LogDensity on that
-// row (same deterministic component order, row-independent), so callers can
-// swap serial per-row loops for this without changing a single output bit.
-func (e *Estimator) LogDensityBatch(features *mat.Dense) []float64 {
-	out := make([]float64, features.Rows)
-	e.LogDensityBatchInto(out, features)
-	return out
-}
-
-// LogDensityBatchInto is LogDensityBatch into caller-owned storage: dst must
-// have length features.Rows. It runs ScoreRows' pooled pass without the
-// conditional densities, copies LogG out and releases the pass, so at a fixed
-// batch shape the steady state performs no heap allocation. It is not timed
-// as a score pass.
-func (e *Estimator) LogDensityBatchInto(dst []float64, features *mat.Dense) {
-	if len(dst) != features.Rows {
-		panic(fmt.Sprintf("gda: dst length %d, want %d rows", len(dst), features.Rows))
+	b.LogScale = m
+	if n > 0 {
+		j := batchJobPool.Get().(*batchJob)
+		j.b, j.m = b, m
+		mat.ParallelFor(n, 4*scoreBatchMinGrain, j.scale)
+		j.b = nil
+		batchJobPool.Put(j)
 	}
-	raw := e.newRaw(features.Rows, false)
-	e.rawPass(raw, 0, features)
-	copy(dst, raw.LogG)
-	raw.Release()
+	scoreBatchSeconds.Observe(b.scoreTime.Seconds())
+}
+
+func (j *batchJob) scaleRows(lo, hi int) {
+	b, m := j.b, j.m
+	classes, ns := b.classes, b.ns
+	for i := lo; i < hi; i++ {
+		b.G[i] = math.Exp(b.LogG[i] - m)
+		if ns >= 2 {
+			for c := 0; c < classes; c++ {
+				b.Delta[i][c] = maxPairwiseGap(b.logCond[(i*classes+c)*ns:(i*classes+c+1)*ns], m)
+			}
+		}
+	}
 }
 
 // maxPairwiseGap returns max_{k,k'} |e^{l_k−m} − e^{l_k'−m}| over the finite

@@ -131,7 +131,7 @@ func TestDeltaGFairVsUnfairSamples(t *testing.T) {
 	// Class-1 components sit at (3,−3) and (3,3). A point equidistant between
 	// them, (3,0), is "fair"; a point at one center, (3,3), is "unfair".
 	probe := mat.FromRows([][]float64{{3, 0}, {3, 3}})
-	scores := e.ScoreBatch(probe)
+	scores := e.scoreBatch(probe)
 	fair := scores.Delta[0][1]
 	unfair := scores.Delta[1][1]
 	if fair >= unfair {
@@ -149,7 +149,7 @@ func TestFitClassOnlyHasNoFairnessSignal(t *testing.T) {
 	if e.NumComponents() != 2 {
 		t.Fatalf("components = %d, want 2", e.NumComponents())
 	}
-	scores := e.ScoreBatch(f)
+	scores := e.scoreBatch(f)
 	for i := range scores.Delta {
 		for c := range scores.Delta[i] {
 			if scores.Delta[i][c] != 0 {
@@ -189,10 +189,10 @@ func TestMissingGroupComponentGivesZeroDelta(t *testing.T) {
 	if e.Component(1, -1) != nil {
 		t.Fatal("component (1,-1) should be absent")
 	}
-	if !math.IsInf(e.LogCondDensity([]float64{0, 0}, 1, -1), -1) {
+	if !math.IsInf(e.logCondDensity([]float64{0, 0}, 1, -1), -1) {
 		t.Fatal("missing component density should be -Inf")
 	}
-	scores := e.ScoreBatch(mat.FromRows([][]float64{{-3, -3}}))
+	scores := e.scoreBatch(mat.FromRows([][]float64{{-3, -3}}))
 	if scores.Delta[0][1] != 0 {
 		t.Fatalf("Δg₁ = %g, want 0 for missing component", scores.Delta[0][1])
 	}
@@ -278,7 +278,7 @@ func TestScoreBatchEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores := e.ScoreBatch(mat.NewDense(0, 2))
+	scores := e.scoreBatch(mat.NewDense(0, 2))
 	if len(scores.G) != 0 || len(scores.Delta) != 0 {
 		t.Fatal("empty batch should give empty scores")
 	}
@@ -300,7 +300,7 @@ func TestScoreBatchBoundsProperty(t *testing.T) {
 		for i := range probe.Data {
 			probe.Data[i] = r.NormFloat64() * 8
 		}
-		sc := e.ScoreBatch(probe)
+		sc := e.scoreBatch(probe)
 		for i := 0; i < n; i++ {
 			if sc.G[i] < 0 || math.IsNaN(sc.G[i]) || math.IsInf(sc.G[i], 0) {
 				return false
@@ -318,7 +318,7 @@ func TestScoreBatchBoundsProperty(t *testing.T) {
 	}
 }
 
-// Property: ScoreBatch ordering of G matches LogDensity ordering (the shared
+// Property: a batch's ordering of G matches LogDensity ordering (the shared
 // scale is order-preserving).
 func TestScoreBatchOrderConsistencyProperty(t *testing.T) {
 	e, err := simpleEstimator(t)
@@ -333,7 +333,7 @@ func TestScoreBatchOrderConsistencyProperty(t *testing.T) {
 		a := []float64{clamp(x0), clamp(x1)}
 		b := []float64{clamp(w0), clamp(w1)}
 		probe := mat.FromRows([][]float64{a, b})
-		sc := e.ScoreBatch(probe)
+		sc := e.scoreBatch(probe)
 		la, lb := e.LogDensity(a), e.LogDensity(b)
 		if la > lb {
 			return sc.G[0] >= sc.G[1]
@@ -421,7 +421,7 @@ func TestMultiGroupDelta(t *testing.T) {
 	// Probe at group 1's center: very typical of group 1, atypical of the
 	// others → large Δg. Probe far away: all densities ≈ 0 → small Δg.
 	probes := mat.FromRows([][]float64{{0, 0}, {100, 100}})
-	sc := e.ScoreBatch(probes)
+	sc := e.scoreBatch(probes)
 	if sc.Delta[0][0] <= sc.Delta[1][0] {
 		t.Fatalf("group-center Δg %g should exceed far-away Δg %g", sc.Delta[0][0], sc.Delta[1][0])
 	}
@@ -446,12 +446,12 @@ func TestMultiGroupDeltaEqualsExtremes(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := mat.FromRows([][]float64{{1, 0}})
-	sc := e.ScoreBatch(probe)
+	sc := e.scoreBatch(probe)
 	z := probe.Row(0)
 	m := sc.LogScale
 	ds := make([]float64, 3)
 	for g := 0; g < 3; g++ {
-		ds[g] = math.Exp(e.LogCondDensity(z, 0, g) - m)
+		ds[g] = math.Exp(e.logCondDensity(z, 0, g) - m)
 	}
 	lo, hi := ds[0], ds[0]
 	for _, v := range ds[1:] {

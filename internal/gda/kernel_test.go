@@ -34,9 +34,10 @@ func fixtureData(n, d, classes int, sens []int) (*mat.Dense, []int, []int) {
 	return f, y, s
 }
 
-// Property: ScoreBatch sharded across the worker pool is bit-identical to the
-// serial evaluation, for both the two-group and the multi-valued estimator,
-// for batches smaller than the shard grain and for low-rank components.
+// Property: a batch's density pass sharded across the worker pool is
+// bit-identical to the serial evaluation, for both the two-group and the
+// multi-valued estimator, for batches smaller than the shard grain and for
+// low-rank components.
 func TestScoreBatchParallelBitIdentical(t *testing.T) {
 	old := mat.Parallelism()
 	defer mat.SetParallelism(old)
@@ -55,9 +56,9 @@ func TestScoreBatchParallelBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e, f := fitFixture(t, tc.n, tc.d, tc.classes, tc.sens)
 			mat.SetParallelism(1)
-			serial := e.ScoreBatch(f)
+			serial := e.scoreBatch(f)
 			mat.SetParallelism(4)
-			parallel := e.ScoreBatch(f)
+			parallel := e.scoreBatch(f)
 			if serial.LogScale != parallel.LogScale {
 				t.Fatalf("LogScale differs: serial %v parallel %v", serial.LogScale, parallel.LogScale)
 			}
@@ -80,9 +81,9 @@ func TestScoreBatchParallelBitIdentical(t *testing.T) {
 // sorted (Y, S) ordering, not Go's randomized map iteration.
 func TestScoreBatchDeterministic(t *testing.T) {
 	e, f := fitFixture(t, 80, 5, 3, []int{-1, 0, 1})
-	first := e.ScoreBatch(f)
+	first := e.scoreBatch(f)
 	for rep := 0; rep < 5; rep++ {
-		again := e.ScoreBatch(f)
+		again := e.scoreBatch(f)
 		for i := range first.G {
 			if first.G[i] != again.G[i] {
 				t.Fatalf("rep %d: G[%d] changed between identical calls", rep, i)
@@ -134,29 +135,28 @@ func benchScoring(b *testing.B, body func(b *testing.B, e *Estimator, probe *mat
 	b.Run("f64", func(b *testing.B) { body(b, e, probe) })
 }
 
-// BenchmarkGDAScoreBatch is ScoreBatch (Eqs. 3–5), which returns fresh
+// BenchmarkGDAScoreBatch is ScoreRows and Scale (Eqs. 3–5) into a fresh
 // BatchScores per call.
 func BenchmarkGDAScoreBatch(b *testing.B) {
 	benchScoring(b, func(b *testing.B, e *Estimator, probe *mat.Dense) {
-		e.ScoreBatch(probe) // refill the pools the pre-run GC emptied
+		e.scoreBatch(probe) // refill the pools the pre-run GC emptied
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.ScoreBatch(probe)
+			e.scoreBatch(probe)
 		}
 	})
 }
 
-// BenchmarkGDAScoreBatchRaw is the pooled loop the serving layer runs
-// (ScoreBatchRaw → SliceInto → Release). Its steady state allocates nothing
+// BenchmarkGDAScoreBatchRaw is the loop the serving layer runs: ScoreRows
+// and Scale into one reused BatchScores. Its steady state allocates nothing
 // (pinned by TestScoreBatchRawSteadyStateAllocs).
 func BenchmarkGDAScoreBatchRaw(b *testing.B) {
 	benchScoring(b, func(b *testing.B, e *Estimator, probe *mat.Dense) {
 		var batch BatchScores
 		loop := func() {
-			raw := e.ScoreBatchRaw(probe)
-			raw.SliceInto(&batch, 0, probe.Rows)
-			raw.Release()
+			e.ScoreRows(&batch, 0, probe)
+			batch.Scale()
 		}
 		loop()
 		b.ReportAllocs()
@@ -167,17 +167,18 @@ func BenchmarkGDAScoreBatchRaw(b *testing.B) {
 	})
 }
 
-// BenchmarkLogDensityBatch is Eq. 3 over the same batch: a fresh
-// slice per call (alloc) against a caller-owned dst (into, the serving path).
+// BenchmarkLogDensityBatch is Eq. 3 over the same batch, ScoreRows without
+// Scale: into a fresh BatchScores per call (alloc) against one reused
+// BatchScores (into, the /predict path).
 func BenchmarkLogDensityBatch(b *testing.B) {
 	e, probe := scoreBenchFixture(b)
-	dst := make([]float64, probe.Rows)
+	var dst BatchScores
 	for _, m := range []struct {
 		name string
 		call func()
 	}{
-		{"alloc", func() { e.LogDensityBatch(probe) }},
-		{"into", func() { e.LogDensityBatchInto(dst, probe) }},
+		{"alloc", func() { e.logDensityBatch(probe) }},
+		{"into", func() { e.ScoreRows(&dst, 0, probe) }},
 	} {
 		b.Run(m.name, func(b *testing.B) {
 			m.call()

@@ -72,11 +72,11 @@ func TestF32DensityMatchesF64NoArgmaxFlips(t *testing.T) {
 			fit, f := tc.fit(t)
 			legacy := loadLegacy(t, tc.file)
 			score := func(e *Estimator) (logG []float64, terms [][]float64) {
-				logG = e.LogDensityBatch(f)
+				logG = e.logDensityBatch(f)
 				terms = make([][]float64, f.Rows)
 				for i := range terms {
 					for _, c := range e.ordered {
-						terms[i] = append(terms[i], c.logWeight+e.LogCondDensity(f.Row(i), c.Y, c.S))
+						terms[i] = append(terms[i], c.logWeight+e.logCondDensity(f.Row(i), c.Y, c.S))
 					}
 				}
 				return logG, terms
@@ -154,7 +154,7 @@ func TestPersistRoundTripF32Bits(t *testing.T) {
 		for i := range probe.Data {
 			probe.Data[i] = rng.NormFloat64()
 		}
-		if !equalBits(loaded.LogDensityBatch(probe), legacy.LogDensityBatch(probe)) {
+		if !equalBits(loaded.logDensityBatch(probe), legacy.logDensityBatch(probe)) {
 			t.Fatalf("%s: log densities differ after re-save", tc.name)
 		}
 	}

@@ -113,7 +113,7 @@ func testLowRankRoundTrip(t *testing.T, e *Estimator, probe *mat.Dense) {
 			}
 		}
 	}
-	got, want := loaded.LogDensityBatch(probe), e.LogDensityBatch(probe)
+	got, want := loaded.logDensityBatch(probe), e.logDensityBatch(probe)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("LogDensity[%d] differs after round trip: %v vs %v", i, got[i], want[i])
@@ -164,7 +164,7 @@ func TestSaveAllDenseBytesUnchanged(t *testing.T) {
 			t.Fatalf("f64 %s: Save wrote %d bytes that differ from the recorded %d", name, buf.Len(), len(want))
 		}
 	}
-	if got, want := loaded.LogDensityBatch(f), e.LogDensityBatch(f); !equalBits(got, want) {
+	if got, want := loaded.logDensityBatch(f), e.logDensityBatch(f); !equalBits(got, want) {
 		t.Fatal("f64: loaded densities differ")
 	}
 }
@@ -208,21 +208,21 @@ func TestLowRankScoreBatchRawSteadyStateAllocs(t *testing.T) {
 	}
 	var bs BatchScores
 	loop := func() {
-		raw := e.ScoreBatchRaw(f)
-		raw.SliceInto(&bs, 0, f.Rows)
-		raw.Release()
+		e.ScoreRows(&bs, 0, f)
+		bs.Scale()
 	}
 	for i := 0; i < 10; i++ {
 		loop()
 	}
 	if n := testing.AllocsPerRun(50, loop); n != 0 {
-		t.Fatalf("steady-state low-rank ScoreBatchRaw+SliceInto allocates %.1f allocs/op, want 0", n)
+		t.Fatalf("steady-state low-rank ScoreRows+Scale allocates %.1f allocs/op, want 0", n)
 	}
 }
 
 // BenchmarkGDAScoreBatchRaw512d is the scoring pass protocol-paper runs each
 // acquisition round: fit at d = 512 on 300 rows (four low-rank components
-// of ~75 rows, as BenchmarkFit4Comp512d), then score a 512-row pool.
+// of ~75 rows, as BenchmarkFit4Comp512d), then score a 512-row pool into
+// one reused BatchScores.
 func BenchmarkGDAScoreBatchRaw512d(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	const n, d = 300, 512
@@ -246,9 +246,8 @@ func BenchmarkGDAScoreBatchRaw512d(b *testing.B) {
 	}
 	var batch BatchScores
 	loop := func() {
-		raw := e.ScoreBatchRaw(pool)
-		raw.SliceInto(&batch, 0, pool.Rows)
-		raw.Release()
+		e.ScoreRows(&batch, 0, pool)
+		batch.Scale()
 	}
 	loop()
 	b.ReportAllocs()

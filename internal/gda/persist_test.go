@@ -42,15 +42,15 @@ func TestEstimatorSaveLoadExact(t *testing.T) {
 		}
 		for c := 0; c < 2; c++ {
 			for _, sv := range []int{-1, 1} {
-				if orig.LogCondDensity(z, c, sv) != loaded.LogCondDensity(z, c, sv) {
+				if orig.logCondDensity(z, c, sv) != loaded.logCondDensity(z, c, sv) {
 					t.Fatalf("probe %d comp (%d,%d) mismatch", i, c, sv)
 				}
 			}
 		}
 	}
 	// Batch scores must match too.
-	a := orig.ScoreBatch(probes)
-	b := loaded.ScoreBatch(probes)
+	a := orig.scoreBatch(probes)
+	b := loaded.scoreBatch(probes)
 	for i := range a.G {
 		if a.G[i] != b.G[i] {
 			t.Fatal("batch score mismatch")
@@ -205,7 +205,7 @@ func FuzzEstimatorLoad(f *testing.F) {
 		if err != nil || e.Dim > 64 {
 			return
 		}
-		e.ScoreBatch(mat.NewDense(2, e.Dim))
+		e.scoreBatch(mat.NewDense(2, e.Dim))
 	})
 }
 

@@ -1,6 +1,7 @@
 package gda
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -35,40 +36,41 @@ func poolFixture(t testing.TB, rows int) (*Estimator, *mat.Dense) {
 	return e, batch
 }
 
-// SliceInto must copy LogG (not alias the pooled RawScores) and agree exactly
-// with Slice; Released RawScores must panic on reuse, and ScoreRows must
-// panic on rows outside its RawScores.
+// A batch is filled in order: a tile whose off is not the number of rows
+// the batch holds panics, and so does a tile from an estimator of another
+// shape. Neither leaves a mark on the batch, which still takes its next
+// tile.
 func TestSliceIntoCopiesAndReleaseGuards(t *testing.T) {
 	e, batch := poolFixture(t, 10)
-	raw := e.ScoreBatchRaw(batch)
-	want := raw.Slice(2, 7)
-	var got BatchScores
-	raw.SliceInto(&got, 2, 7)
-	// Scribble over the raw storage; the slices must be unaffected.
-	for i := range raw.LogG {
-		raw.LogG[i] = -1e300
+	var b BatchScores
+	e.ScoreRows(&b, 0, batch)
+	for _, off := range []int{-1, 1, batch.Rows - 1, batch.Rows + 1} {
+		mustPanicGDA(t, fmt.Sprintf("tile at row %d of a %d-row batch", off, batch.Rows),
+			func() { e.ScoreRows(&b, off, batch) })
 	}
-	for i := range want.LogG {
-		if want.LogG[i] == -1e300 || got.LogG[i] == -1e300 {
-			t.Fatal("slice LogG aliases the RawScores storage")
-		}
-		if want.LogG[i] != got.LogG[i] || want.G[i] != got.G[i] {
-			t.Fatalf("Slice and SliceInto disagree at %d", i)
-		}
-		for c := range want.Delta[i] {
-			if want.Delta[i][c] != got.Delta[i][c] {
-				t.Fatalf("Delta disagrees at %d/%d", i, c)
-			}
+	oneGroup, err := FitClassOnly(batch, make([]int, batch.Rows), 2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0}
+	s := []int{-1, 1, -1, 1, -1, 1, -1, 1, -1, 1}
+	threeClass, err := Fit(batch, y, s, 3, []int{-1, 1}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, other := range map[string]*Estimator{"one group": oneGroup, "three classes": threeClass} {
+		mustPanicGDA(t, "tile from an estimator with "+name, func() { other.ScoreRows(&b, batch.Rows, batch) })
+	}
+	if len(b.LogG) != batch.Rows {
+		t.Fatalf("refused tiles left a %d-row batch, want %d", len(b.LogG), batch.Rows)
+	}
+	e.ScoreRows(&b, batch.Rows, batch)
+	b.Scale()
+	for i := 0; i < batch.Rows; i++ {
+		if b.LogG[i] != b.LogG[batch.Rows+i] || b.G[i] != b.G[batch.Rows+i] {
+			t.Fatalf("row %d and its repeat differ: LogG %v/%v", i, b.LogG[i], b.LogG[batch.Rows+i])
 		}
 	}
-	raw.Release()
-	mustPanicGDA(t, "Slice after Release", func() { raw.Slice(0, 1) })
-	mustPanicGDA(t, "ScoreRows after Release", func() { e.ScoreRows(raw, 0, batch) })
-	mustPanicGDA(t, "double Release", func() { raw.Release() })
-	short := e.NewRawScores(batch.Rows - 1)
-	mustPanicGDA(t, "ScoreRows past the last row", func() { e.ScoreRows(short, 0, batch) })
-	mustPanicGDA(t, "ScoreRows before the first row", func() { e.ScoreRows(short, -1, batch) })
-	short.Release()
 }
 
 // A reused BatchScores destination must produce values identical to a fresh
@@ -79,46 +81,64 @@ func TestSliceIntoReusedDstIdentical(t *testing.T) {
 	copy(small.Data, big.Data[:len(small.Data)])
 
 	var reused BatchScores
-	rawBig := e.ScoreBatchRaw(big)
-	rawBig.SliceInto(&reused, 0, 24)
-	rawBig.Release()
+	e.ScoreRows(&reused, 0, big)
+	reused.Scale()
+	e.ScoreRows(&reused, 0, small)
+	reused.Scale()
+	checkSameScores(t, "reused after a larger batch", reused, e.scoreBatch(small))
+}
 
-	rawSmall := e.ScoreBatchRaw(small)
-	rawSmall.SliceInto(&reused, 0, 5)
-	fresh := rawSmall.Slice(0, 5)
-	rawSmall.Release()
-
-	if len(reused.G) != 5 || len(reused.Delta) != 5 || len(reused.LogG) != 5 {
-		t.Fatalf("reused dst lengths %d/%d/%d, want 5", len(reused.G), len(reused.Delta), len(reused.LogG))
-	}
-	for i := range fresh.G {
-		if reused.G[i] != fresh.G[i] || reused.LogG[i] != fresh.LogG[i] {
-			t.Fatalf("reused dst differs at %d", i)
-		}
-		for c := range fresh.Delta[i] {
-			if reused.Delta[i][c] != fresh.Delta[i][c] {
-				t.Fatalf("reused Delta differs at %d/%d", i, c)
+// A BatchScores reused across estimators must carry what a fresh one
+// carries: after a two-group batch, a one-group estimator's batch has an
+// all-zero Delta, with no gap left over from the batch before.
+func TestReusedBatchScoresZeroDeltaAfterOneGroup(t *testing.T) {
+	two, f := fitFixture(t, 64, 4, 2, []int{-1, 1})
+	one, _ := fitFixture(t, 64, 4, 2, []int{0})
+	var reused BatchScores
+	two.ScoreRows(&reused, 0, f)
+	reused.Scale()
+	one.ScoreRows(&reused, 0, f)
+	reused.Scale()
+	fresh := one.scoreBatch(f)
+	stale := 0
+	for i := range fresh.Delta {
+		for c, want := range fresh.Delta[i] {
+			if want != 0 {
+				t.Fatalf("fresh one-group Delta[%d][%d] = %v, want 0", i, c, want)
+			}
+			if reused.Delta[i][c] != want {
+				stale++
 			}
 		}
 	}
+	if stale > 0 {
+		t.Fatalf("reused BatchScores carries %d stale Delta entries of %d", stale, f.Rows*one.Classes)
+	}
+	checkSameScores(t, "reused across estimators", reused, fresh)
 }
 
-// LogDensityBatchInto must agree bit-for-bit with LogDensityBatch.
+// ScoreRows without Scale into reused storage carries the LogG of fresh
+// storage, after a larger batch from another estimator, and Scale leaves
+// LogG as ScoreRows wrote it.
 func TestLogDensityBatchIntoMatches(t *testing.T) {
 	e, batch := poolFixture(t, 17)
-	want := e.LogDensityBatch(batch)
-	got := make([]float64, 17)
-	e.LogDensityBatchInto(got, batch)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("LogDensityBatchInto differs at %d: %v vs %v", i, want[i], got[i])
-		}
+	want := e.logDensityBatch(batch)
+	other, big := fitFixture(t, 40, batch.Cols, 3, []int{0})
+	var reused BatchScores
+	other.ScoreRows(&reused, 0, big)
+	e.ScoreRows(&reused, 0, batch)
+	if !equalBits(reused.LogG, want) {
+		t.Fatalf("reused LogG %v, fresh %v", reused.LogG, want)
 	}
-	mustPanicGDA(t, "bad dst length", func() { e.LogDensityBatchInto(make([]float64, 3), batch) })
+	reused.Scale()
+	if !equalBits(reused.LogG, want) {
+		t.Fatal("Scale changed LogG")
+	}
 }
 
-// The read-path pin: a steady-state ScoreBatchRaw → SliceInto → Release loop
-// and a LogDensityBatchInto loop allocate nothing at fixed batch shape.
+// The read-path pin: at fixed batch shape, a steady-state loop of ScoreRows
+// and Scale into one BatchScores (/score) and one of ScoreRows alone
+// (/predict) allocate nothing.
 func TestScoreBatchRawSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
@@ -128,23 +148,21 @@ func TestScoreBatchRawSteadyStateAllocs(t *testing.T) {
 	defer mat.SetParallelism(old)
 
 	e, batch := poolFixture(t, 16)
-	var bs BatchScores
-	logG := make([]float64, 16)
+	var bs, dens BatchScores
 	scoreLoop := func() {
-		raw := e.ScoreBatchRaw(batch)
-		raw.SliceInto(&bs, 0, 16)
-		raw.Release()
+		e.ScoreRows(&bs, 0, batch)
+		bs.Scale()
 	}
-	densLoop := func() { e.LogDensityBatchInto(logG, batch) }
+	densLoop := func() { e.ScoreRows(&dens, 0, batch) }
 	for i := 0; i < 10; i++ {
 		scoreLoop()
 		densLoop()
 	}
 	if n := testing.AllocsPerRun(50, scoreLoop); n != 0 {
-		t.Fatalf("steady-state ScoreBatchRaw+SliceInto allocates %.1f allocs/op, want 0", n)
+		t.Fatalf("steady-state ScoreRows+Scale allocates %.1f allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(50, densLoop); n != 0 {
-		t.Fatalf("steady-state LogDensityBatchInto allocates %.1f allocs/op, want 0", n)
+		t.Fatalf("steady-state ScoreRows allocates %.1f allocs/op, want 0", n)
 	}
 }
 

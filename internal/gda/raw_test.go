@@ -13,7 +13,7 @@ import (
 func TestScoreBatchLogGMatchesLogDensity(t *testing.T) {
 	for _, sens := range [][]int{{-1, 1}, {0}} {
 		e, f := fitFixture(t, 96, 6, 3, sens)
-		batch := e.ScoreBatch(f)
+		batch := e.scoreBatch(f)
 		if len(batch.LogG) != f.Rows {
 			t.Fatalf("LogG has %d entries, want %d", len(batch.LogG), f.Rows)
 		}
@@ -25,8 +25,8 @@ func TestScoreBatchLogGMatchesLogDensity(t *testing.T) {
 	}
 }
 
-// Property: LogDensityBatch is bit-identical to the serial per-row loop it
-// replaces, at any worker-pool width.
+// Property: the LogG of ScoreRows without Scale is bit-identical to the
+// serial per-row loop it replaces, at any worker-pool width.
 func TestLogDensityBatchMatchesSerial(t *testing.T) {
 	old := mat.Parallelism()
 	defer mat.SetParallelism(old)
@@ -37,18 +37,17 @@ func TestLogDensityBatchMatchesSerial(t *testing.T) {
 	}
 	for _, p := range []int{1, 4} {
 		mat.SetParallelism(p)
-		got := e.LogDensityBatch(f)
+		got := e.logDensityBatch(f)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("parallelism %d: LogDensityBatch[%d] = %v, want %v", p, i, got[i], want[i])
+				t.Fatalf("parallelism %d: LogG[%d] = %v, want %v", p, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// Property: slicing one raw pass over a concatenated batch is bit-identical
-// to scoring each sub-range alone, and so is slicing a RawScores that
-// ScoreRows filled range by range.
+// Property: a batch filled tile by tile, in order, and then scaled carries
+// the bits of one ScoreRows over all its rows, empty tiles included.
 func TestRawSliceBitIdenticalToSubsetScoreBatch(t *testing.T) {
 	old := mat.Parallelism()
 	defer mat.SetParallelism(old)
@@ -56,24 +55,17 @@ func TestRawSliceBitIdenticalToSubsetScoreBatch(t *testing.T) {
 		mat.SetParallelism(p)
 		for _, sens := range [][]int{{-1, 1}, {0}, {-1, 0, 1}} {
 			e, f := fitFixture(t, 64, 4, 2, sens)
-			raw := e.ScoreBatchRaw(f)
-			tiled := e.NewRawScores(f.Rows)
-			for _, r := range [][2]int{{30, 64}, {0, 5}, {5, 5}, {5, 30}} {
-				e.ScoreRows(tiled, r[0], mat.NewDenseData(r[1]-r[0], f.Cols, f.Data[r[0]*f.Cols:r[1]*f.Cols]))
-			}
-			for _, r := range [][2]int{{0, f.Rows}, {0, 1}, {5, 6}, {3, 17}, {40, 64}, {10, 10}} {
-				lo, hi := r[0], r[1]
-				sub := mat.NewDense(hi-lo, f.Cols)
-				for i := lo; i < hi; i++ {
-					copy(sub.Row(i-lo), f.Row(i))
+			want := e.scoreBatch(f)
+			for _, ends := range [][]int{{5, 5, 30, 64}, {1, 64}, {63, 64}, {64}} {
+				var tiled BatchScores
+				off := 0
+				for _, end := range ends {
+					e.ScoreRows(&tiled, off, mat.NewDenseData(end-off, f.Cols, f.Data[off*f.Cols:end*f.Cols]))
+					off = end
 				}
-				want := e.ScoreBatch(sub)
-				for _, got := range []BatchScores{raw.Slice(lo, hi), tiled.Slice(lo, hi)} {
-					checkSameScores(t, fmt.Sprintf("p=%d sens=%v [%d,%d)", p, sens, lo, hi), got, want)
-				}
+				tiled.Scale()
+				checkSameScores(t, fmt.Sprintf("p=%d sens=%v tiles ending %v", p, sens, ends), tiled, want)
 			}
-			raw.Release()
-			tiled.Release()
 		}
 	}
 }
@@ -84,9 +76,16 @@ func checkSameScores(t *testing.T, name string, got, want BatchScores) {
 	if got.LogScale != want.LogScale {
 		t.Fatalf("%s: LogScale %v != %v", name, got.LogScale, want.LogScale)
 	}
+	if len(got.G) != len(want.G) || len(got.LogG) != len(want.LogG) || len(got.Delta) != len(want.Delta) {
+		t.Fatalf("%s: %d/%d/%d rows, want %d/%d/%d", name,
+			len(got.G), len(got.LogG), len(got.Delta), len(want.G), len(want.LogG), len(want.Delta))
+	}
 	for i := range want.G {
 		if got.G[i] != want.G[i] || got.LogG[i] != want.LogG[i] {
 			t.Fatalf("%s: row %d G %v/%v LogG %v/%v", name, i, got.G[i], want.G[i], got.LogG[i], want.LogG[i])
+		}
+		if len(got.Delta[i]) != len(want.Delta[i]) {
+			t.Fatalf("%s: Delta[%d] has %d classes, want %d", name, i, len(got.Delta[i]), len(want.Delta[i]))
 		}
 		for c := range want.Delta[i] {
 			if got.Delta[i][c] != want.Delta[i][c] {

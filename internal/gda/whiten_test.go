@@ -106,7 +106,7 @@ func TestWhitenedDensityMatchesSolveReference(t *testing.T) {
 			for _, c := range e.ordered {
 				for i := 0; i < 5; i++ {
 					want := logPDFSolve(ref[c], f.Row(i))
-					got := e.LogCondDensity(f.Row(i), c.Y, c.S)
+					got := e.logCondDensity(f.Row(i), c.Y, c.S)
 					if rel := math.Abs(got-want) / (1 + math.Abs(want)); rel > 1e-9 {
 						t.Fatalf("row %d comp (%d,%d): whitened %v vs solve %v (rel %g)",
 							i, c.Y, c.S, got, want, rel)
@@ -117,20 +117,20 @@ func TestWhitenedDensityMatchesSolveReference(t *testing.T) {
 	}
 }
 
-// LogCondDensity must carry the exact bits ScoreBatchRaw records for the
-// same (row, class, group) — both run the same whitened kernel on the same
-// stack, and the serving layer mixes values from both entry points.
+// The per-row reference logCondDensity must carry the exact bits ScoreRows
+// keeps for the same (row, class, group): both run the same whitened kernel
+// on the same stack, the one on a single row.
 func TestLogCondDensityMatchesBatchBits(t *testing.T) {
 	e, f := fitFixture(t, 60, 9, 2, []int{-1, 1})
-	raw := e.ScoreBatchRaw(f)
-	defer raw.Release()
+	var b BatchScores
+	e.ScoreRows(&b, 0, f)
 	ns := len(e.SensValues)
 	for i := 0; i < f.Rows; i += 7 {
 		for _, c := range e.ordered {
-			got := e.LogCondDensity(f.Row(i), c.Y, c.S)
-			want := raw.logCond[(i*e.Classes+c.Y)*ns+c.sIdx]
+			got := e.logCondDensity(f.Row(i), c.Y, c.S)
+			want := b.logCond[(i*e.Classes+c.Y)*ns+c.sIdx]
 			if got != want {
-				t.Fatalf("row %d comp (%d,%d): LogCondDensity %v, batch logCond %v", i, c.Y, c.S, got, want)
+				t.Fatalf("row %d comp (%d,%d): logCondDensity %v, batch logCond %v", i, c.Y, c.S, got, want)
 			}
 		}
 	}
@@ -141,30 +141,28 @@ func TestLogCondDensityMatchesBatchBits(t *testing.T) {
 // the GEMM-style kernel must not leak NaN/Inf across lanes.
 func TestScoreBatchNonFinitePropagation(t *testing.T) {
 	e, f := fitFixture(t, 40, 8, 2, []int{-1, 1})
-	cleanRaw := e.ScoreBatchRaw(f)
-	defer cleanRaw.Release()
+	clean := e.logDensityBatch(f)
 
 	dirty := f.Clone()
 	const nanRow, infRow = 3, 17
 	dirty.Row(nanRow)[2] = math.NaN()
 	dirty.Row(infRow)[5] = math.Inf(-1)
-	raw := e.ScoreBatchRaw(dirty)
-	defer raw.Release()
+	logG := e.logDensityBatch(dirty)
 
 	for i := 0; i < dirty.Rows; i++ {
 		switch i {
 		case nanRow:
-			if !math.IsNaN(raw.LogG[i]) {
-				t.Fatalf("NaN row LogG = %v, want NaN", raw.LogG[i])
+			if !math.IsNaN(logG[i]) {
+				t.Fatalf("NaN row LogG = %v, want NaN", logG[i])
 			}
 		case infRow:
-			if !math.IsNaN(raw.LogG[i]) && !math.IsInf(raw.LogG[i], 0) {
-				t.Fatalf("Inf row LogG = %v, want non-finite", raw.LogG[i])
+			if !math.IsNaN(logG[i]) && !math.IsInf(logG[i], 0) {
+				t.Fatalf("Inf row LogG = %v, want non-finite", logG[i])
 			}
 		default:
-			if raw.LogG[i] != cleanRaw.LogG[i] {
+			if logG[i] != clean[i] {
 				t.Fatalf("clean row %d LogG perturbed by non-finite neighbors: %v vs %v",
-					i, raw.LogG[i], cleanRaw.LogG[i])
+					i, logG[i], clean[i])
 			}
 		}
 	}
@@ -213,8 +211,8 @@ func TestPersistRoundTripWhiteningBits(t *testing.T) {
 	for i := range probe.Data {
 		probe.Data[i] = rng.NormFloat64()
 	}
-	got := loaded.LogDensityBatch(probe)
-	want := e.LogDensityBatch(probe)
+	got := loaded.logDensityBatch(probe)
+	want := e.logDensityBatch(probe)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("LogDensity[%d] differs after round trip: %v vs %v", i, got[i], want[i])

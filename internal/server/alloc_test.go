@@ -199,8 +199,8 @@ func TestPredictHandlerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// The same pin for the /score handler body (Eqs. 6–7 via the pooled
-// ScoreBatchRaw → SliceInto → Release path).
+// The same pin for the /score handler body (Eqs. 6–7 via ScoreRows and
+// Scale into the request scratch's BatchScores).
 func TestScoreHandlerSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
@@ -230,8 +230,8 @@ func TestScoreHandlerSteadyStateAllocs(t *testing.T) {
 
 // Responses through the scratch-reusing path must be identical to the
 // pre-refactor allocating path. The reference is recomputed here from the
-// model directly (LogitsAndFeatures + LogDensityBatch + fresh softmax), which
-// is exactly what the old handler did.
+// model directly (LogitsAndFeatures, ScoreRows into a fresh BatchScores and a
+// fresh softmax), which is exactly what the old handler did.
 func TestScratchHandlerBitIdenticalToDirectCompute(t *testing.T) {
 	const rows = 6
 	s, body := allocFixture(t, rows, true)
@@ -253,7 +253,9 @@ func TestScratchHandlerBitIdenticalToDirectCompute(t *testing.T) {
 	}
 	x := mat.FromRows(reqBody.Instances)
 	logits, feats := s.cfg.Model.LogitsAndFeatures(x, nil)
-	logG := s.cfg.Density.LogDensityBatch(feats)
+	var batch gda.BatchScores
+	s.cfg.Density.ScoreRows(&batch, 0, feats)
+	logG := batch.LogG
 	for i := 0; i < rows; i++ {
 		probs := make([]float64, logits.Cols)
 		mat.Softmax(probs, logits.Row(i))

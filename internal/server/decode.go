@@ -37,7 +37,6 @@ type reqScratch struct {
 	x       mat.Dense
 
 	// Compute + response storage, reused by buildPredictInto/buildScoreInto.
-	logG      []float64
 	batch     gda.BatchScores
 	classes   []int
 	margins   []float64 // top-1 minus top-2 probability per row (audit trail)

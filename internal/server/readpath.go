@@ -13,9 +13,9 @@ import (
 //
 // Memory discipline (DESIGN.md §10): the request's buffers live in a pooled
 // reqScratch, and the pass checks its intermediates (every forward
-// activation) out of a pooled arena and scores through the pooled
-// gda.RawScores, building the response straight into the scratch — so a
-// steady-state request performs no heap allocation.
+// activation) out of a pooled arena and runs the density pass into the
+// scratch's gda.BatchScores, building the response straight into the
+// scratch — so a steady-state request performs no heap allocation.
 
 // reqKind discriminates which endpoint a request belongs to.
 type reqKind uint8
@@ -54,10 +54,10 @@ func (s *Server) serveInstances(w http.ResponseWriter, r *http.Request, kind req
 	}
 }
 
-// pass runs one forward pass and one density pass over the request's rows
-// and builds the response into sc. The score pass (Eqs. 3–5) runs only for
-// /score; /predict runs the log-density pass (Eq. 3), which carries the same
-// LogG bits and does not count as a score pass.
+// pass runs one forward pass and one density pass (gda ScoreRows) over the
+// request's rows and builds the response into sc. Only /score scales the
+// pass into the densities and gaps of Eqs. 3–5, which counts it as a score
+// pass; /predict reads the pass's log-densities (Eq. 3) as they are.
 //
 // The pass holds one read lock throughout, so a /refit swap never lands
 // mid-pass and every response comes from one (model, density, threshold)
@@ -73,14 +73,12 @@ func (s *Server) pass(sc *reqScratch, kind reqKind) {
 	d := s.cfg.Density
 	switch {
 	case kind == reqScore:
-		raw := d.ScoreBatchRaw(feats)
-		raw.SliceInto(&sc.batch, 0, sc.x.Rows)
-		raw.Release()
+		d.ScoreRows(&sc.batch, 0, feats)
+		sc.batch.Scale()
 		buildScoreInto(sc, logits, &sc.batch, s.cfg.Lambda)
 	case d != nil:
-		sc.logG = growFloats(sc.logG, sc.x.Rows)
-		d.LogDensityBatchInto(sc.logG, feats)
-		buildPredictInto(sc, logits, sc.logG, s.hasOOD, s.oodThreshold)
+		d.ScoreRows(&sc.batch, 0, feats)
+		buildPredictInto(sc, logits, sc.batch.LogG, s.hasOOD, s.oodThreshold)
 	default:
 		buildPredictInto(sc, logits, nil, false, 0)
 	}

@@ -159,10 +159,11 @@ func TestBatchingBitIdentical(t *testing.T) {
 	}
 }
 
-// Satellite pin: /score performs exactly one GDA pass per request (the former
-// handler ran ScoreBatch and then a second serial LogDensity loop for drift),
-// and /predict performs none of the ScoreBatch kind. Counted through the
-// gda score-pass histogram on the process-wide registry.
+// Satellite pin: /score performs exactly one GDA pass per request (a former
+// handler scored the batch and then ran a second serial LogDensity loop for
+// drift), and /predict, which reads the pass's LogG without Scale, counts
+// none. Counted through the gda score-pass histogram on the process-wide
+// registry.
 func TestScoreSingleGDAPassPerRequest(t *testing.T) {
 	model, est := trainedArtifacts(t)
 	_, ts := newServerWith(t, model, est)
@@ -184,7 +185,7 @@ func TestScoreSingleGDAPassPerRequest(t *testing.T) {
 		t.Fatalf("predict: %d %s", code, out)
 	}
 	if got := scorePasses.Count() - before; got != 0 {
-		t.Fatalf("/predict ran %d ScoreBatch passes, want 0 (LogDensityBatch only)", got)
+		t.Fatalf("/predict observed %d score passes, want 0 (ScoreRows without Scale)", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -10,10 +11,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"faction/internal/data"
 	"faction/internal/gda"
+	"faction/internal/mat"
 	"faction/internal/nn"
 )
 
@@ -396,5 +400,98 @@ func TestSnapshotInstallWithoutTrainDensitiesDropsOOD(t *testing.T) {
 	}
 	if got := predictOOD(); got != nil {
 		t.Fatalf("after installing an uncalibrated density: ood flags %v, want none", got)
+	}
+}
+
+// After POST /snapshot/install swaps in a one-group density of the same
+// width and class count, /score carries no gap of the density before it:
+// every u equals the installed density's G bit for bit, though the request
+// scratch that answers was used with the two-group density.
+func TestScoreAfterOneGroupInstallCarriesNoStaleDelta(t *testing.T) {
+	donor, donorTS, stream := snapshotFixture(t, testSnapToken)
+	lag, lagTS, _ := snapshotFixture(t, testSnapToken)
+	var probe instancesRequest
+	for _, smp := range stream.Tasks[1].Pool.Samples[:12] {
+		probe.Instances = append(probe.Instances, smp.X)
+	}
+	body, err := json.Marshal(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// scoreAll posts n /score requests at once and returns their u. Several
+	// requests in flight leave several used scratches in the pool, so later
+	// requests take one whatever processor they run on; a GC cycle would
+	// empty the pool and hand them fresh ones instead.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	scoreAll := func(n int) [][]float64 {
+		t.Helper()
+		answers, errs := make([][]float64, n), make([]error, n)
+		var wg sync.WaitGroup
+		for i := range answers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(lagTS.URL+"/score", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				defer resp.Body.Close()
+				var sr scoreResponse
+				if resp.StatusCode != http.StatusOK {
+					errs[i] = fmt.Errorf("score: status %d", resp.StatusCode)
+				} else if errs[i] = json.NewDecoder(resp.Body).Decode(&sr); errs[i] == nil {
+					answers[i] = sr.U
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return answers
+	}
+	scoreAll(8)
+
+	train := stream.Tasks[0].Pool
+	donor.mu.Lock()
+	oneGroup, err := gda.FitClassOnly(donor.cfg.Model.Features(train.Matrix()), train.Labels(), 2, gda.Config{})
+	if err != nil {
+		donor.mu.Unlock()
+		t.Fatal(err)
+	}
+	donor.cfg.Density = oneGroup
+	donor.mu.Unlock()
+	donor.generation.Store(5) // clear the strictly-newer gate
+	envelope, _ := fetchSnapshot(t, donorTS.URL, testSnapToken)
+	if resp, body := installSnapshot(t, lagTS.URL, testSnapToken, envelope); resp.StatusCode != http.StatusOK {
+		t.Fatalf("install: %d %s", resp.StatusCode, body)
+	}
+
+	lag.mu.RLock()
+	model, density := lag.cfg.Model, lag.cfg.Density
+	lag.mu.RUnlock()
+	if len(density.SensValues) != 1 {
+		t.Fatalf("installed density has sensitive values %v, want one", density.SensValues)
+	}
+	_, feats := model.LogitsAndFeatures(mat.FromRows(probe.Instances), nil)
+	var batch gda.BatchScores
+	density.ScoreRows(&batch, 0, feats)
+	batch.Scale()
+	want := batch.G
+	answers := scoreAll(16)
+	stale, example := 0, ""
+	for r, got := range answers {
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				stale++
+				example = fmt.Sprintf("request %d row %d: u = %v, G = %v", r, i, got[i], want[i])
+			}
+		}
+	}
+	if stale > 0 {
+		t.Fatalf("%d of %d rows over %d requests answer u != G (%s)", stale, len(answers)*len(want), len(answers), example)
 	}
 }
