@@ -36,19 +36,19 @@ type DesignResult struct {
 	Rows    []DesignRow
 }
 
-// designConfigs enumerates the compared configurations.
-func designConfigs() []struct {
+// designConfig is one compared configuration: FACTION's options and a
+// patch to the protocol config.
+type designConfig struct {
 	Name  string
 	Opts  func() faction.Options
 	Patch func(cfg *online.Config)
-} {
+}
+
+// designConfigs enumerates the compared configurations.
+func designConfigs() []designConfig {
 	base := faction.Defaults
-	return []struct {
-		Name  string
-		Opts  func() faction.Options
-		Patch func(cfg *online.Config)
-	}{
-		{Name: "default (symmetric hinge, DDP, spectral, auto shrinkage)", Opts: base},
+	return []designConfig{
+		{Name: "default (symmetric hinge, DDP, spectral, no shrinkage)", Opts: base},
 		{
 			Name: "one-sided hinge [v]+ (paper literal)",
 			Opts: func() faction.Options { o := base(); o.OneSided = true; return o },
@@ -63,8 +63,8 @@ func designConfigs() []struct {
 			Patch: func(cfg *online.Config) { cfg.SpectralNorm = false },
 		},
 		{
-			Name: "no GDA covariance shrinkage",
-			Opts: func() faction.Options { o := base(); o.GDA = gda.Config{Shrinkage: 0}; return o },
+			Name: "automatic GDA covariance shrinkage",
+			Opts: func() faction.Options { o := base(); o.GDA = gda.Config{Shrinkage: -1}; return o },
 		},
 		{
 			Name: "+ individual-fairness penalty (§IV-H)",
@@ -76,6 +76,23 @@ func designConfigs() []struct {
 			},
 		},
 	}
+}
+
+// inputs returns the stream run r of dc runs on, its protocol config and
+// the seed both come from. The seed depends on the dataset and the run
+// alone, so every row of a run sees the same stream, and the same config up
+// to its own Patch: the rows compare configurations on paired data.
+func (dc designConfig) inputs(opt Options, dataset string, r int) (*data.Stream, online.Config, int64) {
+	seed := rngutil.DeriveSeed(opt.Seed, "design", dataset, fmt.Sprint(r))
+	stream, err := data.ByName(dataset, opt.Scale.StreamConfig(seed))
+	if err != nil {
+		panic(err)
+	}
+	cfg := opt.Scale.RunConfig(seed)
+	if dc.Patch != nil {
+		dc.Patch(&cfg)
+	}
+	return stream, cfg, seed
 }
 
 // RunDesign executes the design ablation. The first dataset in opt.Datasets
@@ -92,15 +109,7 @@ func RunDesign(opt Options) *DesignResult {
 	for _, dc := range designConfigs() {
 		var accs, ddps, eods, mis, secs, flips []float64
 		for r := 0; r < opt.Runs; r++ {
-			seed := rngutil.DeriveSeed(opt.Seed, "design", dc.Name, fmt.Sprint(r))
-			stream, err := data.ByName(dataset, opt.Scale.StreamConfig(seed))
-			if err != nil {
-				panic(err)
-			}
-			cfg := opt.Scale.RunConfig(seed)
-			if dc.Patch != nil {
-				dc.Patch(&cfg)
-			}
+			stream, cfg, seed := dc.inputs(opt, dataset, r)
 			spec := online.FactionSpec(dc.Opts())
 			spec.Name = dc.Name
 			run := online.MustRun(stream, spec, cfg)
@@ -128,11 +137,7 @@ func RunDesign(opt Options) *DesignResult {
 
 // designFlipRate trains one model on the RC-MNIST analog under the
 // configuration's loss and measures the counterfactual flip rate.
-func designFlipRate(dc struct {
-	Name  string
-	Opts  func() faction.Options
-	Patch func(cfg *online.Config)
-}, opt Options, seed int64) float64 {
+func designFlipRate(dc designConfig, opt Options, seed int64) float64 {
 	stream := data.RotatedColoredMNIST(opt.Scale.StreamConfig(seed))
 	union := data.NewDataset("union", stream.Dim, stream.Classes)
 	for _, task := range stream.Tasks[:6] {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -332,6 +333,34 @@ func TestRunDesignStructure(t *testing.T) {
 	res.Render(&buf)
 	if !strings.Contains(buf.String(), "one-sided hinge") {
 		t.Fatal("render missing configurations")
+	}
+}
+
+// The design rows run on paired data: in every run, two rows with equal
+// options see the same stream and protocol config whatever their names,
+// every other row sees the same stream, and two runs see different streams.
+func TestDesignRowsWithEqualOptionsSeeIdenticalStreams(t *testing.T) {
+	opt := ciOpts([]string{"nysf"}, nil)
+	rows := designConfigs()
+	twin := rows[0]
+	twin.Name = "the default under another name"
+	var first *data.Stream
+	for r := 0; r < 2; r++ {
+		stream, cfg, _ := rows[0].inputs(opt, "nysf", r)
+		twinStream, twinCfg, _ := twin.inputs(opt, "nysf", r)
+		if !reflect.DeepEqual(stream.Tasks, twinStream.Tasks) || !reflect.DeepEqual(cfg, twinCfg) {
+			t.Fatalf("run %d: rows with equal options see different streams or configs", r)
+		}
+		for _, dc := range rows[1:] {
+			if other, _, _ := dc.inputs(opt, "nysf", r); !reflect.DeepEqual(stream.Tasks, other.Tasks) {
+				t.Fatalf("run %d: row %q sees another stream than the default", r, dc.Name)
+			}
+		}
+		if first == nil {
+			first = stream
+		} else if reflect.DeepEqual(first.Tasks, stream.Tasks) {
+			t.Fatal("runs 0 and 1 see the same stream")
+		}
 	}
 }
 
