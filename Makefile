@@ -58,9 +58,10 @@ golden-ci:
 # snapshot envelope decoder must fail as corruption or re-encode to exactly
 # the bytes it read; an SLO spec that parses must build an engine that
 # evaluates without panicking; a WAL feedback or acquisition record that
-# decodes must re-encode to exactly its own bytes; and any bytes as a WAL
+# decodes must re-encode to exactly its own bytes; any bytes as a WAL
 # segment must open without panicking and replay a gapless run of LSNs
-# from 1.
+# from 1; and a metric's HELP text and label value must read back from the
+# /metrics exposition through the test's parser.
 # Inputs that once failed live in the package's testdata/fuzz/ corpus and
 # replay on every plain `go test`.
 fuzz-smoke:
@@ -71,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSLOSpec$$' -fuzztime=10s ./internal/obs/slo/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime=10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALOpen$$' -fuzztime=10s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime=10s ./internal/obs/
 
 # perfbench-vet vets the benchmark module (perfbench/, its own Go module that
 # builds against this one through a replace directive), so an API change here

@@ -76,7 +76,9 @@ func formatFloat(v float64) string {
 }
 
 // quoteLabelValue escapes a label value per the exposition format:
-// backslash, double-quote and newline.
+// backslash, double-quote and newline. It ranges over runes, so each byte of
+// invalid UTF-8 is written as U+FFFD and the exposition stays UTF-8, as the
+// format requires (pinned by FuzzExposition).
 func quoteLabelValue(v string) string {
 	var b strings.Builder
 	b.WriteByte('"')

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -114,4 +115,145 @@ func TestExpositionHelpEscaping(t *testing.T) {
 	if !strings.Contains(buf.String(), want+"\n") {
 		t.Errorf("help line not escaped, want %q in:\n%s", want, buf.String())
 	}
+}
+
+// FuzzExposition writes a HELP text and a label value through the
+// exposition and reads them back with parseExposition: the HELP line returns
+// its text exactly, and every sample carries the label value — invalid UTF-8
+// bytes each read back as U+FFFD, so the exposition stays UTF-8 as the text
+// format requires.
+func FuzzExposition(f *testing.F) {
+	f.Add("Requests served.", "/predict")
+	f.Add("line one\nline two with \\ and \\n", "quote\" back\\slash\nnewline")
+	f.Add("", "")
+	f.Add("\xff\xfe help", "\xffinvalid\xc3 \xef\xbf\xbd")
+	f.Add(`trailing \`, `{a="b",c="d"} 1`)
+	f.Fuzz(func(t *testing.T, help, value string) {
+		r := NewRegistry()
+		r.CounterVec("fuzz_total", help, "k").With(value).Inc()
+		r.HistogramVec("fuzz_seconds", help, []float64{1}, "k", "j").With(value, "x").Observe(0.5)
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		helps, samples, err := parseExposition(buf.String())
+		if err != nil {
+			t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
+		}
+		for _, name := range []string{"fuzz_total", "fuzz_seconds"} {
+			got, ok := helps[name]
+			if help == "" && ok || help != "" && got != help {
+				t.Fatalf("HELP of %s reads back %q (present %v), want %q", name, got, ok, help)
+			}
+		}
+		want := string([]rune(value))
+		if len(samples) != 5 {
+			t.Fatalf("%d samples, want 5:\n%s", len(samples), buf.String())
+		}
+		for _, s := range samples {
+			if s.labels["k"] != want {
+				t.Fatalf("%s label k reads back %q, want %q", s.name, s.labels["k"], want)
+			}
+			if s.name != "fuzz_total" && s.labels["j"] != "x" {
+				t.Fatalf("%s label j reads back %q, want \"x\"", s.name, s.labels["j"])
+			}
+		}
+	})
+}
+
+// expoSample is one sample line of an exposition.
+type expoSample struct {
+	name   string
+	labels map[string]string
+	value  string
+}
+
+// parseExposition reads the text format WritePrometheus writes: HELP and
+// TYPE comments, and samples with quoted label values, unescaping both.
+func parseExposition(text string) (helps map[string]string, samples []expoSample, err error) {
+	helps = map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		switch {
+		case strings.HasPrefix(line, "# HELP "):
+			name, h, ok := strings.Cut(strings.TrimPrefix(line, "# HELP "), " ")
+			if !ok {
+				return nil, nil, fmt.Errorf("HELP line without text: %q", line)
+			}
+			if helps[name], _, err = unescape(h, false); err != nil {
+				return nil, nil, err
+			}
+		case strings.HasPrefix(line, "# TYPE "):
+		default:
+			s, err := parseSample(line)
+			if err != nil {
+				return nil, nil, err
+			}
+			samples = append(samples, s)
+		}
+	}
+	return helps, samples, nil
+}
+
+// parseSample reads `name{k="v",...} value`.
+func parseSample(line string) (expoSample, error) {
+	s := expoSample{labels: map[string]string{}}
+	i := strings.IndexAny(line, "{ ")
+	if i <= 0 {
+		return s, fmt.Errorf("sample without a value: %q", line)
+	}
+	s.name, line = line[:i], line[i:]
+	if line[0] == '{' {
+		line = line[1:]
+		for !strings.HasPrefix(line, "}") {
+			key, rest, ok := strings.Cut(line, `="`)
+			if !ok {
+				return s, fmt.Errorf("label without a quoted value: %q", line)
+			}
+			v, n, err := unescape(rest, true)
+			if err != nil {
+				return s, err
+			}
+			s.labels[key] = v
+			line = strings.TrimPrefix(rest[n:], ",")
+		}
+		line = line[1:]
+	}
+	if !strings.HasPrefix(line, " ") {
+		return s, fmt.Errorf("no space before the value: %q", line)
+	}
+	s.value = line[1:]
+	return s, nil
+}
+
+// unescape decodes the format's escapes (\\, \n, and \" inside a label
+// value). A label value ends at its closing quote, a HELP text at the end of
+// text. It returns the value and the bytes consumed.
+func unescape(text string, label bool) (string, int, error) {
+	var b strings.Builder
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if label && c == '"' {
+			return b.String(), i + 1, nil
+		}
+		if c == '\\' && i+1 < len(text) {
+			switch next := text[i+1]; {
+			case next == '\\':
+				c = '\\'
+			case next == 'n':
+				c = '\n'
+			case label && next == '"':
+				c = '"'
+			default:
+				return "", 0, fmt.Errorf("bad escape in %q", text)
+			}
+			i++
+		} else if c == '\\' || c == '\n' {
+			return "", 0, fmt.Errorf("bad escape in %q", text)
+		}
+		b.WriteByte(c)
+	}
+	if label {
+		return "", 0, fmt.Errorf("unterminated label value %q", text)
+	}
+	return b.String(), len(text), nil
 }

@@ -35,6 +35,13 @@ import (
 // and Evaluate carry their own zero-alloc pins in their packages.
 func allocFixture(t testing.TB, rows int, fair bool) (*Server, []byte) {
 	t.Helper()
+	return allocFixtureWith(t, rows, fair, nil)
+}
+
+// allocFixtureWith is allocFixture with patch, when non-nil, applied to the
+// Config before New.
+func allocFixtureWith(t testing.TB, rows int, fair bool, patch func(*Config)) (*Server, []byte) {
+	t.Helper()
 	stream := data.NYSF(data.StreamConfig{Seed: 7, SamplesPerTask: 200})
 	train := stream.Tasks[0].Pool
 	model := nn.NewClassifier(nn.Config{
@@ -68,6 +75,9 @@ func allocFixture(t testing.TB, rows int, fair bool) (*Server, []byte) {
 		cfg.FairObs = &FairObsConfig{SensitiveCol: 0, GroupValues: []int{-1, 1}, PositiveClass: 1}
 		cfg.HistoryInterval = time.Hour
 		cfg.SLO = &sloSpec
+	}
+	if patch != nil {
+		patch(&cfg)
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -139,10 +149,9 @@ func (w *scratchResponseWriter) Write(p []byte) (int, error) {
 }
 
 // warmRequests is how many requests a measurement through the full
-// Handler() stack serves first. The request-ID middleware formats a
-// process-wide counter, and fmt boxes values below 256 without allocating, so
-// a count taken before the counter passes 256 reads one allocation low.
-const warmRequests = 300
+// Handler() stack serves first, so the request-scratch and arena pools are
+// filled and the timeout middleware's worker is running.
+const warmRequests = 16
 
 // replay returns a call that serves one reused request, carrying body,
 // through h into w, resetting both first: a measured loop of calls allocates
@@ -306,16 +315,74 @@ func TestFairObsAddsNoAllocsToPredictStack(t *testing.T) {
 	}
 }
 
-// BenchmarkPredictHTTP serves an 8-row /predict through the full Handler()
-// stack, middleware included, with the fairness observability layer off
-// (baseline) and on (fairobs): the difference is the layer's per-request
-// cost.
+// stackAllocs is what one /predict or /score costs through the full
+// Handler() stack at steady state, at any row count, with the fairness layer
+// on or off; the handler body itself allocates nothing. The allocations are
+// per-request middleware state:
+//
+//   - requestID: the minted ID, its response-header slice, the request
+//     context value, its context node and the request copy carrying it (5);
+//   - instrument: the status recorder (1);
+//   - timeout: the deadline context (its node, timer, timer callback and
+//     cancel function, and its done channel) and the request copy carrying
+//     it (6);
+//   - maxBytes: the capped body reader (1).
+const stackAllocs = 13
+
+// The whole stack is pinned, not just the handler body: a request through
+// Handler() — request ID, instrument, recoverer, mux, limiter, the timeout
+// middleware's pooled worker, body cap, handler — allocates stackAllocs,
+// with the fairness observability layer (attribution, audit ring, history,
+// SLO) on and off, at 1 and 8 rows. Kernel parallelism is serial and GC
+// paused, as in the handler-body pins.
+func TestPredictThroughHandlerAllocs(t *testing.T) { testThroughHandlerAllocs(t, "/predict") }
+
+// The /score twin of TestPredictThroughHandlerAllocs.
+func TestScoreThroughHandlerAllocs(t *testing.T) { testThroughHandlerAllocs(t, "/score") }
+
+func testThroughHandlerAllocs(t *testing.T, route string) {
+	if testutil.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
+	}
+	old := mat.Parallelism()
+	mat.SetParallelism(1)
+	defer mat.SetParallelism(old)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	for _, rows := range []int{1, 8} {
+		for _, fair := range []bool{false, true} {
+			s, body := allocFixture(t, rows, fair)
+			serve, w := replay(s.Handler(), "POST", route, body)
+			for i := 0; i < warmRequests; i++ {
+				serve()
+			}
+			if w.code != http.StatusOK {
+				t.Fatalf("%s rows=%d fair=%v: status %d: %s", route, rows, fair, w.code, w.body)
+			}
+			if allocs := measureAllocs(50, serve); allocs != stackAllocs {
+				t.Errorf("%s through Handler(), rows=%d fair=%v: %.1f allocs/op, want %d",
+					route, rows, fair, allocs, stackAllocs)
+			}
+		}
+	}
+}
+
+// BenchmarkPredictHTTP serves /predict through the full Handler() stack,
+// middleware included, with the fairness observability layer off (baseline)
+// and on (fairobs): the difference is the layer's per-request cost. The
+// 8-row rows carry the row count in the pass; the 1-row rows are the shape of
+// 7 of every 8 serve-workload reads, where the middleware is most of the
+// request.
 func BenchmarkPredictHTTP(b *testing.B) {
 	for _, m := range []struct {
 		name string
+		rows int
 		fair bool
-	}{{"baseline", false}, {"fairobs", true}} {
-		s, body := allocFixture(b, 8, m.fair)
+	}{
+		{"baseline", 8, false}, {"fairobs", 8, true},
+		{"baseline-1row", 1, false}, {"fairobs-1row", 1, true},
+	} {
+		s, body := allocFixture(b, m.rows, m.fair)
 		serve, w := replay(s.Handler(), "POST", "/predict", body)
 		for i := 0; i < warmRequests; i++ {
 			serve()

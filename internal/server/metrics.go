@@ -1,9 +1,10 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"faction/internal/obs"
@@ -153,17 +154,51 @@ func (s *Server) updateDriftMetricsLocked() {
 	s.metrics.driftStd.Set(std)
 }
 
-// routeLabel bounds the cardinality of the route label: known mux routes keep
+// routeStats holds one route label's metric children, resolved when the
+// handler is built, so recording a request renders no label string.
+type routeStats struct {
+	label    string
+	latency  *obs.Histogram
+	requests *obs.CounterVec
+	codes    [500]atomic.Pointer[obs.Counter] // by status code − 100, resolved on first use
+}
+
+func newRouteStats(m *serverMetrics, label string) *routeStats {
+	return &routeStats{label: label, latency: m.latency.With(label), requests: m.requests}
+}
+
+// count returns the route's request counter for status code. Resolving a
+// child is idempotent, so two requests racing to resolve one store the same
+// counter.
+func (rs *routeStats) count(code int) *obs.Counter {
+	if code < 100 || code >= 600 {
+		return rs.requests.With(rs.label, strconv.Itoa(code))
+	}
+	slot := &rs.codes[code-100]
+	c := slot.Load()
+	if c == nil {
+		c = rs.requests.With(rs.label, strconv.Itoa(code))
+		slot.Store(c)
+	}
+	return c
+}
+
+// routeTable bounds the cardinality of the route label: known mux routes keep
 // their path, pprof pages collapse to one label, everything else is "other"
 // (an unauthenticated client must not be able to mint unbounded label sets).
-func (s *Server) routeLabel(path string) string {
-	if s.routes[path] {
-		return path
+type routeTable struct {
+	byPath       map[string]*routeStats
+	pprof, other *routeStats
+}
+
+func (t *routeTable) lookup(path string) *routeStats {
+	if rs, ok := t.byPath[path]; ok {
+		return rs
 	}
-	if len(path) >= len(pprofPrefix) && path[:len(pprofPrefix)] == pprofPrefix {
-		return pprofPrefix
+	if strings.HasPrefix(path, pprofPrefix) {
+		return t.pprof
 	}
-	return "other"
+	return t.other
 }
 
 const pprofPrefix = "/debug/pprof/"
@@ -193,30 +228,29 @@ func (s *statusRecorder) Write(p []byte) (int, error) {
 // gauge. It sits directly under requestID — outside the recoverer and the
 // shedding/timeout middlewares — so every request is measured with the status
 // code the client actually received.
-func (s *Server) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		s.metrics.inflight.Inc()
-		// Stash the server logger so response writers deep in the stack can
-		// log encode failures with the request ID (see ctxLogger).
-		r = r.WithContext(context.WithValue(r.Context(), loggerKey, s.cfg.Logger))
-		sw := &statusRecorder{ResponseWriter: w}
-		defer func() {
-			s.metrics.inflight.Dec()
-			code := sw.code
-			if code == 0 {
-				code = http.StatusOK
-			}
-			route := s.routeLabel(r.URL.Path)
-			elapsed := time.Since(start).Seconds()
-			s.metrics.requests.With(route, strconv.Itoa(code)).Inc()
-			s.metrics.latency.With(route).Observe(elapsed)
-			s.metrics.latencyAll.Observe(elapsed)
-			s.metrics.responsesAll.Inc()
-			if code >= 500 {
-				s.metrics.responses5xx.Inc()
-			}
-		}()
-		next.ServeHTTP(sw, r)
-	})
+func (s *Server) instrument(routes *routeTable) middleware {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			start := time.Now()
+			s.metrics.inflight.Inc()
+			sw := &statusRecorder{ResponseWriter: w}
+			defer func() {
+				s.metrics.inflight.Dec()
+				code := sw.code
+				if code == 0 {
+					code = http.StatusOK
+				}
+				rs := routes.lookup(r.URL.Path)
+				elapsed := time.Since(start).Seconds()
+				rs.count(code).Inc()
+				rs.latency.Observe(elapsed)
+				s.metrics.latencyAll.Observe(elapsed)
+				s.metrics.responsesAll.Inc()
+				if code >= 500 {
+					s.metrics.responses5xx.Inc()
+				}
+			}()
+			next.ServeHTTP(sw, r)
+		})
+	}
 }

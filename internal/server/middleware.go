@@ -6,10 +6,11 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,15 +19,19 @@ import (
 
 // The middleware stack keeps one bad request — a panic, a slow client, an
 // oversized body, a traffic spike — from taking the whole deployment down,
-// and measures every request on the way through. Handler() wraps the route
+// and measures every request on the way through. Handler() serves one route
 // mux as
 //
-//	requestID → instrument → recoverer → limitConcurrency → timeout → maxBytes → mux
+//	requestID → instrument → recoverer → mux
 //
-// with /healthz, /readyz, /metrics and /debug/pprof bypassing the limiter and
-// timeout so probes and scrapes keep answering while the service sheds load.
-// instrument sits outside the recoverer so panics, sheds and timeouts are all
-// counted with the status code the client actually received.
+// and wraps each model route in one shared chain
+//
+//	limitConcurrency → timeout → maxBytes → route handler
+//
+// so /healthz, /readyz, /metrics, the observability surfaces and
+// /debug/pprof keep answering while the service sheds load. instrument sits
+// outside the recoverer so panics, sheds and timeouts are all counted with
+// the status code the client actually received.
 
 type middleware func(http.Handler) http.Handler
 
@@ -38,12 +43,15 @@ func chain(h http.Handler, mws ...middleware) http.Handler {
 	return h
 }
 
-type ctxKey int
+// reqInfo is the one value the middleware puts in a request's context: the
+// request ID and the server logger, so free functions like writeJSON and
+// httpError can log with the ID without threading a *Server through.
+type reqInfo struct {
+	id     string
+	logger *slog.Logger
+}
 
-const (
-	requestIDKey ctxKey = 0
-	loggerKey    ctxKey = 1
-)
+type reqInfoKey struct{}
 
 var (
 	reqCounter atomic.Uint64
@@ -56,18 +64,25 @@ var (
 	}()
 )
 
+// maxRequestIDLen bounds a client-supplied request ID. The ID is echoed,
+// logged and kept by every audit record of its request, so an unbounded one
+// (net/http admits a megabyte of headers) would pin that much memory per
+// record.
+const maxRequestIDLen = 128
+
 // requestIDFrom returns the request's ID, or "" outside the middleware.
 func requestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
+	if info, ok := ctx.Value(reqInfoKey{}).(*reqInfo); ok {
+		return info.id
+	}
+	return ""
 }
 
-// ctxLogger returns the server logger the instrument middleware stashed in
-// the request context, so free functions like writeJSON and httpError can log
-// without threading a *Server through; slog.Default() outside the middleware.
+// ctxLogger returns the server logger the requestID middleware stashed in the
+// request context; slog.Default() outside the middleware.
 func ctxLogger(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(loggerKey).(*slog.Logger); ok {
-		return l
+	if info, ok := ctx.Value(reqInfoKey{}).(*reqInfo); ok {
+		return info.logger
 	}
 	return slog.Default()
 }
@@ -82,18 +97,49 @@ func reqLogger(base *slog.Logger, ctx context.Context) *slog.Logger {
 	return base
 }
 
-// requestID assigns every request a unique ID, echoed in the X-Request-ID
-// response header and embedded in JSON error bodies so a client-reported
-// failure can be matched to the server log line.
-func requestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-ID")
-		if id == "" {
-			id = fmt.Sprintf("%s-%d", reqPrefix, reqCounter.Add(1))
+// requestID assigns every request an ID, echoed in the X-Request-Id response
+// header and embedded in JSON error bodies and decision audit records, so a
+// client-reported failure can be matched to the server log line. A client's
+// own X-Request-Id is kept when it is a valid ID (validRequestID); otherwise
+// the server mints one. Header keys are written in canonical form, so no key
+// is canonicalised per request.
+func requestID(logger *slog.Logger) middleware {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			info := &reqInfo{logger: logger}
+			if ids := r.Header["X-Request-Id"]; len(ids) > 0 && validRequestID(ids[0]) {
+				info.id = ids[0]
+			} else {
+				info.id = newRequestID()
+			}
+			w.Header()["X-Request-Id"] = []string{info.id}
+			next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, info)))
+		})
+	}
+}
+
+// validRequestID reports whether a client-supplied ID may be echoed and kept:
+// 1 to maxRequestIDLen bytes of printable ASCII without spaces (0x21–0x7E),
+// which covers UUIDs and the IDs other proxies mint, and keeps control bytes
+// out of log lines.
+func validRequestID(id string) bool {
+	if len(id) == 0 || len(id) > maxRequestIDLen {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; c < 0x21 || c > 0x7e {
+			return false
 		}
-		w.Header().Set("X-Request-ID", id)
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey, id)))
-	})
+	}
+	return true
+}
+
+// newRequestID mints the next "<prefix>-<n>" ID.
+func newRequestID() string {
+	var b [32]byte
+	id := append(b[:0], reqPrefix...)
+	id = append(id, '-')
+	return string(strconv.AppendUint(id, reqCounter.Add(1), 10))
 }
 
 // recoverer converts a handler panic into a 500 response, a panics-counter
@@ -164,11 +210,11 @@ func maxBytes(n int64) middleware {
 // truthful without landing in the 5xx bucket the error-rate SLO burns on.
 const statusClientClosedRequest = 499
 
-// timeout bounds each request to d. The handler runs on its own goroutine
-// against a buffered response; if the deadline passes first the client gets
-// 503 (and the timeouts counter ticks) and the (context-cancelled) handler's
-// late output is discarded, so even CPU-bound handlers cannot wedge a
-// connection slot forever.
+// timeout bounds each request to d. The handler runs on a worker goroutine
+// of p against the worker's buffered response; if the deadline passes first
+// the client gets 503 (and the timeouts counter ticks) and the
+// (context-cancelled) handler's late output is discarded, so even CPU-bound
+// handlers cannot wedge a connection slot forever.
 //
 // The <-ctx.Done() arm also fires when the *client* disconnects (net/http
 // cancels the request context), which is not a server fault: those requests
@@ -177,36 +223,31 @@ const statusClientClosedRequest = 499
 // SLO on client behavior the server cannot control.
 //
 // Trade-off: answering the 503 returns from this middleware — and releases
-// the concurrency-limiter slot wrapping it — while the abandoned handler
-// goroutine keeps running until it next observes its cancelled context. So
+// the concurrency-limiter slot wrapping it — while the abandoned worker keeps
+// running its handler until it next observes its cancelled context. So
 // under sustained timeouts MaxInflight bounds admitted requests, not
 // handlers still winding down; a handler that ignores its context can
 // accumulate. A panic raised after the deadline can no longer reach the
-// recoverer, so it is counted and logged here instead of being dropped.
-func timeout(d time.Duration, logger *slog.Logger, timeouts, cancels, panics *obs.Counter) middleware {
+// recoverer, so it is counted and logged here instead of being dropped. An
+// abandoned worker is stopped once its handler returns, never reused: its
+// buffer holds the late output.
+func timeout(p *workerPool, d time.Duration, logger *slog.Logger, timeouts, cancels, panics *obs.Counter) middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			ctx, cancel := context.WithTimeout(r.Context(), d)
 			defer cancel()
 			r = r.WithContext(ctx)
-			buf := &bufferedResponse{header: make(http.Header)}
-			done := make(chan struct{})
-			panicc := make(chan handlerPanic, 1)
-			go func() {
-				defer func() {
-					if p := recover(); p != nil {
-						panicc <- handlerPanic{val: p, stack: debug.Stack()}
-						return
-					}
-					close(done)
-				}()
-				next.ServeHTTP(buf, r)
-			}()
+			wk := p.get()
+			wk.h, wk.r = next, r
+			wk.start <- struct{}{}
 			select {
-			case <-done:
-				buf.flushTo(w)
-			case hp := <-panicc:
-				panic(hp.val) // surface on the serving goroutine for recoverer
+			case hp := <-wk.result:
+				if hp != nil {
+					close(wk.start)
+					panic(hp.val) // surface on the serving goroutine for recoverer
+				}
+				wk.resp.flushTo(w)
+				p.put(wk)
 			case <-ctx.Done():
 				if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 					timeouts.Inc()
@@ -222,38 +263,145 @@ func timeout(d time.Duration, logger *slog.Logger, timeouts, cancels, panics *ob
 				late := reqLogger(logger, r.Context()).With(
 					slog.String("method", r.Method), slog.String("path", r.URL.Path))
 				go func() {
-					select {
-					case hp := <-panicc:
-						if hp.val == http.ErrAbortHandler {
-							return
-						}
+					if hp := <-wk.result; hp != nil && hp.val != http.ErrAbortHandler {
 						panics.Inc()
 						late.Error("panic in timed-out handler",
 							slog.Any("panic", hp.val),
 							slog.String("stack", string(hp.stack)))
-					case <-done:
 					}
+					close(wk.start)
 				}()
 			}
 		})
 	}
 }
 
-// handlerPanic carries a panic (and the stack where it was raised) off the
-// timeout middleware's handler goroutine.
+// handlerPanic carries a panic (and the stack where it was raised) off a
+// worker goroutine.
 type handlerPanic struct {
 	val   any
 	stack []byte
 }
 
+// workerPool holds the long-lived goroutines the timeout middleware runs
+// handlers on. A goroutine started per request begins on a minimal stack and
+// regrows it on every request (runtime.newstack was 31% of a CPU profile of
+// the full /predict stack); a pooled worker keeps the stack it grew. At most
+// max workers wait idle, the most recently used first; stop ends them.
+type workerPool struct {
+	mu     sync.Mutex
+	idle   []*worker
+	max    int
+	closed bool
+	live   atomic.Int64 // worker goroutines not yet returned
+}
+
+// worker is one pooled goroutine and its job: the handler and request to
+// serve, the buffered response, and the result signal. Whoever receives a
+// job's result owns the worker: it returns it to the pool only after the
+// handler returned normally and its response was flushed, and stops it
+// otherwise, so no late write reaches a later request.
+type worker struct {
+	start  chan struct{}      // a job is set; closed to stop the worker
+	result chan *handlerPanic // nil when the handler returned normally; buffered so an abandoned job never blocks its worker
+	exited chan struct{}      // closed when the goroutine returns
+	h      http.Handler
+	r      *http.Request
+	resp   bufferedResponse
+}
+
+// get returns an idle worker, or starts one.
+func (p *workerPool) get() *worker {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		wk := p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		return wk
+	}
+	p.mu.Unlock()
+	wk := &worker{
+		start:  make(chan struct{}, 1),
+		result: make(chan *handlerPanic, 1),
+		exited: make(chan struct{}),
+		resp:   bufferedResponse{header: make(http.Header)},
+	}
+	p.live.Add(1)
+	go wk.run(&p.live)
+	return wk
+}
+
+// put returns a worker whose response was flushed to the pool, or stops it
+// when the pool is full or stopped.
+func (p *workerPool) put(wk *worker) {
+	wk.resp.reset()
+	p.mu.Lock()
+	if !p.closed && len(p.idle) < p.max {
+		p.idle = append(p.idle, wk)
+		p.mu.Unlock()
+		return
+	}
+	p.mu.Unlock()
+	close(wk.start)
+}
+
+// stop ends every idle worker and waits for them to return. Workers busy at
+// the time stop when their job ends. Safe to call more than once.
+func (p *workerPool) stop() {
+	p.mu.Lock()
+	idle := p.idle
+	p.idle, p.closed = nil, true
+	p.mu.Unlock()
+	for _, wk := range idle {
+		close(wk.start)
+	}
+	for _, wk := range idle {
+		<-wk.exited
+	}
+}
+
+// workers returns the number of idle workers and of worker goroutines still
+// running.
+func (p *workerPool) workers() (idle, live int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.idle), int(p.live.Load())
+}
+
+func (wk *worker) run(live *atomic.Int64) {
+	defer close(wk.exited)
+	defer live.Add(-1)
+	for range wk.start {
+		wk.result <- wk.serve()
+	}
+}
+
+// serve runs the job's handler, returning its panic if it raised one.
+func (wk *worker) serve() (hp *handlerPanic) {
+	defer func() {
+		if v := recover(); v != nil {
+			hp = &handlerPanic{val: v, stack: debug.Stack()}
+		}
+		wk.h, wk.r = nil, nil
+	}()
+	wk.h.ServeHTTP(&wk.resp, wk.r)
+	return nil
+}
+
 // bufferedResponse captures a handler's response so the timeout middleware
-// can atomically either flush it or replace it with a 503. Only the handler
-// goroutine touches it until done is signalled, so no locking is needed.
+// can atomically either flush it or replace it with a 503. Only the worker
+// touches it until its result is sent, so no locking is needed.
 type bufferedResponse struct {
 	header http.Header
 	code   int
 	body   bytes.Buffer
 }
+
+// maxKeptBody is the largest body buffer a worker keeps between requests;
+// a bigger one (a snapshot export) is dropped rather than pinned by an idle
+// worker.
+const maxKeptBody = 64 << 10
 
 func (b *bufferedResponse) Header() http.Header { return b.header }
 
@@ -277,4 +425,14 @@ func (b *bufferedResponse) flushTo(w http.ResponseWriter) {
 		w.WriteHeader(b.code)
 	}
 	_, _ = w.Write(b.body.Bytes())
+}
+
+// reset empties a flushed response for the worker's next job.
+func (b *bufferedResponse) reset() {
+	clear(b.header)
+	b.code = 0
+	if b.body.Cap() > maxKeptBody {
+		b.body = bytes.Buffer{}
+	}
+	b.body.Reset()
 }

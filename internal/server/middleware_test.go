@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +29,14 @@ func discardLogger() *slog.Logger {
 // never see counts from other tests.
 func testMetrics() *serverMetrics {
 	return newServerMetrics(obs.NewRegistry())
+}
+
+// testPool returns a worker pool for a timeout middleware built outside a
+// Server, stopped when the test ends.
+func testPool(t *testing.T) *workerPool {
+	p := &workerPool{max: 64}
+	t.Cleanup(p.stop)
+	return p
 }
 
 // resilientFixture builds a small online-enabled server (input dim 3, two
@@ -82,7 +91,7 @@ func TestPanicRecovery(t *testing.T) {
 	mux.HandleFunc("/ok", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprint(w, "still alive")
 	})
-	h := chain(mux, requestID, recoverer(logger, m.panics), timeout(5*time.Second, logger, m.timeouts, m.cancels, m.panics))
+	h := chain(mux, requestID(logger), recoverer(logger, m.panics), timeout(testPool(t), 5*time.Second, logger, m.timeouts, m.cancels, m.panics))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -151,7 +160,7 @@ func TestConcurrencyLimiterSheds(t *testing.T) {
 		fmt.Fprint(w, "done")
 	})
 	m := testMetrics()
-	h := chain(mux, requestID, recoverer(discardLogger(), m.panics), limitConcurrency(1, m.shed))
+	h := chain(mux, requestID(discardLogger()), recoverer(discardLogger(), m.panics), limitConcurrency(1, m.shed))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -194,7 +203,7 @@ func TestRequestTimeout(t *testing.T) {
 		fmt.Fprint(w, "too late")
 	})
 	m := testMetrics()
-	h := chain(mux, requestID, recoverer(discardLogger(), m.panics), timeout(100*time.Millisecond, discardLogger(), m.timeouts, m.cancels, m.panics))
+	h := chain(mux, requestID(discardLogger()), recoverer(discardLogger(), m.panics), timeout(testPool(t), 100*time.Millisecond, discardLogger(), m.timeouts, m.cancels, m.panics))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -226,8 +235,8 @@ func TestTimeoutDistinguishesClientCancel(t *testing.T) {
 	// the code the timeout middleware books for the (gone) client.
 	var wroteCode int
 	served := make(chan struct{})
-	inner := chain(mux, requestID, recoverer(discardLogger(), m.panics),
-		timeout(10*time.Second, discardLogger(), m.timeouts, m.cancels, m.panics))
+	inner := chain(mux, requestID(discardLogger()), recoverer(discardLogger(), m.panics),
+		timeout(testPool(t), 10*time.Second, discardLogger(), m.timeouts, m.cancels, m.panics))
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusRecorder{ResponseWriter: w}
 		inner.ServeHTTP(sw, r)
@@ -273,8 +282,8 @@ func TestTimeoutLogsLatePanic(t *testing.T) {
 		panic("late panic after deadline")
 	})
 	m := testMetrics()
-	h := chain(mux, requestID, recoverer(discardLogger(), m.panics),
-		timeout(50*time.Millisecond, slog.New(slog.NewTextHandler(logBuf, nil)), m.timeouts, m.cancels, m.panics))
+	h := chain(mux, requestID(discardLogger()), recoverer(discardLogger(), m.panics),
+		timeout(testPool(t), 50*time.Millisecond, slog.New(slog.NewTextHandler(logBuf, nil)), m.timeouts, m.cancels, m.panics))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -327,7 +336,7 @@ func TestTimeoutPreservesFastResponses(t *testing.T) {
 		fmt.Fprint(w, "payload")
 	})
 	m := testMetrics()
-	ts := httptest.NewServer(chain(mux, timeout(time.Second, discardLogger(), m.timeouts, m.cancels, m.panics)))
+	ts := httptest.NewServer(chain(mux, timeout(testPool(t), time.Second, discardLogger(), m.timeouts, m.cancels, m.panics)))
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/fast")
 	if err != nil {
@@ -474,4 +483,147 @@ func TestReadinessFlipsDuringLongRefit(t *testing.T) {
 		t.Fatalf("readyz body = %s", body)
 	}
 	s.refitStart.Store(0)
+}
+
+// A worker whose handler outlived its deadline is never reused: its buffer
+// holds the handler's late output. After a request whose handler writes only
+// once its client has the 503, 100 requests on the same Server — ten waves of
+// ten concurrent ones, so several workers serve them — answer exactly what a
+// fresh Server answers, header for header and byte for byte.
+func TestTimedOutWorkerIsNotReused(t *testing.T) {
+	s, body8 := allocFixture(t, 8, true)
+	fresh, _ := allocFixture(t, 8, true)
+	_, body1 := allocFixture(t, 1, false)
+	h, freshH := s.Handler(), fresh.Handler()
+
+	release, wrote := make(chan struct{}), make(chan struct{})
+	late := chain(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		<-release
+		w.Header().Set("X-Late", "1")
+		w.WriteHeader(http.StatusTeapot)
+		io.WriteString(w, "late output")
+		close(wrote)
+	}), timeout(s.workers, time.Millisecond, discardLogger(), s.metrics.timeouts, s.metrics.cancels, s.metrics.panics))
+	rec := httptest.NewRecorder()
+	late.ServeHTTP(rec, httptest.NewRequest("GET", "/late", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("handler past its deadline: status %d, want 503", rec.Code)
+	}
+	close(release)
+	<-wrote
+
+	request := func(i int) *http.Request {
+		var req *http.Request
+		switch i % 5 {
+		case 0:
+			req = httptest.NewRequest("POST", "/predict", bytes.NewReader(body8))
+		case 1:
+			req = httptest.NewRequest("POST", "/predict", bytes.NewReader(body1))
+		case 2:
+			req = httptest.NewRequest("POST", "/score", bytes.NewReader(body8))
+		case 3:
+			req = httptest.NewRequest("GET", "/info", nil)
+		default:
+			req = httptest.NewRequest("POST", "/predict", strings.NewReader("{"))
+		}
+		req.Header.Set("X-Request-ID", fmt.Sprintf("pool-%d", i))
+		return req
+	}
+	got := make([]*httptest.ResponseRecorder, 100)
+	for wave := 0; wave < 10; wave++ {
+		var wg sync.WaitGroup
+		for i := wave * 10; i < wave*10+10; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = httptest.NewRecorder()
+				h.ServeHTTP(got[i], request(i))
+			}()
+		}
+		wg.Wait()
+	}
+	for i, g := range got {
+		want := httptest.NewRecorder()
+		freshH.ServeHTTP(want, request(i))
+		if g.Code != want.Code || !reflect.DeepEqual(g.Header(), want.Header()) || !bytes.Equal(g.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("request %d after a timed-out worker: %d %v %q, a fresh server answers %d %v %q",
+				i, g.Code, g.Header(), g.Body.Bytes(), want.Code, want.Header(), want.Body.Bytes())
+		}
+	}
+}
+
+// Server.Close stops every idle worker of the timeout middleware and returns
+// once they have exited.
+func TestCloseStopsIdleWorkers(t *testing.T) {
+	s, _ := allocFixture(t, 1, false)
+	const n = 4
+	entered, release := make(chan struct{}), make(chan struct{})
+	hold := chain(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		entered <- struct{}{}
+		<-release
+	}), timeout(s.workers, time.Hour, discardLogger(), s.metrics.timeouts, s.metrics.cancels, s.metrics.panics))
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hold.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/hold", nil))
+		}()
+	}
+	for i := 0; i < n; i++ {
+		<-entered // n handlers at once: n workers
+	}
+	close(release)
+	wg.Wait()
+	if idle, live := s.workers.workers(); idle != n || live != n {
+		t.Fatalf("after %d concurrent requests: %d idle of %d live workers, want %d of %d", n, idle, live, n, n)
+	}
+	s.Close()
+	if idle, live := s.workers.workers(); idle != 0 || live != 0 {
+		t.Fatalf("after Close: %d idle of %d live workers, want none", idle, live)
+	}
+}
+
+// A client X-Request-Id is echoed, and kept by the decision audit trail, only
+// when it is at most 128 bytes of printable ASCII without spaces. A
+// megabyte-long ID would be retained by every audit record of its request;
+// it, and an ID carrying a control byte, a space or a non-ASCII byte, is
+// replaced by a minted one.
+func TestClientRequestIDValidation(t *testing.T) {
+	s, body := allocFixture(t, 1, true)
+	h := s.Handler()
+	for _, tc := range []struct {
+		name, id string
+		echo     bool
+	}{
+		{"uuid", "123e4567-e89b-12d3-a456-426614174000", true},
+		{"128 bytes", strings.Repeat("a", 128), true},
+		{"129 bytes", strings.Repeat("a", 129), false},
+		{"1 MiB", strings.Repeat("x", 1<<20), false},
+		{"control byte", "abc\x01def", false},
+		{"space", "abc def", false},
+		{"non-ASCII", "id-\xc3\xa9", false},
+	} {
+		req := httptest.NewRequest("POST", "/predict", bytes.NewReader(body))
+		req.Header.Set("X-Request-ID", tc.id)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, w.Code, w.Body.Bytes())
+		}
+		got := w.Header().Get("X-Request-ID")
+		switch {
+		case tc.echo && got != tc.id:
+			t.Errorf("%s: X-Request-ID %q, want the client's ID echoed", tc.name, got)
+		case !tc.echo && (got == tc.id || !strings.HasPrefix(got, reqPrefix+"-")):
+			t.Errorf("%s: X-Request-ID of %d bytes, want a minted %s-<n>", tc.name, len(got), reqPrefix)
+		}
+		var audit struct {
+			Decisions []decisionJSON `json:"decisions"`
+		}
+		getJSON(t, h, "/debug/decisions?n=1", &audit)
+		if len(audit.Decisions) != 1 || audit.Decisions[0].RequestID != got {
+			t.Errorf("%s: audit trail does not carry the answered ID %q", tc.name, got)
+		}
+	}
 }

@@ -181,10 +181,12 @@ type Server struct {
 	// on the decision-audit path (updated in updateDriftMetricsLocked).
 	driftShiftsNow atomic.Int64
 
-	// metrics is the serving-layer instrumentation (see metrics.go); routes
-	// is the known-route set bounding the route label's cardinality.
+	// metrics is the serving-layer instrumentation (see metrics.go).
 	metrics *serverMetrics
-	routes  map[string]bool
+
+	// workers runs model-route handlers for the timeout middleware
+	// (middleware.go); Close stops its idle workers.
+	workers *workerPool
 
 	// Fairness observability (fairobs.go): per-group attribution and the
 	// decision audit ring, nil unless Config.FairObs is set.
@@ -234,6 +236,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, inputDim: cfg.Model.Config().InputDim, numClasses: cfg.Model.Config().NumClasses}
 	s.metrics = newServerMetrics(cfg.Metrics)
+	idleWorkers := cfg.MaxInflight
+	if idleWorkers <= 0 {
+		idleWorkers = 64
+	}
+	s.workers = &workerPool{max: idleWorkers}
 	s.validateCandidate = s.defaultValidateCandidate
 	if cfg.FairObs != nil {
 		s.fairobs = newGroupTracker(*cfg.FairObs, s.numClasses, s.metrics)
@@ -303,9 +310,10 @@ func (s *Server) refitConsumer() {
 }
 
 // Close releases the server's background resources: the async refit
-// consumer (waiting out any refit in flight), the metric-history sampler and
-// SLO engine, and a drain-flush of the write-ahead log so every acknowledged
-// feedback record is on disk before the process exits.
+// consumer (waiting out any refit in flight), the timeout middleware's idle
+// workers, the metric-history sampler and SLO engine, and a drain-flush of
+// the write-ahead log so every acknowledged feedback record is on disk before
+// the process exits.
 // Safe to call multiple times; call it after HTTP traffic has drained.
 func (s *Server) Close() {
 	if s.stopRefit != nil {
@@ -316,6 +324,7 @@ func (s *Server) Close() {
 		}
 		<-s.consumerDone
 	}
+	s.workers.stop()
 	if s.history != nil {
 		s.history.Stop()
 	}
@@ -425,70 +434,72 @@ func (s *Server) HasDensity() bool {
 	return s.cfg.Density != nil
 }
 
-// Handler returns the HTTP mux wrapped in the resilience middleware stack.
-// The admin surface — liveness/readiness probes, GET /metrics and the pprof
-// pages — bypasses the concurrency limiter and timeout so probes, scrapes and
-// profiles keep answering while the service sheds or drains. Every request
-// (admin included) flows through the instrument middleware, so per-route
-// counts and latency histograms cover the whole surface.
+// Handler returns the route mux wrapped in the resilience middleware stack.
+// Each model route runs behind one shared limiter → timeout → body-cap chain;
+// the admin surface — liveness/readiness probes, GET /metrics, the
+// observability surfaces and the pprof pages — sits on the same mux without
+// it, so probes, scrapes and profiles keep answering while the service sheds
+// or drains. Every request (admin included) flows through the instrument
+// middleware, so per-route counts and latency histograms cover the whole
+// surface.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /info", s.handleInfo)
-	mux.HandleFunc("POST /predict", s.handlePredict)
-	s.routes = map[string]bool{"/info": true, "/predict": true, "/healthz": true, "/readyz": true, "/metrics": true}
-	if s.cfg.Density != nil {
-		mux.HandleFunc("POST /score", s.handleScore)
-		mux.HandleFunc("GET /drift", s.handleDrift)
-		s.routes["/score"], s.routes["/drift"] = true, true
-	}
-	if s.cfg.Online.Enabled {
-		mux.HandleFunc("POST /feedback", s.handleFeedback)
-		mux.HandleFunc("POST /refit", s.handleRefit)
-		s.routes["/feedback"], s.routes["/refit"] = true, true
-	}
-	if s.cfg.SnapshotToken != "" {
-		mux.HandleFunc("GET /snapshot", s.handleSnapshot)
-		mux.HandleFunc("POST /snapshot/install", s.handleSnapshotInstall)
-		s.routes["/snapshot"], s.routes["/snapshot/install"] = true, true
-	}
-
-	var inner []middleware
+	var guard []middleware
 	if n := s.cfg.MaxInflight; n > 0 {
-		inner = append(inner, limitConcurrency(n, s.metrics.shed))
+		guard = append(guard, limitConcurrency(n, s.metrics.shed))
 	}
 	if d := s.cfg.RequestTimeout; d > 0 {
-		inner = append(inner, timeout(d, s.cfg.Logger, s.metrics.timeouts, s.metrics.cancels, s.metrics.panics))
+		guard = append(guard, timeout(s.workers, d, s.cfg.Logger, s.metrics.timeouts, s.metrics.cancels, s.metrics.panics))
 	}
 	if n := s.cfg.MaxBodyBytes; n > 0 {
-		inner = append(inner, maxBytes(n))
+		guard = append(guard, maxBytes(n))
 	}
-	wrapped := chain(mux, inner...)
 
-	outer := http.NewServeMux()
-	outer.HandleFunc("GET /healthz", s.handleHealth)
-	outer.HandleFunc("GET /readyz", s.handleReady)
-	outer.Handle("GET /metrics", s.cfg.Metrics.Handler())
-	// Observability surfaces live on the admin mux — like /metrics, they
-	// must keep answering while the service sheds or drains.
+	mux := http.NewServeMux()
+	routes := &routeTable{
+		byPath: map[string]*routeStats{},
+		pprof:  newRouteStats(s.metrics, pprofPrefix),
+		other:  newRouteStats(s.metrics, "other"),
+	}
+	route := func(method, path string, h http.Handler) {
+		mux.Handle(method+" "+path, h)
+		routes.byPath[path] = newRouteStats(s.metrics, path)
+	}
+	model := func(method, path string, h http.HandlerFunc) {
+		route(method, path, chain(h, guard...))
+	}
+	model("GET", "/info", s.handleInfo)
+	model("POST", "/predict", s.handlePredict)
+	if s.cfg.Density != nil {
+		model("POST", "/score", s.handleScore)
+		model("GET", "/drift", s.handleDrift)
+	}
+	if s.cfg.Online.Enabled {
+		model("POST", "/feedback", s.handleFeedback)
+		model("POST", "/refit", s.handleRefit)
+	}
+	if s.cfg.SnapshotToken != "" {
+		model("GET", "/snapshot", s.handleSnapshot)
+		model("POST", "/snapshot/install", s.handleSnapshotInstall)
+	}
+
+	route("GET", "/healthz", http.HandlerFunc(s.handleHealth))
+	route("GET", "/readyz", http.HandlerFunc(s.handleReady))
+	route("GET", "/metrics", s.cfg.Metrics.Handler())
 	if s.history != nil {
-		outer.Handle("GET /metrics/history", s.history.Handler())
-		s.routes["/metrics/history"] = true
+		route("GET", "/metrics/history", s.history.Handler())
 	}
 	if s.sloEngine != nil {
-		outer.Handle("GET /slo", s.sloEngine.Handler())
-		s.routes["/slo"] = true
+		route("GET", "/slo", s.sloEngine.Handler())
 	}
 	if s.audit != nil {
-		outer.HandleFunc("GET /debug/decisions", s.handleDecisions)
-		s.routes["/debug/decisions"] = true
+		route("GET", "/debug/decisions", http.HandlerFunc(s.handleDecisions))
 	}
-	outer.HandleFunc("GET /debug/pprof/", pprof.Index)
-	outer.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	outer.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	outer.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	outer.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	outer.Handle("/", wrapped)
-	return chain(outer, requestID, s.instrument, recoverer(s.cfg.Logger, s.metrics.panics))
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	return chain(mux, requestID(s.cfg.Logger), s.instrument(routes), recoverer(s.cfg.Logger, s.metrics.panics))
 }
 
 // instancesRequest is the shared request body of /predict and /score. The

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -507,4 +508,118 @@ func onlineFixtureWithCap(t *testing.T, maxBuffer int) (*httptest.Server, []floa
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts, []float64{0.1, 0.2, 0.3}, nil
+}
+
+// wantRoutes is every model, admin and unknown path of a server with every
+// surface enabled, under each method: the status Handler() answers and its
+// Allow header. Model routes answer a wrong method with 405 and the route's
+// methods, as do the admin routes, which share the one mux (they answered
+// 404 through an inner mux's catch-all before). The requests carry no body
+// and no credentials, so /predict and /feedback read 400, /refit 409 (nothing
+// buffered) and the snapshot routes 401; /metrics/history and /slo refuse
+// HEAD themselves.
+const wantRoutes = `
+GET    /info              200
+POST   /info              405  GET, HEAD
+PUT    /info              405  GET, HEAD
+DELETE /info              405  GET, HEAD
+HEAD   /info              200
+GET    /predict           405  POST
+POST   /predict           400
+PUT    /predict           405  POST
+DELETE /predict           405  POST
+HEAD   /predict           405  POST
+GET    /score             405  POST
+POST   /score             400
+PUT    /score             405  POST
+DELETE /score             405  POST
+HEAD   /score             405  POST
+GET    /drift             200
+POST   /drift             405  GET, HEAD
+PUT    /drift             405  GET, HEAD
+DELETE /drift             405  GET, HEAD
+HEAD   /drift             200
+GET    /feedback          405  POST
+POST   /feedback          400
+PUT    /feedback          405  POST
+DELETE /feedback          405  POST
+HEAD   /feedback          405  POST
+GET    /refit             405  POST
+POST   /refit             409
+PUT    /refit             405  POST
+DELETE /refit             405  POST
+HEAD   /refit             405  POST
+GET    /snapshot          401
+POST   /snapshot          405  GET, HEAD
+PUT    /snapshot          405  GET, HEAD
+DELETE /snapshot          405  GET, HEAD
+HEAD   /snapshot          401
+GET    /snapshot/install  405  POST
+POST   /snapshot/install  401
+PUT    /snapshot/install  405  POST
+DELETE /snapshot/install  405  POST
+HEAD   /snapshot/install  405  POST
+GET    /healthz           200
+POST   /healthz           405  GET, HEAD
+PUT    /healthz           405  GET, HEAD
+DELETE /healthz           405  GET, HEAD
+HEAD   /healthz           200
+GET    /readyz            200
+POST   /readyz            405  GET, HEAD
+PUT    /readyz            405  GET, HEAD
+DELETE /readyz            405  GET, HEAD
+HEAD   /readyz            200
+GET    /metrics           200
+POST   /metrics           405  GET, HEAD
+PUT    /metrics           405  GET, HEAD
+DELETE /metrics           405  GET, HEAD
+HEAD   /metrics           200
+GET    /metrics/history   200
+POST   /metrics/history   405  GET, HEAD
+PUT    /metrics/history   405  GET, HEAD
+DELETE /metrics/history   405  GET, HEAD
+HEAD   /metrics/history   405
+GET    /slo               200
+POST   /slo               405  GET, HEAD
+PUT    /slo               405  GET, HEAD
+DELETE /slo               405  GET, HEAD
+HEAD   /slo               405
+GET    /debug/decisions   200
+POST   /debug/decisions   405  GET, HEAD
+PUT    /debug/decisions   405  GET, HEAD
+DELETE /debug/decisions   405  GET, HEAD
+HEAD   /debug/decisions   200
+GET    /debug/pprof/      200
+POST   /debug/pprof/      405  GET, HEAD
+PUT    /debug/pprof/      405  GET, HEAD
+DELETE /debug/pprof/      405  GET, HEAD
+HEAD   /debug/pprof/      200
+GET    /nope              404
+POST   /nope              404
+PUT    /nope              404
+DELETE /nope              404
+HEAD   /nope              404
+`
+
+// TestRouteTable pins the status and Allow header of every method on every
+// route through Handler().
+func TestRouteTable(t *testing.T) {
+	s, _ := allocFixtureWith(t, 1, true, func(c *Config) {
+		c.Online = OnlineConfig{Enabled: true}
+		c.SnapshotToken = "route-table"
+	})
+	h := s.Handler()
+	for _, line := range strings.Split(strings.TrimSpace(wantRoutes), "\n") {
+		f := strings.Fields(line)
+		method, path, allow := f[0], f[1], strings.Join(f[3:], " ")
+		code, err := strconv.Atoi(f[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, nil))
+		if w.Code != code || w.Header().Get("Allow") != allow {
+			t.Errorf("%s %s: %d, Allow %q; want %d, Allow %q", method, path, w.Code, w.Header().Get("Allow"), code, allow)
+		}
+	}
 }
