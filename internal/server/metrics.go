@@ -154,33 +154,38 @@ func (s *Server) updateDriftMetricsLocked() {
 	s.metrics.driftStd.Set(std)
 }
 
-// routeStats holds one route label's metric children, resolved when the
-// handler is built, so recording a request renders no label string.
+// routeStats holds one route label's metric children, each resolved on its
+// first use and kept, so recording a request renders no label string.
+// Children are not resolved up front: /metrics lists a route only once it
+// has served a request.
 type routeStats struct {
-	label    string
-	latency  *obs.Histogram
-	requests *obs.CounterVec
-	codes    [500]atomic.Pointer[obs.Counter] // by status code − 100, resolved on first use
+	label   string
+	m       *serverMetrics
+	latency atomic.Pointer[obs.Histogram]
+	codes   [500]atomic.Pointer[obs.Counter] // by status code − 100
 }
 
-func newRouteStats(m *serverMetrics, label string) *routeStats {
-	return &routeStats{label: label, latency: m.latency.With(label), requests: m.requests}
-}
-
-// count returns the route's request counter for status code. Resolving a
-// child is idempotent, so two requests racing to resolve one store the same
-// counter.
-func (rs *routeStats) count(code int) *obs.Counter {
+// record counts one request answered with code and observes its latency.
+// Resolving a child is idempotent, so requests racing to resolve one store
+// the same child.
+func (rs *routeStats) record(code int, seconds float64) {
+	h := rs.latency.Load()
+	if h == nil {
+		h = rs.m.latency.With(rs.label)
+		rs.latency.Store(h)
+	}
+	h.Observe(seconds)
 	if code < 100 || code >= 600 {
-		return rs.requests.With(rs.label, strconv.Itoa(code))
+		rs.m.requests.With(rs.label, strconv.Itoa(code)).Inc()
+		return
 	}
 	slot := &rs.codes[code-100]
 	c := slot.Load()
 	if c == nil {
-		c = rs.requests.With(rs.label, strconv.Itoa(code))
+		c = rs.m.requests.With(rs.label, strconv.Itoa(code))
 		slot.Store(c)
 	}
-	return c
+	c.Inc()
 }
 
 // routeTable bounds the cardinality of the route label: known mux routes keep
@@ -240,10 +245,8 @@ func (s *Server) instrument(routes *routeTable) middleware {
 				if code == 0 {
 					code = http.StatusOK
 				}
-				rs := routes.lookup(r.URL.Path)
 				elapsed := time.Since(start).Seconds()
-				rs.count(code).Inc()
-				rs.latency.Observe(elapsed)
+				routes.lookup(r.URL.Path).record(code, elapsed)
 				s.metrics.latencyAll.Observe(elapsed)
 				s.metrics.responsesAll.Inc()
 				if code >= 500 {

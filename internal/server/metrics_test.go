@@ -122,6 +122,10 @@ func TestMetricsEndpointContract(t *testing.T) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
 	}
+	// A route's series appear once it has served a request, not before.
+	if strings.Contains(out, `route="/info"`) {
+		t.Error("metrics exposition lists /info, which served no request")
+	}
 }
 
 func TestDriftEndpointContract(t *testing.T) {

@@ -457,12 +457,12 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	routes := &routeTable{
 		byPath: map[string]*routeStats{},
-		pprof:  newRouteStats(s.metrics, pprofPrefix),
-		other:  newRouteStats(s.metrics, "other"),
+		pprof:  &routeStats{label: pprofPrefix, m: s.metrics},
+		other:  &routeStats{label: "other", m: s.metrics},
 	}
 	route := func(method, path string, h http.Handler) {
 		mux.Handle(method+" "+path, h)
-		routes.byPath[path] = newRouteStats(s.metrics, path)
+		routes.byPath[path] = &routeStats{label: path, m: s.metrics}
 	}
 	model := func(method, path string, h http.HandlerFunc) {
 		route(method, path, chain(h, guard...))
