@@ -370,9 +370,8 @@ func testThroughHandlerAllocs(t *testing.T, route string) {
 // BenchmarkPredictHTTP serves /predict through the full Handler() stack,
 // middleware included, with the fairness observability layer off (baseline)
 // and on (fairobs): the difference is the layer's per-request cost. The
-// 8-row rows carry the row count in the pass; the 1-row rows are the shape of
-// 7 of every 8 serve-workload reads, where the middleware is most of the
-// request.
+// 1-row rows are the shape of 7 of every 8 serve-workload reads, where the
+// middleware is a large share of the request; at 8 rows the pass dominates.
 func BenchmarkPredictHTTP(b *testing.B) {
 	for _, m := range []struct {
 		name string

@@ -361,9 +361,9 @@ func (p *workerPool) stop() {
 	}
 }
 
-// workers returns the number of idle workers and of worker goroutines still
+// counts returns the number of idle workers and of worker goroutines still
 // running.
-func (p *workerPool) workers() (idle, live int) {
+func (p *workerPool) counts() (idle, live int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.idle), int(p.live.Load())

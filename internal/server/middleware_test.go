@@ -575,11 +575,11 @@ func TestCloseStopsIdleWorkers(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-	if idle, live := s.workers.workers(); idle != n || live != n {
+	if idle, live := s.workers.counts(); idle != n || live != n {
 		t.Fatalf("after %d concurrent requests: %d idle of %d live workers, want %d of %d", n, idle, live, n, n)
 	}
 	s.Close()
-	if idle, live := s.workers.workers(); idle != 0 || live != 0 {
+	if idle, live := s.workers.counts(); idle != 0 || live != 0 {
 		t.Fatalf("after Close: %d idle of %d live workers, want none", idle, live)
 	}
 }
