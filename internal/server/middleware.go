@@ -285,9 +285,10 @@ type handlerPanic struct {
 
 // workerPool holds the long-lived goroutines the timeout middleware runs
 // handlers on. A goroutine started per request begins on a minimal stack and
-// regrows it on every request (runtime.newstack was 31% of a CPU profile of
-// the full /predict stack); a pooled worker keeps the stack it grew. At most
-// max workers wait idle, the most recently used first; stop ends them.
+// regrows it on every request (runtime.newstack was about 30% of a CPU
+// profile of the full /predict stack); a pooled worker keeps the stack it
+// grew. At most max workers wait idle, the most recently used first; stop
+// ends them.
 type workerPool struct {
 	mu     sync.Mutex
 	idle   []*worker
