@@ -19,9 +19,11 @@ test:
 # includes the metric-history sampler and SLO burn-rate engine (tickers
 # racing manual SampleNow/Evaluate and the HTTP snapshots).
 # ./internal/fleet/... is the multi-replica router: the proxy hot path, probe
-# loop and reconciler all share per-replica atomics.
+# loop and reconciler all share per-replica atomics. ./internal/experiments/...
+# runs protocol runs on parallel workers, each of which must hold strategies
+# of its own (a FACTION strategy keeps per-run state).
 race:
-	$(GO) test -race ./internal/server/... ./internal/online/... ./internal/resilience/... ./internal/wal/... ./internal/nn/... ./internal/mat/... ./internal/gda/... ./internal/faction/... ./internal/active/... ./internal/obs/... ./internal/fleet/...
+	$(GO) test -race ./internal/server/... ./internal/online/... ./internal/resilience/... ./internal/wal/... ./internal/nn/... ./internal/mat/... ./internal/gda/... ./internal/faction/... ./internal/active/... ./internal/obs/... ./internal/fleet/... ./internal/experiments/...
 
 vet:
 	$(GO) vet ./...

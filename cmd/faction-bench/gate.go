@@ -51,7 +51,7 @@ const (
 // them.
 var gated = []struct{ pkg, bench string }{
 	{"internal/mat", "^Benchmark(MulInto|WhitenMahalanobis)$"},
-	{"internal/nn", "^Benchmark(LinearTrainStep|LogitsAndFeatures|TrainStepPaper|PoolPassPaper)$"},
+	{"internal/nn", "^Benchmark(LinearTrainStep|LogitsAndFeatures|TrainStepPaper|PoolPassPaper|LogitsPaper)$"},
 	{"internal/gda", "^Benchmark(GDAScoreBatch|GDAScoreBatchRaw|GDAScoreBatchRaw512d|LogDensityBatch|Fit4Comp64d|Fit4Comp512d|Fit4Comp512dRank16)$"},
 	{"internal/faction", "^BenchmarkScoresPaper$"},
 	{"internal/obs", "^Benchmark(CounterInc|HistogramObserve|HistogramQuantile)$"},

@@ -1,11 +1,14 @@
 package active
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"faction/internal/data"
+	"faction/internal/mat"
 	"faction/internal/nn"
 )
 
@@ -423,6 +426,65 @@ func TestFALPrefersFairnessImprovingCandidates(t *testing.T) {
 	for i := range picks {
 		if picks[i] != again[i] {
 			t.Fatal("FAL ranking must be deterministic for a fixed context")
+		}
+	}
+}
+
+// Property: the whole-set passes, which run the network in tiles of
+// nn.TileRows rows, carry every bit of one untiled pass
+// (LogitsAndFeatures over the whole set): Logits, Probs, PredictClasses
+// and the pool pass's probabilities and features, on sets of 0, 1, a tile
+// less one, one tile, a tile and one, and protocol-paper's 2,200 rows, at
+// hidden widths 512 and 64, with the assembly kernels on and off.
+func TestTiledPassesMatchUntiled(t *testing.T) {
+	defer mat.SetVectorized(mat.Vectorized())
+	for _, asm := range []bool{false, true} {
+		mat.SetVectorized(asm) // stays off where the CPU lacks the kernels
+		for _, hidden := range []int{nn.DefaultHidden, 64} {
+			model := nn.NewClassifier(nn.Config{InputDim: 16, NumClasses: 2, Hidden: []int{hidden},
+				SpectralNorm: true, SpectralCoeff: 3, Seed: int64(hidden)})
+			for _, rows := range []int{0, 1, nn.TileRows - 1, nn.TileRows, nn.TileRows + 1, 2200} {
+				name := fmt.Sprintf("asm=%v hidden=%d rows=%d", mat.Vectorized(), hidden, rows)
+				rng := rand.New(rand.NewSource(int64(rows)))
+				pool := data.NewDataset("pool", 16, 2)
+				for i := 0; i < rows; i++ {
+					x := make([]float64, 16)
+					for j := range x {
+						x[j] = 2 * rng.NormFloat64()
+					}
+					pool.Append(data.Sample{X: x})
+				}
+				x := pool.Matrix()
+				wantLogits, wantFeats := model.LogitsAndFeatures(x, nil)
+				wantProbs := mat.NewDense(rows, 2)
+				wantClasses := make([]int, rows)
+				for i := 0; i < rows; i++ {
+					mat.Softmax(wantProbs.Row(i), wantLogits.Row(i))
+					wantClasses[i] = mat.ArgMax(wantLogits.Row(i))
+				}
+				ctx := &Context{Model: model, Pool: pool}
+				for _, c := range []struct {
+					what      string
+					got, want *mat.Dense
+				}{
+					{"Logits", model.Logits(x), wantLogits},
+					{"Probs", model.Probs(x), wantProbs},
+					{"PoolProbs", ctx.PoolProbs(), wantProbs},
+					{"PoolFeatures", ctx.PoolFeatures(), wantFeats},
+				} {
+					if c.got.Rows != c.want.Rows || c.got.Cols != c.want.Cols {
+						t.Fatalf("%s: %s is %dx%d, untiled %dx%d", name, c.what, c.got.Rows, c.got.Cols, c.want.Rows, c.want.Cols)
+					}
+					for i, v := range c.want.Data {
+						if math.Float64bits(c.got.Data[i]) != math.Float64bits(v) {
+							t.Fatalf("%s: %s[%d] = %v, untiled %v", name, c.what, i, c.got.Data[i], v)
+						}
+					}
+				}
+				if got := model.PredictClasses(x); !slices.Equal(got, wantClasses) {
+					t.Fatalf("%s: PredictClasses differs from the untiled argmax", name)
+				}
+			}
 		}
 	}
 }

@@ -54,6 +54,9 @@ func ReadCSV(r io.Reader, name string) (*Stream, error) {
 		return nil, fmt.Errorf("data: unexpected CSV header %v (want task,env,y,s,x0,...)", header)
 	}
 	dim := len(header) - 4
+	// Every field is parsed before the next Read, so one record slice
+	// serves every row.
+	cr.ReuseRecord = true
 
 	type taskAcc struct {
 		env  int

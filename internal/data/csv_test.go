@@ -76,3 +76,21 @@ func TestReadCSVOrdersTasks(t *testing.T) {
 		t.Fatal("content mismatch")
 	}
 }
+
+// BenchmarkReadCSV reads the paper-scale NYSF stream (16 tasks of 2,200
+// rows, 16 features) back from its CSV, as perfbench's set-up does.
+func BenchmarkReadCSV(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, NYSF(StreamConfig{Seed: 1, SamplesPerTask: 2200})); err != nil {
+		b.Fatal(err)
+	}
+	raw := buf.Bytes()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadCSV(bytes.NewReader(raw), "nysf"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

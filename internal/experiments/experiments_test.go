@@ -143,6 +143,23 @@ func TestRunFig4StructureAndShape(t *testing.T) {
 	}
 }
 
+// Property: RunFig4 over two datasets with two workers gives each dataset
+// the panels it gets alone. Each (dataset, run) job needs strategies of its
+// own: FACTION keeps per-run state, and a strategy shared by two concurrent
+// runs is a data race (go test -race) that can mix their rounds.
+func TestRunFig4DatasetsIndependent(t *testing.T) {
+	opt := ciOpts([]string{"nysf", "rcmnist"}, nil)
+	opt.Workers = 2
+	both := RunFig4(opt)
+	for i, ds := range opt.Datasets {
+		alone := ciOpts([]string{ds}, nil)
+		alone.Workers = 1
+		if want := RunFig4(alone).Rows[0]; !reflect.DeepEqual(both.Rows[i], want) {
+			t.Fatalf("%s: panels run beside another dataset differ from the panels run alone", ds)
+		}
+	}
+}
+
 func TestRunFig5RuntimeShape(t *testing.T) {
 	opt := ciOpts([]string{"rcmnist"}, nil)
 	res := RunFig5(opt)

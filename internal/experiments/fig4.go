@@ -48,8 +48,7 @@ type Fig4Result struct {
 // RunFig4 executes the ablation grid of Fig. 4.
 func RunFig4(opt Options) *Fig4Result {
 	opt.setDefaults()
-	specs := ablationSpecs()
-	grid := runGrid(opt, opt.Datasets, func(int64) []online.MethodSpec { return specs })
+	grid := runGrid(opt, opt.Datasets, func(int64) []online.MethodSpec { return ablationSpecs() })
 
 	res := &Fig4Result{Datasets: opt.Datasets}
 	for _, v := range ablationVariants() {

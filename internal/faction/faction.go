@@ -94,9 +94,13 @@ func (o Options) TrainFairConfig() nn.FairConfig {
 }
 
 // Strategy is FACTION's query strategy; it implements active.Strategy.
+// It keeps per-run state (the trial count and the density pass's storage,
+// reused from round to round), so a Strategy serves one protocol run at a
+// time: concurrent runs each need their own.
 type Strategy struct {
 	opts   Options
 	trials int
+	batch  gda.BatchScores
 }
 
 // Trials reports the cumulative number of Bernoulli trials performed across
@@ -126,51 +130,42 @@ func (s *Strategy) Name() string {
 	}
 }
 
-// scoreTile is the number of pool rows Scores passes through the network
-// and the density model at once. At the paper's hidden width a tile's
-// 256 × 512 features fill one arena size class exactly, so after the first
-// round the pass takes its matrices from the arena's pools instead of
-// allocating the whole pool's.
-const scoreTile = 256
-
 // Scores computes the raw u(x) values (Eq. 6) for every pool sample. It is
 // exported for tests, diagnostics and the examples; SelectBatch consumes it.
 // The boolean reports whether the density estimator could be fitted.
 //
-// The pool runs in tiles of scoreTile rows: each tile's forward pass goes
-// into an arena, its probabilities into one n × C matrix, and its density
-// pass into the next rows of one gda.BatchScores. Every per-row value, and
-// the maximum over rows that sets the common scale, is independent of the
-// other rows, so the one Scale at the end gives the bits of scoring the
-// whole pool at once (TestScoresTiledMatchesUntiled).
+// The labelled features live in an arena released once the density model
+// is fitted. The pool runs in tiles (nn.Classifier.InferTiles): each
+// tile's probabilities go into one n × C matrix and its density pass into
+// the next rows of the Strategy's gda.BatchScores, whose storage the next
+// round reuses. Every per-row value, and the maximum over rows that sets
+// the common scale, is independent of the other rows, so the one Scale at
+// the end gives the bits of scoring the whole pool at once
+// (TestScoresTiledMatchesUntiled).
 func (s *Strategy) Scores(ctx *active.Context) ([]float64, bool) {
+	arena := mat.GetArena()
 	est, err := gda.Fit(
-		ctx.LabeledFeatures(),
+		ctx.Model.FeaturesIn(ctx.Labeled.Matrix(), arena),
 		ctx.Labeled.Labels(),
 		ctx.Labeled.Sensitive(),
 		ctx.Labeled.Classes,
 		s.opts.SensValues,
 		s.opts.GDA,
 	)
+	arena.Release()
 	if err != nil {
 		return nil, false
 	}
 	pool := ctx.PoolMatrix()
-	n, d := pool.Rows, pool.Cols
+	n := pool.Rows
 	probs := mat.NewDense(n, ctx.Model.Config().NumClasses)
-	var batch gda.BatchScores
-	tile := &mat.Dense{Cols: d}
-	for off := 0; off < n; off += scoreTile {
-		tile.Rows = min(scoreTile, n-off)
-		tile.Data = pool.Data[off*d : (off+tile.Rows)*d]
-		arena := mat.GetArena()
-		logits, feats := ctx.Model.LogitsAndFeatures(tile, arena)
-		for i := 0; i < tile.Rows; i++ {
+	batch := &s.batch
+	ctx.Model.InferTiles(pool, func(off int, logits, feats *mat.Dense) {
+		for i := 0; i < logits.Rows; i++ {
 			mat.Softmax(probs.Row(off+i), logits.Row(i))
 		}
-		est.ScoreRows(&batch, off, feats)
-		arena.Release()
-	}
+		est.ScoreRows(batch, off, feats)
+	})
 	batch.Scale()
 	u := make([]float64, n)
 	for i := range u {

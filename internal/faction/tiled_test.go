@@ -81,7 +81,7 @@ func TestScoresTiledMatchesUntiled(t *testing.T) {
 		"Duration of scoring one feature batch (Eqs. 3-5).", obs.ExpBuckets(1e-5, 4, 8))
 	for _, asm := range []bool{false, true} {
 		mat.SetVectorized(asm) // stays off where the CPU lacks the kernels
-		for _, rows := range []int{1, scoreTile - 1, scoreTile, scoreTile + 1, 2200} {
+		for _, rows := range []int{1, nn.TileRows - 1, nn.TileRows, nn.TileRows + 1, 2200} {
 			for _, fairSelect := range []bool{true, false} {
 				name := fmt.Sprintf("asm=%v pool=%d fairSelect=%v", mat.Vectorized(), rows, fairSelect)
 				opts := Defaults()

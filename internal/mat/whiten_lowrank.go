@@ -85,16 +85,17 @@ func gramSchmidt(x *Dense, mean []float64) (basis, coords *Dense, err error) {
 	n, d := x.Rows, x.Cols
 	maxR := min(n, d)
 	vec := useAsm
-	// q and q4 first have room for lowRankStartRows rows and grow once, to
-	// maxR rows, if the basis outgrows that. q is not nil even at rank 0: a
-	// whitened stack takes a nil basis for a dense factor.
+	// q, q4 and c first have room for lowRankStartRows basis rows and grow
+	// once, to maxR rows, if the basis outgrows that. q is not nil even at
+	// rank 0: a whitened stack takes a nil basis for a dense factor.
 	startRows := min(maxR, lowRankStartRows)
 	q := make([]float64, 0, startRows*d)
 	var q4 []float64
 	if vec {
 		q4 = make([]float64, 0, (startRows+3)&^3*d)
 	}
-	c := make([]float64, n*maxR) // c[i·maxR+j] = Q_j·c_i
+	stride := startRows
+	c := make([]float64, n*stride) // c[i·stride+j] = Q_j·c_i
 	v := make([]float64, d)
 	a := make([]float64, (maxR+3)&^3) // project may fill a whole group
 	for i := 0; i < n; i++ {
@@ -106,7 +107,7 @@ func gramSchmidt(x *Dense, mean []float64) (basis, coords *Dense, err error) {
 			return nil, nil, fmt.Errorf("%w in row %d", ErrNonFinite, i)
 		}
 		r := len(q) / d
-		ci := c[i*maxR : i*maxR+r]
+		ci := c[i*stride : i*stride+r]
 		for pass := 0; pass < 2; pass++ {
 			project(a[:r], q, q4, v, vec)
 			for j, s := range a[:r] {
@@ -121,10 +122,15 @@ func gramSchmidt(x *Dense, mean []float64) (basis, coords *Dense, err error) {
 			continue
 		}
 		norm := math.Sqrt(nv)
-		c[i*maxR+r] = norm
 		if r == startRows {
 			q = slices.Grow(q, (maxR-r)*d)
+			wide := make([]float64, n*maxR)
+			for k := 0; k <= i; k++ {
+				copy(wide[k*maxR:], c[k*stride:k*stride+r])
+			}
+			c, stride = wide, maxR
 		}
+		c[i*stride+r] = norm
 		for _, z := range v {
 			q = append(q, z/norm)
 		}
@@ -144,7 +150,7 @@ func gramSchmidt(x *Dense, mean []float64) (basis, coords *Dense, err error) {
 	r := len(q) / d
 	coords = NewDense(n, r)
 	for i := 0; i < n; i++ {
-		copy(coords.Row(i), c[i*maxR:i*maxR+r])
+		copy(coords.Row(i), c[i*stride:i*stride+r])
 	}
 	return NewDenseData(r, d, q), coords, nil
 }

@@ -99,10 +99,40 @@ func (c *Classifier) FeatureDim() int {
 // NumParams reports the scalar parameter count.
 func (c *Classifier) NumParams() int { return c.net.NumParams() }
 
+// TileRows is the row count of one tile of a whole-set inference pass.
+// Logits, the active strategies' pool pass and FACTION's select run the
+// network over at most this many rows at a time (InferTiles), so a pass
+// holds one tile of intermediates whatever the set's size. At the paper's
+// hidden width a tile's 256 × 512 activations fill one arena size class
+// exactly.
+const TileRows = 256
+
+// InferTiles runs the inference pass over x in tiles of TileRows rows, in
+// row order, and calls f with each tile's first row of x, its logits and
+// its features. Both matrices live in an arena released when f returns;
+// f copies out what it keeps. Every value of a row depends only on that
+// row, so the tiles carry the bits of one LogitsAndFeatures over all of x.
+func (c *Classifier) InferTiles(x *mat.Dense, f func(off int, logits, features *mat.Dense)) {
+	tile := &mat.Dense{Cols: x.Cols}
+	for off := 0; off < x.Rows; off += TileRows {
+		tile.Rows = min(TileRows, x.Rows-off)
+		tile.Data = x.Data[off*x.Cols : (off+tile.Rows)*x.Cols]
+		a := mat.GetArena()
+		logits, features := c.net.Infer(tile, a)
+		f(off, logits, features)
+		a.Release()
+	}
+}
+
 // Logits runs inference (no power-iteration update) and returns raw scores.
+// It runs in tiles (InferTiles), so the n × NumClasses result is all it
+// keeps on the heap.
 func (c *Classifier) Logits(x *mat.Dense) *mat.Dense {
-	logits, _ := c.net.Infer(x, nil)
-	return logits
+	out := mat.NewDense(x.Rows, c.cfg.NumClasses)
+	c.InferTiles(x, func(off int, logits, _ *mat.Dense) {
+		copy(out.Data[off*out.Cols:], logits.Data)
+	})
+	return out
 }
 
 // Probs returns softmax class probabilities, one row per sample.
@@ -132,10 +162,11 @@ func (c *Classifier) PredictClasses(x *mat.Dense) []int {
 // and both results die when a is released. A nil a allocates them on the
 // heap instead; the bits are identical.
 //
-// Inference methods (Logits, Probs, PredictClasses, LogitsAndFeatures,
-// Features) are read-only and safe for concurrent use, as long as concurrent
-// callers each hold their own arena; Train and ProbsMC mutate layer state and
-// require external synchronization.
+// Inference methods (Logits, Probs, PredictClasses, InferTiles,
+// LogitsAndFeatures, Features, FeaturesIn) are read-only and safe for
+// concurrent use, as long as concurrent callers each hold their own arena;
+// Train and ProbsMC mutate layer state and require external
+// synchronization.
 func (c *Classifier) LogitsAndFeatures(x *mat.Dense, a *mat.Arena) (logits, features *mat.Dense) {
 	return c.net.Infer(x, a)
 }
@@ -145,6 +176,12 @@ func (c *Classifier) LogitsAndFeatures(x *mat.Dense, a *mat.Arena) (logits, feat
 // features.
 func (c *Classifier) Features(x *mat.Dense) *mat.Dense {
 	return c.net.Features(x, nil)
+}
+
+// FeaturesIn is Features with every matrix of the pass, the result too,
+// checked out of a, so the result dies when a is released.
+func (c *Classifier) FeaturesIn(x *mat.Dense, a *mat.Arena) *mat.Dense {
+	return c.net.Features(x, a)
 }
 
 // Clone returns a classifier with identical architecture and copied weights.

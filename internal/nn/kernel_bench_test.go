@@ -2,9 +2,12 @@ package nn
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"faction/internal/mat"
+	"faction/internal/testutil"
 )
 
 // trainStepFixture builds the paper's tabular MLP (hidden width 512,
@@ -91,9 +94,9 @@ func BenchmarkTrainStepPaper(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolPassPaper measures FACTION's per-round pass over a paper-scale
-// pool (2,200 × 16): logits and features with heap outputs, as
-// active.Context.PoolFeatures runs it.
+// BenchmarkPoolPassPaper measures one untiled pass over a paper-scale pool
+// (2,200 × 16): logits and features with heap outputs, every activation
+// of the pass on the heap too.
 func BenchmarkPoolPassPaper(b *testing.B) {
 	c, x, y, s := paperFixture(2200)
 	c.TrainStep(mat.NewDenseData(32, x.Cols, x.Data[:32*x.Cols]), y[:32], s[:32], NewAdam(0.01), paperFair, 5)
@@ -101,6 +104,46 @@ func BenchmarkPoolPassPaper(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = c.LogitsAndFeatures(x, nil)
+	}
+}
+
+// BenchmarkLogitsPaper measures the per-task eval pass of online.Run at
+// protocol-paper's shape: Logits over a 2,200 × 16 pool through hidden 512,
+// which runs in tiles and keeps only the 2,200 × 2 logits on the heap.
+func BenchmarkLogitsPaper(b *testing.B) {
+	c, x, y, s := paperFixture(2200)
+	c.TrainStep(mat.NewDenseData(32, x.Cols, x.Data[:32*x.Cols]), y[:32], s[:32], NewAdam(0.01), paperFair, 5)
+	c.Logits(x) // refill the arena pools the pre-run GC emptied
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Logits(x)
+	}
+}
+
+// TestLogitsHeapIsItsResult pins what a whole-set Logits keeps on the heap:
+// at protocol-paper's eval shape (2,200 × 16 → 512 → 2) a warmed call
+// allocates at most its 2,200 × 2 result plus a constant, where one untiled
+// pass allocates two 2,200 × 512 activations (18 MB). The constant covers
+// the result's rounding up to whole 8 KiB pages and a few small headers.
+// The collector is off, so the arena pools keep what the warm-up put
+// there, and one P runs the test, so every pool Get finds the last Put.
+func TestLogitsHeapIsItsResult(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; byte counts not representative")
+	}
+	c, x, _, _ := paperFixture(2200)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c.Logits(x)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := c.Logits(x)
+	runtime.ReadMemStats(&after)
+	const constant = 12 << 10
+	result := uint64(8 * len(out.Data))
+	if got := after.TotalAlloc - before.TotalAlloc; got > result+constant {
+		t.Fatalf("Logits over %d rows allocated %d bytes, want at most its %d-byte result plus %d", x.Rows, got, result, constant)
 	}
 }
 

@@ -241,13 +241,15 @@ func (sp *Sampler) Snapshot(names []string, window time.Duration) Response {
 	return resp
 }
 
-// Handler serves GET /metrics/history. Query parameters:
+// Handler serves GET and HEAD /metrics/history, and answers any other
+// method 405 with an Allow header. Query parameters:
 //
 //	series — comma-separated series names (default: all tracked)
 //	window — trailing duration like "5m" or "1h" (default: all retained)
 func (sp *Sampler) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
+		if r.Method != http.MethodGet && r.Method != http.MethodHead {
+			w.Header().Set("Allow", "GET, HEAD")
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}

@@ -138,8 +138,14 @@ func TestHandler(t *testing.T) {
 
 	rec = httptest.NewRecorder()
 	sp.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/metrics/history", nil))
-	if rec.Code != 405 {
-		t.Fatalf("POST: status %d, want 405", rec.Code)
+	if rec.Code != 405 || rec.Header().Get("Allow") != "GET, HEAD" {
+		t.Fatalf("POST: status %d, Allow %q; want 405, Allow \"GET, HEAD\"", rec.Code, rec.Header().Get("Allow"))
+	}
+
+	rec = httptest.NewRecorder()
+	sp.Handler().ServeHTTP(rec, httptest.NewRequest("HEAD", "/metrics/history", nil))
+	if rec.Code != 200 {
+		t.Fatalf("HEAD: status %d, want 200", rec.Code)
 	}
 }
 

@@ -455,10 +455,12 @@ func (e *Engine) Status() Status {
 	return st
 }
 
-// Handler serves GET /slo.
+// Handler serves GET and HEAD /slo, and answers any other method 405 with
+// an Allow header.
 func (e *Engine) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
+		if r.Method != http.MethodGet && r.Method != http.MethodHead {
+			w.Header().Set("Allow", "GET, HEAD")
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}

@@ -270,10 +270,11 @@ func (s *Server) runRefit(ctx context.Context) (refitResponse, error) {
 
 	rng := rngutil.Derive(oc.Seed, "server-refit", fmt.Sprint(attempt))
 	opt := oc.newOptimizer()
+	// Training, the density refit and the accuracy all read the one copy.
+	x, y, sens := buf.Matrix(), buf.Labels(), buf.Sensitive()
 	_, trainSpan := obs.StartSpan(ctx, "server.refit.train")
 	trainSpan.SetAttr("samples", buf.Len())
-	stats := cand.Train(
-		buf.Matrix(), buf.Labels(), buf.Sensitive(),
+	stats := cand.Train(x, y, sens,
 		opt, nn.TrainOpts{Epochs: oc.Epochs, BatchSize: oc.BatchSize, Fair: oc.Fair}, rng)
 	trainSpan.End()
 
@@ -296,9 +297,8 @@ func (s *Server) runRefit(ctx context.Context) (refitResponse, error) {
 	var est *gda.Estimator
 	if hadDensity {
 		_, densitySpan := obs.StartSpan(ctx, "server.refit.density")
-		feats := cand.Features(buf.Matrix())
 		var err error
-		est, err = gda.Fit(feats, buf.Labels(), buf.Sensitive(),
+		est, err = gda.Fit(cand.Features(x), y, sens,
 			cand.Config().NumClasses, oc.SensValues, gda.Config{})
 		densitySpan.End()
 		if err != nil {
@@ -310,7 +310,7 @@ func (s *Server) runRefit(ctx context.Context) (refitResponse, error) {
 		}
 	}
 
-	trainAcc := nn.Accuracy(cand.Logits(buf.Matrix()), buf.Labels())
+	trainAcc := nn.Accuracy(cand.Logits(x), y)
 
 	// Last cancellation check before the point of no return: the density
 	// refit above can outlive the deadline too.

@@ -516,8 +516,7 @@ func onlineFixtureWithCap(t *testing.T, maxBuffer int) (*httptest.Server, []floa
 // methods, as do the admin routes, which share the one mux (they answered
 // 404 through an inner mux's catch-all before). The requests carry no body
 // and no credentials, so /predict and /feedback read 400, /refit 409 (nothing
-// buffered) and the snapshot routes 401; /metrics/history and /slo refuse
-// HEAD themselves.
+// buffered) and the snapshot routes 401.
 const wantRoutes = `
 GET    /info              200
 POST   /info              405  GET, HEAD
@@ -578,12 +577,12 @@ GET    /metrics/history   200
 POST   /metrics/history   405  GET, HEAD
 PUT    /metrics/history   405  GET, HEAD
 DELETE /metrics/history   405  GET, HEAD
-HEAD   /metrics/history   405
+HEAD   /metrics/history   200
 GET    /slo               200
 POST   /slo               405  GET, HEAD
 PUT    /slo               405  GET, HEAD
 DELETE /slo               405  GET, HEAD
-HEAD   /slo               405
+HEAD   /slo               200
 GET    /debug/decisions   200
 POST   /debug/decisions   405  GET, HEAD
 PUT    /debug/decisions   405  GET, HEAD
