@@ -94,21 +94,28 @@ func StationaryStream(cfg StreamConfig, tasks int) *Stream {
 func DefaultOptions() Options { return core.Defaults() }
 
 // New builds the FACTION query strategy (Algorithm 1's selection half).
+// The strategy keeps per-run state (its trial count and the density pass's
+// storage), so it serves one protocol run at a time: runs that overlap
+// each need their own strategy from their own call.
 func New(opts Options) *core.Strategy { return core.New(opts) }
 
 // FactionMethod builds the complete FACTION method: the query strategy plus
-// the matching fairness-regularized training configuration.
+// the matching fairness-regularized training configuration. Its strategy
+// serves one run at a time (see New): call FactionMethod once per run when
+// runs overlap.
 func FactionMethod(opts Options) MethodSpec { return online.FactionSpec(opts) }
 
 // Methods returns FACTION and the seven adapted baselines of the paper's
-// evaluation with default hyperparameters.
+// evaluation with default hyperparameters. Its FACTION strategy serves one
+// run at a time (see New): call Methods once per run when runs overlap.
 func Methods(seed int64) []MethodSpec { return online.Methods(seed) }
 
 // MethodNames lists the canonical method names in the paper's order.
 func MethodNames() []string { return online.MethodNames() }
 
 // MethodByName resolves a canonical method name, including the FACTION
-// ablation variants of Fig. 4 / Table I.
+// ablation variants of Fig. 4 / Table I. A FACTION spec's strategy serves
+// one run at a time (see New).
 func MethodByName(name string, seed int64) (MethodSpec, error) {
 	return online.MethodByName(name, seed)
 }

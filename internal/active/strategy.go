@@ -57,20 +57,10 @@ func (c *Context) PoolFeatures() *mat.Dense {
 	return c.poolFeats
 }
 
-// ensurePool runs the pool pass in tiles (nn.Classifier.InferTiles), so it
-// keeps only the probabilities and the features on the heap.
+// ensurePool runs the pool pass in tiles (nn.Classifier.ProbsAndFeatures),
+// so it keeps only the probabilities and the features on the heap.
 func (c *Context) ensurePool() {
-	x := c.PoolMatrix()
-	probs := mat.NewDense(x.Rows, c.Model.Config().NumClasses)
-	feats := mat.NewDense(x.Rows, c.Model.FeatureDim())
-	c.Model.InferTiles(x, func(off int, logits, tileFeats *mat.Dense) {
-		for i := 0; i < logits.Rows; i++ {
-			mat.Softmax(probs.Row(off+i), logits.Row(i))
-		}
-		copy(feats.Data[off*feats.Cols:], tileFeats.Data)
-	})
-	c.poolProbs = probs
-	c.poolFeats = feats
+	c.poolProbs, c.poolFeats = c.Model.ProbsAndFeatures(c.PoolMatrix())
 }
 
 // LabeledFeatures returns the representation of the labeled pool (cached).

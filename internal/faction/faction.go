@@ -160,6 +160,9 @@ func (s *Strategy) Scores(ctx *active.Context) ([]float64, bool) {
 	n := pool.Rows
 	probs := mat.NewDense(n, ctx.Model.Config().NumClasses)
 	batch := &s.batch
+	// Start the batch at zero rows: an empty pool has no tile to do it, and
+	// Scale would rescale the last round's rows.
+	est.ScoreRows(batch, 0, &mat.Dense{})
 	ctx.Model.InferTiles(pool, func(off int, logits, feats *mat.Dense) {
 		for i := 0; i < logits.Rows; i++ {
 			mat.Softmax(probs.Row(off+i), logits.Row(i))

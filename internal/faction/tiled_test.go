@@ -71,26 +71,31 @@ func paperContext(t testing.TB, labeled, poolRows int, seed int64) *active.Conte
 }
 
 // Property: Scores, which runs the pool in tiles, gives every bit of u that
-// one pass over the whole pool gives: pools of one row, one short of a
-// tile, one tile, one past it and protocol-paper's 2,200 rows, with and
-// without the fairness term, with the assembly kernels on and off. Each
-// call counts as one density score pass, whatever its number of tiles.
+// one pass over the whole pool gives: pools of protocol-paper's 2,200 rows,
+// one row, one short of a tile, one tile, one past it and none, with and
+// without the fairness term, with the assembly kernels on and off. One
+// Strategy scores the pools in that order, as rounds of one run reuse its
+// storage. Each call counts as one density score pass, whatever its number
+// of tiles, and leaves the Strategy's batch at the pool's row count.
 func TestScoresTiledMatchesUntiled(t *testing.T) {
 	defer mat.SetVectorized(mat.Vectorized())
 	scorePasses := obs.Default().Histogram("faction_gda_score_batch_seconds",
 		"Duration of scoring one feature batch (Eqs. 3-5).", obs.ExpBuckets(1e-5, 4, 8))
 	for _, asm := range []bool{false, true} {
 		mat.SetVectorized(asm) // stays off where the CPU lacks the kernels
-		for _, rows := range []int{1, nn.TileRows - 1, nn.TileRows, nn.TileRows + 1, 2200} {
-			for _, fairSelect := range []bool{true, false} {
+		for _, fairSelect := range []bool{true, false} {
+			opts := Defaults()
+			opts.FairSelect = fairSelect
+			s := New(opts)
+			for _, rows := range []int{2200, 1, nn.TileRows - 1, nn.TileRows, nn.TileRows + 1, 0} {
 				name := fmt.Sprintf("asm=%v pool=%d fairSelect=%v", mat.Vectorized(), rows, fairSelect)
-				opts := Defaults()
-				opts.FairSelect = fairSelect
-				s := New(opts)
 				before := scorePasses.Count()
 				got, ok := s.Scores(paperContext(t, 120, rows, int64(rows)))
 				if passes := scorePasses.Count() - before; passes != 1 {
 					t.Fatalf("%s: Scores observed %d score passes, want 1", name, passes)
+				}
+				if len(s.batch.G) != rows {
+					t.Fatalf("%s: Scores left a %d-row batch", name, len(s.batch.G))
 				}
 				want, wantOK := scoresUntiled(s, paperContext(t, 120, rows, int64(rows)))
 				if !ok || !wantOK {

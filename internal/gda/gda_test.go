@@ -357,8 +357,18 @@ func BenchmarkFit4Comp512d(b *testing.B) { benchmarkFit4Comp(b, 300, 512) }
 // feature tap FACTION fits each round), so each of the four (y, s)
 // components has about 112 rows but rank 16, and its low-rank fit finds a
 // 16-row basis.
-func BenchmarkFit4Comp512dRank16(b *testing.B) {
-	const n, in = 450, 16
+func BenchmarkFit4Comp512dRank16(b *testing.B) { benchmarkFitFeatures(b, 16) }
+
+// BenchmarkFit4Comp512dRank24 and BenchmarkFit4Comp512dRank40 fit the same
+// rows at the input widths of FairFace and FFHQ (24) and of CelebA (40),
+// whose components' bases have 24 and 40 rows.
+func BenchmarkFit4Comp512dRank24(b *testing.B) { benchmarkFitFeatures(b, 24) }
+func BenchmarkFit4Comp512dRank40(b *testing.B) { benchmarkFitFeatures(b, 40) }
+
+// benchmarkFitFeatures fits 450 rows of the paper network's first layer
+// over in inputs.
+func benchmarkFitFeatures(b *testing.B, in int) {
+	const n = 450
 	rng := rand.New(rand.NewSource(10))
 	x := mat.NewDense(n, in)
 	for i := range x.Data {

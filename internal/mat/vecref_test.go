@@ -249,10 +249,11 @@ func pivotRows(coords *Dense) []bool {
 
 // lowRankCases are the fits the low-rank reference runs: FACTION's shape
 // (rank-16 rows of a 16 → 512 affine map, one component's share of 450
-// labelled rows), rank-7 rows, full-rank rows below and above the width
-// (at 36 columns, a width that ends in a four-element vector block),
-// duplicate and all-zero rows, and rows whose remainder sits either side of
-// lowRankDropTol.
+// labelled rows) and the same at CelebA's 40 inputs, whose coordinates
+// fill two blocks and part of a third, rank-7 rows, full-rank rows below
+// and above the width (at 36 columns, a width that ends in a four-element
+// vector block), duplicate and all-zero rows, and rows whose remainder
+// sits either side of lowRankDropTol.
 func lowRankCases(rng *rand.Rand) map[string]*Dense {
 	affine := func(n, in, d int) *Dense {
 		z, w := NewDense(n, in), NewDense(in, d)
@@ -280,6 +281,7 @@ func lowRankCases(rng *rand.Rand) map[string]*Dense {
 	}
 	cases := map[string]*Dense{
 		"rank16_112x512": affine(112, 16, 512),
+		"rank40_112x512": affine(112, 40, 512),
 		"rank7_30x64":    affine(30, 7, 64),
 		"full_75x512":    gauss(75, 512),
 		"full_40x16":     gauss(40, 16),

@@ -33,9 +33,11 @@ type LowRank struct {
 // ridge the estimator uses.
 const lowRankDropTol = 1e-9
 
-// lowRankStartRows is how many basis rows NewLowRank first makes room for.
-// A fit's rank is often far below min(n, d): FACTION's features come from
-// a 16-input layer, so their components have rank 16 at most.
+// lowRankStartRows is how many basis rows NewLowRank first makes room for,
+// and the width of each block of its coordinates. A fit's rank is often far
+// below min(n, d): FACTION's features are the outputs of the network's
+// first linear layer, so a component's rank is at most the input width (16
+// on the NYSF and RCMNIST streams, 24 on FairFace and FFHQ, 40 on CelebA).
 const lowRankStartRows = 16
 
 // LowRankOrthoTol bounds |QQᵀ − I| entrywise for a basis LowRankFromFactors
@@ -85,7 +87,7 @@ func gramSchmidt(x *Dense, mean []float64) (basis, coords *Dense, err error) {
 	n, d := x.Rows, x.Cols
 	maxR := min(n, d)
 	vec := useAsm
-	// q, q4 and c first have room for lowRankStartRows basis rows and grow
+	// q and q4 first have room for lowRankStartRows basis rows and grow
 	// once, to maxR rows, if the basis outgrows that. q is not nil even at
 	// rank 0: a whitened stack takes a nil basis for a dense factor.
 	startRows := min(maxR, lowRankStartRows)
@@ -94,8 +96,15 @@ func gramSchmidt(x *Dense, mean []float64) (basis, coords *Dense, err error) {
 	if vec {
 		q4 = make([]float64, 0, (startRows+3)&^3*d)
 	}
-	stride := startRows
-	c := make([]float64, n*stride) // c[i·stride+j] = Q_j·c_i
+	// c holds the rows' coordinates in blocks of bw basis rows, a block
+	// opened as the basis reaches its first row: block k, of width w (bw,
+	// or what maxR leaves for the last), holds Q_{k·bw+j}·c_i at
+	// c[k][i·w+j]. So the coordinates take n·r floats rounded up to a
+	// whole block, never more than n·maxR, and nothing is copied. The
+	// block list starts on the stack.
+	const bw = lowRankStartRows
+	var cBlocks [16][]float64
+	c := cBlocks[:0]
 	v := make([]float64, d)
 	a := make([]float64, (maxR+3)&^3) // project may fill a whole group
 	for i := 0; i < n; i++ {
@@ -107,11 +116,14 @@ func gramSchmidt(x *Dense, mean []float64) (basis, coords *Dense, err error) {
 			return nil, nil, fmt.Errorf("%w in row %d", ErrNonFinite, i)
 		}
 		r := len(q) / d
-		ci := c[i*stride : i*stride+r]
 		for pass := 0; pass < 2; pass++ {
 			project(a[:r], q, q4, v, vec)
-			for j, s := range a[:r] {
-				ci[j] += s
+			for k, blk := range c {
+				w := len(blk) / n
+				ci := blk[i*w : (i+1)*w]
+				for j, s := range a[k*bw : min(r, (k+1)*bw)] {
+					ci[j] += s
+				}
 			}
 		}
 		if r == maxR {
@@ -122,15 +134,14 @@ func gramSchmidt(x *Dense, mean []float64) (basis, coords *Dense, err error) {
 			continue
 		}
 		norm := math.Sqrt(nv)
+		if r%bw == 0 {
+			c = append(c, make([]float64, n*min(bw, maxR-r)))
+		}
+		blk := c[r/bw]
+		blk[i*(len(blk)/n)+r%bw] = norm
 		if r == startRows {
 			q = slices.Grow(q, (maxR-r)*d)
-			wide := make([]float64, n*maxR)
-			for k := 0; k <= i; k++ {
-				copy(wide[k*maxR:], c[k*stride:k*stride+r])
-			}
-			c, stride = wide, maxR
 		}
-		c[i*stride+r] = norm
 		for _, z := range v {
 			q = append(q, z/norm)
 		}
@@ -150,7 +161,10 @@ func gramSchmidt(x *Dense, mean []float64) (basis, coords *Dense, err error) {
 	r := len(q) / d
 	coords = NewDense(n, r)
 	for i := 0; i < n; i++ {
-		copy(coords.Row(i), c[i*stride:i*stride+r])
+		for k, blk := range c {
+			w := len(blk) / n
+			copy(coords.Row(i)[k*bw:], blk[i*w:(i+1)*w])
+		}
 	}
 	return NewDenseData(r, d, q), coords, nil
 }

@@ -145,6 +145,22 @@ func (c *Classifier) Probs(x *mat.Dense) *mat.Dense {
 	return out
 }
 
+// ProbsAndFeatures returns the softmax class probabilities and the tapped
+// features of every row of x: the active strategies' pool pass. It runs in
+// tiles (InferTiles), so the n × NumClasses probabilities and the n ×
+// FeatureDim features are all it keeps on the heap.
+func (c *Classifier) ProbsAndFeatures(x *mat.Dense) (probs, features *mat.Dense) {
+	probs = mat.NewDense(x.Rows, c.cfg.NumClasses)
+	features = mat.NewDense(x.Rows, c.FeatureDim())
+	c.InferTiles(x, func(off int, logits, tileFeats *mat.Dense) {
+		for i := 0; i < logits.Rows; i++ {
+			mat.Softmax(probs.Row(off+i), logits.Row(i))
+		}
+		copy(features.Data[off*features.Cols:], tileFeats.Data)
+	})
+	return probs, features
+}
+
 // PredictClasses returns the argmax class per row.
 func (c *Classifier) PredictClasses(x *mat.Dense) []int {
 	logits := c.Logits(x)
@@ -162,10 +178,10 @@ func (c *Classifier) PredictClasses(x *mat.Dense) []int {
 // and both results die when a is released. A nil a allocates them on the
 // heap instead; the bits are identical.
 //
-// Inference methods (Logits, Probs, PredictClasses, InferTiles,
-// LogitsAndFeatures, Features, FeaturesIn) are read-only and safe for
-// concurrent use, as long as concurrent callers each hold their own arena;
-// Train and ProbsMC mutate layer state and require external
+// Inference methods (Logits, Probs, ProbsAndFeatures, PredictClasses,
+// InferTiles, LogitsAndFeatures, Features, FeaturesIn) are read-only and
+// safe for concurrent use, as long as concurrent callers each hold their
+// own arena; Train and ProbsMC mutate layer state and require external
 // synchronization.
 func (c *Classifier) LogitsAndFeatures(x *mat.Dense, a *mat.Arena) (logits, features *mat.Dense) {
 	return c.net.Infer(x, a)

@@ -94,30 +94,31 @@ func BenchmarkTrainStepPaper(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolPassPaper measures one untiled pass over a paper-scale pool
-// (2,200 × 16): logits and features with heap outputs, every activation
-// of the pass on the heap too.
+// BenchmarkPoolPassPaper measures a select round's pool pass at
+// protocol-paper's shape, as active.Context runs it: ProbsAndFeatures over
+// a 2,200 × 16 pool through hidden 512, which runs in tiles and keeps the
+// 2,200 × 2 probabilities and the 2,200 × 512 features on the heap.
 func BenchmarkPoolPassPaper(b *testing.B) {
-	c, x, y, s := paperFixture(2200)
-	c.TrainStep(mat.NewDenseData(32, x.Cols, x.Data[:32*x.Cols]), y[:32], s[:32], NewAdam(0.01), paperFair, 5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = c.LogitsAndFeatures(x, nil)
-	}
+	benchmarkPaperPass(b, func(c *Classifier, x *mat.Dense) { c.ProbsAndFeatures(x) })
 }
 
-// BenchmarkLogitsPaper measures the per-task eval pass of online.Run at
-// protocol-paper's shape: Logits over a 2,200 × 16 pool through hidden 512,
-// which runs in tiles and keeps only the 2,200 × 2 logits on the heap.
+// BenchmarkLogitsPaper measures online.Run's per-task eval pass at the
+// same shape: Logits, which keeps only the 2,200 × 2 logits on the heap.
 func BenchmarkLogitsPaper(b *testing.B) {
+	benchmarkPaperPass(b, func(c *Classifier, x *mat.Dense) { c.Logits(x) })
+}
+
+// benchmarkPaperPass times pass over a paper-scale pool (2,200 × 16) on the
+// paper network one training step in, after an untimed pass that refills
+// the arena pools the pre-run collection emptied.
+func benchmarkPaperPass(b *testing.B, pass func(*Classifier, *mat.Dense)) {
 	c, x, y, s := paperFixture(2200)
 	c.TrainStep(mat.NewDenseData(32, x.Cols, x.Data[:32*x.Cols]), y[:32], s[:32], NewAdam(0.01), paperFair, 5)
-	c.Logits(x) // refill the arena pools the pre-run GC emptied
+	pass(c, x)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Logits(x)
+		pass(c, x)
 	}
 }
 

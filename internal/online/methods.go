@@ -8,7 +8,9 @@ import (
 )
 
 // FactionSpec builds the MethodSpec for a FACTION variant: its query
-// strategy plus the matching training-time regularization.
+// strategy plus the matching training-time regularization. The strategy
+// keeps per-run state, so the spec serves one run at a time; runs that
+// overlap each need a spec from their own call.
 func FactionSpec(opts faction.Options) MethodSpec {
 	s := faction.New(opts)
 	return MethodSpec{Name: s.Name(), Strategy: s, Fair: s.Options().TrainFairConfig()}
@@ -16,6 +18,7 @@ func FactionSpec(opts faction.Options) MethodSpec {
 
 // Methods returns the paper's eight compared methods (Section V-A2) with
 // their default hyperparameters: FACTION plus the seven adapted baselines.
+// Its FACTION spec serves one run at a time (see FactionSpec).
 func Methods(seed int64) []MethodSpec {
 	return []MethodSpec{
 		FactionSpec(faction.Defaults()),
@@ -35,7 +38,8 @@ func MethodNames() []string {
 }
 
 // MethodByName resolves a canonical method name (see MethodNames) plus the
-// FACTION ablation names of Fig. 4 / Table I.
+// FACTION ablation names of Fig. 4 / Table I. A FACTION spec serves one run
+// at a time (see FactionSpec).
 func MethodByName(name string, seed int64) (MethodSpec, error) {
 	for _, m := range Methods(seed) {
 		if m.Name == name {
