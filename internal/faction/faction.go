@@ -135,7 +135,8 @@ func (s *Strategy) Name() string {
 // The boolean reports whether the density estimator could be fitted.
 //
 // The labelled features live in an arena released once the density model
-// is fitted. The pool runs in tiles (nn.Classifier.InferTiles): each
+// is fitted; the fit does not score them (gda.FitUncalibrated), since
+// nothing here reads their log-densities. The pool runs in tiles (nn.Classifier.InferTiles): each
 // tile's probabilities go into one n × C matrix and its density pass into
 // the next rows of the Strategy's gda.BatchScores, whose storage the next
 // round reuses. Every per-row value, and the maximum over rows that sets
@@ -144,7 +145,7 @@ func (s *Strategy) Name() string {
 // (TestScoresTiledMatchesUntiled).
 func (s *Strategy) Scores(ctx *active.Context) ([]float64, bool) {
 	arena := mat.GetArena()
-	est, err := gda.Fit(
+	est, err := gda.FitUncalibrated(
 		ctx.Model.FeaturesIn(ctx.Labeled.Matrix(), arena),
 		ctx.Labeled.Labels(),
 		ctx.Labeled.Sensitive(),

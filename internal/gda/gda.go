@@ -150,7 +150,20 @@ func (e *Estimator) buildStack() {
 // vectors (one row per sample), labels y ∈ [0, classes) and sensitive values
 // s (each must appear in sensValues). Components that received no samples are
 // absent; callers observe that through Component lookups returning nil.
+// Fit scores every training row into TrainLogDensities.
 func Fit(features *mat.Dense, y, s []int, classes int, sensValues []int, cfg Config) (*Estimator, error) {
+	return fit(features, y, s, classes, sensValues, cfg, true)
+}
+
+// FitUncalibrated is Fit without scoring the training rows: its estimator
+// is Fit's, except that TrainLogDensities is nil. FACTION's select round,
+// which scores only the pool, fits with it; scoring the rows took about a
+// third of a paper-shape fit.
+func FitUncalibrated(features *mat.Dense, y, s []int, classes int, sensValues []int, cfg Config) (*Estimator, error) {
+	return fit(features, y, s, classes, sensValues, cfg, false)
+}
+
+func fit(features *mat.Dense, y, s []int, classes int, sensValues []int, cfg Config, calibrate bool) (*Estimator, error) {
 	start := time.Now()
 	defer func() { fitSeconds.Observe(time.Since(start).Seconds()) }()
 	cfg.setDefaults()
@@ -260,9 +273,11 @@ func Fit(features *mat.Dense, y, s []int, classes int, sensValues []int, cfg Con
 		e.comps[key] = comp
 	}
 	e.finalize()
-	var train BatchScores
-	e.ScoreRows(&train, 0, features)
-	e.TrainLogDensities = train.LogG
+	if calibrate {
+		var train BatchScores
+		e.ScoreRows(&train, 0, features)
+		e.TrainLogDensities = train.LogG
+	}
 	return e, nil
 }
 

@@ -245,6 +245,47 @@ func TestFitErrors(t *testing.T) {
 	mustPanic("zero classes", func() { Fit(f, []int{0}, []int{1}, 0, []int{1}, Config{}) })           //nolint:errcheck
 }
 
+// Property: FitUncalibrated fits Fit's estimator with TrainLogDensities
+// left out: a batch scored against either has the same bits, with
+// low-rank components (d = 64, about 20 rows each) and dense ones (d = 4),
+// and only Fit's TrainLogDensities is set.
+func TestFitUncalibratedIsFitWithoutTrainScores(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, d := range []int{64, 4} {
+		f := mat.NewDense(80, d)
+		for i := range f.Data {
+			f.Data[i] = rng.NormFloat64()
+		}
+		y, s := make([]int, f.Rows), make([]int, f.Rows)
+		for i := range y {
+			y[i], s[i] = rng.Intn(2), 2*rng.Intn(2)-1
+		}
+		want, err := Fit(f, y, s, 2, []int{-1, 1}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := FitUncalibrated(f, y, s, 2, []int{-1, 1}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.TrainLogDensities) != f.Rows || got.TrainLogDensities != nil {
+			t.Fatalf("d=%d: TrainLogDensities has %d rows from Fit and %d from FitUncalibrated, want %d and none",
+				d, len(want.TrainLogDensities), len(got.TrainLogDensities), f.Rows)
+		}
+		var wb, gb BatchScores
+		want.ScoreRows(&wb, 0, f)
+		got.ScoreRows(&gb, 0, f)
+		wb.Scale()
+		gb.Scale()
+		for i := range wb.LogG {
+			if math.Float64bits(gb.LogG[i]) != math.Float64bits(wb.LogG[i]) || math.Float64bits(gb.G[i]) != math.Float64bits(wb.G[i]) ||
+				math.Float64bits(gb.Delta[i][0]) != math.Float64bits(wb.Delta[i][0]) || math.Float64bits(gb.Delta[i][1]) != math.Float64bits(wb.Delta[i][1]) {
+				t.Fatalf("d=%d: row %d scores differently after FitUncalibrated", d, i)
+			}
+		}
+	}
+}
+
 // TestFitErrorNamesFirstFailingComponent: with NaN rows in (0,−1) and
 // (1,−1), both components fail to factorize, and Fit reports the first in
 // (Y, S) order on every run.
