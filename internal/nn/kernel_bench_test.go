@@ -94,10 +94,12 @@ func BenchmarkTrainStepPaper(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolPassPaper measures a select round's pool pass at
-// protocol-paper's shape, as active.Context runs it: ProbsAndFeatures over
-// a 2,200 × 16 pool through hidden 512, which runs in tiles and keeps the
-// 2,200 × 2 probabilities and the 2,200 × 512 features on the heap.
+// BenchmarkPoolPassPaper measures the pool pass of the baselines' select
+// rounds at protocol-paper's shape, as active.Context runs it:
+// ProbsAndFeatures over a 2,200 × 16 pool through hidden 512, which runs in
+// tiles and keeps the 2,200 × 2 probabilities and the 2,200 × 512 features
+// on the heap. FACTION's round, which scores each tile instead of keeping
+// its features, is faction.BenchmarkScoresPaper.
 func BenchmarkPoolPassPaper(b *testing.B) {
 	benchmarkPaperPass(b, func(c *Classifier, x *mat.Dense) { c.ProbsAndFeatures(x) })
 }
