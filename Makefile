@@ -78,10 +78,11 @@ fuzz-smoke:
 
 # perfbench-vet vets the benchmark module (perfbench/, its own Go module that
 # builds against this one through a replace directive), so an API change here
-# cannot silently break the benchmark's build. Its smoke tests stay out of
-# `make test`: the traced smoke run asserts how much of the wall clock the
-# stage spans cover, which depends on the machine.
+# cannot silently break the benchmark's build: neither `go build ./...` nor
+# `go vet ./...` reaches a nested module, so `make check` runs it. Its smoke
+# tests stay out of `make test`: the traced smoke run asserts how much of the
+# wall clock the stage spans cover, which depends on the machine.
 perfbench-vet:
 	cd perfbench && $(GO) vet ./...
 
-check: vet build test race
+check: vet build test race perfbench-vet

@@ -152,14 +152,16 @@ func FitDensity(features *Matrix, y, s []int, classes int, sensValues []int, cfg
 // predictions against ground truth with sensitive attribute s.
 func Evaluate(pred, y, s []int) Report { return fairness.Evaluate(pred, y, s) }
 
-// DDP returns the demographic-parity gap of binary predictions.
+// DDP returns the demographic-parity gap of binary predictions: the widest
+// over pairs of sensitive groups, the paper's gap when there are two.
 func DDP(pred, s []int) float64 { return fairness.DDP(pred, s) }
 
-// EOD returns the equalized-odds difference of binary predictions.
+// EOD returns the equalized-odds difference of binary predictions: the
+// widest over pairs of sensitive groups, the paper's when there are two.
 func EOD(pred, y, s []int) float64 { return fairness.EOD(pred, y, s) }
 
 // MI returns the mutual information (nats) between predictions and the
-// sensitive attribute.
+// sensitive attribute, whatever its number of values.
 func MI(pred, s []int) float64 { return fairness.MI(pred, s) }
 
 // NewRand returns a seeded random source for use with strategy contexts.
@@ -222,14 +224,16 @@ func FitThresholds(scores []float64, y, s []int, slack float64) (GroupThresholds
 	return fairness.FitThresholds(scores, y, s, slack)
 }
 
-// Multi-group fairness metrics (sensitive attributes with >2 values).
+// Multi-group fairness metrics (sensitive attributes with >2 values). DDP,
+// EOD and MI take any number of sensitive values; these are the same
+// functions under their multi-group names.
 var (
-	// DDPMulti is the worst-case pairwise demographic-parity gap.
-	DDPMulti = fairness.DDPMulti
-	// EODMulti is the worst-case pairwise equalized-odds difference.
-	EODMulti = fairness.EODMulti
-	// MIMulti is the general discrete mutual information I(ŷ; s).
-	MIMulti = fairness.MIMulti
+	// DDPMulti is DDP: the worst-case pairwise demographic-parity gap.
+	DDPMulti = fairness.DDP
+	// EODMulti is EOD: the worst-case pairwise equalized-odds difference.
+	EODMulti = fairness.EOD
+	// MIMulti is MI: the general discrete mutual information I(ŷ; s).
+	MIMulti = fairness.MI
 	// FlipRate is the counterfactual flip rate (Section IV-H).
 	FlipRate = fairness.FlipRate
 )

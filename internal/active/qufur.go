@@ -36,9 +36,7 @@ func (q QuFUR) SelectBatch(ctx *Context, a int) []int {
 	for i := range scores {
 		scores[i] = Entropy(probs.Row(i))
 	}
-	norm := NormalizeScores(scores)
-	order := topK(norm, len(norm)) // most uncertain first
-	picks, _ := bernoulliScan(ctx, order, norm, alpha, a)
+	picks, _ := BernoulliSelectCount(ctx, NormalizeScores(scores), alpha, a)
 	return picks
 }
 
@@ -63,18 +61,12 @@ func NormalizeScores(scores []float64) []float64 {
 	return out
 }
 
-// BernoulliSelect orders candidates by descending weight and fills an
+// BernoulliSelectCount orders candidates by descending weight and fills an
 // acquisition batch of size a via Bernoulli trials with probability
-// p = min(α·w, 1) per candidate (Algorithm 1 lines 25–36). It is the shared
-// probabilistic-selection backend of QuFUR and FACTION.
-func BernoulliSelect(ctx *Context, w []float64, alpha float64, a int) []int {
-	picks, _ := BernoulliSelectCount(ctx, w, alpha, a)
-	return picks
-}
-
-// BernoulliSelectCount is BernoulliSelect additionally reporting the number
-// of Bernoulli trials performed — the empirical query complexity q_t of
-// Theorem 1.
+// p = min(α·w, 1) per candidate (Algorithm 1 lines 25–36), and reports the
+// number of trials performed — the empirical query complexity q_t of
+// Theorem 1. It is the shared probabilistic-selection backend of QuFUR and
+// FACTION.
 func BernoulliSelectCount(ctx *Context, w []float64, alpha float64, a int) ([]int, int) {
 	if a <= 0 || len(w) == 0 {
 		return nil, 0

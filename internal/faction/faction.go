@@ -175,14 +175,44 @@ func (s *Strategy) Scores(ctx *active.Context) ([]float64, bool) {
 	for i := range u {
 		u[i] = batch.G[i]
 		if s.opts.FairSelect {
-			fairTerm := 0.0
-			for c := 0; c < probs.Cols && c < len(batch.Delta[i]); c++ {
-				fairTerm += probs.At(i, c) * batch.Delta[i][c]
-			}
-			u[i] -= s.opts.Lambda * fairTerm
+			u[i] = QueryScore(u[i], probs.Row(i), batch.Delta[i], s.opts.Lambda)
 		}
 	}
 	return u, true
+}
+
+// QueryScore is Eq. 6 for one sample: u = g − λ·Σ_c p_c·Δg_c, from its
+// scaled log-density g, its class probabilities and its per-class group
+// gaps Δg (classes beyond either slice are skipped). The sum starts at 0
+// and runs in class order; FACTION's select and the server's /score both
+// score through here, so they agree bit for bit.
+func QueryScore(g float64, probs, delta []float64, lambda float64) float64 {
+	fairTerm := 0.0
+	for c := 0; c < len(probs) && c < len(delta); c++ {
+		fairTerm += probs[c] * delta[c]
+	}
+	return g - lambda*fairTerm
+}
+
+// QueryProbs is Eq. 7 over a batch: it writes ω = 1 − (u − lo)/(hi − lo)
+// into omega (len(u) entries, storage the caller owns), so the lowest score
+// is the likeliest query. Every row of a constant batch gets 1: no row is
+// preferred, and each is as worth a query as the batch's best.
+func QueryProbs(omega, u []float64) {
+	if len(u) == 0 {
+		return
+	}
+	lo, hi := mat.MinMax(u)
+	if hi == lo {
+		for i := range u {
+			omega[i] = 1
+		}
+		return
+	}
+	span := hi - lo
+	for i, v := range u {
+		omega[i] = 1 - (v-lo)/span
+	}
 }
 
 // SelectBatch implements active.Strategy (Algorithm 1 lines 19–36).
@@ -198,11 +228,8 @@ func (s *Strategy) SelectBatch(ctx *active.Context, a int) []int {
 		// No labeled data yet (cold start): plain uncertainty sampling.
 		return active.EntropyAL{}.SelectBatch(ctx, a)
 	}
-	norm := active.NormalizeScores(u)
-	omega := make([]float64, len(norm))
-	for i, v := range norm {
-		omega[i] = 1 - v // lower u ⇒ higher query probability (Eq. 7)
-	}
+	omega := make([]float64, len(u))
+	QueryProbs(omega, u)
 	picks, trials := active.BernoulliSelectCount(ctx, omega, s.opts.Alpha, a)
 	s.trials += trials
 	return picks

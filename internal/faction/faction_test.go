@@ -237,3 +237,68 @@ func TestMultiGroupSelection(t *testing.T) {
 		t.Fatalf("picks = %d", len(picks))
 	}
 }
+
+// constantPool is biasedContext(t, 7) with every pool row a copy of the
+// first.
+func constantPool(t *testing.T) *active.Context {
+	ctx := biasedContext(t, 7)
+	for i := range ctx.Pool.Samples {
+		ctx.Pool.Samples[i].X = ctx.Pool.Samples[0].X
+	}
+	return ctx
+}
+
+// A pool of identical rows scores one u, a constant batch, whose query
+// probabilities are all 1 (Eq. 7 prefers no row). At α ≥ 1 every trial
+// then takes its row, so a round picks the first a rows in pool order,
+// spends exactly a trials and draws nothing from the random stream.
+func TestSelectBatchConstantPool(t *testing.T) {
+	const a = 7
+	want := []int{0, 1, 2, 3, 4, 5, 6}
+	for _, alpha := range []float64{1, 3} {
+		opts := Defaults()
+		opts.Alpha = alpha
+		s := New(opts)
+		ctx, twin := constantPool(t), constantPool(t)
+		u, ok := s.Scores(twin)
+		if !ok {
+			t.Fatal("scores failed")
+		}
+		for i, v := range u {
+			if v != u[0] {
+				t.Fatalf("identical rows scored apart: u[%d] = %v, u[0] = %v", i, v, u[0])
+			}
+		}
+		got := s.SelectBatch(ctx, a)
+		if len(got) != a {
+			t.Fatalf("α = %g: %d picks, want %d", alpha, len(got), a)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("α = %g: picks %v, want %v", alpha, got, want)
+			}
+		}
+		if s.Trials() != a {
+			t.Fatalf("α = %g: %d trials, want %d", alpha, s.Trials(), a)
+		}
+		if ctx.Rng.Int63() != twin.Rng.Int63() {
+			t.Fatalf("α = %g: the round drew from the random stream", alpha)
+		}
+	}
+}
+
+// QueryProbs flips the min–max normalised scores (Eq. 7) into storage the
+// caller owns: the lowest u gets 1, the highest 0, and every row of a
+// constant batch 1.
+func TestQueryProbs(t *testing.T) {
+	omega := make([]float64, 3)
+	QueryProbs(omega, []float64{2, 4, 6})
+	if omega[0] != 1 || omega[1] != 0.5 || omega[2] != 0 {
+		t.Fatalf("ω = %v, want [1 0.5 0]", omega)
+	}
+	QueryProbs(omega[:2], []float64{3, 3})
+	if omega[0] != 1 || omega[1] != 1 {
+		t.Fatalf("constant batch: ω = %v, want [1 1]", omega[:2])
+	}
+	QueryProbs(nil, nil) // an empty batch writes nothing
+}

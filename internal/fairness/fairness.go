@@ -1,7 +1,10 @@
 // Package fairness implements the three group-fairness metrics the paper
 // reports (Section V-A1) — Difference of Demographic Parity (DDP), Equalized
-// Odds Difference (EOD) and Mutual Information (MI) — plus helper statistics
-// over binary predictions and a ±1 sensitive attribute.
+// Odds Difference (EOD) and Mutual Information (MI) — over binary
+// predictions and a sensitive attribute with any number of values. With two
+// values (the paper's ±1) each is the paper's two-group metric; with more
+// (the Section IV-H extension) DDP and EOD report the worst pair of groups
+// and MI is the general discrete mutual information.
 //
 // All metrics are defined so that lower absolute value means fairer, matching
 // the figures ("lower is better for fairness metrics").
@@ -10,6 +13,7 @@ package fairness
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // validate checks slice lengths and returns n.
@@ -24,84 +28,133 @@ func validate(pred, y, s []int, needY bool) int {
 	return n
 }
 
-// DDP returns |P(ŷ=1 | s=+1) − P(ŷ=1 | s=−1)|, the demographic-parity gap.
-// It returns 0 when either group is empty (the gap is undefined).
-func DDP(pred, s []int) float64 {
-	n := validate(pred, nil, s, false)
-	var posRate, negRate, nPos, nNeg float64
-	for i := 0; i < n; i++ {
-		if s[i] == 1 {
-			nPos++
-			posRate += float64(pred[i])
-		} else {
-			nNeg++
-			negRate += float64(pred[i])
+// groups returns the distinct sensitive values in ascending order. A row's
+// group is its value's rank among them (rank): a scan over the few values
+// instead of a map.
+func groups(s []int) []int {
+	var values []int
+	for _, v := range s {
+		if g := rank(values, v); g == len(values) || values[g] != v {
+			values = slices.Insert(values, g, v)
 		}
 	}
-	if nPos == 0 || nNeg == 0 {
-		return 0
-	}
-	return math.Abs(posRate/nPos - negRate/nNeg)
+	return values
 }
 
-// EOD returns the equalized-odds difference: the larger of the true-positive
-// rate gap and the false-positive rate gap between the two sensitive groups
-// (Hardt et al. 2016). Rate gaps whose conditioning cell is empty in either
-// group contribute 0.
+// rank returns the number of values below v.
+func rank(values []int, v int) int {
+	g := 0
+	for _, u := range values {
+		if u < v {
+			g++
+		}
+	}
+	return g
+}
+
+// DDP returns the demographic-parity gap max_{a,b} |P(ŷ=1|s=a) − P(ŷ=1|s=b)|
+// over the observed groups: with two groups the paper's
+// |P(ŷ=1 | s=+1) − P(ŷ=1 | s=−1)|. It returns 0 with fewer than two groups
+// (the gap is undefined).
+func DDP(pred, s []int) float64 {
+	n := validate(pred, nil, s, false)
+	values := groups(s)
+	pos := make([]float64, len(values))
+	cnt := make([]float64, len(values))
+	for i := 0; i < n; i++ {
+		g := rank(values, s[i])
+		cnt[g]++
+		pos[g] += float64(pred[i])
+	}
+	return MaxRateGap(pos, cnt)
+}
+
+// EOD returns the equalized-odds difference (Hardt et al. 2016): the larger
+// of the true-positive rate gap and the false-positive rate gap, each the
+// widest over pairs of groups. Groups with no row of a label take no part
+// in that label's gap, and a gap with fewer than two groups is 0. Labels
+// and predictions must be binary.
 func EOD(pred, y, s []int) float64 {
 	n := validate(pred, y, s, true)
-	// counts[s∈{0,1}][y][ŷ]
-	var counts [2][2][2]float64
+	values := groups(s)
+	// pos[y][g] sums the predictions and cnt[y][g] counts the rows of label
+	// y in group g.
+	var pos, cnt [2][]float64
+	for yv := range pos {
+		pos[yv] = make([]float64, len(values))
+		cnt[yv] = make([]float64, len(values))
+	}
 	for i := 0; i < n; i++ {
-		si := 0
-		if s[i] == 1 {
-			si = 1
-		}
 		yi, pi := y[i], pred[i]
 		if yi != 0 && yi != 1 || pi != 0 && pi != 1 {
 			panic(fmt.Sprintf("fairness: non-binary label %d / prediction %d", yi, pi))
 		}
-		counts[si][yi][pi]++
+		g := rank(values, s[i])
+		cnt[yi][g]++
+		pos[yi][g] += float64(pi)
 	}
-	gap := func(yv int) float64 {
-		posDen := counts[1][yv][0] + counts[1][yv][1]
-		negDen := counts[0][yv][0] + counts[0][yv][1]
-		if posDen == 0 || negDen == 0 {
-			return 0
+	return math.Max(MaxRateGap(pos[1], cnt[1]), MaxRateGap(pos[0], cnt[0])) // TPR gap vs FPR gap
+}
+
+// MaxRateGap returns the largest pairwise difference of pos/cnt rates over
+// groups with nonzero counts; it returns 0 with fewer than two nonzero
+// groups. The serving layer's windowed fairness-gap gauge shares this
+// reduction with DDP and EOD, so the offline evaluation metric and the
+// served demographic-parity gap agree by construction. It performs no
+// allocation — safe on the per-decision path.
+func MaxRateGap(pos, cnt []float64) float64 {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	nonEmpty := 0
+	for g := range cnt {
+		if cnt[g] == 0 {
+			continue
 		}
-		return math.Abs(counts[1][yv][1]/posDen - counts[0][yv][1]/negDen)
+		nonEmpty++
+		r := pos[g] / cnt[g]
+		if r < lo {
+			lo = r
+		}
+		if r > hi {
+			hi = r
+		}
 	}
-	return math.Max(gap(1), gap(0)) // TPR gap vs FPR gap
+	if nonEmpty < 2 {
+		return 0
+	}
+	return hi - lo
 }
 
 // MI returns the empirical mutual information I(ŷ; s) in nats between the
-// binary prediction and the sensitive attribute. Zero means independence.
+// binary prediction and the sensitive attribute, whatever its number of
+// values. Zero means independence.
 func MI(pred, s []int) float64 {
 	n := validate(pred, nil, s, false)
 	if n == 0 {
 		return 0
 	}
-	var joint [2][2]float64
+	values := groups(s)
+	joint := make([][2]float64, len(values))
 	for i := 0; i < n; i++ {
-		si := 0
-		if s[i] == 1 {
-			si = 1
+		p := pred[i]
+		if p != 0 && p != 1 {
+			panic(fmt.Sprintf("fairness: non-binary prediction %d", p))
 		}
-		pi := pred[i]
-		if pi != 0 && pi != 1 {
-			panic(fmt.Sprintf("fairness: non-binary prediction %d", pi))
-		}
-		joint[si][pi]++
+		joint[rank(values, s[i])][p]++
 	}
 	fn := float64(n)
+	var predMarg [2]float64
+	for _, j := range joint {
+		predMarg[0] += j[0]
+		predMarg[1] += j[1]
+	}
 	mi := 0.0
-	for a := 0; a < 2; a++ {
-		pa := (joint[a][0] + joint[a][1]) / fn
-		for b := 0; b < 2; b++ {
-			pb := (joint[0][b] + joint[1][b]) / fn
-			pab := joint[a][b] / fn
-			if pab > 0 && pa > 0 && pb > 0 {
-				mi += pab * math.Log(pab/(pa*pb))
+	for _, j := range joint {
+		pg := (j[0] + j[1]) / fn
+		for p := 0; p < 2; p++ {
+			pj := j[p] / fn
+			pp := predMarg[p] / fn
+			if pj > 0 && pg > 0 && pp > 0 {
+				mi += pj * math.Log(pj/(pg*pp))
 			}
 		}
 	}
@@ -158,28 +211,4 @@ func FlipRate(pred, predCF []int) float64 {
 		}
 	}
 	return float64(flips) / float64(len(pred))
-}
-
-// GroupRates returns P(ŷ=1 | s=+1) and P(ŷ=1 | s=−1) (NaN for empty groups).
-// Exposed for diagnostics and the examples.
-func GroupRates(pred, s []int) (posGroup, negGroup float64) {
-	n := validate(pred, nil, s, false)
-	var pr, nr, np, nn float64
-	for i := 0; i < n; i++ {
-		if s[i] == 1 {
-			np++
-			pr += float64(pred[i])
-		} else {
-			nn++
-			nr += float64(pred[i])
-		}
-	}
-	posGroup, negGroup = math.NaN(), math.NaN()
-	if np > 0 {
-		posGroup = pr / np
-	}
-	if nn > 0 {
-		negGroup = nr / nn
-	}
-	return posGroup, negGroup
 }

@@ -107,19 +107,6 @@ func TestEvaluate(t *testing.T) {
 	}
 }
 
-func TestGroupRates(t *testing.T) {
-	pred := []int{1, 0, 1, 1}
-	s := []int{1, 1, -1, -1}
-	p, n := GroupRates(pred, s)
-	if math.Abs(p-0.5) > 1e-12 || math.Abs(n-1) > 1e-12 {
-		t.Fatalf("rates = %g, %g", p, n)
-	}
-	p, _ = GroupRates([]int{1}, []int{-1})
-	if !math.IsNaN(p) {
-		t.Fatal("empty group rate should be NaN")
-	}
-}
-
 func TestLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

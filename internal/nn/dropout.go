@@ -136,7 +136,11 @@ func (c *Classifier) ProbsMC(x *mat.Dense, samples int) (meanProbs *mat.Dense, b
 	meanEntropy := make([]float64, n)
 	probs := make([]float64, classes)
 	for s := 0; s < samples; s++ {
-		logits, _ := c.net.Infer(x, nil)
+		// Each pass runs whole, in an arena released once its softmax is
+		// folded in: tiles would draw the masks of two dropout layers in
+		// another order.
+		arena := mat.GetArena()
+		logits, _ := c.net.Infer(x, arena)
 		for i := 0; i < n; i++ {
 			mat.Softmax(probs, logits.Row(i))
 			row := meanProbs.Row(i)
@@ -149,6 +153,7 @@ func (c *Classifier) ProbsMC(x *mat.Dense, samples int) (meanProbs *mat.Dense, b
 			}
 			meanEntropy[i] += h
 		}
+		arena.Release()
 	}
 	inv := 1 / float64(samples)
 	bald = make([]float64, n)

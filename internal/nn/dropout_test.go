@@ -3,9 +3,12 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"faction/internal/mat"
+	"faction/internal/testutil"
 )
 
 func TestDropoutEvalIsIdentity(t *testing.T) {
@@ -162,5 +165,118 @@ func TestDropoutForceActiveRestored(t *testing.T) {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("ForceActive leaked out of ProbsMC")
 		}
+	}
+}
+
+// probsMCHeap is ProbsMC with every Monte-Carlo pass on the heap: the
+// reference for the bits of its arena passes.
+func probsMCHeap(c *Classifier, x *mat.Dense, samples int) (*mat.Dense, []float64) {
+	drops := c.dropoutLayers()
+	for _, d := range drops {
+		d.ForceActive = true
+	}
+	defer func() {
+		for _, d := range drops {
+			d.ForceActive = false
+		}
+	}()
+	n := x.Rows
+	mean := mat.NewDense(n, c.cfg.NumClasses)
+	meanEntropy := make([]float64, n)
+	probs := make([]float64, c.cfg.NumClasses)
+	for s := 0; s < samples; s++ {
+		logits, _ := c.net.Infer(x, nil)
+		for i := 0; i < n; i++ {
+			mat.Softmax(probs, logits.Row(i))
+			row := mean.Row(i)
+			h := 0.0
+			for j, p := range probs {
+				row[j] += p
+				if p > 0 {
+					h -= p * math.Log(p)
+				}
+			}
+			meanEntropy[i] += h
+		}
+	}
+	inv := 1 / float64(samples)
+	bald := make([]float64, n)
+	for i := 0; i < n; i++ {
+		row := mean.Row(i)
+		hMean := 0.0
+		for j := range row {
+			row[j] *= inv
+			if row[j] > 0 {
+				hMean -= row[j] * math.Log(row[j])
+			}
+		}
+		bald[i] = hMean - meanEntropy[i]*inv
+		if bald[i] < 0 {
+			bald[i] = 0
+		}
+	}
+	return mean, bald
+}
+
+// mcFixture builds a spectrally normalised classifier over 16 inputs with
+// dropout 0.1 after each hidden layer, and n standard-normal rows.
+func mcFixture(hidden []int, n int) (*Classifier, *mat.Dense) {
+	c := NewClassifier(Config{InputDim: 16, NumClasses: 2, Hidden: hidden,
+		SpectralNorm: true, SpectralCoeff: 3, DropoutRate: 0.1, Seed: 12})
+	rng := rand.New(rand.NewSource(13))
+	x := mat.NewDense(n, 16)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	return c, x
+}
+
+// Property: ProbsMC, whose passes run in an arena, gives every bit that
+// heap passes give on an identically seeded classifier — with one dropout
+// layer and with two, whose masks a pass draws in layer order — over
+// calls in a row, as the dropout streams advance.
+func TestProbsMCArenaMatchesHeap(t *testing.T) {
+	for _, hidden := range [][]int{{64}, {64, 32}} {
+		c, x := mcFixture(hidden, 300)
+		ref, _ := mcFixture(hidden, 300)
+		for call := 0; call < 2; call++ {
+			probs, bald := c.ProbsMC(x, 5)
+			wantProbs, wantBald := probsMCHeap(ref, x, 5)
+			for i, v := range wantProbs.Data {
+				if math.Float64bits(probs.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("hidden %v call %d: mean prob %d = %v, heap passes give %v", hidden, call, i, probs.Data[i], v)
+				}
+			}
+			for i, v := range wantBald {
+				if math.Float64bits(bald[i]) != math.Float64bits(v) {
+					t.Fatalf("hidden %v call %d: BALD %d = %v, heap passes give %v", hidden, call, i, bald[i], v)
+				}
+			}
+		}
+	}
+}
+
+// TestProbsMCHeapIsItsResult bounds what a warmed ProbsMC keeps on the heap
+// at a BALD pool pass's shape (16 → 512 → 2, dropout 0.1, 10 samples): its
+// mean probabilities, BALD scores and per-row entropy sums plus a constant,
+// where heap passes allocate two 1,000 × 512 activations per sample (82 MB
+// in all). The collector is off and one P runs the test, so the arena pools
+// keep what the warm-up put there.
+func TestProbsMCHeapIsItsResult(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; byte counts not representative")
+	}
+	c, x := mcFixture([]int{DefaultHidden}, 1000)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c.ProbsMC(x, 10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.ProbsMC(x, 10)
+	runtime.ReadMemStats(&after)
+	const constant = 16 << 10
+	result := uint64(8 * x.Rows * (c.cfg.NumClasses + 2))
+	if got := after.TotalAlloc - before.TotalAlloc; got > result+constant {
+		t.Fatalf("ProbsMC over %d rows allocated %d bytes, want at most %d for its results plus %d", x.Rows, got, result, constant)
 	}
 }

@@ -178,16 +178,6 @@ func (l *Linear) paramGrads(gradOut *mat.Dense) {
 // Params returns the layer's trainable parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// EffectiveWeight returns scale·W as used in the most recent training
-// Forward (scale 1 before any training pass).
-func (l *Linear) EffectiveWeight() *mat.Dense {
-	w := l.W.Value.Clone()
-	if l.lastScale != 1 {
-		w.Scale(l.lastScale)
-	}
-	return w
-}
-
 // ReLU applies max(0, x) elementwise.
 //
 // Its loops select with integer masks instead of branches: the sign of a

@@ -172,11 +172,6 @@ func TestNetworkFeatureTap(t *testing.T) {
 	if f.Rows != 1 || f.Cols != 3 {
 		t.Fatalf("feature shape %dx%d", f.Rows, f.Cols)
 	}
-	// Training passes additionally record the tap for LastFeatures.
-	net.Forward(x)
-	if lf := net.LastFeatures(); lf.Rows != 1 || lf.Cols != 3 {
-		t.Fatalf("last-feature shape %dx%d", lf.Rows, lf.Cols)
-	}
 }
 
 func TestNetworkCopyParams(t *testing.T) {
@@ -211,17 +206,6 @@ func TestEmptyNetworkPanics(t *testing.T) {
 		}
 	}()
 	net.Forward(mat.NewDense(1, 1))
-}
-
-func TestLastFeaturesBeforeForwardPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	net := &Network{Layers: []Layer{NewLinear(rng, 2, 2, false, 0)}}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	net.LastFeatures()
 }
 
 func TestCopyParamsArchMismatchPanics(t *testing.T) {

@@ -13,22 +13,18 @@ type Network struct {
 	Layers     []Layer
 	FeatureTap int // index of the layer whose output is the feature vector
 
-	lastFeatures *mat.Dense
-	params       []*Param // cached Params() result (layers are fixed after construction)
+	params []*Param // cached Params() result (layers are fixed after construction)
 }
 
-// Forward is the training pass: it runs the full stack, records the feature
-// tap for LastFeatures, and returns the final output (logits).
+// Forward is the training pass: it runs the full stack and returns the
+// final output (logits).
 func (n *Network) Forward(x *mat.Dense) *mat.Dense {
 	if len(n.Layers) == 0 {
 		panic("nn: empty network")
 	}
 	h := x
-	for i, l := range n.Layers {
+	for _, l := range n.Layers {
 		h = l.Forward(h)
-		if i == n.FeatureTap {
-			n.lastFeatures = h
-		}
 	}
 	return h
 }
@@ -67,16 +63,6 @@ func (n *Network) Features(x *mat.Dense, a *mat.Arena) *mat.Dense {
 		h = l.Infer(h, a)
 	}
 	return h
-}
-
-// LastFeatures returns the feature activations recorded at the tap during the
-// most recent training Forward. The returned matrix is shared with the layer
-// cache. Inference passes do not update it; Infer returns its own features.
-func (n *Network) LastFeatures() *mat.Dense {
-	if n.lastFeatures == nil {
-		panic("nn: LastFeatures before Forward")
-	}
-	return n.lastFeatures
 }
 
 // Backward propagates the loss gradient (with respect to the final output)

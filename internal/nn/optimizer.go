@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"faction/internal/mat"
@@ -15,6 +16,21 @@ type Optimizer interface {
 	SetLR(lr float64)
 	// LR reports the current learning rate.
 	LR() float64
+}
+
+// NewOptimizer builds the optimizer a configuration names: "adam" (or "")
+// is Adam with its conventional defaults, "sgd" is SGD with momentum 0.9,
+// each with decoupled weight decay weightDecay. Any other name is an error.
+func NewOptimizer(name string, lr, weightDecay float64) (Optimizer, error) {
+	switch name {
+	case "", "adam":
+		opt := NewAdam(lr)
+		opt.WeightDecay = weightDecay
+		return opt, nil
+	case "sgd":
+		return NewSGD(lr, 0.9, weightDecay), nil
+	}
+	return nil, fmt.Errorf("unknown optimizer %q (want \"adam\" or \"sgd\")", name)
 }
 
 // SGD is stochastic gradient descent with optional momentum and decoupled

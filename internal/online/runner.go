@@ -150,29 +150,6 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// Validate reports configuration errors that would otherwise surface
-// mid-run. Run calls it after defaulting; callers constructing configs from
-// untrusted input (CLI flags, request bodies) can call it directly.
-func (c *Config) Validate() error {
-	switch c.Optimizer {
-	case "", "adam", "sgd":
-		return nil
-	default:
-		return fmt.Errorf("online: unknown optimizer %q (want %q or %q)", c.Optimizer, "adam", "sgd")
-	}
-}
-
-// newOptimizer assumes a validated config; "sgd" selects SGD with momentum,
-// anything else (the default "adam") selects Adam.
-func (c *Config) newOptimizer() nn.Optimizer {
-	if c.Optimizer == "sgd" {
-		return nn.NewSGD(c.LR, 0.9, c.WeightDecay)
-	}
-	opt := nn.NewAdam(c.LR)
-	opt.WeightDecay = c.WeightDecay
-	return opt
-}
-
 // TaskRecord is the evaluation of one incoming task, taken with the
 // parameters learned before the task (Algorithm 1 line 4), plus the
 // adaptation bookkeeping for that task.
@@ -252,12 +229,13 @@ func (r *RunResult) CumulativeViolation() float64 {
 }
 
 // Run executes the full protocol of Algorithm 1 for one method on a stream.
-// An invalid configuration (see Config.Validate) returns an error before any
-// work happens.
+// An invalid configuration (an unknown Optimizer) returns an error before
+// any work happens.
 func Run(stream *data.Stream, spec MethodSpec, cfg Config) (RunResult, error) {
 	cfg.setDefaults()
-	if err := cfg.Validate(); err != nil {
-		return RunResult{}, err
+	opt, err := nn.NewOptimizer(cfg.Optimizer, cfg.LR, cfg.WeightDecay)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("online: %w", err)
 	}
 	start := time.Now()
 	runRng := rngutil.Derive(cfg.Seed, "run", stream.Name, spec.Name)
@@ -276,7 +254,6 @@ func Run(stream *data.Stream, spec MethodSpec, cfg Config) (RunResult, error) {
 		DropoutRate:   cfg.DropoutRate,
 		Seed:          modelSeed,
 	})
-	opt := cfg.newOptimizer()
 	oracle := &data.Oracle{}
 	labeled := data.NewDataset("labeled", stream.Dim, stream.Classes)
 
@@ -353,7 +330,7 @@ func Run(stream *data.Stream, spec MethodSpec, cfg Config) (RunResult, error) {
 		evalLogits := model.Logits(evalX)
 		pred := make([]int, evalLogits.Rows)
 		for i := range pred {
-			pred[i] = argmaxRow(evalLogits, i)
+			pred[i] = mat.ArgMax(evalLogits.Row(i))
 		}
 		rec.Report = fairness.Evaluate(pred, pool.Labels(), pool.Sensitive())
 		instLoss, _ := nn.CrossEntropy(evalLogits, pool.Labels())
@@ -507,20 +484,6 @@ func acquire(labeled, pool *data.Dataset, idx []int, oracle *data.Oracle) {
 		labeled.Append(s)
 		pool.Remove(i)
 	}
-}
-
-// argmaxRow returns the index of the largest value in row i of logits. It
-// takes the concrete *mat.Dense — the only logits type in the codebase — so
-// the per-row call in the eval loop needs no interface dispatch.
-func argmaxRow(logits *mat.Dense, i int) int {
-	row := logits.Row(i)
-	best := 0
-	for j := 1; j < len(row); j++ {
-		if row[j] > row[best] {
-			best = j
-		}
-	}
-	return best
 }
 
 // bestTaskLoss fits a fully supervised model on the task (labels visible to

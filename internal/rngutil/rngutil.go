@@ -1,16 +1,13 @@
 // Package rngutil provides the deterministic random-number plumbing shared by
 // every stochastic component in the repository: seeded streams, derived
 // sub-streams (so each run / task / method draws from an independent source),
-// Bernoulli trials, categorical draws, permutations, and multivariate normal
-// sampling used by the synthetic dataset generators.
+// Bernoulli trials, permutations and normal draws.
 package rngutil
 
 import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-
-	"faction/internal/mat"
 )
 
 // New returns a rand.Rand seeded with seed.
@@ -55,33 +52,6 @@ func Bernoulli(rng *rand.Rand, p float64) bool {
 	return rng.Float64() < p
 }
 
-// Categorical draws an index proportionally to the nonnegative weights.
-// It panics if weights is empty or sums to a non-positive value.
-func Categorical(rng *rand.Rand, weights []float64) int {
-	if len(weights) == 0 {
-		panic("rngutil: empty categorical weights")
-	}
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 {
-			panic(fmt.Sprintf("rngutil: negative weight %g at %d", w, i))
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("rngutil: categorical weights sum to zero")
-	}
-	u := rng.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // Perm returns a random permutation of [0, n).
 func Perm(rng *rand.Rand, n int) []int {
 	return rng.Perm(n)
@@ -109,71 +79,4 @@ func NormalVec(rng *rand.Rand, d int) []float64 {
 		v[i] = rng.NormFloat64()
 	}
 	return v
-}
-
-// MVN samples from a multivariate normal with the given mean and the
-// covariance whose Cholesky factor is chol (x = mean + L·z, z ~ N(0,I)).
-type MVN struct {
-	mean []float64
-	chol *mat.Cholesky
-}
-
-// NewMVN builds a sampler for N(mean, cov). cov must be SPD (a growing ridge
-// is applied automatically for near-singular covariances).
-func NewMVN(mean []float64, cov *mat.Dense) (*MVN, error) {
-	if cov.Rows != len(mean) || cov.Cols != len(mean) {
-		panic(fmt.Sprintf("rngutil: MVN cov %dx%d vs mean %d", cov.Rows, cov.Cols, len(mean)))
-	}
-	ch, _, err := mat.NewCholeskyRidge(cov, 1e-9, 12)
-	if err != nil {
-		return nil, fmt.Errorf("rngutil: MVN covariance: %w", err)
-	}
-	m := make([]float64, len(mean))
-	copy(m, mean)
-	return &MVN{mean: m, chol: ch}, nil
-}
-
-// Dim returns the dimensionality of the distribution.
-func (m *MVN) Dim() int { return len(m.mean) }
-
-// Sample draws one vector.
-func (m *MVN) Sample(rng *rand.Rand) []float64 {
-	d := len(m.mean)
-	z := NormalVec(rng, d)
-	x := make([]float64, d)
-	copy(x, m.mean)
-	l := m.chol.L()
-	for i := 0; i < d; i++ {
-		row := l.Row(i)[:i+1]
-		for k, v := range row {
-			x[i] += v * z[k]
-		}
-	}
-	return x
-}
-
-// DiagonalMVN is a fast sampler for axis-aligned Gaussians.
-type DiagonalMVN struct {
-	mean, std []float64
-}
-
-// NewDiagonalMVN builds a sampler with per-dimension standard deviations.
-func NewDiagonalMVN(mean, std []float64) *DiagonalMVN {
-	if len(mean) != len(std) {
-		panic(fmt.Sprintf("rngutil: diag MVN mean %d vs std %d", len(mean), len(std)))
-	}
-	m := make([]float64, len(mean))
-	s := make([]float64, len(std))
-	copy(m, mean)
-	copy(s, std)
-	return &DiagonalMVN{mean: m, std: s}
-}
-
-// Sample draws one vector.
-func (m *DiagonalMVN) Sample(rng *rand.Rand) []float64 {
-	x := make([]float64, len(m.mean))
-	for i := range x {
-		x[i] = m.mean[i] + m.std[i]*rng.NormFloat64()
-	}
-	return x
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"faction/internal/mat"
 )
 
 func TestDeriveDeterministic(t *testing.T) {
@@ -71,45 +69,6 @@ func TestBernoulliFrequency(t *testing.T) {
 	}
 }
 
-func TestCategoricalFrequency(t *testing.T) {
-	rng := New(3)
-	w := []float64{1, 3, 6}
-	counts := make([]int, 3)
-	n := 30000
-	for i := 0; i < n; i++ {
-		counts[Categorical(rng, w)]++
-	}
-	for i, want := range []float64{0.1, 0.3, 0.6} {
-		got := float64(counts[i]) / float64(n)
-		if math.Abs(got-want) > 0.02 {
-			t.Fatalf("class %d freq %g, want ≈%g", i, got, want)
-		}
-	}
-}
-
-func TestCategoricalZeroWeightNeverDrawn(t *testing.T) {
-	rng := New(4)
-	for i := 0; i < 1000; i++ {
-		if Categorical(rng, []float64{0, 1, 0}) != 1 {
-			t.Fatal("zero-weight class drawn")
-		}
-	}
-}
-
-func TestCategoricalPanics(t *testing.T) {
-	rng := New(5)
-	for _, w := range [][]float64{nil, {0, 0}, {-1, 2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("expected panic for weights %v", w)
-				}
-			}()
-			Categorical(rng, w)
-		}()
-	}
-}
-
 func TestSampleWithoutReplacement(t *testing.T) {
 	rng := New(6)
 	idx := SampleWithoutReplacement(rng, 10, 5)
@@ -138,54 +97,6 @@ func TestShuffleIsPermutation(t *testing.T) {
 	}
 }
 
-func TestMVNMoments(t *testing.T) {
-	mean := []float64{1, -2}
-	cov := mat.FromRows([][]float64{{2, 0.5}, {0.5, 1}})
-	mvn, err := NewMVN(mean, cov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mvn.Dim() != 2 {
-		t.Fatal("dim")
-	}
-	rng := New(8)
-	n := 50000
-	sum := []float64{0, 0}
-	var c00, c01, c11 float64
-	for i := 0; i < n; i++ {
-		x := mvn.Sample(rng)
-		sum[0] += x[0]
-		sum[1] += x[1]
-		d0, d1 := x[0]-mean[0], x[1]-mean[1]
-		c00 += d0 * d0
-		c01 += d0 * d1
-		c11 += d1 * d1
-	}
-	fn := float64(n)
-	if math.Abs(sum[0]/fn-1) > 0.05 || math.Abs(sum[1]/fn+2) > 0.05 {
-		t.Fatalf("sample mean off: %g, %g", sum[0]/fn, sum[1]/fn)
-	}
-	if math.Abs(c00/fn-2) > 0.1 || math.Abs(c01/fn-0.5) > 0.1 || math.Abs(c11/fn-1) > 0.1 {
-		t.Fatalf("sample cov off: %g %g %g", c00/fn, c01/fn, c11/fn)
-	}
-}
-
-func TestMVNSingularCovarianceRecovered(t *testing.T) {
-	// Rank-deficient covariance is handled via the ridge path.
-	cov := mat.FromRows([][]float64{{1, 1}, {1, 1}})
-	if _, err := NewMVN([]float64{0, 0}, cov); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDiagonalMVN(t *testing.T) {
-	d := NewDiagonalMVN([]float64{5, 10}, []float64{0, 0})
-	x := d.Sample(New(9))
-	if x[0] != 5 || x[1] != 10 {
-		t.Fatalf("zero-std sample should equal mean: %v", x)
-	}
-}
-
 // Property: derived seeds are stable and order-sensitive.
 func TestDeriveSeedProperty(t *testing.T) {
 	f := func(seed int64, a, b string) bool {
@@ -202,15 +113,6 @@ func TestDeriveSeedProperty(t *testing.T) {
 	}
 }
 
-func TestMVNDimMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewMVN([]float64{0}, mat.NewDense(2, 2)) //nolint:errcheck
-}
-
 func TestSampleWithoutReplacementPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -218,13 +120,4 @@ func TestSampleWithoutReplacementPanics(t *testing.T) {
 		}
 	}()
 	SampleWithoutReplacement(New(1), 3, 5)
-}
-
-func TestDiagonalMVNMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDiagonalMVN([]float64{0}, []float64{1, 2})
 }

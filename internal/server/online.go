@@ -40,7 +40,8 @@ type OnlineConfig struct {
 	BatchSize int
 	// LR is the refit learning rate (default 0.01).
 	LR float64
-	// Optimizer selects the refit optimizer: "adam" (default) or "sgd".
+	// Optimizer selects the refit optimizer (nn.NewOptimizer): "adam"
+	// (default) or "sgd" (with momentum 0.9).
 	Optimizer string
 	// MaxBuffer caps the feedback buffer; oldest samples are dropped beyond
 	// it (0 = unbounded).
@@ -70,24 +71,6 @@ func (c *OnlineConfig) setDefaults() {
 	if len(c.SensValues) == 0 {
 		c.SensValues = []int{-1, 1}
 	}
-}
-
-// validate rejects configurations the refit loop cannot honor.
-func (c *OnlineConfig) validate() error {
-	switch c.Optimizer {
-	case "", "adam", "sgd":
-		return nil
-	default:
-		return fmt.Errorf("unknown optimizer %q (want \"adam\" or \"sgd\")", c.Optimizer)
-	}
-}
-
-// newOptimizer builds the configured refit optimizer (validate first).
-func (c *OnlineConfig) newOptimizer() nn.Optimizer {
-	if c.Optimizer == "sgd" {
-		return nn.NewSGD(c.LR, 0, 0)
-	}
-	return nn.NewAdam(c.LR)
 }
 
 // feedbackRequest is the body of POST /feedback.
@@ -269,7 +252,7 @@ func (s *Server) runRefit(ctx context.Context) (refitResponse, error) {
 	defer s.refitStart.Store(0)
 
 	rng := rngutil.Derive(oc.Seed, "server-refit", fmt.Sprint(attempt))
-	opt := oc.newOptimizer()
+	opt, _ := nn.NewOptimizer(oc.Optimizer, oc.LR, 0) // the name was checked by New
 	// Training, the density refit and the accuracy all read the one copy.
 	x, y, sens := buf.Matrix(), buf.Labels(), buf.Sensitive()
 	_, trainSpan := obs.StartSpan(ctx, "server.refit.train")

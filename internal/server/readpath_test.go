@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"faction/internal/faction"
 	"faction/internal/gda"
 	"faction/internal/mat"
 	"faction/internal/nn"
@@ -373,4 +375,68 @@ func BenchmarkPredictParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// /score answers FACTION's own Eqs. 6–7: its u and ω are, bit for bit, what
+// faction.QueryScore and faction.QueryProbs give over the same model,
+// density and rows, so a pipeline that labels by /score ranks a batch as
+// FACTION's select would. A one-row batch is constant, and every row of a
+// constant batch answers ω = 1.
+func TestScoreIsFACTIONsScore(t *testing.T) {
+	model, est := trainedArtifacts(t)
+	_, ts := newServerWith(t, model, est)
+	const rows, lambda = 64, 0.5 // newServerWith's λ
+	rng := rand.New(rand.NewSource(29))
+	x := mat.NewDense(rows, 4)
+	inst := make([][]float64, rows)
+	for i := range inst {
+		inst[i] = x.Row(i)
+		for j := range inst[i] {
+			inst[i][j] = 2 * rng.NormFloat64()
+		}
+	}
+	logits, feats := model.LogitsAndFeatures(x, nil)
+	var batch gda.BatchScores
+	est.ScoreRows(&batch, 0, feats)
+	batch.Scale()
+	wantU := make([]float64, rows)
+	probs := make([]float64, logits.Cols)
+	for i := range wantU {
+		mat.Softmax(probs, logits.Row(i))
+		wantU[i] = faction.QueryScore(batch.G[i], probs, batch.Delta[i], lambda)
+	}
+	wantOmega := make([]float64, rows)
+	faction.QueryProbs(wantOmega, wantU)
+
+	score := func(inst [][]float64) scoreResponse {
+		t.Helper()
+		body, err := json.Marshal(instancesRequest{Instances: inst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, out := rawPost(t, ts.URL+"/score", body)
+		if code != http.StatusOK {
+			t.Fatalf("status %d: %s", code, out)
+		}
+		var sr scoreResponse
+		if err := json.Unmarshal(out, &sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
+	sr := score(inst)
+	if len(sr.U) != rows || len(sr.QueryProb) != rows {
+		t.Fatalf("%d scores and %d query probabilities, want %d each", len(sr.U), len(sr.QueryProb), rows)
+	}
+	for i := range wantU {
+		if math.Float64bits(sr.U[i]) != math.Float64bits(wantU[i]) {
+			t.Fatalf("row %d: u = %v, FACTION scores %v", i, sr.U[i], wantU[i])
+		}
+		if math.Float64bits(sr.QueryProb[i]) != math.Float64bits(wantOmega[i]) {
+			t.Fatalf("row %d: ω = %v, FACTION gives %v", i, sr.QueryProb[i], wantOmega[i])
+		}
+	}
+	if one := score(inst[:1]); len(one.QueryProb) != 1 || one.QueryProb[0] != 1 {
+		t.Fatalf("one-row /score answered ω = %v, want [1]", one.QueryProb)
+	}
 }

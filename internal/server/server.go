@@ -28,6 +28,7 @@ import (
 
 	"faction/internal/data"
 	"faction/internal/drift"
+	"faction/internal/faction"
 	"faction/internal/gda"
 	"faction/internal/mat"
 	"faction/internal/nn"
@@ -215,7 +216,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.OODQuantile = 0.05
 	}
 	cfg.Online.setDefaults()
-	if err := cfg.Online.validate(); err != nil {
+	if _, err := nn.NewOptimizer(cfg.Online.Optimizer, cfg.Online.LR, 0); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	cfg.setResilienceDefaults()
@@ -606,7 +607,9 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildScoreInto assembles the /score response (Eqs. 6–7) for the logits
-// rows and their BatchScores into sc.score, reusing sc's storage.
+// rows and their BatchScores into sc.score, reusing sc's storage. u and ω
+// come from FACTION's own scorer (faction.QueryScore, faction.QueryProbs),
+// so /score answers the bits FACTION's select ranks a pool by.
 func buildScoreInto(sc *reqScratch, logits *mat.Dense, batch *gda.BatchScores, lambda float64) {
 	sc.u = growFloats(sc.u, len(batch.G))
 	sc.probs = growFloats(sc.probs, logits.Cols)
@@ -621,13 +624,10 @@ func buildScoreInto(sc *reqScratch, logits *mat.Dense, batch *gda.BatchScores, l
 		top := mat.ArgMax(probs)
 		sc.classes[i] = top
 		sc.margins[i] = topMargin(probs, top)
-		u[i] = batch.G[i]
-		for c := 0; c < logits.Cols && c < len(batch.Delta[i]); c++ {
-			u[i] -= lambda * probs[c] * batch.Delta[i][c]
-		}
+		u[i] = faction.QueryScore(batch.G[i], probs, batch.Delta[i], lambda)
 	}
 	sc.omega = growFloats(sc.omega, len(u))
-	normalizeFlipInto(sc.omega, u)
+	faction.QueryProbs(sc.omega, u)
 	sc.score = scoreResponse{U: u, QueryProb: sc.omega}
 }
 
@@ -790,25 +790,6 @@ func topMargin(probs []float64, top int) float64 {
 		return probs[top] // single-class model: no runner-up
 	}
 	return probs[top] - second
-}
-
-// normalizeFlipInto maps scores to ω = 1 − minmax(u), written into out (which
-// must have length len(u)); constant batches get 0.5 (no preference).
-func normalizeFlipInto(out, u []float64) {
-	if len(u) == 0 {
-		return
-	}
-	lo, hi := mat.MinMax(u)
-	if hi == lo {
-		for i := range out {
-			out[i] = 0.5
-		}
-		return
-	}
-	span := hi - lo
-	for i, v := range u {
-		out[i] = 1 - (v-lo)/span
-	}
 }
 
 // quantile returns the q-quantile of xs with linear interpolation between
