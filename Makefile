@@ -62,8 +62,11 @@ golden-ci:
 # evaluates without panicking; a WAL feedback or acquisition record that
 # decodes must re-encode to exactly its own bytes; any bytes as a WAL
 # segment must open without panicking and replay a gapless run of LSNs
-# from 1; and a metric's HELP text and label value must read back from the
-# /metrics exposition through the test's parser.
+# from 1; a metric's HELP text and label value must read back from the
+# /metrics exposition through the test's parser; the CSV reader must accept
+# and reject what encoding/csv with strconv does and read the same stream bit
+# for bit; and its decimal kernel must read any bytes as strconv.ParseFloat
+# does, value bits and error alike.
 # Inputs that once failed live in the package's testdata/fuzz/ corpus and
 # replay on every plain `go test`.
 fuzz-smoke:
@@ -75,6 +78,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime=10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALOpen$$' -fuzztime=10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime=10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime=10s ./internal/data/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDecimal$$' -fuzztime=10s ./internal/data/
 
 # perfbench-vet vets the benchmark module (perfbench/, its own Go module that
 # builds against this one through a replace directive), so an API change here

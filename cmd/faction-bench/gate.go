@@ -50,6 +50,7 @@ const (
 // pattern matches top-level benchmark names; their sub-benchmarks run with
 // them.
 var gated = []struct{ pkg, bench string }{
+	{"internal/data", "^BenchmarkReadCSV$"},
 	{"internal/mat", "^Benchmark(MulInto|WhitenMahalanobis)$"},
 	{"internal/nn", "^Benchmark(LinearTrainStep|LogitsAndFeatures|TrainStepPaper|PoolPassPaper|LogitsPaper)$"},
 	{"internal/gda", "^Benchmark(GDAScoreBatch|GDAScoreBatchRaw|GDAScoreBatchRaw512d|LogDensityBatch|Fit4Comp64d|Fit4Comp512d|Fit4Comp512dRank16|Fit4Comp512dRank24|Fit4Comp512dRank40)$"},

@@ -141,6 +141,13 @@ func MI(pred, s []int) float64 {
 		}
 		joint[rank(values, s[i])][p]++
 	}
+	return mutualInformation(joint, n)
+}
+
+// mutualInformation is MI's reduction: joint[g][p] counts the rows of group
+// g (in ascending order of sensitive value) with prediction p, out of n > 0
+// rows. FitThresholds builds its reports through it from the same counts.
+func mutualInformation(joint [][2]float64, n int) float64 {
 	fn := float64(n)
 	var predMarg [2]float64
 	for _, j := range joint {

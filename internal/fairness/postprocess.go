@@ -40,10 +40,14 @@ func (g GroupThresholds) Apply(scores []float64, s []int) []int {
 // minimizes DDP subject to accuracy ≥ (1 − slack) × the best single-threshold
 // accuracy. Candidate thresholds are the observed score midpoints per group
 // (the only places the group's decision function changes), so the search is
-// exact over an O(n²) grid — fine for calibration-set sizes.
+// exact over an O(n²) grid. Each pair's Report comes from per-group counts
+// of positive predictions by label, taken by binary search over the group's
+// sorted scores, through the reductions Evaluate uses, so it equals
+// Evaluate on the thresholded predictions bit for bit.
 //
 // It returns the fitted thresholds and the calibration report achieved. With
 // a single group present, both thresholds equal the accuracy-optimal one.
+// Labels must be binary.
 func FitThresholds(scores []float64, y, s []int, slack float64) (GroupThresholds, Report) {
 	n := len(scores)
 	if len(y) != n || len(s) != n {
@@ -57,13 +61,13 @@ func FitThresholds(scores []float64, y, s []int, slack float64) (GroupThresholds
 	}
 	posCands := thresholdCandidates(scores, s, 1)
 	negCands := thresholdCandidates(scores, s, -1)
+	c := newCalibration(scores, y, s)
 
 	// Baseline: the best shared threshold by accuracy.
 	shared := append(append([]float64{}, posCands...), negCands...)
 	bestAcc := 0.0
 	for _, t := range shared {
-		acc := accuracyAt(scores, y, s, GroupThresholds{Pos: t, Neg: t})
-		if acc > bestAcc {
+		if acc := c.report(t, t).Accuracy; acc > bestAcc {
 			bestAcc = acc
 		}
 	}
@@ -75,9 +79,7 @@ func FitThresholds(scores []float64, y, s []int, slack float64) (GroupThresholds
 	found := false
 	for _, tp := range posCands {
 		for _, tn := range negCands {
-			g := GroupThresholds{Pos: tp, Neg: tn}
-			pred := g.Apply(scores, s)
-			rep := Evaluate(pred, y, s)
+			rep := c.report(tp, tn)
 			if rep.Accuracy < floor {
 				continue
 			}
@@ -85,7 +87,7 @@ func FitThresholds(scores []float64, y, s []int, slack float64) (GroupThresholds
 			score := rep.DDP - 1e-6*rep.Accuracy
 			if score < bestScore {
 				bestScore = score
-				best = g
+				best = GroupThresholds{Pos: tp, Neg: tn}
 				bestReport = rep
 				found = true
 			}
@@ -93,16 +95,83 @@ func FitThresholds(scores []float64, y, s []int, slack float64) (GroupThresholds
 	}
 	if !found { // degenerate calibration set: fall back to the shared optimum
 		for _, t := range shared {
-			g := GroupThresholds{Pos: t, Neg: t}
-			pred := g.Apply(scores, s)
-			rep := Evaluate(pred, y, s)
-			if rep.Accuracy >= bestReport.Accuracy {
-				best = g
+			if rep := c.report(t, t); rep.Accuracy >= bestReport.Accuracy {
+				best = GroupThresholds{Pos: t, Neg: t}
 				bestReport = rep
 			}
 		}
 	}
 	return best, bestReport
+}
+
+// calibration is a calibration set by group: the distinct sensitive values in
+// ascending order (Evaluate's groups), and each group's scores by label,
+// sorted, so that a threshold's positive predictions are a count.
+type calibration struct {
+	n      int
+	values []int
+	scores [][2][]float64 // [group][label], ascending (NaN first, never above a threshold)
+	// One report's counts, [label][group] as EOD keeps them, and the group
+	// totals and joint counts DDP and MI reduce.
+	pos, cnt    [2][]float64
+	all, allCnt []float64
+	joint       [][2]float64
+}
+
+func newCalibration(scores []float64, y, s []int) *calibration {
+	values := groups(s)
+	g := len(values)
+	c := &calibration{
+		n:      len(scores),
+		values: values,
+		scores: make([][2][]float64, g),
+		all:    make([]float64, g),
+		allCnt: make([]float64, g),
+		joint:  make([][2]float64, g),
+	}
+	for l := range c.pos {
+		c.pos[l] = make([]float64, g)
+		c.cnt[l] = make([]float64, g)
+	}
+	for i, sc := range scores {
+		if y[i] != 0 && y[i] != 1 {
+			panic(fmt.Sprintf("fairness: non-binary label %d", y[i]))
+		}
+		gi := rank(values, s[i])
+		c.scores[gi][y[i]] = append(c.scores[gi][y[i]], sc)
+		c.cnt[y[i]][gi]++
+	}
+	for gi := range c.scores {
+		for l := range c.scores[gi] {
+			sort.Float64s(c.scores[gi][l])
+		}
+	}
+	return c
+}
+
+// report returns Evaluate(GroupThresholds{Pos: tp, Neg: tn}.Apply(...)) for
+// the calibration set: group +1 thresholded at tp, every other group at tn.
+func (c *calibration) report(tp, tn float64) Report {
+	correct := 0.0
+	for g, v := range c.values {
+		thr := tn
+		if v == 1 {
+			thr = tp
+		}
+		for l, sc := range c.scores[g] {
+			c.pos[l][g] = float64(len(sc) - sort.Search(len(sc), func(i int) bool { return sc[i] > thr }))
+		}
+		c.all[g] = c.pos[0][g] + c.pos[1][g]
+		c.allCnt[g] = c.cnt[0][g] + c.cnt[1][g]
+		c.joint[g] = [2]float64{c.allCnt[g] - c.all[g], c.all[g]}
+		correct += c.pos[1][g] + c.cnt[0][g] - c.pos[0][g]
+	}
+	return Report{
+		Accuracy: correct / float64(c.n),
+		DDP:      MaxRateGap(c.all, c.allCnt),
+		EOD:      math.Max(MaxRateGap(c.pos[1], c.cnt[1]), MaxRateGap(c.pos[0], c.cnt[0])),
+		MI:       mutualInformation(c.joint, c.n),
+	}
 }
 
 // thresholdCandidates returns decision boundaries for one group: midpoints
@@ -127,15 +196,4 @@ func thresholdCandidates(scores []float64, s []int, group int) []float64 {
 	}
 	cands = append(cands, vals[len(vals)-1]+1)
 	return cands
-}
-
-func accuracyAt(scores []float64, y, s []int, g GroupThresholds) float64 {
-	pred := g.Apply(scores, s)
-	correct := 0
-	for i := range pred {
-		if pred[i] == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(pred))
 }

@@ -1,7 +1,7 @@
 // Package rngutil provides the deterministic random-number plumbing shared by
 // every stochastic component in the repository: seeded streams, derived
 // sub-streams (so each run / task / method draws from an independent source),
-// Bernoulli trials, permutations and normal draws.
+// Bernoulli trials, sampling without replacement and normal draws.
 package rngutil
 
 import (
@@ -50,16 +50,6 @@ func Bernoulli(rng *rand.Rand, p float64) bool {
 		return true
 	}
 	return rng.Float64() < p
-}
-
-// Perm returns a random permutation of [0, n).
-func Perm(rng *rand.Rand, n int) []int {
-	return rng.Perm(n)
-}
-
-// Shuffle permutes xs in place.
-func Shuffle[T any](rng *rand.Rand, xs []T) {
-	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 }
 
 // SampleWithoutReplacement returns k distinct indices from [0, n).
