@@ -124,13 +124,12 @@ func ReadCSV(r io.Reader, name string) (*Stream, error) {
 type ingest struct {
 	dim   int
 	tasks map[int]*taskAcc
-	last  *taskAcc // the previous row's task: a task's rows usually run together
 }
 
 // taskAcc holds one task's rows: its env (from its first row), its samples,
 // and the unused rest of the chunk their features are cut from.
 type taskAcc struct {
-	id, env int
+	env     int
 	samples []Sample
 	free    []float64
 }
@@ -155,15 +154,11 @@ func (acc *taskAcc) features(dim int) []float64 {
 
 // task returns the accumulator of task id, starting it with env.
 func (in *ingest) task(id, env int) *taskAcc {
-	if in.last != nil && in.last.id == id {
-		return in.last
-	}
 	acc, ok := in.tasks[id]
 	if !ok {
-		acc = &taskAcc{id: id, env: env}
+		acc = &taskAcc{env: env}
 		in.tasks[id] = acc
 	}
-	in.last = acc
 	return acc
 }
 
