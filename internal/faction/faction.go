@@ -101,6 +101,7 @@ type Strategy struct {
 	opts   Options
 	trials int
 	batch  gda.BatchScores
+	arena  mat.Arena // the labelled features' pass
 }
 
 // Trials reports the cumulative number of Bernoulli trials performed across
@@ -134,9 +135,10 @@ func (s *Strategy) Name() string {
 // exported for tests, diagnostics and the examples; SelectBatch consumes it.
 // The boolean reports whether the density estimator could be fitted.
 //
-// The labelled features live in an arena released once the density model
-// is fitted; the fit does not score them (gda.FitUncalibrated), since
-// nothing here reads their log-densities. The pool runs in tiles (nn.Classifier.InferTiles): each
+// The labelled features live in the Strategy's arena, reset once the
+// density model is fitted; the fit does not score them
+// (gda.FitUncalibrated), since nothing here reads their log-densities.
+// The pool runs in tiles (nn.Classifier.InferTiles): each
 // tile's probabilities go into one n × C matrix and its density pass into
 // the next rows of the Strategy's gda.BatchScores, whose storage the next
 // round reuses. Every per-row value, and the maximum over rows that sets
@@ -144,16 +146,15 @@ func (s *Strategy) Name() string {
 // the end gives the bits of scoring the whole pool at once
 // (TestScoresTiledMatchesUntiled).
 func (s *Strategy) Scores(ctx *active.Context) ([]float64, bool) {
-	arena := mat.GetArena()
 	est, err := gda.FitUncalibrated(
-		ctx.Model.FeaturesIn(ctx.Labeled.Matrix(), arena),
+		ctx.Model.FeaturesIn(ctx.Labeled.Matrix(), &s.arena),
 		ctx.Labeled.Labels(),
 		ctx.Labeled.Sensitive(),
 		ctx.Labeled.Classes,
 		s.opts.SensValues,
 		s.opts.GDA,
 	)
-	arena.Release()
+	s.arena.Reset()
 	if err != nil {
 		return nil, false
 	}

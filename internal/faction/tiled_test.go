@@ -124,7 +124,7 @@ func BenchmarkScoresPaper(b *testing.B) {
 	round := func() *active.Context {
 		return &active.Context{Model: ctx.Model, Labeled: ctx.Labeled, Pool: ctx.Pool, Rng: ctx.Rng}
 	}
-	if _, ok := s.Scores(round()); !ok { // warm the arena and scratch pools
+	if _, ok := s.Scores(round()); !ok { // grow the arenas and the batch scratch
 		b.Fatal("fit failed")
 	}
 	b.ReportAllocs()

@@ -17,7 +17,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"faction/internal/mat"
@@ -223,14 +222,17 @@ func fit(features *mat.Dense, y, s []int, classes int, sensValues []int, cfg Con
 
 	e := &Estimator{Dim: d, Classes: classes, SensValues: append([]int(nil), sensValues...), comps: map[[2]int]*Component{}}
 	logTwoPi := float64(d) * math.Log(2*math.Pi)
-	// Each component's rows are copied into arena scratch: no component
-	// keeps them, so every fit reuses the same storage.
-	arena := mat.GetArena()
-	defer arena.Release()
+	// Each component's rows are copied into one buffer, sized to the
+	// largest component: no component keeps them.
+	most := 0
+	for _, idx := range groups {
+		most = max(most, len(idx))
+	}
+	rows := make([]float64, most*d)
 	for _, key := range keys {
 		idx := groups[key]
 		comp := &Component{Y: key[0], S: key[1], N: len(idx), Weight: float64(len(idx)) / float64(n)}
-		sub := arena.Get(len(idx), d)
+		sub := mat.NewDenseData(len(idx), d, rows[:len(idx)*d])
 		for r, i := range idx {
 			copy(sub.Row(r), features.Row(i))
 		}
@@ -361,22 +363,6 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// densScratch is the per-shard scratch of a density reduction pass: the
-// per-component log-pdf terms buffer fed to LogSumExp. Pooled so that
-// concurrent shards (and concurrent callers) each check out their own without
-// allocating at steady state.
-type densScratch struct {
-	terms []float64
-}
-
-var densScratchPool = sync.Pool{New: func() any { return new(densScratch) }}
-
-func getDensScratch(comps int) *densScratch {
-	ds := densScratchPool.Get().(*densScratch)
-	ds.terms = growFloats(ds.terms, comps)
-	return ds
-}
-
 // BatchScores is one batch's density pass, in storage its caller owns and
 // may reuse from batch to batch. ScoreRows fills LogG and the per-row state
 // behind the scaled fields, in one call or tile by tile; Scale then puts the
@@ -408,12 +394,15 @@ type BatchScores struct {
 	// finite log g(z_i|c,s) — the quantity the common scale reduces over.
 	// quads[i·K+j] is the whitened Mahalanobis distance of the current
 	// tile's row i to ordered component j, filled by one batch kernel pass
-	// and reduced to log-pdfs by the sharded reduction.
+	// (with ws its scratch) and overwritten by the sharded reduction with
+	// the row's log-pdf terms.
 	logCond, rowMax, quads []float64
 	deltaFlat              []float64 // the backing of Delta
 	classes, ns            int       // the shape of the estimator that filled the batch
 	// scoreTime sums the batch's ScoreRows calls; Scale observes it.
 	scoreTime time.Duration
+	ws        mat.WhitenScratch
+	job       *batchJob
 }
 
 // scoreBatchMinGrain is the smallest per-shard sample count worth a pool
@@ -423,8 +412,8 @@ type BatchScores struct {
 const scoreBatchMinGrain = 8
 
 // batchJob carries one batch across the worker pool without allocating:
-// pooled jobs bind fill and scale to their methods once (at pool-New time),
-// so the hot path never constructs a closure.
+// the BatchScores makes its job once and binds fill and scale to their
+// methods then, so the hot path never constructs a closure.
 type batchJob struct {
 	e           *Estimator
 	b           *BatchScores
@@ -433,11 +422,15 @@ type batchJob struct {
 	fill, scale func(lo, hi int)
 }
 
-var batchJobPool = sync.Pool{New: func() any {
-	j := new(batchJob)
-	j.fill, j.scale = j.fillRows, j.scaleRows
-	return j
-}}
+// batchJob returns b's job, made on first use.
+func (b *BatchScores) batchJob() *batchJob {
+	if b.job == nil {
+		j := new(batchJob)
+		j.fill, j.scale = j.fillRows, j.scaleRows
+		b.job = j
+	}
+	return b.job
+}
 
 // ScoreRows runs the density pass over features and stores its results as
 // rows [off, off+features.Rows) of dst: off = 0 starts a batch, and any
@@ -481,12 +474,11 @@ func (e *Estimator) ScoreRows(dst *BatchScores, off int, features *mat.Dense) {
 	}
 	if n > 0 {
 		dst.quads = growFloats(dst.quads, n*len(e.ordered))
-		e.wstack.MahalanobisInto(dst.quads, features)
-		j := batchJobPool.Get().(*batchJob)
+		e.wstack.MahalanobisInto(dst.quads, features, &dst.ws)
+		j := dst.batchJob()
 		j.e, j.b, j.off = e, dst, off
 		mat.ParallelFor(n, scoreBatchMinGrain, j.fill)
 		j.e, j.b = nil, nil
-		batchJobPool.Put(j)
 	}
 	dst.scoreTime += time.Since(start)
 }
@@ -500,9 +492,9 @@ func (j *batchJob) fillRows(lo, hi int) {
 	e, b := j.e, j.b
 	classes, ns := b.classes, b.ns
 	nc := len(e.ordered)
-	ds := getDensScratch(nc)
-	terms := ds.terms
 	for i := lo; i < hi; i++ {
+		// The row's log-pdf terms overwrite its own distances, each after
+		// it is read.
 		qrow := b.quads[i*nc : (i+1)*nc]
 		r := j.off + i
 		rowMax := math.Inf(-1)
@@ -515,7 +507,7 @@ func (j *batchJob) fillRows(lo, hi int) {
 		}
 		for k, c := range e.ordered {
 			lp := c.logNormBase - 0.5*qrow[k]
-			terms[k] = c.logWeight + lp
+			qrow[k] = c.logWeight + lp
 			if row != nil {
 				row[c.Y*ns+c.sIdx] = lp
 				if lp > rowMax {
@@ -523,13 +515,12 @@ func (j *batchJob) fillRows(lo, hi int) {
 				}
 			}
 		}
-		b.LogG[r] = mat.LogSumExp(terms)
+		b.LogG[r] = mat.LogSumExp(qrow)
 		if b.LogG[r] > rowMax {
 			rowMax = b.LogG[r]
 		}
 		b.rowMax[r] = rowMax
 	}
-	densScratchPool.Put(ds)
 }
 
 // Scale puts every row of the batch on its common scale M = max rowMax and
@@ -562,11 +553,10 @@ func (b *BatchScores) Scale() {
 	}
 	b.LogScale = m
 	if n > 0 {
-		j := batchJobPool.Get().(*batchJob)
+		j := b.batchJob()
 		j.b, j.m = b, m
 		mat.ParallelFor(n, 4*scoreBatchMinGrain, j.scale)
 		j.b = nil
-		batchJobPool.Put(j)
 	}
 	scoreBatchSeconds.Observe(b.scoreTime.Seconds())
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"faction/internal/mat"
-	"faction/internal/testutil"
 )
 
 // The rule puts protocol-paper's components (9–188 rows at d = 512) and
@@ -192,12 +191,10 @@ func equalBits(a, b []float64) bool {
 	return true
 }
 
-// The read-path pin on a low-rank estimator: the projection tile comes
-// from the stack's pool, so steady-state scoring still allocates nothing.
+// The read-path pin on a low-rank estimator: the projection tile lives in
+// the BatchScores' whitening scratch, so steady-state scoring still
+// allocates nothing.
 func TestLowRankScoreBatchRawSteadyStateAllocs(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
-	}
 	old := mat.Parallelism()
 	mat.SetParallelism(1)
 	defer mat.SetParallelism(old)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"faction/internal/mat"
-	"faction/internal/testutil"
 )
 
 // poolFixture fits a two-class × two-group estimator and returns a scoring
@@ -140,9 +139,6 @@ func TestLogDensityBatchIntoMatches(t *testing.T) {
 // and Scale into one BatchScores (/score) and one of ScoreRows alone
 // (/predict) allocate nothing.
 func TestScoreBatchRawSteadyStateAllocs(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
-	}
 	old := mat.Parallelism()
 	mat.SetParallelism(1)
 	defer mat.SetParallelism(old)

@@ -37,6 +37,6 @@ func (e *Estimator) logCondDensity(z []float64, y, s int) float64 {
 		return math.Inf(-1)
 	}
 	quads := make([]float64, len(e.ordered))
-	e.wstack.MahalanobisInto(quads, mat.NewDenseData(1, e.Dim, z))
+	e.wstack.MahalanobisInto(quads, mat.NewDenseData(1, e.Dim, z), new(mat.WhitenScratch))
 	return c.logNormBase - 0.5*quads[c.ordIdx]
 }

@@ -3,106 +3,50 @@ package mat
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
-// Arena is a checkout/return scratch allocator for Dense matrices, built for
-// the serving read path: a handler checks out an arena, takes whatever
-// intermediate matrices a forward pass needs, and returns everything with one
-// Release. Backing storage is recycled through package-level size-class pools
-// (powers of two between 1<<arenaMinClass and 1<<arenaMaxClass float64s), so a
-// steady-state request loop with fixed shapes performs no heap allocation.
+// Arena is scratch storage for Dense matrices that its owner keeps: a pass
+// takes whatever intermediate matrices it needs from Get, and Reset ends
+// their lifetime, so the next pass reuses them. The i-th Get after a Reset
+// reuses the arena's i-th matrix, growing its storage only when the shape
+// asks for more than it has ever held, so a loop asking for the same shapes
+// allocates nothing after its first pass, whatever the collector does. The
+// zero value is an empty arena.
 //
 // Contract:
-//   - An Arena is owned by a single goroutine; it is NOT safe for concurrent
-//     use. Matrices obtained from different arenas are independent, so any
-//     number of goroutines may each hold their own arena (this is how
-//     concurrent /predict handlers stay race-free).
+//   - An Arena serves one pass at a time; it is NOT safe for concurrent
+//     use. Matrices from different arenas are independent, so any number
+//     of goroutines may each hold their own.
 //   - Get returns a matrix with ARBITRARY contents — callers must fully
 //     overwrite it (MulInto and friends do).
-//   - Every matrix obtained from Get dies at Release; using one afterwards is
-//     a use-after-free style bug. Release recycles the storage immediately.
-//   - Misuse panics: Get after Release, and double Release.
+//   - Every matrix obtained from Get dies at Reset: the next pass's Gets
+//     hand out the same storage. Callers copy out what they keep.
 type Arena struct {
-	taken    []*Dense
-	released bool
+	mats []*Dense // every matrix the arena holds, in Get order
+	used int      // how many of mats the current pass has taken
 }
 
-const (
-	arenaMinClass = 6  // smallest pooled backing: 64 floats (512 B)
-	arenaMaxClass = 24 // largest pooled backing: 16M floats (128 MiB)
-)
-
-// densePools[c] recycles *Dense whose backing slice has cap exactly 1<<c.
-var densePools [arenaMaxClass + 1]sync.Pool
-
-var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
-
-// GetArena checks an arena out of the pool. Pair with Release.
-func GetArena() *Arena {
-	a := arenaPool.Get().(*Arena)
-	a.released = false
-	return a
-}
-
-// sizeClass returns the pool class for an n-element backing slice:
-// ceil(log2 n) clamped below by arenaMinClass. Callers check the upper bound.
-func sizeClass(n int) int {
-	c := bits.Len(uint(n - 1))
-	if c < arenaMinClass {
-		c = arenaMinClass
-	}
-	return c
-}
-
-// Get checks an r×c matrix out of the arena. Contents are arbitrary — the
-// caller must overwrite every element. The matrix is valid until Release.
+// Get returns an r×c matrix from the arena. Contents are arbitrary — the
+// caller must overwrite every element. The matrix is valid until Reset.
 func (a *Arena) Get(r, c int) *Dense {
-	if a.released {
-		panic("mat: Arena.Get after Release")
-	}
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("mat: negative dimension %dx%d", r, c))
 	}
-	n := r * c
-	var d *Dense
-	if n > 0 && sizeClass(n) <= arenaMaxClass {
-		cls := sizeClass(n)
-		if v := densePools[cls].Get(); v != nil {
-			d = v.(*Dense)
-		} else {
-			d = &Dense{Data: make([]float64, 1<<cls)}
-		}
-		d.Rows, d.Cols, d.Data = r, c, d.Data[:n]
-	} else {
-		// Empty or beyond the largest class: plain allocation, dropped (not
-		// pooled) at Release.
-		d = NewDense(r, c)
+	if a.used == len(a.mats) {
+		a.mats = append(a.mats, new(Dense))
 	}
-	a.taken = append(a.taken, d)
+	d := a.mats[a.used]
+	a.used++
+	n := r * c
+	if cap(d.Data) < n {
+		// Powers of two, so storage that grows with its pass (a labelled
+		// set gaining rows each round) reallocates only when it doubles.
+		d.Data = make([]float64, 1<<bits.Len(uint(n-1)))
+	}
+	d.Rows, d.Cols, d.Data = r, c, d.Data[:n]
 	return d
 }
 
-// Release returns every matrix obtained from Get to the size-class pools and
-// the arena itself to the arena pool. Panics on double Release.
-func (a *Arena) Release() {
-	if a.released {
-		panic("mat: Arena.Release twice")
-	}
-	a.released = true
-	for i, d := range a.taken {
-		a.taken[i] = nil
-		cp := cap(d.Data)
-		if cp == 0 || cp&(cp-1) != 0 {
-			continue // not pool-originated (empty or oversized): drop
-		}
-		cls := bits.Len(uint(cp)) - 1
-		if cls < arenaMinClass || cls > arenaMaxClass {
-			continue
-		}
-		d.Rows, d.Cols, d.Data = 0, 0, d.Data[:cp]
-		densePools[cls].Put(d)
-	}
-	a.taken = a.taken[:0]
-	arenaPool.Put(a)
-}
+// Reset ends the lifetime of every matrix Get handed out, keeping their
+// storage for the next pass.
+func (a *Arena) Reset() { a.used = 0 }

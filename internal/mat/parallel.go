@@ -17,8 +17,8 @@ import (
 //     parallel_test.go).
 //  2. Allocation-free steady state. Shard descriptors are plain structs sent
 //     by value over a channel, shard kernels are top-level functions (no
-//     closure captures), and WaitGroups are pooled — a parallel MulInto does
-//     not allocate.
+//     closure captures), and WaitGroups are pooled (wgPool) — a parallel
+//     MulInto does not allocate.
 //  3. No oversubscription, no deadlock. The pool holds at most
 //     Parallelism()−1 workers; a submitting goroutine always runs one shard
 //     inline and falls back to inline execution when no worker is free, so
@@ -115,6 +115,8 @@ func ensureWorkers(n int) {
 	workersMu.Unlock()
 }
 
+// wgPool holds the WaitGroups of sharded passes. It stays a sync.Pool
+// because MulInto's callers own no struct that could hold a WaitGroup.
 var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 // runSharded splits [0, n) into at most p contiguous blocks and runs tmpl's

@@ -261,7 +261,7 @@ func BenchmarkMulInto(b *testing.B) {
 // and its refill would be charged to the product.
 func TestMulIntoParallelSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
-		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
+		t.Skip("wgPool: race-mode sync.Pool drops Puts; alloc counts not representative")
 	}
 	old := Parallelism()
 	SetParallelism(2)

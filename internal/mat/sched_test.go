@@ -28,7 +28,7 @@ func TestNoPoolDispatchAtParallelism1(t *testing.T) {
 	ParallelFor(1024, 1, func(lo, hi int) {})
 	stack, _, _ := whitenFixtureStack(t, 16, 2, 8, 67)
 	z := randDense(rng, 40, 16)
-	stack.MahalanobisInto(make([]float64, 40*2), z)
+	stack.MahalanobisInto(make([]float64, 40*2), z, new(WhitenScratch))
 	if got := PoolDispatches(); got != base {
 		t.Fatalf("parallelism 1 dispatched %d shard(s) to pool workers, want 0", got-base)
 	}

@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Whitened batch Mahalanobis scoring.
 //
@@ -124,14 +121,13 @@ func invLowerRow(w, l []float64, n, from, r int) {
 // dense factor (AddFactor) is the d×d triangle W = L⁻¹, a low-rank one
 // (AddLowRank) an r×d basis projection, an r×r triangle and a residual
 // term. Build it once per fit (or snapshot load); it is immutable afterwards
-// and safe for concurrent MahalanobisInto calls.
+// and safe for concurrent MahalanobisInto calls, each with its own
+// WhitenScratch.
 type WhitenedStack struct {
 	d, k    int
 	kernel  whitenKernel // chosen once, by NewWhitenedStack
 	ops     []whitenOperand
-	maxRank int       // widest low-rank basis: the projection tile's rows
-	jobs    sync.Pool // *whitenJob
-	tiles   sync.Pool // *tileScratch sized for this stack
+	maxRank int // widest low-rank basis: the projection tile's rows
 }
 
 // whitenOperand is one stacked factor: an r-row lower-triangular whitening
@@ -157,16 +153,7 @@ func NewWhitenedStack(d int) *WhitenedStack {
 	if d < 0 {
 		panic(fmt.Sprintf("mat: negative whitened dimension %d", d))
 	}
-	s := &WhitenedStack{d: d, kernel: selectWhitenKernel()}
-	s.jobs.New = func() any {
-		j := &whitenJob{s: s}
-		j.fn = j.run
-		return j
-	}
-	s.tiles.New = func() any {
-		return &tileScratch{tile: make([]float64, d*whitenLanes), proj: make([]float64, s.maxRank*whitenLanes)}
-	}
-	return s
+	return &WhitenedStack{d: d, kernel: selectWhitenKernel()}
 }
 
 // Dim returns the feature dimension d.
@@ -251,10 +238,18 @@ func (s *WhitenedStack) Factor(k int) []float64 { return s.ops[k].w }
 // dense factor (do not modify).
 func (s *WhitenedStack) Basis(k int) []float64 { return s.ops[k].basis }
 
-// tileScratch is the per-shard scratch of a whitened pass: one column-major
-// lane tile, the projection tile of a low-rank factor, and the per-kernel-call
-// outputs. Pooled so concurrent shards and concurrent callers run
-// allocation-free at steady state.
+// WhitenScratch is the storage of a MahalanobisInto pass, kept by its
+// caller and reused from pass to pass: the job that carries the pass across
+// the worker pool and one tile per concurrent shard. The zero value is
+// ready. A loop at a fixed shape allocates nothing after its first pass; a
+// scratch serves one pass at a time.
+type WhitenScratch struct {
+	job   *whitenJob
+	tiles []tileScratch
+}
+
+// tileScratch is one shard's scratch: the column-major lane tile, the
+// projection tile of a low-rank factor, and the per-kernel-call outputs.
 type tileScratch struct {
 	tile []float64
 	proj []float64
@@ -263,28 +258,34 @@ type tileScratch struct {
 }
 
 // whitenJob carries one MahalanobisInto pass across the worker pool without
-// allocating (fn pre-bound when the pool makes the job, like gda's score
-// jobs).
+// allocating: fn is bound to run once, when the scratch makes the job.
+// Shard i scores lane blocks [i·per, (i+1)·per) in tiles[i].
 type whitenJob struct {
-	s   *WhitenedStack
-	z   *Dense
-	dst []float64
-	fn  func(lo, hi int)
+	s     *WhitenedStack
+	z     *Dense
+	dst   []float64
+	tiles []tileScratch
+	per   int
+	fn    func(lo, hi int)
 }
 
-// run processes lane blocks [lob, hib): packs each block's rows into the
-// column-major tile and scores it against every stacked factor. A dense
-// factor is one triangular pass over the tile. A low-rank factor is three:
-// the projection P = Q(z − μ) into the projection tile, the triangle ‖W·P‖²,
-// and the residual ‖z − μ − Qᵀ·P‖², which starts each row's sum from the
-// tile and subtracts μ at the end.
-func (j *whitenJob) run(lob, hib int) {
+// run scores shards [lo, hi).
+func (j *whitenJob) run(lo, hi int) {
+	nb := (j.z.Rows + whitenLanes - 1) / whitenLanes
+	for i := lo; i < hi; i++ {
+		j.blocks(&j.tiles[i], i*j.per, min((i+1)*j.per, nb))
+	}
+}
+
+// blocks processes lane blocks [lob, hib) in ts: packs each block's rows
+// into the column-major tile and scores it against every stacked factor. A
+// dense factor is one triangular pass over the tile. A low-rank factor is
+// three: the projection P = Q(z − μ) into the projection tile, the triangle
+// ‖W·P‖², and the residual ‖z − μ − Qᵀ·P‖², which starts each row's sum
+// from the tile and subtracts μ at the end.
+func (j *whitenJob) blocks(ts *tileScratch, lob, hib int) {
 	s, z, dst := j.s, j.z, j.dst
 	d, k, n := s.d, s.k, z.Rows
-	ts := s.tiles.Get().(*tileScratch)
-	if need := s.maxRank * whitenLanes; len(ts.proj) < need {
-		ts.proj = make([]float64, need)
-	}
 	tile := ts.tile
 	for b := lob; b < hib; b++ {
 		lo := b * whitenLanes
@@ -308,7 +309,6 @@ func (j *whitenJob) run(lob, hib int) {
 			}
 		}
 	}
-	s.tiles.Put(ts)
 }
 
 // packTile transposes rows [lo, lo+rows) of z into the column-major tile
@@ -349,11 +349,11 @@ func packTile(tile []float64, z *Dense, lo, rows int) {
 // MahalanobisInto computes dst[i·K+f], the Mahalanobis distance of every row
 // i to every stacked factor f (‖W_f·z_i − m̃_f‖² for a dense factor, the
 // low-rank form's two terms for a low-rank one), sharding lane blocks
-// across the kernel worker pool. dst must have length z.Rows·Components().
-// Per-row results are bit-identical across batch compositions, shard counts
-// and repeated runs (see the package comment above); a steady-state loop at
-// fixed shape performs no heap allocation.
-func (s *WhitenedStack) MahalanobisInto(dst []float64, z *Dense) {
+// across the kernel worker pool, with every intermediate in ws. dst must
+// have length z.Rows·Components(). Per-row results are bit-identical across
+// batch compositions, shard counts and repeated runs (see the package
+// comment above).
+func (s *WhitenedStack) MahalanobisInto(dst []float64, z *Dense, ws *WhitenScratch) {
 	n := z.Rows
 	if n > 0 && z.Cols != s.d {
 		panic(fmt.Sprintf("mat: whitened batch dim %d, want %d", z.Cols, s.d))
@@ -364,12 +364,32 @@ func (s *WhitenedStack) MahalanobisInto(dst []float64, z *Dense) {
 	if n == 0 || s.k == 0 {
 		return
 	}
+	// The lane blocks split into contiguous shards as ParallelFor would
+	// split them, one tile per shard.
 	nb := (n + whitenLanes - 1) / whitenLanes
-	j := s.jobs.Get().(*whitenJob)
-	j.z, j.dst = z, dst
-	ParallelFor(nb, 1, j.fn)
-	j.z, j.dst = nil, nil
-	s.jobs.Put(j)
+	p := Parallelism()
+	per := (nb + p - 1) / p
+	shards := (nb + per - 1) / per
+	if len(ws.tiles) < shards {
+		ws.tiles = append(ws.tiles, make([]tileScratch, shards-len(ws.tiles))...)
+	}
+	for i := range ws.tiles[:shards] {
+		ts := &ws.tiles[i]
+		if len(ts.tile) != s.d*whitenLanes { // packTile fills the whole tile
+			ts.tile = make([]float64, s.d*whitenLanes)
+		}
+		if len(ts.proj) < s.maxRank*whitenLanes {
+			ts.proj = make([]float64, s.maxRank*whitenLanes)
+		}
+	}
+	if ws.job == nil {
+		ws.job = new(whitenJob)
+		ws.job.fn = ws.job.run
+	}
+	j := ws.job
+	j.s, j.z, j.dst, j.tiles, j.per = s, z, dst, ws.tiles, per
+	ParallelFor(shards, 1, j.fn)
+	j.s, j.z, j.dst, j.tiles = nil, nil, nil, nil
 }
 
 // whitenRowsGo is the portable kernel: one accumulation chain per lane in

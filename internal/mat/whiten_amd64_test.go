@@ -179,14 +179,14 @@ func TestMahalanobisIntoAVXvsGo(t *testing.T) {
 	}
 	stack, _, _ := whitenFixtureStack(t, d, k, 10, 47)
 	avx := make([]float64, n*k)
-	stack.MahalanobisInto(avx, z)
+	stack.MahalanobisInto(avx, z, new(WhitenScratch))
 	// The kernel is picked when a stack is built: rebuild the same stack with
 	// the assembly kernel switched off.
 	was := SetVectorized(false)
 	defer SetVectorized(was)
 	goStack, _, _ := whitenFixtureStack(t, d, k, 10, 47)
 	pure := make([]float64, n*k)
-	goStack.MahalanobisInto(pure, z)
+	goStack.MahalanobisInto(pure, z, new(WhitenScratch))
 	for i := range avx {
 		rel := math.Abs(avx[i]-pure[i]) / (1 + math.Abs(pure[i]))
 		if rel > tol {

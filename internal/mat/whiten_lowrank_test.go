@@ -85,7 +85,7 @@ func TestLowRankMatchesDenseReference(t *testing.T) {
 				{"shifted", reluRows(rng, 9, tc.d, 2)},
 			} {
 				got := make([]float64, probe.z.Rows)
-				stack.MahalanobisInto(got, probe.z)
+				stack.MahalanobisInto(got, probe.z, new(WhitenScratch))
 				for i, g := range got {
 					want := mahalanobisSolve(ref, probe.z.Row(i), mean)
 					if rel := relDiff(g, want); rel > lowRankTol {
@@ -146,7 +146,7 @@ func TestLowRankDropsDependentRows(t *testing.T) {
 	stack.AddLowRank(f, mean)
 	z := FromRows([][]float64{{0, 1, 2, 3, 4, 6}})
 	dst := make([]float64, 1)
-	stack.MahalanobisInto(dst, z)
+	stack.MahalanobisInto(dst, z, new(WhitenScratch))
 	if dst[0] != 1/0.5 {
 		t.Fatalf("rank-0 distance %v, want %v", dst[0], 1/0.5)
 	}
@@ -228,8 +228,8 @@ func TestLowRankStack32MatchesF64(t *testing.T) {
 	s32.AddLowRank(f32, roundTo32(mean))
 	z := reluRows(rng, 21, d, 1)
 	q64, q32 := make([]float64, z.Rows), make([]float64, z.Rows)
-	s64.MahalanobisInto(q64, z)
-	s32.MahalanobisInto(q32, z)
+	s64.MahalanobisInto(q64, z, new(WhitenScratch))
+	s32.MahalanobisInto(q32, z, new(WhitenScratch))
 	for i := range q64 {
 		if rel := relDiff(q32[i], q64[i]); rel > 2e-3 {
 			t.Fatalf("row %d: f32-rounded %v vs f64 %v (rel %g)", i, q32[i], q64[i], rel)

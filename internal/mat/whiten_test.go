@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -102,7 +103,7 @@ func TestMahalanobisIntoMatchesSolve(t *testing.T) {
 				z.Data[i] = 2 * rng.NormFloat64()
 			}
 			dst := make([]float64, tc.n*tc.k)
-			stack.MahalanobisInto(dst, z)
+			stack.MahalanobisInto(dst, z, new(WhitenScratch))
 			for i := 0; i < tc.n; i++ {
 				for f := 0; f < tc.k; f++ {
 					want := mahalanobisSolve(chols[f], z.Row(i), means[f])
@@ -158,9 +159,9 @@ func TestWhitenedStack32MatchesF64(t *testing.T) {
 				z.Data[i] = 2 * rng.NormFloat64()
 			}
 			q64 := make([]float64, tc.n*tc.k)
-			stack.MahalanobisInto(q64, z)
+			stack.MahalanobisInto(q64, z, new(WhitenScratch))
 			q32 := make([]float64, tc.n*tc.k)
-			stack32.MahalanobisInto(q32, z)
+			stack32.MahalanobisInto(q32, z, new(WhitenScratch))
 			for i := range q64 {
 				if rel := math.Abs(q32[i]-q64[i]) / (1 + math.Abs(q64[i])); rel > tc.tol || math.IsNaN(q32[i]) != math.IsNaN(q64[i]) {
 					t.Fatalf("dst[%d]: f32-rounded %v vs f64 %v (rel %g > %g)", i, q32[i], q64[i], rel, tc.tol)
@@ -198,7 +199,9 @@ func TestMahalanobisIntoDeterministic(t *testing.T) {
 	}
 	ref := make([]float64, n*k)
 	SetParallelism(1)
-	stack.MahalanobisInto(ref, z)
+	stack.MahalanobisInto(ref, z, new(WhitenScratch))
+	// One scratch serves every width, so its tiles grow and are reused.
+	var ws WhitenScratch
 	got := make([]float64, n*k)
 	for _, p := range []int{1, 2, 3, 7, 16} {
 		SetParallelism(p)
@@ -206,7 +209,7 @@ func TestMahalanobisIntoDeterministic(t *testing.T) {
 			for i := range got {
 				got[i] = math.NaN()
 			}
-			stack.MahalanobisInto(got, z)
+			stack.MahalanobisInto(got, z, &ws)
 			for i := range ref {
 				if got[i] != ref[i] {
 					t.Fatalf("parallelism %d rep %d: dst[%d] = %v, serial %v", p, rep, i, got[i], ref[i])
@@ -230,10 +233,11 @@ func TestMahalanobisIntoBatchComposition(t *testing.T) {
 		z.Data[i] = rng.NormFloat64()
 	}
 	whole := make([]float64, n*k)
-	stack.MahalanobisInto(whole, z)
+	var ws WhitenScratch // reused across batch shapes
+	stack.MahalanobisInto(whole, z, &ws)
 	single := make([]float64, k)
 	for i := 0; i < n; i++ {
-		stack.MahalanobisInto(single, NewDenseData(1, d, z.Row(i)))
+		stack.MahalanobisInto(single, NewDenseData(1, d, z.Row(i)), &ws)
 		for f := 0; f < k; f++ {
 			if single[f] != whole[i*k+f] {
 				t.Fatalf("row %d factor %d: alone %v, in batch %v", i, f, single[f], whole[i*k+f])
@@ -243,7 +247,7 @@ func TestMahalanobisIntoBatchComposition(t *testing.T) {
 	// Also an arbitrary sub-range: rows shifted to different lane offsets.
 	sub := NewDenseData(n-5, d, z.Data[3*d:(n-2)*d])
 	subDst := make([]float64, (n-5)*k)
-	stack.MahalanobisInto(subDst, sub)
+	stack.MahalanobisInto(subDst, sub, &ws)
 	for i := range subDst {
 		if subDst[i] != whole[3*k+i] {
 			t.Fatalf("sub-range result %d differs from whole-batch value", i)
@@ -264,14 +268,14 @@ func TestMahalanobisIntoNonFinite(t *testing.T) {
 		clean.Data[i] = rng.NormFloat64()
 	}
 	ref := make([]float64, n*k)
-	stack.MahalanobisInto(ref, clean)
+	stack.MahalanobisInto(ref, clean, new(WhitenScratch))
 
 	dirty := clean.Clone()
 	const nanRow, infRow = 4, 13
 	dirty.Row(nanRow)[d/2] = math.NaN()
 	dirty.Row(infRow)[0] = math.Inf(1)
 	got := make([]float64, n*k)
-	stack.MahalanobisInto(got, dirty)
+	stack.MahalanobisInto(got, dirty, new(WhitenScratch))
 	for i := 0; i < n; i++ {
 		for f := 0; f < k; f++ {
 			v := got[i*k+f]
@@ -298,10 +302,10 @@ func TestMahalanobisIntoNonFinite(t *testing.T) {
 // factors must be well-defined no-ops (or all-zero distances for d=0).
 func TestMahalanobisIntoEdges(t *testing.T) {
 	stack, _, _ := whitenFixtureStack(t, 6, 2, 4, 23)
-	stack.MahalanobisInto(nil, NewDense(0, 6)) // n == 0: no-op
+	stack.MahalanobisInto(nil, NewDense(0, 6), new(WhitenScratch)) // n == 0: no-op
 
 	empty := NewWhitenedStack(6) // k == 0
-	empty.MahalanobisInto(nil, NewDense(4, 6))
+	empty.MahalanobisInto(nil, NewDense(4, 6), new(WhitenScratch))
 
 	zero := NewWhitenedStack(0) // d == 0: every distance is an empty sum
 	ch, err := NewCholesky(NewDense(0, 0))
@@ -310,7 +314,7 @@ func TestMahalanobisIntoEdges(t *testing.T) {
 	}
 	zero.AddFactor(ch, nil)
 	dst := []float64{math.NaN(), math.NaN(), math.NaN()}
-	zero.MahalanobisInto(dst, NewDense(3, 0))
+	zero.MahalanobisInto(dst, NewDense(3, 0), new(WhitenScratch))
 	for i, v := range dst {
 		if v != 0 {
 			t.Fatalf("d=0 distance[%d] = %v, want 0", i, v)
@@ -318,10 +322,10 @@ func TestMahalanobisIntoEdges(t *testing.T) {
 	}
 
 	mustPanicWhiten(t, "dim mismatch", func() {
-		stack.MahalanobisInto(make([]float64, 2*2), NewDense(2, 5))
+		stack.MahalanobisInto(make([]float64, 2*2), NewDense(2, 5), new(WhitenScratch))
 	})
 	mustPanicWhiten(t, "dst length", func() {
-		stack.MahalanobisInto(make([]float64, 3), NewDense(2, 6))
+		stack.MahalanobisInto(make([]float64, 3), NewDense(2, 6), new(WhitenScratch))
 	})
 	mustPanicWhiten(t, "factor dim", func() {
 		c, _, err := NewCholeskyRidge(Covariance(NewDense(9, 4), make([]float64, 4), 1e-3), 1e-3, 5)
@@ -343,14 +347,14 @@ func mustPanicWhiten(t *testing.T, name string, fn func()) {
 }
 
 // The whitened pass is allocation-free at steady state at either pool width
-// — the property the pooled gda scoring paths (and their gated benchmarks)
-// inherit. At pool width 2 the 40-row batch is sharded, so the pin covers
-// the parallel handoff. GC is paused because a cycle empties the job, tile
-// and WaitGroup pools, and their refill would be charged to the pass.
+// — the property the gda scoring paths (and their gated benchmarks)
+// inherit. Its job and tiles live in the caller's WhitenScratch, so at pool
+// width 1 two collections between warm-up and measurement change nothing.
+// At width 2 the 40-row batch is sharded, so the pin covers the parallel
+// handoff, whose WaitGroup comes from wgPool: GC stays paused, since a
+// cycle empties that pool, and the width skips under the race detector,
+// whose sync.Pool drops Puts.
 func TestMahalanobisIntoSteadyStateAllocs(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
-	}
 	old := Parallelism()
 	defer SetParallelism(old)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -362,10 +366,18 @@ func TestMahalanobisIntoSteadyStateAllocs(t *testing.T) {
 		z.Data[i] = rng.NormFloat64()
 	}
 	dst := make([]float64, 40*k)
-	loop := func() { stack.MahalanobisInto(dst, z) }
+	var ws WhitenScratch
+	loop := func() { stack.MahalanobisInto(dst, z, &ws) }
 	for _, width := range []int{1, 2} {
+		if width > 1 && testutil.RaceEnabled {
+			t.Skip("wgPool: race-mode sync.Pool drops Puts; the sharded pass's alloc count is not representative")
+		}
 		SetParallelism(width)
 		loop()
+		if width == 1 {
+			runtime.GC()
+			runtime.GC()
+		}
 		if n := testing.AllocsPerRun(50, loop); n != 0 {
 			t.Fatalf("steady-state MahalanobisInto at pool width %d allocates %.1f allocs/op, want 0", width, n)
 		}
@@ -388,11 +400,12 @@ func BenchmarkWhitenMahalanobis(b *testing.B) {
 			old := Parallelism()
 			SetParallelism(mode.par)
 			defer SetParallelism(old)
-			stack.MahalanobisInto(dst, z) // refill the pools the pre-run GC emptied
+			var ws WhitenScratch
+			stack.MahalanobisInto(dst, z, &ws) // grow the scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				stack.MahalanobisInto(dst, z)
+				stack.MahalanobisInto(dst, z, &ws)
 			}
 		})
 	}

@@ -9,11 +9,7 @@ func adamAVX(p, g, m, v []float64, c *adamCoeffs) {
 	panic("nn: no assembly kernels in this build")
 }
 
-func reluForwardAVX(dst, src []float64) {
-	panic("nn: no assembly kernels in this build")
-}
-
-func reluInferAVX(dst, src []float64) {
+func reluAVX(dst, src []float64) {
 	panic("nn: no assembly kernels in this build")
 }
 

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"faction/internal/mat"
@@ -53,6 +54,13 @@ type Classifier struct {
 	net *Network
 
 	scratch lossScratch // per-batch loss buffers, reused across TrainStep calls
+
+	// arena holds the intermediates of the tiled passes and of ProbsMC, one
+	// pass at a time: a pass that finds arenaMu held, because another pass
+	// runs concurrently or f started it from inside InferTiles, runs in an
+	// arena of its own (lockArena).
+	arenaMu sync.Mutex
+	arena   mat.Arena
 }
 
 // NewClassifier builds a classifier from cfg.
@@ -102,25 +110,38 @@ func (c *Classifier) NumParams() int { return c.net.NumParams() }
 // TileRows is the row count of one tile of a whole-set inference pass.
 // Logits, the active strategies' pool pass and FACTION's select run the
 // network over at most this many rows at a time (InferTiles), so a pass
-// holds one tile of intermediates whatever the set's size. At the paper's
-// hidden width a tile's 256 × 512 activations fill one arena size class
-// exactly.
+// holds one tile of intermediates whatever the set's size: at the paper's
+// hidden width, about 2 MB that the classifier keeps from pass to pass.
 const TileRows = 256
+
+// lockArena returns the classifier's arena with arenaMu held (owned), or a
+// fresh arena when another pass holds it. An owner unlocks arenaMu when its
+// pass ends.
+func (c *Classifier) lockArena() (a *mat.Arena, owned bool) {
+	if !c.arenaMu.TryLock() {
+		return new(mat.Arena), false
+	}
+	return &c.arena, true
+}
 
 // InferTiles runs the inference pass over x in tiles of TileRows rows, in
 // row order, and calls f with each tile's first row of x, its logits and
-// its features. Both matrices live in an arena released when f returns;
-// f copies out what it keeps. Every value of a row depends only on that
-// row, so the tiles carry the bits of one LogitsAndFeatures over all of x.
+// its features. Both matrices live in the classifier's arena and are
+// overwritten by the next tile; f copies out what it keeps. Every value of
+// a row depends only on that row, so the tiles carry the bits of one
+// LogitsAndFeatures over all of x.
 func (c *Classifier) InferTiles(x *mat.Dense, f func(off int, logits, features *mat.Dense)) {
+	a, owned := c.lockArena()
+	if owned {
+		defer c.arenaMu.Unlock()
+	}
 	tile := &mat.Dense{Cols: x.Cols}
 	for off := 0; off < x.Rows; off += TileRows {
 		tile.Rows = min(TileRows, x.Rows-off)
 		tile.Data = x.Data[off*x.Cols : (off+tile.Rows)*x.Cols]
-		a := mat.GetArena()
+		a.Reset()
 		logits, features := c.net.Infer(tile, a)
 		f(off, logits, features)
-		a.Release()
 	}
 }
 
@@ -173,16 +194,19 @@ func (c *Classifier) PredictClasses(x *mat.Dense) []int {
 
 // LogitsAndFeatures runs one inference pass returning both the logits and the
 // tapped feature representation (sharing the forward pass). Every matrix of
-// the pass is checked out of a, so a steady-state loop at a fixed batch shape
+// the pass comes from a, so a steady-state loop at a fixed batch shape
 // allocates nothing (pinned by TestLogitsAndFeaturesScratchSteadyStateAllocs),
-// and both results die when a is released. A nil a allocates them on the
+// and both results die when a is reset. A nil a allocates them on the
 // heap instead; the bits are identical.
 //
 // Inference methods (Logits, Probs, ProbsAndFeatures, PredictClasses,
-// InferTiles, LogitsAndFeatures, Features, FeaturesIn) are read-only and
-// safe for concurrent use, as long as concurrent callers each hold their
-// own arena; Train and ProbsMC mutate layer state and require external
-// synchronization.
+// InferTiles, LogitsAndFeatures, Features, FeaturesIn) are read-only on the
+// network and safe for concurrent use, as long as callers that pass an
+// arena each pass their own. The tiled passes keep their intermediates in
+// the classifier's own arena; a pass that finds it taken, by a concurrent
+// pass or by one it runs inside, uses a fresh arena of its own, so
+// concurrent and re-entrant passes stay correct and only allocate. Train
+// and ProbsMC mutate layer state and require external synchronization.
 func (c *Classifier) LogitsAndFeatures(x *mat.Dense, a *mat.Arena) (logits, features *mat.Dense) {
 	return c.net.Infer(x, a)
 }
@@ -195,7 +219,7 @@ func (c *Classifier) Features(x *mat.Dense) *mat.Dense {
 }
 
 // FeaturesIn is Features with every matrix of the pass, the result too,
-// checked out of a, so the result dies when a is released.
+// taken from a, so the result dies when a is reset.
 func (c *Classifier) FeaturesIn(x *mat.Dense, a *mat.Arena) *mat.Dense {
 	return c.net.Features(x, a)
 }

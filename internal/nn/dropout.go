@@ -135,11 +135,15 @@ func (c *Classifier) ProbsMC(x *mat.Dense, samples int) (meanProbs *mat.Dense, b
 	meanProbs = mat.NewDense(n, classes)
 	meanEntropy := make([]float64, n)
 	probs := make([]float64, classes)
+	arena, owned := c.lockArena()
+	if owned {
+		defer c.arenaMu.Unlock()
+	}
 	for s := 0; s < samples; s++ {
-		// Each pass runs whole, in an arena released once its softmax is
+		// Each pass runs whole, in the arena, reset once its softmax is
 		// folded in: tiles would draw the masks of two dropout layers in
 		// another order.
-		arena := mat.GetArena()
+		arena.Reset()
 		logits, _ := c.net.Infer(x, arena)
 		for i := 0; i < n; i++ {
 			mat.Softmax(probs, logits.Row(i))
@@ -153,7 +157,6 @@ func (c *Classifier) ProbsMC(x *mat.Dense, samples int) (meanProbs *mat.Dense, b
 			}
 			meanEntropy[i] += h
 		}
-		arena.Release()
 	}
 	inv := 1 / float64(samples)
 	bald = make([]float64, n)

@@ -14,18 +14,19 @@ import (
 // Backward, and the affine epilogue that scaled the product in its own pass
 // before adding the bias.
 
-// reluRef is the masked rectifier.
+// reluRef is the masked rectifier: every value ≤ 0 becomes +0, and
+// anything else, NaN included, passes with its gradient.
 type reluRef struct{ mask []bool }
 
 func (r *reluRef) forward(x []float64) []float64 {
 	out := make([]float64, len(x))
 	r.mask = make([]bool, len(x))
 	for i, v := range x {
-		if v > 0 {
+		if v <= 0 {
+			out[i] = 0
+		} else {
 			r.mask[i] = true
 			out[i] = v
-		} else {
-			out[i] = 0
 		}
 	}
 	return out
@@ -39,18 +40,6 @@ func (r *reluRef) backward(g []float64) []float64 {
 		}
 	}
 	return dx
-}
-
-func reluInferRef(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		if v <= 0 {
-			out[i] = 0
-		} else {
-			out[i] = v
-		}
-	}
-	return out
 }
 
 // affineRef is Linear's epilogue as separate passes: x·W, then ·scale, then
@@ -116,12 +105,13 @@ func gateSettings(f func(asm bool)) {
 	}
 }
 
-// Property: Forward, Backward and Infer match the masked rectifier bit for
-// bit, with the assembly kernels on and off: ±0, NaN of either sign, ±Inf
-// and subnormals included, on columns that are all rectified to zero, at
-// lengths around the vector width, and when the batch shrinks between calls
-// as it does for an epoch's last batch. Selection does no arithmetic, so
-// even NaN payloads must match.
+// Property: Forward, Backward and Infer match the one masked rectifier bit
+// for bit, with the assembly kernels on and off: ±0, NaN of either sign,
+// ±Inf and subnormals included, on columns that are all rectified to zero,
+// at lengths around the vector width, and when the batch shrinks between
+// calls as it does for an epoch's last batch. Selection does no arithmetic,
+// so even NaN payloads must match; a NaN pre-activation passes, with its
+// gradient, in training as in inference.
 func TestReLUMatchesReferenceBits(t *testing.T) {
 	shapes := [][2]int{{32, 512}, {1, 1}, {3, 5}, {22, 512}, {7, 13}, {1, 9730}}
 	for _, c := range []int{2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33} {
@@ -136,18 +126,25 @@ func TestReLUMatchesReferenceBits(t *testing.T) {
 			for i := 0; i < x.Rows; i++ {
 				x.Set(i, 0, -math.Abs(x.At(i, 0))) // a dead column
 			}
+			nanAt := len(x.Data) / 2
+			x.Data[nanAt] = math.NaN()
 			var ref reluRef
+			want := ref.forward(x.Data)
 			out := r.Forward(x)
-			if i := firstDiff(out.Data, ref.forward(x.Data)); i >= 0 {
-				t.Fatalf("%s: Forward differs at %d: %v, reference %v", name, i, out.Data[i], ref.forward(x.Data)[i])
+			if i := firstDiff(out.Data, want); i >= 0 {
+				t.Fatalf("%s: Forward differs at %d: %v, reference %v", name, i, out.Data[i], want[i])
 			}
 			dx := r.Backward(g)
 			if i := firstDiff(dx.Data, ref.backward(g.Data)); i >= 0 {
 				t.Fatalf("%s: Backward differs at %d: %v, reference %v", name, i, dx.Data[i], ref.backward(g.Data)[i])
 			}
+			// A NaN pre-activation stays NaN and passes its gradient.
+			if !math.IsNaN(out.Data[nanAt]) || math.Float64bits(dx.Data[nanAt]) != math.Float64bits(g.Data[nanAt]) {
+				t.Fatalf("%s: NaN input gives output %v and gradient %v, want NaN and %v", name, out.Data[nanAt], dx.Data[nanAt], g.Data[nanAt])
+			}
 			inf := r.Infer(x, nil)
-			if i := firstDiff(inf.Data, reluInferRef(x.Data)); i >= 0 {
-				t.Fatalf("%s: Infer differs at %d: %v, reference %v", name, i, inf.Data[i], reluInferRef(x.Data)[i])
+			if i := firstDiff(inf.Data, want); i >= 0 {
+				t.Fatalf("%s: Infer differs at %d: %v, reference %v", name, i, inf.Data[i], want[i])
 			}
 		}
 	})

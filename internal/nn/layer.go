@@ -20,10 +20,10 @@ import (
 // anything they retain across steps.
 //
 // Infer is read-only on layer state, so one layer serves any number of
-// concurrent inference passes. Its output is checked out of the caller's
-// arena, or allocated on the heap when the arena is nil (see get); stateless
+// concurrent inference passes. Its output comes from the caller's arena,
+// or is allocated on the heap when the arena is nil (see get); stateless
 // layers may return x itself. An arena-backed output dies when the caller
-// releases the arena, and both forms carry the same bits.
+// resets the arena, and both forms carry the same bits.
 type Layer interface {
 	Forward(x *mat.Dense) *mat.Dense
 	Infer(x *mat.Dense, a *mat.Arena) *mat.Dense
@@ -31,8 +31,8 @@ type Layer interface {
 	Params() []*Param
 }
 
-// get checks an r×c matrix out of a, or allocates it from the heap when a is
-// nil, so one inference path serves pooled and allocating callers. The check
+// get takes an r×c matrix from a, or allocates it from the heap when a is
+// nil, so one inference path serves arena and allocating callers. The check
 // sits here, not in mat.Arena.Get: lengthening Get moved the small-matmul
 // kernel that follows it and slowed serving shapes (DESIGN.md §10).
 func get(a *mat.Arena, r, c int) *mat.Dense {
@@ -178,7 +178,8 @@ func (l *Linear) paramGrads(gradOut *mat.Dense) {
 // Params returns the layer's trainable parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// ReLU applies max(0, x) elementwise.
+// ReLU applies max(0, x) elementwise: every value ≤ 0 becomes +0 and a NaN
+// passes through, in training and inference alike (rectify).
 //
 // Its loops select with integer masks instead of branches: the sign of a
 // pre-activation is a coin flip to the branch predictor, and with a branch
@@ -203,28 +204,11 @@ func keepPositive(b uint64) uint64 {
 	return b & -keep
 }
 
-// Forward applies the rectifier. Backward reads the output it leaves: an
-// output is above 0 exactly where the input was.
-func (r *ReLU) Forward(x *mat.Dense) *mat.Dense {
-	r.out = ensureScratch(r.out, x.Rows, x.Cols, x)
-	out, src := r.out.Data[:len(x.Data)], x.Data
+// rectify writes src[i] into dst[i] unless src[i] ≤ 0, and +0 there, so
+// a NaN passes through unchanged. len(dst) ≥ len(src).
+func rectify(dst, src []float64) {
 	if n := len(src) &^ 3; n > 0 && mat.Vectorized() {
-		reluForwardAVX(out[:n], src[:n])
-		out, src = out[n:], src[n:]
-	}
-	for i, v := range src {
-		out[i] = math.Float64frombits(keepPositive(math.Float64bits(v)))
-	}
-	return r.out
-}
-
-// Infer rectifies into a fresh matrix. It zeroes only v ≤ 0, so a NaN input
-// passes through unchanged.
-func (r *ReLU) Infer(x *mat.Dense, a *mat.Arena) *mat.Dense {
-	out := get(a, x.Rows, x.Cols)
-	dst, src := out.Data[:len(x.Data)], x.Data
-	if n := len(src) &^ 3; n > 0 && mat.Vectorized() {
-		reluInferAVX(dst[:n], src[:n])
+		reluAVX(dst[:n], src[:n])
 		dst, src = dst[n:], src[n:]
 	}
 	for i, v := range src {
@@ -232,11 +216,25 @@ func (r *ReLU) Infer(x *mat.Dense, a *mat.Arena) *mat.Dense {
 		_, nan := bits.Sub64(posInfBits, b&^(1<<63), 0) // 1 iff |v|'s bits exceed +Inf's
 		dst[i] = math.Float64frombits(keepPositive(b) | b&-nan)
 	}
+}
+
+// Forward applies the rectifier. Backward reads the output it leaves: an
+// output is +0 exactly where the input was ≤ 0.
+func (r *ReLU) Forward(x *mat.Dense) *mat.Dense {
+	r.out = ensureScratch(r.out, x.Rows, x.Cols, x)
+	rectify(r.out.Data, x.Data)
+	return r.out
+}
+
+// Infer rectifies into a fresh matrix.
+func (r *ReLU) Infer(x *mat.Dense, a *mat.Arena) *mat.Dense {
+	out := get(a, x.Rows, x.Cols)
+	rectify(out.Data, x.Data)
 	return out
 }
 
-// Backward zeroes gradients where the input was non-positive, that is where
-// Forward's output is +0.
+// Backward zeroes gradients where Forward's output is +0, that is where the
+// input was ≤ 0; a NaN input passes its gradient.
 func (r *ReLU) Backward(gradOut *mat.Dense) *mat.Dense {
 	if r.out == nil || len(r.out.Data) != len(gradOut.Data) {
 		panic("nn: ReLU Backward shape mismatch with last Forward")

@@ -33,8 +33,8 @@ func (n *Network) Forward(x *mat.Dense) *mat.Dense {
 // the final output and the activations at the feature tap. It writes no
 // shared state, so any number of goroutines may call it concurrently as long
 // as each brings its own arena (or a nil one). With an arena, every
-// intermediate is checked out of it — a fixed-shape inference loop allocates
-// nothing — and both returned matrices die when it is released; with a nil
+// intermediate comes from it — a fixed-shape inference loop allocates
+// nothing — and both returned matrices die when it is reset; with a nil
 // arena they live on the heap. The bits are the same either way.
 func (n *Network) Infer(x *mat.Dense, a *mat.Arena) (out, features *mat.Dense) {
 	if len(n.Layers) == 0 {

@@ -17,20 +17,21 @@ func scratchFixture(batch int) (*Classifier, *mat.Dense) {
 	return c, x
 }
 
-// Property: the pooled-arena inference pass is bit-identical to the
-// nil-arena (heap) pass across batch shapes, including batch 1 (the serving
-// hot case) and shapes that change between calls on the same arena pools.
+// Property: the arena inference pass is bit-identical to the nil-arena
+// (heap) pass across batch shapes, including batch 1 (the serving hot case)
+// and shapes that change between passes over the same arena.
 func TestLogitsAndFeaturesScratchBitIdentical(t *testing.T) {
 	c, _ := scratchFixture(8)
 	rng := rand.New(rand.NewSource(17))
+	var a mat.Arena
 	for _, batch := range []int{1, 2, 7, 32, 1, 64} {
 		x := mat.NewDense(batch, c.cfg.InputDim)
 		for i := range x.Data {
 			x.Data[i] = rng.NormFloat64()
 		}
 		wantL, wantF := c.LogitsAndFeatures(x, nil)
-		a := mat.GetArena()
-		gotL, gotF := c.LogitsAndFeatures(x, a)
+		a.Reset()
+		gotL, gotF := c.LogitsAndFeatures(x, &a)
 		if wantL.Rows != gotL.Rows || wantL.Cols != gotL.Cols {
 			t.Fatalf("batch %d: logits shape %dx%d vs %dx%d", batch, wantL.Rows, wantL.Cols, gotL.Rows, gotL.Cols)
 		}
@@ -44,28 +45,25 @@ func TestLogitsAndFeaturesScratchBitIdentical(t *testing.T) {
 				t.Fatalf("batch %d: features differ at %d: %v vs %v", batch, i, wantF.Data[i], gotF.Data[i])
 			}
 		}
-		a.Release()
 	}
 }
 
 // The tentpole pin: at a fixed batch shape, the arena-backed inference pass
 // performs zero heap allocations at steady state (the TrainStep invariant,
 // extended to serving). Kernel forced serial like the TrainStep pin — the
-// parallel handoff is also allocation-free but its worker growth is one-time.
+// parallel handoff is also allocation-free but its worker growth is
+// one-time.
 func TestLogitsAndFeaturesScratchSteadyStateAllocs(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
-	}
 	old := mat.Parallelism()
 	mat.SetParallelism(1)
 	defer mat.SetParallelism(old)
 
 	c, x := scratchFixture(32)
+	var a mat.Arena
 	loop := func() {
-		a := mat.GetArena()
-		logits, features := c.LogitsAndFeatures(x, a)
+		a.Reset()
+		logits, features := c.LogitsAndFeatures(x, &a)
 		_, _ = logits, features
-		a.Release()
 	}
 	for i := 0; i < 10; i++ {
 		loop()
@@ -86,24 +84,53 @@ func TestLogitsAndFeaturesScratchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var a mat.Arena
 			for rep := 0; rep < 50; rep++ {
-				a := mat.GetArena()
-				gotL, gotF := c.LogitsAndFeatures(x, a)
+				a.Reset()
+				gotL, gotF := c.LogitsAndFeatures(x, &a)
 				for i := range wantL.Data {
 					if gotL.Data[i] != wantL.Data[i] {
 						t.Errorf("concurrent logits differ at %d", i)
-						a.Release()
 						return
 					}
 				}
 				for i := range wantF.Data {
 					if gotF.Data[i] != wantF.Data[i] {
 						t.Errorf("concurrent features differ at %d", i)
-						a.Release()
 						return
 					}
 				}
-				a.Release()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// The tiled passes share the classifier's arena. A pass that finds it
+// taken, by a concurrent pass or by the pass it runs inside, takes an arena
+// of its own: every pass returns the bits of a heap pass, and an inner pass
+// leaves the outer tile it runs from intact (run with -race).
+func TestTiledPassesConcurrentAndReentrant(t *testing.T) {
+	c, x, _, _ := paperFixture(TileRows + 44)
+	want, _ := c.LogitsAndFeatures(x, nil)
+	c.InferTiles(x, func(off int, logits, _ *mat.Dense) {
+		if i := firstDiff(c.Logits(x).Data, want.Data); i >= 0 {
+			t.Fatalf("Logits inside the tile at row %d differs at %d", off, i)
+		}
+		if i := firstDiff(logits.Data, want.Data[off*want.Cols:][:len(logits.Data)]); i >= 0 {
+			t.Fatalf("tile at row %d differs at %d after an inner pass", off, i)
+		}
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				if i := firstDiff(c.Logits(x).Data, want.Data); i >= 0 {
+					t.Errorf("concurrent Logits differs at %d", i)
+					return
+				}
 			}
 		}()
 	}
@@ -123,9 +150,8 @@ func TestForwardScratchWithDropoutIdentity(t *testing.T) {
 	}
 	// Inference mode: dropout is the identity, the arena pass must agree.
 	want, _ := c.LogitsAndFeatures(x, nil)
-	a := mat.GetArena()
-	defer a.Release()
-	got, _ := c.LogitsAndFeatures(x, a)
+	var a mat.Arena
+	got, _ := c.LogitsAndFeatures(x, &a)
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
 			t.Fatalf("dropout-identity scratch pass differs at %d", i)
@@ -134,7 +160,7 @@ func TestForwardScratchWithDropoutIdentity(t *testing.T) {
 }
 
 // BenchmarkLogitsAndFeatures is the forward pass with heap activations
-// (alloc) and with a pooled arena (scratch, the serving path).
+// (alloc) and with an owned arena (scratch, the serving path).
 func BenchmarkLogitsAndFeatures(b *testing.B) {
 	c, x := scratchFixture(32)
 	b.Run("alloc", func(b *testing.B) {
@@ -144,12 +170,12 @@ func BenchmarkLogitsAndFeatures(b *testing.B) {
 		}
 	})
 	b.Run("scratch", func(b *testing.B) {
+		var a mat.Arena
 		pass := func() {
-			a := mat.GetArena()
-			_, _ = c.LogitsAndFeatures(x, a)
-			a.Release()
+			a.Reset()
+			_, _ = c.LogitsAndFeatures(x, &a)
 		}
-		pass() // refill the arena pools the pre-run GC emptied
+		pass() // grow the arena
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -183,6 +209,9 @@ func TestFeaturesStopAtTapBitIdentical(t *testing.T) {
 		if i := firstDiff(got.Data, want.Data); i >= 0 {
 			t.Fatalf("%s: feature %d is %v, LogitsAndFeatures has %v", name, i, got.Data[i], want.Data[i])
 		}
+		// The sharded products take their WaitGroups from wgPool, whose
+		// race-mode Puts are dropped, so the counts compare only without
+		// the race detector.
 		if name == "linear" || testutil.RaceEnabled {
 			continue
 		}

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -68,6 +67,15 @@ func allocFixtureWith(t testing.TB, rows int, fair bool, patch func(*Config)) (*
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { wlog.Close() })
+	// The process's first channel timer registers the asynctimerchan
+	// GODEBUG metric (this module's go line predates 1.23, so the setting
+	// is on and counted), and registering it builds the runtime/metrics
+	// table: about 50 allocations. The metric-history sampler and the SLO
+	// engine make their tickers on goroutines of their own, which a one-CPU
+	// box may first run inside a measured window, where that burst read as
+	// 1 alloc/op in about 3% of processes. Making the first ticker here
+	// keeps it out of every window.
+	time.NewTicker(time.Hour).Stop()
 	cfg := Config{Model: model, Density: est, TrainLogDensities: lds, Lambda: 0.5, WAL: wlog, Logger: discardLogger()}
 	if fair {
 		sloSpec := slo.DefaultSpec()
@@ -102,27 +110,6 @@ func allocFixtureWith(t testing.TB, rows int, fair bool, patch func(*Config)) (*
 	return s, body
 }
 
-// measureAllocs returns the best (minimum) AllocsPerRun over a few
-// measurement windows. Background runtime activity can charge stray
-// allocations to a window — reproduced on a single-CPU host with nothing but
-// a goroutine parked on an hour-long ticker, where ~3% of processes see
-// exactly one stray allocation per handler call for the first window and
-// none afterwards. A handler that really allocates shows up in EVERY window,
-// so one clean window proves the body allocation-free while the stray kind
-// can only ever add.
-func measureAllocs(runs int, f func()) float64 {
-	best := math.Inf(1)
-	for attempt := 0; attempt < 3; attempt++ {
-		if a := testing.AllocsPerRun(runs, f); a < best {
-			best = a
-		}
-		if best == 0 {
-			break
-		}
-	}
-	return best
-}
-
 // replayBody is a resettable request body, so one http.Request can serve the
 // measured loop without per-iteration reader allocations.
 type replayBody struct{ r bytes.Reader }
@@ -149,8 +136,8 @@ func (w *scratchResponseWriter) Write(p []byte) (int, error) {
 }
 
 // warmRequests is how many requests a measurement through the full
-// Handler() stack serves first, so the request-scratch and arena pools are
-// filled and the timeout middleware's worker is running.
+// Handler() stack serves first, so reqScratchPool holds a grown scratch and
+// the timeout middleware's worker is running.
 const warmRequests = 16
 
 // replay returns a call that serves one reused request, carrying body,
@@ -175,14 +162,14 @@ func replay(h http.Handler, method, target string, body []byte) (call func(), w 
 // handoff is also allocation-free, but worker growth is one-time).
 func TestPredictHandlerSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
-		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
+		t.Skip("reqScratchPool: race-mode sync.Pool drops Puts; alloc counts not representative")
 	}
 	old := mat.Parallelism()
 	mat.SetParallelism(1)
 	defer mat.SetParallelism(old)
-	// A GC cycle during the measured window empties the scratch pools, and the
+	// A GC cycle during the measured window empties reqScratchPool, and the
 	// refilling iteration's allocations would be charged to the handler. The
-	// pin asserts the handler allocates nothing, not that the pools are
+	// pin asserts the handler allocates nothing, not that the pool is
 	// GC-proof, so automatic GC is paused for the measurement.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
@@ -192,7 +179,7 @@ func TestPredictHandlerSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		loop()
 	}
-	if allocs := measureAllocs(50, loop); allocs != 0 {
+	if allocs := testing.AllocsPerRun(50, loop); allocs != 0 {
 		t.Fatalf("steady-state /predict handler body allocates %.1f allocs/op, want 0", allocs)
 	}
 	if w.code != http.StatusOK {
@@ -212,7 +199,7 @@ func TestPredictHandlerSteadyStateAllocs(t *testing.T) {
 // Scale into the request scratch's BatchScores).
 func TestScoreHandlerSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
-		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
+		t.Skip("reqScratchPool: race-mode sync.Pool drops Puts; alloc counts not representative")
 	}
 	old := mat.Parallelism()
 	mat.SetParallelism(1)
@@ -225,7 +212,7 @@ func TestScoreHandlerSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		loop()
 	}
-	if allocs := measureAllocs(50, loop); allocs != 0 {
+	if allocs := testing.AllocsPerRun(50, loop); allocs != 0 {
 		t.Fatalf("steady-state /score handler body allocates %.1f allocs/op, want 0", allocs)
 	}
 	var sr scoreResponse
@@ -291,7 +278,7 @@ func TestScratchHandlerBitIdenticalToDirectCompute(t *testing.T) {
 // off.
 func TestFairObsAddsNoAllocsToPredictStack(t *testing.T) {
 	if testutil.RaceEnabled {
-		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
+		t.Skip("reqScratchPool: race-mode sync.Pool drops Puts; alloc counts not representative")
 	}
 	old := mat.Parallelism()
 	mat.SetParallelism(1)
@@ -308,7 +295,7 @@ func TestFairObsAddsNoAllocsToPredictStack(t *testing.T) {
 		if w.code != http.StatusOK {
 			t.Fatalf("fair=%v: status %d: %s", fair, w.code, w.body)
 		}
-		allocs[i] = measureAllocs(50, serve)
+		allocs[i] = testing.AllocsPerRun(50, serve)
 	}
 	if allocs[1] > allocs[0] {
 		t.Fatalf("fairness layer adds allocations to /predict: %.1f allocs/op with it, %.1f without", allocs[1], allocs[0])
@@ -342,7 +329,7 @@ func TestScoreThroughHandlerAllocs(t *testing.T) { testThroughHandlerAllocs(t, "
 
 func testThroughHandlerAllocs(t *testing.T, route string) {
 	if testutil.RaceEnabled {
-		t.Skip("race-mode sync.Pool drops Puts; alloc counts not representative")
+		t.Skip("reqScratchPool: race-mode sync.Pool drops Puts; alloc counts not representative")
 	}
 	old := mat.Parallelism()
 	mat.SetParallelism(1)
@@ -359,7 +346,7 @@ func testThroughHandlerAllocs(t *testing.T, route string) {
 			if w.code != http.StatusOK {
 				t.Fatalf("%s rows=%d fair=%v: status %d: %s", route, rows, fair, w.code, w.body)
 			}
-			if allocs := measureAllocs(50, serve); allocs != stackAllocs {
+			if allocs := testing.AllocsPerRun(50, serve); allocs != stackAllocs {
 				t.Errorf("%s through Handler(), rows=%d fair=%v: %.1f allocs/op, want %d",
 					route, rows, fair, allocs, stackAllocs)
 			}

@@ -37,6 +37,7 @@ type reqScratch struct {
 	x       mat.Dense
 
 	// Compute + response storage, reused by buildPredictInto/buildScoreInto.
+	arena     mat.Arena // the forward pass's activations
 	batch     gda.BatchScores
 	classes   []int
 	margins   []float64 // top-1 minus top-2 probability per row (audit trail)
@@ -49,6 +50,9 @@ type reqScratch struct {
 	score     scoreResponse
 }
 
+// reqScratchPool holds the request scratches. It stays a sync.Pool because
+// no longer-lived owner serves one request at a time: a handler runs on a
+// timeout worker or, with RequestTimeout off, on net/http's own goroutine.
 var reqScratchPool = sync.Pool{New: func() any { return new(reqScratch) }}
 
 func getReqScratch() *reqScratch { return reqScratchPool.Get().(*reqScratch) }

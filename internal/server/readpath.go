@@ -3,8 +3,6 @@ package server
 import (
 	"math"
 	"net/http"
-
-	"faction/internal/mat"
 )
 
 // The read path (DESIGN.md §9): /predict and /score share one handler body —
@@ -12,8 +10,8 @@ import (
 // goroutine over that request's own rows.
 //
 // Memory discipline (DESIGN.md §10): the request's buffers live in a pooled
-// reqScratch, and the pass checks its intermediates (every forward
-// activation) out of a pooled arena and runs the density pass into the
+// reqScratch, and the pass takes its intermediates (every forward
+// activation) from the scratch's arena and runs the density pass into the
 // scratch's gda.BatchScores, building the response straight into the
 // scratch — so a steady-state request performs no heap allocation.
 
@@ -66,10 +64,10 @@ func (s *Server) serveInstances(w http.ResponseWriter, r *http.Request, kind req
 // instead of leaving the next writer — /feedback, a refit swap, a snapshot
 // install — and every reader queued behind it blocked forever.
 func (s *Server) pass(sc *reqScratch, kind reqKind) {
-	arena := mat.GetArena()
+	sc.arena.Reset()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	logits, feats := s.cfg.Model.LogitsAndFeatures(&sc.x, arena)
+	logits, feats := s.cfg.Model.LogitsAndFeatures(&sc.x, &sc.arena)
 	d := s.cfg.Density
 	switch {
 	case kind == reqScore:
@@ -82,7 +80,6 @@ func (s *Server) pass(sc *reqScratch, kind reqKind) {
 	default:
 		buildPredictInto(sc, logits, nil, false, 0)
 	}
-	arena.Release()
 }
 
 // nonFiniteInstance returns the first row whose answer carries a NaN or
