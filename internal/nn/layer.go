@@ -193,28 +193,22 @@ type ReLU struct {
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// posInfBits is the bit pattern of +Inf: the float64s in (0, +Inf] are
-// exactly those whose bits b satisfy 1 ≤ b ≤ posInfBits.
-const posInfBits = 0x7FF0000000000000
-
-// keepPositive returns b when the float64 with bits b is above 0, and +0
-// otherwise: −0, NaN and every negative value map to +0.
-func keepPositive(b uint64) uint64 {
-	_, keep := bits.Sub64(b-1, posInfBits, 0) // 1 iff b−1 < +Inf's bits
-	return b & -keep
-}
-
 // rectify writes src[i] into dst[i] unless src[i] ≤ 0, and +0 there, so
-// a NaN passes through unchanged. len(dst) ≥ len(src).
+// a NaN passes through unchanged. len(dst) ≥ len(src). Read as signed
+// integers, the bits of −0, of every negative value and of −Inf lie at or
+// below −Inf's, those of everything else above, and +0 keeps its zero
+// bits; flipping the sign bit turns that signed order into the unsigned
+// order bits.Sub64 compares, with −Inf's bits becoming +Inf's.
 func rectify(dst, src []float64) {
 	if n := len(src) &^ 3; n > 0 && mat.Vectorized() {
 		reluAVX(dst[:n], src[:n])
 		dst, src = dst[n:], src[n:]
 	}
+	const posInfBits = 0x7FF0000000000000
 	for i, v := range src {
 		b := math.Float64bits(v)
-		_, nan := bits.Sub64(posInfBits, b&^(1<<63), 0) // 1 iff |v|'s bits exceed +Inf's
-		dst[i] = math.Float64frombits(keepPositive(b) | b&-nan)
+		_, keep := bits.Sub64(posInfBits, b^(1<<63), 0) // 1 iff b > −Inf's bits, signed
+		dst[i] = math.Float64frombits(b & -keep)
 	}
 }
 

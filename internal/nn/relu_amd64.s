@@ -5,54 +5,41 @@
 // The rectifier's kernels select with 256-bit integer masks, as the Go
 // loops select with integer masks: each lane compares the bits of one
 // float64 as a signed 64-bit integer (VPCMPGTQ, VPCMPEQQ) and keeps or
-// clears them (VPAND, VPOR, VPANDN). There is no arithmetic, so every
+// clears them (VPAND, VPANDN). There is no arithmetic, so every
 // output has exactly the bits the Go loop selects, NaN payloads included.
 // Sixteen elements per pass, then four; the Go wrappers run the len mod 4
 // tail.
 
 // func reluAVX(dst, src []float64)
 //
-//	dst[i] = src[i] if bits(src[i]) > 0 (signed) or |bits(src[i])| > bits(+Inf), else +0
+//	dst[i] = src[i] if bits(src[i]) > bits(−Inf) (signed), else +0
 //
-// That is, src[i] unless src[i] <= 0: NaN of either sign passes through.
-// Forward and Infer both rectify with it.
-// Caller guarantees len(dst) is a multiple of 4 and len(src) >= len(dst).
+// That is, src[i] unless src[i] <= 0. As signed integers, −0, every
+// negative value and −Inf lie at or below −Inf's bits, and a negative NaN
+// lies above them, as does everything else; +0 keeps its zero bits. So
+// NaN of either sign passes through. Forward and Infer both rectify with
+// it. Caller guarantees len(dst) is a multiple of 4 and len(src) >=
+// len(dst).
 TEXT ·reluAVX(SB), NOSPLIT, $0-48
 	MOVQ         dst_base+0(FP), DI
 	MOVQ         dst_len+8(FP), CX
 	MOVQ         src_base+24(FP), SI
-	VPXOR        Y15, Y15, Y15
-	MOVQ         $0x7FF0000000000000, AX
+	MOVQ         $0xFFF0000000000000, AX
 	VMOVQ        AX, X14
-	VPBROADCASTQ X14, Y14         // +Inf's bits
-	MOVQ         $0x7FFFFFFFFFFFFFFF, AX
-	VMOVQ        AX, X13
-	VPBROADCASTQ X13, Y13         // everything but the sign
+	VPBROADCASTQ X14, Y14         // −Inf's bits
 	PCALIGN      $64
 
-inf16:
+relu16:
 	CMPQ     CX, $16
-	JL       inf4
+	JL       relu4
 	VMOVDQU  (SI), Y0
 	VMOVDQU  32(SI), Y1
 	VMOVDQU  64(SI), Y2
 	VMOVDQU  96(SI), Y3
-	VPAND    Y13, Y0, Y4          // |bits|
-	VPAND    Y13, Y1, Y5
-	VPAND    Y13, Y2, Y6
-	VPAND    Y13, Y3, Y7
-	VPCMPGTQ Y14, Y4, Y4          // NaN: |bits| > +Inf's
-	VPCMPGTQ Y14, Y5, Y5
-	VPCMPGTQ Y14, Y6, Y6
-	VPCMPGTQ Y14, Y7, Y7
-	VPCMPGTQ Y15, Y0, Y8          // bits > 0
-	VPCMPGTQ Y15, Y1, Y9
-	VPCMPGTQ Y15, Y2, Y10
-	VPCMPGTQ Y15, Y3, Y11
-	VPOR     Y8, Y4, Y4
-	VPOR     Y9, Y5, Y5
-	VPOR     Y10, Y6, Y6
-	VPOR     Y11, Y7, Y7
+	VPCMPGTQ Y14, Y0, Y4          // bits > −Inf's
+	VPCMPGTQ Y14, Y1, Y5
+	VPCMPGTQ Y14, Y2, Y6
+	VPCMPGTQ Y14, Y3, Y7
 	VPAND    Y0, Y4, Y4
 	VPAND    Y1, Y5, Y5
 	VPAND    Y2, Y6, Y6
@@ -64,24 +51,21 @@ inf16:
 	ADDQ     $128, SI
 	ADDQ     $128, DI
 	SUBQ     $16, CX
-	JMP      inf16
+	JMP      relu16
 
-inf4:
+relu4:
 	TESTQ    CX, CX
-	JZ       infDone
+	JZ       reluDone
 	VMOVDQU  (SI), Y0
-	VPAND    Y13, Y0, Y4
-	VPCMPGTQ Y14, Y4, Y4
-	VPCMPGTQ Y15, Y0, Y8
-	VPOR     Y8, Y4, Y4
+	VPCMPGTQ Y14, Y0, Y4
 	VPAND    Y0, Y4, Y4
 	VMOVDQU  Y4, (DI)
 	ADDQ     $32, SI
 	ADDQ     $32, DI
 	SUBQ     $4, CX
-	JMP      inf4
+	JMP      relu4
 
-infDone:
+reluDone:
 	VZEROUPPER
 	RET
 
