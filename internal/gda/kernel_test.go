@@ -139,7 +139,7 @@ func benchScoring(b *testing.B, body func(b *testing.B, e *Estimator, probe *mat
 // BatchScores per call.
 func BenchmarkGDAScoreBatch(b *testing.B) {
 	benchScoring(b, func(b *testing.B, e *Estimator, probe *mat.Dense) {
-		e.scoreBatch(probe) // refill the pools the pre-run GC emptied
+		e.scoreBatch(probe) // refill wgPool, which the pre-run GC emptied
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

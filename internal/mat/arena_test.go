@@ -36,7 +36,7 @@ func TestArenaGetShapesAndIndependence(t *testing.T) {
 	}
 }
 
-func TestArenaEmptyAndNegative(t *testing.T) {
+func TestArenaEmptyAndPanics(t *testing.T) {
 	var a Arena
 	if m := a.Get(0, 7); m.Rows != 0 || m.Cols != 7 || len(m.Data) != 0 {
 		t.Fatalf("Get(0,7) = %dx%d len %d", m.Rows, m.Cols, len(m.Data))
@@ -67,7 +67,7 @@ func TestArenaMatricesWorkWithKernels(t *testing.T) {
 // The whole point: a fixed-shape loop over one owned arena allocates
 // nothing after its first pass, even when two collections run between
 // passes (a sync.Pool would be empty by then).
-func TestArenaSteadyStateZeroAllocsAcrossGC(t *testing.T) {
+func TestArenaSteadyStateZeroAllocs(t *testing.T) {
 	x := NewDense(4, 16)
 	y := NewDense(16, 32)
 	for i := range x.Data {

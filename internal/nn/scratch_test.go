@@ -51,8 +51,7 @@ func TestLogitsAndFeaturesScratchBitIdentical(t *testing.T) {
 // The tentpole pin: at a fixed batch shape, the arena-backed inference pass
 // performs zero heap allocations at steady state (the TrainStep invariant,
 // extended to serving). Kernel forced serial like the TrainStep pin — the
-// parallel handoff is also allocation-free but its worker growth is
-// one-time.
+// parallel handoff is also allocation-free but its worker growth is one-time.
 func TestLogitsAndFeaturesScratchSteadyStateAllocs(t *testing.T) {
 	old := mat.Parallelism()
 	mat.SetParallelism(1)

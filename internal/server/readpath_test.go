@@ -89,8 +89,8 @@ func rawPost(t testing.TB, url string, body []byte) (int, []byte) {
 
 // Concurrent /predict and /score answers are byte-identical to the answers
 // the same requests got one at a time from the same server. Each request
-// runs its pass on its own pooled scratch and arena, so this pins that no
-// per-request buffer leaks between requests in flight together.
+// runs its pass on its own pooled scratch and the arena it carries, so this
+// pins that no per-request buffer leaks between requests in flight together.
 func TestBatchingBitIdentical(t *testing.T) {
 	model, est := trainedArtifacts(t)
 	_, ts := newServerWith(t, model, est)
